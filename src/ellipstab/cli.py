@@ -73,6 +73,11 @@ def _check_angle(parser, beta):
         parser.error(f"--beta must lie in (pi, 2*pi), got {beta:g}")
 
 
+def _check_at_least(parser, flag, value, limit):
+    if value < limit:
+        parser.error(f"{flag} must be at least {limit:g}, got {value:g}")
+
+
 def _cmd_verify(parser, args):
     _check_angle(parser, args.beta)
     if args.alpha <= 0.0:
@@ -140,6 +145,9 @@ def _cmd_rate_study(parser, args):
         parser.error("--points must be at least 4 (the rate fit needs 4 samples)")
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         parser.error("need 0 < --eps-min < --eps-max < 1")
+    if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
+        parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
+                     f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
     grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
     cmdline = (
         f"rate-study --study {args.study} --beta {_fmt(args.beta)} "
@@ -216,6 +224,9 @@ def _cmd_solve(parser, args):
         parser.error("--refine must be nonnegative")
     if args.domain in ("sector", "annulus"):
         _check_angle(parser, args.beta)
+        _check_at_least(parser, "--n-radial", args.n_radial, 2)
+        _check_at_least(parser, "--n-angular", args.n_angular, 2)
+        _check_at_least(parser, "--grading", args.grading, 1.0)
         r_inner = 0.0
         if args.domain == "annulus":
             if not 0.0 < args.eps < 1.0:
@@ -231,6 +242,8 @@ def _cmd_solve(parser, args):
                                    grading=args.grading, aligned_radii=aligned)
         source = analytic.SourceTerm(args.beta)
     else:
+        _check_at_least(parser, "--nx", args.nx, 2)
+        _check_at_least(parser, "--ny", args.ny, 2)
         lo, hi = args.graph_height, args.graph_height + args.graph_slope
         if min(lo, hi) <= 0.1 or max(lo, hi) > 1.0:
             parser.error("graph height must stay in (0.1, 1] over [0, 1]")

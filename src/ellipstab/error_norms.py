@@ -12,7 +12,7 @@ import numpy as np
 
 from .fem import FemSolution, evaluate_gradient_many
 from .meshing import mesh_sector
-from .quadrature import TRI6_BARY, TRI6_WEIGHTS, gauss_on_panels, radial_edges
+from .quadrature import TRI6_WEIGHTS, gauss_on_panels, radial_edges, tri6_points
 
 
 class DivergentNormError(ArithmeticError):
@@ -23,13 +23,9 @@ class DivergentNormError(ArithmeticError):
         self.levels = tuple(levels)
 
 
-def _rule_points(corners):
-    return np.einsum("qi,...ix->...qx", TRI6_BARY, corners)
-
-
 def _integrate_f2_on_triangle(f2, corners):
     """Apply the 6-point rule to f2 (squared-difference integrand) per triangle."""
-    pts = _rule_points(corners)
+    pts = tri6_points(corners)
     vals = np.asarray(f2(pts.reshape(-1, 2))).reshape(pts.shape[:-1])
     e1 = corners[..., 1, :] - corners[..., 0, :]
     e2 = corners[..., 2, :] - corners[..., 0, :]
@@ -77,7 +73,7 @@ def h1_error_vs_analytic(sol, exact, corner_levels=30):
     regular = np.ones(mesh.num_triangles, dtype=bool)
     regular[corner_tris] = False
 
-    pts = _rule_points(corners[regular])
+    pts = tri6_points(corners[regular])
     diff = tri_grads[regular][:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(
         pts.shape
     )
@@ -121,7 +117,7 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_region=None, quad_mesh=None,
                                if quad_region.r_inner < a < quad_region.r_outer))
         quad_mesh = mesh_sector(quad_region, n_radial, n_angular,
                                 grading=grading, aligned_radii=aligned)
-    pts = _rule_points(quad_mesh.corners()).reshape(-1, 2)
+    pts = tri6_points(quad_mesh.corners()).reshape(-1, 2)
     ga = evaluate_gradient_many(sol_a, pts)
     gb = evaluate_gradient_many(sol_b, pts)
     f2 = np.sum((ga - gb) ** 2, axis=-1).reshape(quad_mesh.num_triangles, -1)

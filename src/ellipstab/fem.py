@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import FieldEvaluationError
-from .quadrature import TRI6_BARY, TRI6_WEIGHTS
+from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 
 class AssemblyError(RuntimeError):
@@ -68,16 +68,12 @@ class FemSolution:
     def energy(self, field, weight=None):
         """int a grad u . grad u g dx over the mesh, by the assembly rule."""
         mesh = self.mesh
-        pts = _quad_points(mesh)
+        pts = tri6_points(mesh.corners())
         a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
         g = _eval_scalar(weight, pts)
         grads = self.triangle_gradients()
         qf = np.einsum("mx,mqxy,my->mq", grads, a, grads)
         return float(np.sum(mesh.areas()[:, None] * TRI6_WEIGHTS[None, :] * qf * g))
-
-
-def _quad_points(mesh):
-    return np.einsum("qi,mix->mqx", TRI6_BARY, mesh.corners())
 
 
 def _eval_scalar(fn, pts):
@@ -99,7 +95,7 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
     """
     areas = mesh.areas()
     grads = mesh.p1_gradients()
-    pts = _quad_points(mesh)
+    pts = tri6_points(mesh.corners())
     flat = pts.reshape(-1, 2)
     try:
         a = field.eval(flat).reshape(pts.shape[:2] + (2, 2))
@@ -227,14 +223,15 @@ class _Locator:
         i1 = self._cell_idx(thi[:, 0], 0)
         j0 = self._cell_idx(tlo[:, 1], 1)
         j1 = self._cell_idx(thi[:, 1], 1)
-        pairs = []
-        for t in range(mesh.num_triangles):
-            for i in range(i0[t], i1[t] + 1):
-                for j in range(j0[t], j1[t] + 1):
-                    pairs.append((i * self.n[1] + j, t))
-        pairs.sort()
-        self.pair_cells = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.pair_tris = np.array([p[1] for p in pairs], dtype=np.int64)
+        # one (cell, triangle) pair per bucket a triangle's box overlaps
+        nj = j1 - j0 + 1
+        cnt = (i1 - i0 + 1) * nj
+        tris = np.repeat(np.arange(mesh.num_triangles), cnt)
+        k = np.arange(tris.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        cells = (i0[tris] + k // nj[tris]) * self.n[1] + j0[tris] + k % nj[tris]
+        order = np.lexsort((tris, cells))
+        self.pair_cells = cells[order]
+        self.pair_tris = tris[order]
         n_total = self.n[0] * self.n[1]
         self.ptr = np.searchsorted(self.pair_cells, np.arange(n_total + 1))
 
@@ -269,13 +266,14 @@ class _Locator:
 
 
 def _contains(corners, pts, tol):
-    v0 = corners[:, 0]
-    d1 = corners[:, 1] - v0
-    d2 = corners[:, 2] - v0
+    """Whether each point lies in its triangle, corners of shape (..., 3, 2)."""
+    v0 = corners[..., 0, :]
+    d1 = corners[..., 1, :] - v0
+    d2 = corners[..., 2, :] - v0
     dp = pts - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    l1 = (dp[:, 0] * d2[:, 1] - dp[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * dp[:, 1] - d1[:, 1] * dp[:, 0]) / det
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
+    l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
@@ -327,14 +325,7 @@ class _PolarLocator:
         cand = np.stack(cands, axis=1)
         valid = cand >= 0
         corners = self.mesh.vertices[self.mesh.triangles[np.where(valid, cand, 0)]]
-        v0 = corners[..., 0, :]
-        d1 = corners[..., 1, :] - v0
-        d2 = corners[..., 2, :] - v0
-        dp = pts[:, None, :] - v0
-        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
-        l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
-        inside = valid & (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
+        inside = valid & _contains(corners, pts[:, None, :], tol)
         sentinel = self.mesh.num_triangles + 1
         best = np.where(inside, cand, sentinel).min(axis=1)
         return np.where(best < sentinel, best, -1).astype(np.int64)
@@ -350,46 +341,15 @@ def _locator(mesh):
     return mesh._locator
 
 
-def locate_point(mesh, point, hint=None, max_steps=None, tol=1e-12):
-    """Walk from the hint triangle toward the point; bucket scan as fallback.
-
-    Returns the containing triangle index or -1 when the point lies outside
-    the mesh.
-    """
-    pts = np.asarray(point, dtype=float).reshape(2)
-    corners = mesh.corners()
-    if max_steps is None:
-        max_steps = 2 * int(np.sqrt(mesh.num_triangles)) + 64
-    if hint is not None and 0 <= hint < mesh.num_triangles:
-        nb = mesh.neighbors()
-        t = int(hint)
-        for _ in range(max_steps):
-            c = corners[t]
-            lams = _barycentric(c, pts)
-            worst = int(np.argmin(lams))
-            if lams[worst] >= -tol:
-                return t
-            nxt = nb[t, worst]
-            if nxt < 0:
-                break
-            t = int(nxt)
-    res = _locator(mesh).locate_many(pts[None, :], tol=tol)
-    return int(res[0])
+def locate_point(mesh, point, tol=1e-12):
+    """Containing triangle index of one point, -1 when it lies outside the mesh."""
+    pts = np.asarray(point, dtype=float).reshape(1, 2)
+    return int(_locator(mesh).locate_many(pts, tol=tol)[0])
 
 
-def _barycentric(c, p):
-    d1 = c[1] - c[0]
-    d2 = c[2] - c[0]
-    dp = p - c[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    l1 = (dp[0] * d2[1] - dp[1] * d2[0]) / det
-    l2 = (d1[0] * dp[1] - d1[1] * dp[0]) / det
-    return np.array([1.0 - l1 - l2, l1, l2])
-
-
-def evaluate_gradient(sol, point, hint=None):
+def evaluate_gradient(sol, point):
     """P1 gradient at one point; zero vector outside the mesh by convention."""
-    t = locate_point(sol.mesh, point, hint=hint)
+    t = locate_point(sol.mesh, point)
     if t < 0:
         return np.zeros(2)
     return sol.triangle_gradients()[t].copy()

@@ -31,8 +31,8 @@ class GenerationMeta:
 class TriMesh:
     """Triangulation with per-vertex Dirichlet flags.
 
-    Immutable after construction; derived structures (edges, neighbors,
-    point locator) are built lazily and cached.
+    Immutable after construction; derived structures (the edge numbering
+    and the point locator) are built lazily and cached.
     """
 
     def __init__(self, vertices, triangles, boundary_flags, meta=None):
@@ -103,9 +103,13 @@ class TriMesh:
     # -- connectivity ----------------------------------------------------
 
     def _edges(self):
+        """Unique edges, their triangle counts and the triangle->edge map.
+
+        Local edge e of a triangle is opposite its local vertex e; row t of
+        the map holds the edge indices of triangle t in that order.
+        """
         if self._edge_cache is None:
             tri = self.triangles
-            # edge e of a triangle is opposite local vertex e
             raw = np.concatenate(
                 [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=0
             )
@@ -113,18 +117,8 @@ class TriMesh:
             uniq, inverse, counts = np.unique(
                 key, axis=0, return_inverse=True, return_counts=True
             )
-            owner_tri = np.tile(np.arange(self.num_triangles), 3)
-            owner_loc = np.repeat(np.arange(3), self.num_triangles)
-            neighbors = -np.ones((self.num_triangles, 3), dtype=np.int64)
-            edge_tris = [[] for _ in range(uniq.shape[0])]
-            for t, loc, e in zip(owner_tri, owner_loc, inverse):
-                edge_tris[e].append((t, loc))
-            for e, owners in enumerate(edge_tris):
-                if len(owners) == 2:
-                    (t1, l1), (t2, l2) = owners
-                    neighbors[t1, l1] = t2
-                    neighbors[t2, l2] = t1
-            self._edge_cache = (uniq, counts, neighbors)
+            tri_edges = inverse.reshape(3, self.num_triangles).T
+            self._edge_cache = (uniq, counts, tri_edges)
         return self._edge_cache
 
     def edges(self):
@@ -135,7 +129,17 @@ class TriMesh:
 
     def neighbors(self):
         """Neighbor triangle across each local edge, -1 on the boundary."""
-        return self._edges()[2]
+        _, counts, tri_edges = self._edges()
+        m = self.num_triangles
+        # slots k = local_edge * m + triangle, grouped by edge; an interior
+        # edge's two owners are adjacent in that order
+        slots = np.argsort(tri_edges.T.ravel(), kind="stable")
+        first = (np.cumsum(counts) - counts)[counts == 2]
+        a, b = slots[first], slots[first + 1]
+        nb = -np.ones(3 * m, dtype=np.int64)
+        nb[a] = b % m
+        nb[b] = a % m
+        return nb.reshape(3, m).T
 
     def boundary_edges(self):
         uniq, counts, _ = self._edges()
@@ -177,18 +181,19 @@ class TriMesh:
         return "\n".join(lines) + "\n"
 
 
-def _sector_vertices(domain, radii, n_angular):
-    beta = domain.beta
-    thetas = np.linspace(0.0, beta, n_angular + 1)
-    has_corner = radii[0] == 0.0
-    ring_radii = radii[1:] if has_corner else radii
-    verts = []
-    if has_corner:
-        verts.append((0.0, 0.0))
-    for r in ring_radii:
-        for t in thetas:
-            verts.append((r * np.cos(t), r * np.sin(t)))
-    return np.asarray(verts), has_corner, ring_radii.size, thetas.size
+def _grid(n_rows, n_cols, offset=0):
+    """Triangulated grid of n_rows x n_cols vertices numbered row-major from offset.
+
+    Returns the triangles (a, b, c), (a, c, d) of every cell, cell by cell,
+    where a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1), and the
+    (n_rows, n_cols) mask of the grid's border vertices.
+    """
+    a = offset + np.arange(n_rows - 1)[:, None] * n_cols + np.arange(n_cols - 1)
+    b = a + n_cols
+    triangles = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
+    border = np.ones((n_rows, n_cols), dtype=bool)
+    border[1:-1, 1:-1] = False
+    return triangles, border
 
 
 def mesh_sector_from_radii(domain, radii, n_angular, grading=1.0, aligned_radii=()):
@@ -203,34 +208,25 @@ def mesh_sector_from_radii(domain, radii, n_angular, grading=1.0, aligned_radii=
         raise ValueError("radii must span [r_inner, r_outer]")
     if n_angular < 1:
         raise ValueError("need at least one angular interval")
-    vertices, has_corner, n_rings, n_theta = _sector_vertices(domain, radii, n_angular)
-
-    def vid(ring, j):
-        return (1 if has_corner else 0) + ring * n_theta + j
-
-    tris = []
+    thetas = np.linspace(0.0, domain.beta, n_angular + 1)
+    has_corner = radii[0] == 0.0
+    rings = radii[1:] if has_corner else radii
+    ring_vertices = np.stack([rings[:, None] * np.cos(thetas),
+                              rings[:, None] * np.sin(thetas)], axis=-1)
+    vertices = ring_vertices.reshape(-1, 2)
+    triangles, border = _grid(rings.size, thetas.size, offset=int(has_corner))
     if has_corner:
-        for j in range(n_angular):
-            tris.append((0, vid(0, j), vid(0, j + 1)))
-    for i in range(n_rings - 1):
-        for j in range(n_angular):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=np.int64)
-
-    flags = np.zeros(vertices.shape[0], dtype=bool)
-    if has_corner:
-        flags[0] = True
-    for i in range(n_rings):
-        flags[vid(i, 0)] = True
-        flags[vid(i, n_angular)] = True
-    for j in range(n_theta):
-        flags[vid(n_rings - 1, j)] = True
-    if not has_corner:
-        for j in range(n_theta):
-            flags[vid(0, j)] = True
+        # vertex 0 is the corner, joined to the innermost ring by a fan; that
+        # ring is boundary only at its ends unless it is the outer arc
+        if rings.size > 1:
+            border[0, 1:-1] = False
+        j = np.arange(1, n_angular + 1)
+        fan = np.stack([np.zeros_like(j), j, j + 1], axis=1)
+        vertices = np.concatenate([[[0.0, 0.0]], vertices])
+        triangles = np.concatenate([fan, triangles])
+        flags = np.concatenate([[True], border.ravel()])
+    else:
+        flags = border.ravel()
 
     interior = tuple(float(s) for s in sorted(set(aligned_radii))
                      if domain.r_inner + 1e-14 < s < domain.r_outer - 1e-14)
@@ -282,54 +278,38 @@ def mesh_graph_domain(domain, n_x, n_y):
         raise ValueError("need at least 2 intervals per direction")
     xs = np.linspace(domain.x_lo, domain.x_hi, n_x + 1)
     hs = domain.height(xs)
-    verts = np.empty(((n_x + 1) * (n_y + 1), 2))
-    for i, (x, h) in enumerate(zip(xs, hs)):
-        ys = domain.floor + (h - domain.floor) * np.arange(n_y + 1) / n_y
-        verts[i * (n_y + 1):(i + 1) * (n_y + 1), 0] = x
-        verts[i * (n_y + 1):(i + 1) * (n_y + 1), 1] = ys
-
-    def vid(i, j):
-        return i * (n_y + 1) + j
-
-    tris = []
-    for i in range(n_x):
-        for j in range(n_y):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    flags = np.zeros(verts.shape[0], dtype=bool)
-    for j in range(n_y + 1):
-        flags[vid(0, j)] = True
-        flags[vid(n_x, j)] = True
-    for i in range(n_x + 1):
-        flags[vid(i, 0)] = True
-        flags[vid(i, n_y)] = True
+    ys = domain.floor + (hs[:, None] - domain.floor) * np.arange(n_y + 1) / n_y
+    verts = np.stack([np.repeat(xs, n_y + 1), ys.ravel()], axis=1)
+    triangles, border = _grid(n_x + 1, n_y + 1)
     meta = GenerationMeta(domain=domain)
-    return TriMesh(verts, np.asarray(tris, dtype=np.int64), flags, meta)
+    return TriMesh(verts, triangles, border.ravel(), meta)
 
 
-def _project_new_vertex(mid, va, vb, mesh):
-    """Snap a boundary-edge midpoint back onto the curved boundary piece."""
+def _project_midpoints(mesh, ends, mids):
+    """Snap midpoints of edges on a curved boundary piece back onto it.
+
+    ``ends`` holds the two endpoints of each edge, shape (E, 2, 2).  An edge
+    is projected when both endpoints lie on the same circle (outer, inner
+    or aligned interface) or on the top graph; the first matching circle
+    in that order wins.
+    """
     dom = mesh.meta.domain
     tol = 1e-10
     if isinstance(dom, SectorDomain):
         circles = [dom.r_outer] + list(mesh.meta.aligned_radii)
         if dom.r_inner > 0.0:
             circles.append(dom.r_inner)
-        ra, rb = np.hypot(*va), np.hypot(*vb)
+        r_ends = np.hypot(ends[..., 0], ends[..., 1])
+        rm = np.hypot(mids[:, 0], mids[:, 1])
+        todo = rm > 0.0
         for rc in circles:
-            if abs(ra - rc) <= tol and abs(rb - rc) <= tol:
-                rm = np.hypot(*mid)
-                if rm > 0.0:
-                    return mid * (rc / rm)
-        return mid
-    if isinstance(dom, GraphDomain):
-        if (abs(va[1] - dom.height(va[0])) <= tol
-                and abs(vb[1] - dom.height(vb[0])) <= tol):
-            return np.array([mid[0], float(dom.height(mid[0]))])
-        return mid
-    return mid
+            on = todo & np.all(np.abs(r_ends - rc) <= tol, axis=1)
+            mids[on] *= (rc / rm[on])[:, None]
+            todo &= ~on
+    elif isinstance(dom, GraphDomain):
+        on = np.all(np.abs(ends[..., 1] - dom.height(ends[..., 0])) <= tol, axis=1)
+        mids[on, 1] = dom.height(mids[on, 0])
+    return mids
 
 
 def refine_uniform(mesh):
@@ -347,35 +327,15 @@ def refine_uniform(mesh):
     """
     edges = mesh.edges()
     counts = mesh.edge_counts()
-    nv = mesh.num_vertices
-    mid_index = {}
-    new_verts = [mesh.vertices]
-    new_flags = [mesh.boundary_flags]
-    mids = []
-    flags = []
-    for e, (a, b) in enumerate(edges):
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        # projection is a no-op unless both endpoints share a circle or the
-        # top graph; interior aligned interface circles are projected too
-        mid = _project_new_vertex(0.5 * (va + vb), va, vb, mesh)
-        boundary_edge = counts[e] == 1
-        mid_index[(int(min(a, b)), int(max(a, b)))] = nv + len(mids)
-        mids.append(mid)
-        flags.append(bool(boundary_edge))
-    new_verts.append(np.asarray(mids))
-    new_flags.append(np.asarray(flags, dtype=bool))
-    vertices = np.concatenate(new_verts, axis=0)
-    bflags = np.concatenate(new_flags)
+    ends = mesh.vertices[edges]
+    mids = _project_midpoints(mesh, ends, 0.5 * (ends[:, 0] + ends[:, 1]))
+    vertices = np.concatenate([mesh.vertices, mids])
+    bflags = np.concatenate([mesh.boundary_flags, counts == 1])
 
-    def mid_of(a, b):
-        return mid_index[(int(min(a, b)), int(max(a, b)))]
-
-    tris = []
-    for v0, v1, v2 in mesh.triangles:
-        m01 = mid_of(v0, v1)
-        m12 = mid_of(v1, v2)
-        m20 = mid_of(v2, v0)
-        tris.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
+    v0, v1, v2 = mesh.triangles.T
+    # local edge e is opposite local vertex e, so columns are m12, m20, m01
+    m12, m20, m01 = (mesh.num_vertices + mesh._edges()[2]).T
+    tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
     meta = replace(mesh.meta, level=mesh.meta.level + 1, min_angle_deg=0.0,
                    structure=())
-    return TriMesh(vertices, np.asarray(tris, dtype=np.int64), bflags, meta)
+    return TriMesh(vertices, tris.reshape(-1, 3), bflags, meta)

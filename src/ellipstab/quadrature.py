@@ -35,6 +35,11 @@ TRI6_WEIGHTS = np.array(
 )
 
 
+def tri6_points(corners):
+    """Physical points of the six-point rule, corners (..., 3, 2) -> (..., 6, 2)."""
+    return np.einsum("qi,...ix->...qx", TRI6_BARY, corners)
+
+
 def gauss_on_panels(edges, n_gauss=16):
     """Composite Gauss-Legendre nodes and weights over consecutive panels.
 

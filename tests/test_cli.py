@@ -65,6 +65,11 @@ class TestRateStudy:
     def test_too_few_points_is_usage_error(self):
         assert run("rate-study", "--study", "coeff", "--points", "3") == 2
 
+    @pytest.mark.parametrize("study", ["domain", "wwww"])
+    def test_shift_map_eps_limit_is_usage_error(self, study, capsys):
+        assert run("rate-study", "--study", study, "--eps-max", "0.5") == 2
+        assert "--eps-max must be below 0.5" in capsys.readouterr().err
+
     def test_inadmissible_q_is_hypothesis_violation(self, tmp_path, capsys):
         code = run("rate-study", "--study", "coeff", "--q", "7",
                    "--out", str(tmp_path / "x.csv"))
@@ -156,6 +161,19 @@ class TestSolve:
     def test_bad_annulus_eps_is_usage_error(self, tmp_path):
         assert run("solve", "--domain", "annulus", "--eps", "1.5",
                    "--out-prefix", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("domain,flag,value,limit", [
+        ("sector", "--n-radial", "1", "2"),
+        ("annulus", "--n-angular", "1", "2"),
+        ("sector", "--grading", "0.5", "1"),
+        ("graph", "--nx", "1", "2"),
+        ("graph", "--ny", "0", "2"),
+    ])
+    def test_mesh_size_below_limit_is_usage_error(self, tmp_path, capsys,
+                                                  domain, flag, value, limit):
+        assert run("solve", "--domain", domain, flag, value,
+                   "--out-prefix", str(tmp_path / "x")) == 2
+        assert f"{flag} must be at least {limit}" in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(system, rel_tol=0.0, max_iter=0):

@@ -13,6 +13,8 @@ from ellipstab.fem import (
     ConvergenceFailure,
     FemSolution,
     SparseSystem,
+    _Locator,
+    _PolarLocator,
     assemble,
     evaluate_gradient,
     evaluate_gradient_many,
@@ -23,6 +25,7 @@ from ellipstab.fem import (
 )
 from ellipstab.geometry import GraphDomain, SectorDomain, affine_map, radial_shift_map
 from ellipstab.meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_uniform
+from ellipstab.quadrature import tri6_points
 
 BETA = 1.5 * np.pi
 
@@ -153,15 +156,16 @@ class TestEvaluateGradient:
         out = np.array([0.5, -0.5])
         assert np.array_equal(evaluate_gradient(sol, out), [0.0, 0.0])
 
-    def test_walk_with_hint_agrees_with_scan(self):
+    def test_polar_and_bucket_locators_agree(self):
         mesh = mesh_sector(SectorDomain(BETA), 10, 10, grading=3.0)
-        pts = SectorDomain(BETA).sample_interior(50)
-        hint = 0
-        for p in pts:
-            t_walk = locate_point(mesh, p, hint=hint)
-            t_scan = locate_point(mesh, p, hint=None)
-            assert t_walk == t_scan
-            hint = t_walk
+        pts = np.concatenate([tri6_points(mesh.corners()).reshape(-1, 2),
+                              SectorDomain(BETA).sample_interior(500)])
+        polar = _PolarLocator(mesh).locate_many(pts)
+        assert np.array_equal(polar, _Locator(mesh).locate_many(pts))
+        # every rule point lies inside its own triangle
+        assert np.array_equal(polar[:6 * mesh.num_triangles],
+                              np.repeat(np.arange(mesh.num_triangles), 6))
+        assert locate_point(mesh, pts[-1]) == polar[-1]
 
     def test_refined_mesh_locator(self):
         # refinement clears the polar structure; the bucket locator takes over

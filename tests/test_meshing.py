@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
     TriMesh,
+    graded_radii,
     mesh_graph_domain,
     mesh_sector,
     refine_uniform,
@@ -148,6 +151,79 @@ class TestRefineUniform:
             mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=grading)
             fine = refine_uniform(mesh)
             assert fine.min_angle_deg >= mesh.min_angle_deg - 1.0
+
+
+class TestNeighbors:
+    @pytest.mark.parametrize("mesh", [
+        mesh_sector(SectorDomain(BETA), 5, 7, grading=3.0),
+        refine_uniform(mesh_sector(SectorDomain(BETA, r_inner=0.1), 4, 6,
+                                   aligned_radii=[0.5])),
+        mesh_graph_domain(flat_domain(lambda x: 0.8 + 0.1 * x), 4, 3),
+    ])
+    def test_symmetric_and_sharing_one_edge(self, mesh):
+        nb = mesh.neighbors()
+        t, loc = np.nonzero(nb >= 0)
+        other = nb[t, loc]
+        assert np.all(np.any(nb[other] == t[:, None], axis=1))
+        # the two triangles share exactly the edge opposite local vertex loc
+        tri = mesh.triangles
+        common = np.any(tri[t][:, :, None] == tri[other][:, None, :], axis=2)
+        assert np.all(np.count_nonzero(common, axis=1) == 2)
+        assert not np.any(common[np.arange(t.size), loc])
+        assert np.count_nonzero(nb < 0) == mesh.boundary_edges().shape[0]
+
+
+@st.composite
+def sector_meshes(draw):
+    beta = draw(st.floats(1.05 * np.pi, 1.95 * np.pi))
+    r_inner = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    n_radial = draw(st.integers(2, 8))
+    grading = draw(st.floats(1.0, 4.0))
+    n_angular = draw(st.integers(8, 48))
+    aligned = draw(st.lists(st.floats(r_inner + 0.02, 0.98), max_size=2, unique=True))
+    dom = SectorDomain(beta, r_inner=r_inner)
+    # refine_uniform's precondition: the sagitta of every chord on a projected
+    # inner circle stays well below the ring just outside it
+    radii = graded_radii(dom, n_radial, grading, aligned)
+    sagitta = 1.0 - np.cos(0.5 * beta / n_angular)
+    for rc, gap in zip(radii[:-1], np.diff(radii)):
+        if rc in aligned or rc == r_inner > 0.0:
+            assume(rc * sagitta <= 0.25 * gap)
+    return mesh_sector(dom, n_radial, n_angular, grading=grading, aligned_radii=aligned)
+
+
+@st.composite
+def polygonal_graph_meshes(draw):
+    n_x = draw(st.integers(2, 10))
+    n_y = draw(st.integers(2, 8))
+    # one height node per mesh column keeps the top boundary a polyline
+    # whose kinks are mesh vertices
+    heights = draw(st.lists(st.floats(0.2, 1.0), min_size=n_x + 1, max_size=n_x + 1))
+    dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, np.array(heights))
+    return mesh_graph_domain(dom, n_x, n_y)
+
+
+def check_refinement(mesh, fine):
+    assert fine.num_triangles == 4 * mesh.num_triangles
+    assert fine.validate()
+    grown = np.count_nonzero(fine.boundary_flags) - np.count_nonzero(mesh.boundary_flags)
+    assert grown == mesh.boundary_edges().shape[0]
+
+
+class TestRefineProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(sector_meshes())
+    def test_sector(self, mesh):
+        check_refinement(mesh, refine_uniform(mesh))
+
+    @settings(max_examples=40, deadline=None)
+    @given(polygonal_graph_meshes(), st.integers(1, 2))
+    def test_polygonal_graph_keeps_area(self, mesh, levels):
+        for _ in range(levels):
+            fine = refine_uniform(mesh)
+            check_refinement(mesh, fine)
+            assert fine.total_area() == pytest.approx(mesh.total_area(), rel=1e-13)
+            mesh = fine
 
 
 class TestValiditySuite:
