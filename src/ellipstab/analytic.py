@@ -51,6 +51,7 @@ class SeparableSolution:
 
     ``radial_profile`` and ``radial_derivative`` are vectorized callables;
     ``breakpoints`` lists the radii where the profile is merely continuous.
+    The gradient lies in L^q of the domain for every q < ``q_star``.
     """
 
     radial_profile: Callable
@@ -96,6 +97,8 @@ class SeparableSolution:
             breaks,
             self.angular_wavenumber,
             dom,
+            # an annular domain excludes the corner, the only singular point
+            min(self.q_star, other.q_star) if dom.r_inner == 0.0 else float("inf"),
         )
 
     def extended_by_zero(self):
@@ -122,12 +125,22 @@ class SeparableSolution:
 
         dom = SectorDomain(self.domain.beta, 0.0, self.domain.r_outer)
         breaks = tuple(sorted(set(self.breakpoints) | {eps}))
-        return SeparableSolution(wz, dz, breaks, self.angular_wavenumber, dom)
+        return SeparableSolution(wz, dz, breaks, self.angular_wavenumber, dom,
+                                 self.q_star)
 
 
 def _check_angle(beta):
     if not np.pi < beta < 2.0 * np.pi:
         raise ValueError(f"angle must lie in (pi, 2*pi), got {beta}")
+
+
+def q_star(beta):
+    """Gradient integrability threshold 2*beta/(beta - pi) of r^k sin(k*theta).
+
+    |grad (r^k sin(k*theta))| ~ r^(k-1) with k = pi/beta lies in L^q near the
+    corner exactly when (k - 1) q + 2 > 0.
+    """
+    return 2.0 * beta / (beta - np.pi)
 
 
 def limit_solution(beta):
@@ -147,8 +160,7 @@ def limit_solution(beta):
         r = np.asarray(r, dtype=float)
         return k * np.power(r, k - 1.0) - 2.0 * r
 
-    return SeparableSolution(w, dw, (), k, SectorDomain(beta),
-                             q_star=2.0 * beta / (beta - np.pi))
+    return SeparableSolution(w, dw, (), k, SectorDomain(beta), q_star(beta))
 
 
 def jump_solution(beta, alpha, eps):
@@ -156,7 +168,8 @@ def jump_solution(beta, alpha, eps):
 
     Conductivity ``alpha`` on r < eps and 1 on eps < r < 1; the profile has
     two branches matched by continuity and flux continuity
-    alpha * w'(eps-) = w'(eps+) across the interface.
+    alpha * w'(eps-) = w'(eps+) across the interface.  The inner branch
+    keeps the corner term r^k, so ``q_star`` is the limit solution's.
     """
     _check_angle(beta)
     alpha = float(alpha)
@@ -187,7 +200,7 @@ def jump_solution(beta, alpha, eps):
         outer = k * c_out * rk1 - k * d_out * np.power(r, -k - 1.0) - 2.0 * r
         return np.where(r < eps, inner, outer)
 
-    return SeparableSolution(w, dw, (eps,), k, SectorDomain(beta))
+    return SeparableSolution(w, dw, (eps,), k, SectorDomain(beta), q_star(beta))
 
 
 def annulus_solution(beta, eps):
@@ -214,14 +227,17 @@ def annulus_solution(beta, eps):
     return SeparableSolution(w, dw, (), k, SectorDomain(beta, r_inner=eps))
 
 
-def h1_seminorm_separable(sol, n_gauss=16, n_panels=8, r_floor=1e-12):
+def h1_seminorm_separable(sol):
     """H1 seminorm of a separable solution by 1D radial quadrature.
 
-    Uses sqrt((beta/2) * int (w'^2 + k^2 w^2/r^2) r dr) with panels aligned
-    to the profile breakpoints and geometric subdivision toward the corner.
-    A non-integrable corner singularity (integrand growing as the geometric
-    panels refine) raises ArithmeticError.
+    Uses sqrt((beta/2) * int (w'^2 + k^2 w^2/r^2) r dr) on the panels of
+    ``quadrature.radial_edges``, aligned to the profile breakpoints.  A
+    gradient that is not square integrable (``q_star <= 2``) raises
+    ArithmeticError.
     """
+    if sol.q_star <= 2.0:
+        raise ArithmeticError(
+            f"gradient is not square integrable at the corner (q* = {sol.q_star:g})")
     k = sol.angular_wavenumber
     dom = sol.domain
     w, dw = sol.radial_profile, sol.radial_derivative
@@ -229,18 +245,7 @@ def h1_seminorm_separable(sol, n_gauss=16, n_panels=8, r_floor=1e-12):
     def integrand(r):
         return (dw(r) ** 2 + (k * w(r) / r) ** 2) * r
 
-    if dom.r_inner == 0.0:
-        first = min([b for b in sol.breakpoints if b > 0] + [dom.r_outer])
-        # deep dyadic panels must decay, else the corner term is not integrable
-        tails = [
-            integrate_radial(integrand, first * 0.5 ** (j + 1), first * 0.5**j,
-                             n_gauss=8, n_panels=1)
-            for j in (20, 24, 28)
-        ]
-        if tails[2] > 0.0 and tails[2] >= 0.9 * tails[1] and tails[1] >= 0.9 * tails[0]:
-            raise ArithmeticError("non-integrable singularity at the corner")
-    val = integrate_radial(integrand, dom.r_inner, dom.r_outer, sol.breakpoints,
-                           n_gauss=n_gauss, n_panels=n_panels, r_floor=r_floor)
+    val = integrate_radial(integrand, dom.r_inner, dom.r_outer, sol.breakpoints)
     return float(np.sqrt(0.5 * dom.beta * max(val, 0.0)))
 
 

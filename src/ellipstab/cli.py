@@ -15,6 +15,8 @@ import numpy as np
 from . import analytic, coefficients, experiments, fem, geometry, meshing
 
 BETA_DEFAULT = 1.5 * np.pi
+# smallest eps at which the semi-analytic errors are tested against closed forms
+EPS_MIN = 1e-14
 
 
 def _fmt(v):
@@ -145,6 +147,7 @@ def _cmd_rate_study(parser, args):
         parser.error("--points must be at least 4 (the rate fit needs 4 samples)")
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         parser.error("need 0 < --eps-min < --eps-max < 1")
+    _check_at_least(parser, "--eps-min", args.eps_min, EPS_MIN)
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
@@ -257,6 +260,13 @@ def _cmd_solve(parser, args):
 
     for _ in range(args.refine):
         mesh = meshing.refine_uniform(mesh)
+    try:
+        mesh.validate()
+    except ValueError as exc:
+        parser.error(f"the mesh after --refine {args.refine} is invalid ({exc}): "
+                     "refine_uniform needs each arc chord's sagitta below the radial "
+                     "spacing beside the arc; use more --n-angular cells or a "
+                     "smaller --grading")
     field = (coefficients.identity_field() if args.coeff == "identity"
              else coefficients.radial_jump_field(args.alpha, args.jump_eps))
     system = fem.assemble(mesh, field, source=source)

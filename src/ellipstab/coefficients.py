@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import SectorDomain
-from .quadrature import gauss_on_panels, radial_edges
+from .quadrature import integrate_polar, integrate_rect
 
 
 class FieldEvaluationError(ValueError):
@@ -211,17 +211,11 @@ def lp_distance(field_a, field_b, p, domain, n_gauss=12, n_radial_panels=8,
         diff = np.abs(field_a.eval(pts) - field_b.eval(pts))
         return float(np.max(diff))
 
-    breaks = tuple(field_a.interface_radii) + tuple(field_b.interface_radii)
-    r_edges = radial_edges(domain.r_inner, domain.r_outer, breaks,
-                           n_panels=n_radial_panels)
-    rn, rw = gauss_on_panels(r_edges, n_gauss)
-    tn, tw = gauss_on_panels(np.linspace(0.0, domain.beta, n_angular_panels + 1),
-                             n_gauss)
-    R, T = np.meshgrid(rn, tn, indexing="ij")
-    pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-    diff = np.abs(field_a.eval(pts) - field_b.eval(pts)).reshape(R.shape + (2, 2))
-    w2 = (rw[:, None] * tw[None, :] * R)[..., None, None]
-    entry_integrals = np.sum(w2 * diff**p, axis=(0, 1))
+    entry_integrals = integrate_polar(
+        lambda pts: np.abs(field_a.eval(pts) - field_b.eval(pts)) ** p,
+        domain.beta, domain.r_inner, domain.r_outer,
+        (*field_a.interface_radii, *field_b.interface_radii), n_gauss=n_gauss,
+        n_radial_panels=n_radial_panels, n_angular_panels=n_angular_panels)
     return float(np.max(entry_integrals) ** (1.0 / p))
 
 
@@ -241,8 +235,6 @@ def pullback_energy_gap(field, bilip, grad_v, source_region, target_region,
     SectorDomain instances (polar quadrature) or ((x0, x1), (y0, y1))
     rectangles (tensor quadrature).
     """
-    from .quadrature import integrate_polar, integrate_rect
-
     a_field = pullback_field(field, bilip)
 
     def direct_integrand(pts):

@@ -12,15 +12,12 @@ import numpy as np
 
 from .fem import FemSolution, evaluate_gradient_many
 from .meshing import mesh_sector
-from .quadrature import TRI6_WEIGHTS, gauss_on_panels, radial_edges, tri6_points
+from .quadrature import (CORNER_DEPTH, TRI6_WEIGHTS, gauss_on_panels, integrate_radial,
+                         tri6_points)
 
 
 class DivergentNormError(ArithmeticError):
-    """Norm kept growing under quadrature refinement toward the corner."""
-
-    def __init__(self, message, levels=()):
-        super().__init__(message)
-        self.levels = tuple(levels)
+    """The gradient norm is infinite: q is at or above the threshold q*."""
 
 
 def _integrate_f2_on_triangle(f2, corners):
@@ -125,36 +122,15 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_region=None, quad_mesh=None,
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _separable_lq_power(sol, q, r_floor, n_gauss=16, n_panels=8):
-    """int |grad u|^q over the sector, radial floor given, q-th power (not root)."""
-    k = sol.angular_wavenumber
-    dom = sol.domain
-    w, dw = sol.radial_profile, sol.radial_derivative
-    t_nodes, t_weights = gauss_on_panels(np.linspace(0.0, dom.beta, 9), n_gauss)
-    sin2 = np.sin(k * t_nodes) ** 2
-    cos2 = np.cos(k * t_nodes) ** 2
-
-    lo = dom.r_inner if dom.r_inner > 0.0 else r_floor
-    edges = radial_edges(0.0, dom.r_outer, tuple(sol.breakpoints), n_panels=n_panels,
-                         r_floor=lo) if dom.r_inner == 0.0 else \
-        radial_edges(dom.r_inner, dom.r_outer, tuple(sol.breakpoints), n_panels=n_panels)
-    r_nodes, r_weights = gauss_on_panels(edges, n_gauss)
-    rad2 = dw(r_nodes) ** 2
-    ang2 = (k * w(r_nodes) / r_nodes) ** 2
-    grad2 = rad2[:, None] * sin2[None, :] + ang2[:, None] * cos2[None, :]
-    vals = grad2 ** (0.5 * q)
-    return float(np.einsum("r,t,rt->", r_weights * r_nodes, t_weights, vals))
-
-
-def lq_gradient_norm(sol, q, growth_tol=0.05, n_levels=6):
+def lq_gradient_norm(sol, q):
     """L^q norm of the gradient, q > 2.
 
     For a discrete solution the piecewise-constant gradient integrates
-    exactly.  For a separable solution the radial quadrature is refined
-    geometrically toward the corner on nested levels; if the value keeps
-    growing by more than ``growth_tol`` per level over three consecutive
-    levels the norm is deemed unbounded and DivergentNormError is raised
-    with the level values attached.
+    exactly.  A separable solution's gradient lies in L^q exactly for
+    q < ``sol.q_star``; at or above it DivergentNormError is raised.  Below
+    it, |grad u|^q is summed over an angular Gauss rule at the radial nodes.
+    Near the corner that sum f(r) behaves like r^(s-1), s = 2 - 2q/q*, so
+    the sliver (0, cut) the radial rule drops adds exactly cut * f(cut) / s.
     """
     if q <= 2.0:
         raise ValueError("exponent must exceed 2")
@@ -162,19 +138,24 @@ def lq_gradient_norm(sol, q, growth_tol=0.05, n_levels=6):
         g = sol.triangle_gradients()
         mag = np.sqrt(np.sum(g**2, axis=1))
         return float(np.sum(sol.mesh.areas() * mag**q) ** (1.0 / q))
+    if q >= sol.q_star:
+        raise DivergentNormError(
+            f"L^{q:g} gradient norm is infinite: the gradient lies in L^q "
+            f"only for q < {sol.q_star:g}")
 
-    if sol.domain.r_inner > 0.0:
-        return float(_separable_lq_power(sol, q, r_floor=0.0) ** (1.0 / q))
+    k = sol.angular_wavenumber
+    dom = sol.domain
+    w, dw = sol.radial_profile, sol.radial_derivative
+    t_nodes, t_weights = gauss_on_panels(np.linspace(0.0, dom.beta, 9), 16)
+    sin2 = np.sin(k * t_nodes) ** 2
+    cos2 = np.cos(k * t_nodes) ** 2
 
-    floors = [10.0 ** (-3 - 2 * j) for j in range(n_levels)]
-    norms = [(_separable_lq_power(sol, q, r_floor=f)) ** (1.0 / q) for f in floors]
-    growth = [b / a - 1.0 for a, b in zip(norms[:-1], norms[1:])]
-    consec = 0
-    for gr in growth:
-        consec = consec + 1 if gr > growth_tol else 0
-        if consec >= 3:
-            raise DivergentNormError(
-                f"L^{q:g} gradient norm grows without bound under corner refinement",
-                levels=norms,
-            )
-    return float(norms[-1])
+    def integrand(r):
+        grad2 = dw(r)[:, None] ** 2 * sin2 + (k * w(r) / r)[:, None] ** 2 * cos2
+        return grad2 ** (0.5 * q) @ t_weights * r
+
+    total = integrate_radial(integrand, dom.r_inner, dom.r_outer, sol.breakpoints)
+    if dom.r_inner == 0.0:
+        cut = CORNER_DEPTH * min([s for s in sol.breakpoints if s > 0.0] + [dom.r_outer])
+        total += cut * integrand(np.array([cut]))[0] / (2.0 - 2.0 * q / sol.q_star)
+    return float(total ** (1.0 / q))

@@ -143,9 +143,17 @@ def bound_check(eps, lhs, rhs, q, m_const, window=None):
                       verdict, (i0, i1))
 
 
-def q_star(beta):
-    """Gradient integrability threshold 2*beta/(beta - pi) of the corner solution."""
-    return 2.0 * beta / (beta - np.pi)
+q_star = analytic.q_star
+
+
+def _check_exponent(beta, q):
+    qs = q_star(beta)
+    if q >= qs:
+        raise HypothesisViolation(
+            f"q = {q:g} is not admissible: the corner gradient lies in L^q "
+            f"only for q < {qs:g}", q=q, q_star=qs)
+    if q <= 2.0:
+        raise ValueError("q must exceed 2")
 
 
 # -- coefficient perturbation study ------------------------------------------
@@ -170,13 +178,7 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     error divided by eps^(2 pi / beta) is reported against the sharpness
     constant pi (1-alpha)^2 / (2 beta (1+alpha)^2).
     """
-    qs = q_star(beta)
-    if q >= qs:
-        raise HypothesisViolation(
-            f"q = {q:g} is not admissible: the corner gradient lies in L^q "
-            f"only for q < {qs:g}", q=q, q_star=qs)
-    if q <= 2.0:
-        raise ValueError("q must exceed 2")
+    _check_exponent(beta, q)
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
@@ -261,13 +263,7 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
     majorant; a larger exponent makes the ratio diverge, which is how the
     sharpness of the original exponent is exhibited.
     """
-    qs = q_star(beta)
-    if q >= qs:
-        raise HypothesisViolation(
-            f"q = {q:g} is not admissible: the corner gradient lies in L^q "
-            f"only for q < {qs:g}", q=q, q_star=qs)
-    if q <= 2.0:
-        raise ValueError("q must exceed 2")
+    _check_exponent(beta, q)
     if mode not in ("semi_analytic", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
     if eps_grid is None:

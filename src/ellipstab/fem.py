@@ -20,6 +20,10 @@ import scipy.sparse as sp
 from .coefficients import FieldEvaluationError
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
+# (point, candidate triangle) pairs tested at once by the bucket locator,
+# about 200 bytes of temporaries each
+LOCATE_PAIRS = 1 << 20
+
 
 class AssemblyError(RuntimeError):
     def __init__(self, message, element=None):
@@ -240,11 +244,26 @@ class _Locator:
         return np.clip(idx.astype(np.int64), 0, self.n[axis] - 1)
 
     def locate_many(self, points, tol=1e-12):
-        """Triangle index per point, -1 when outside the mesh."""
+        """Triangle index per point, -1 when outside the mesh.
+
+        Points go in consecutive chunks of at most ``LOCATE_PAIRS``
+        (point, candidate) pairs (a point with more candidates alone).
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         cells = self._cell_idx(pts[:, 0], 0) * self.n[1] + self._cell_idx(pts[:, 1], 1)
         start = self.ptr[cells]
         cnt = self.ptr[cells + 1] - start
+        ends = np.cumsum(cnt)
+        result = -np.ones(pts.shape[0], dtype=np.int64)
+        i = 0
+        while i < pts.shape[0]:
+            base = ends[i - 1] if i else 0
+            j = max(int(np.searchsorted(ends, base + LOCATE_PAIRS, side="right")), i + 1)
+            result[i:j] = self._locate_chunk(pts[i:j], start[i:j], cnt[i:j], tol)
+            i = j
+        return result
+
+    def _locate_chunk(self, pts, start, cnt, tol):
         total = int(np.sum(cnt))
         result = -np.ones(pts.shape[0], dtype=np.int64)
         if total == 0:
@@ -254,7 +273,7 @@ class _Locator:
         flat = np.arange(total) - np.repeat(offs[:-1], cnt) + np.repeat(start, cnt)
         t_cand = self.pair_tris[flat]
 
-        corners = self.mesh.corners()[t_cand]
+        corners = self.mesh.vertices[self.mesh.triangles[t_cand]]
         inside = _contains(corners, pts[p_rep], tol)
         # pairs are ordered by (point, ascending triangle); first hit wins
         hit_p = p_rep[inside]

@@ -149,11 +149,14 @@ def test_criterion_5_pullback_correctness():
 
 def test_criterion_6_integrability_threshold():
     with _Criterion(6, "gradient integrability threshold", 5.0):
+        # independent mpmath values of ||grad u0||_Lq at beta = 3 pi / 2
+        # (q* = 6): the angular reduction for q = 4, a nested 25-digit
+        # quadrature for q = 5
         u0 = es.limit_solution(BETA)
-        v1 = es.lq_gradient_norm(u0, 5.0)
-        v2 = es.lq_gradient_norm(u0, 5.0, n_levels=8)
-        assert v1 > 0.0
-        assert abs(v2 - v1) / v1 < 5e-3
+        assert es.lq_gradient_norm(u0, 4.0) == pytest.approx(1.009178906685518312,
+                                                             rel=1e-12)
+        assert es.lq_gradient_norm(u0, 5.0) == pytest.approx(1.093520283444352,
+                                                             rel=1e-12)
         with pytest.raises(DivergentNormError):
             es.lq_gradient_norm(u0, 7.0)
 

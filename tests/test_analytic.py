@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,9 +10,12 @@ from ellipstab.analytic import (
     h1_seminorm_separable,
     jump_solution,
     limit_solution,
+    q_star,
     residual_check,
 )
 from ellipstab.coefficients import identity_field, radial_jump_field
+from ellipstab.experiments import composition_inequality_check
+from ellipstab.geometry import SectorDomain, radial_shift_map
 from ellipstab.quadrature import integrate_radial
 
 BETA = 1.5 * np.pi
@@ -171,9 +177,9 @@ class TestH1Seminorm:
         from ellipstab.analytic import SeparableSolution
         from ellipstab.geometry import SectorDomain
 
-        bad = SeparableSolution(
-            lambda r: np.log(r), lambda r: 1.0 / r, (), K, SectorDomain(BETA)
-        )
+        # |grad log r| = 1/r lies in L^q only for q < 2
+        bad = SeparableSolution(lambda r: np.log(r), lambda r: 1.0 / r, (), K,
+                                SectorDomain(BETA), q_star=2.0)
         with pytest.raises(ArithmeticError):
             h1_seminorm_separable(bad)
 
@@ -201,3 +207,112 @@ class TestGradientIntegrability:
         q = 6.5  # q* + 0.5
         vals = [self.q_integral(q, f) for f in (1e-4, 1e-6, 1e-8, 1e-10)]
         assert all(b > 1.5 * a for a, b in zip(vals[:-1], vals[1:]))
+
+
+# -- accuracy against closed forms -------------------------------------------
+#
+# On each radial piece every profile is a sum of power terms c * r^p with
+# p in {k, -k, 2}, so (beta/2) int (w'^2 + k^2 w^2 / r^2) r dr is a sum of
+# exact r^s / s terms.  The coefficients are solved from the boundary-value
+# conditions in mpmath, independently of ellipstab.analytic.
+
+def _mp_seminorm(beta, pieces):
+    """H1 seminorm of the profile given as (a, b, [(c, p), ...]) pieces."""
+    k = mp.pi / beta
+    total = mp.mpf(0)
+    for a, b, terms in pieces:
+        for ci, pi in terms:
+            for cj, pj in terms:
+                s = pi + pj
+                part = mp.log(b / a) if s == 0 else (b**s - a**s) / s
+                total += ci * cj * (pi * pj + k * k) * part
+    return mp.sqrt(beta / 2 * total)
+
+
+def _mp_jump_error(beta, alpha, eps):
+    """|u_jump - u0|: inner A r^k - r^2/alpha, outer B r^k + C r^-k - r^2."""
+    k = mp.pi / beta
+    # w(1) = 0, continuity at eps, alpha w'(eps-) = w'(eps+)
+    m = mp.matrix([[0, 1, 1],
+                   [eps**k, -eps**k, -eps**-k],
+                   [alpha * eps ** (k - 1), -eps ** (k - 1), eps ** (-k - 1)]])
+    a, b, c = mp.lu_solve(m, mp.matrix([1, eps**2 / alpha - eps**2, 0]))
+    return _mp_seminorm(beta, [(0, eps, [(a - 1, k), (1 - 1 / alpha, 2)]),
+                               (eps, 1, [(b - 1, k), (c, -k)])])
+
+
+def _mp_annulus_error(beta, eps):
+    """|ext0(u_annulus) - u0| with u_annulus = B r^k + C r^-k - r^2."""
+    k = mp.pi / beta
+    b, c = mp.lu_solve(mp.matrix([[1, 1], [eps**k, eps**-k]]), mp.matrix([1, eps**2]))
+    return _mp_seminorm(beta, [(0, eps, [(-1, k), (1, 2)]),
+                               (eps, 1, [(b - 1, k), (c, -k)])])
+
+
+SMALL_EPS = [1e-6, 1e-9, 1e-12, 1e-14]
+ANGLES = [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi]
+
+
+class TestClosedFormAccuracy:
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("eps", SMALL_EPS)
+    def test_jump_difference(self, beta, eps):
+        with mp.workdps(40):
+            ref = float(_mp_jump_error(mp.mpf(beta), mp.mpf(2), mp.mpf(eps)))
+        diff = jump_solution(beta, 2.0, eps).difference(limit_solution(beta))
+        assert h1_seminorm_separable(diff) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("eps", SMALL_EPS)
+    def test_annulus_difference(self, beta, eps):
+        with mp.workdps(40):
+            ref = float(_mp_annulus_error(mp.mpf(beta), mp.mpf(eps)))
+        diff = annulus_solution(beta, eps).extended_by_zero().difference(
+            limit_solution(beta))
+        assert h1_seminorm_separable(diff) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    def test_composition_lhs(self, beta):
+        # (beta/2) int_0^{2 eps} (w(r/2 + eps) - w(r))^2 r dr with w = r^k - r^2;
+        # r = eps t turns the difference into eps^k a(t) + eps^2 b(t)
+        eps_list = [1e-6, 1e-12, 1e-14]
+        maps = [radial_shift_map(e, beta) for e in eps_list]
+        check = composition_inequality_check(limit_solution(beta).value, maps, 4.0,
+                                             SectorDomain(beta))
+        with mp.workdps(40):
+            k = mp.pi / mp.mpf(beta)
+            for e, lhs in zip(eps_list, check.lhs_series):
+                e = mp.mpf(e)
+
+                def f(t):
+                    a = (t / 2 + 1) ** k - t**k
+                    b = t**2 - (t / 2 + 1) ** 2
+                    return (e**k * a + e**2 * b) ** 2 * t
+
+                ref = mp.sqrt(mp.mpf(beta) / 2 * e**2 * mp.quad(f, [0, 1, 2]))
+                assert lhs == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+class TestIntegrabilityThreshold:
+    @pytest.mark.parametrize("beta", ANGLES)
+    def test_jump_keeps_the_corner_threshold(self, beta):
+        u0 = limit_solution(beta)
+        uj = jump_solution(beta, 2.0, 1e-3)
+        assert uj.q_star == u0.q_star == q_star(beta)
+        assert uj.difference(u0).q_star == q_star(beta)
+
+    def test_extension_and_difference_propagate(self):
+        ua = annulus_solution(BETA, 0.1)
+        assert ua.q_star == np.inf
+        ext = ua.extended_by_zero()
+        assert ext.q_star == np.inf
+        assert ext.difference(limit_solution(BETA)).q_star == pytest.approx(6.0)
+        # an annular difference excludes the corner
+        assert limit_solution(BETA).difference(ua).q_star == np.inf
+
+    def test_threshold_decides_square_integrability(self):
+        u0 = limit_solution(BETA)
+        for qs in (2.0, 1.5):
+            with pytest.raises(ArithmeticError):
+                h1_seminorm_separable(replace(u0, q_star=qs))
+        assert h1_seminorm_separable(replace(u0, q_star=2.0 + 1e-9)) > 0.0

@@ -70,6 +70,18 @@ class TestRateStudy:
         assert run("rate-study", "--study", study, "--eps-max", "0.5") == 2
         assert "--eps-max must be below 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
+    def test_eps_min_below_floor_is_usage_error(self, study, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", study, "--eps-min", "1e-15",
+                   "--out", str(out)) == 2
+        assert "--eps-min must be at least 1e-14" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_min_at_floor_runs(self, tmp_path):
+        assert run("rate-study", "--study", "coeff", "--eps-min", "1e-14",
+                   "--out", str(tmp_path / "x.csv")) == 0
+
     def test_inadmissible_q_is_hypothesis_violation(self, tmp_path, capsys):
         code = run("rate-study", "--study", "coeff", "--q", "7",
                    "--out", str(tmp_path / "x.csv"))
@@ -147,11 +159,22 @@ class TestSolve:
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--domain", "annulus", "--eps", "0.05", "--n-radial",
-                "6", "--n-angular", "8", "--refine", "1"]
+                "6", "--n-angular", "16", "--refine", "1"]
         assert run(*args, "--out-prefix", str(tmp_path / "a")) == 0
         assert run(*args, "--out-prefix", str(tmp_path / "b")) == 0
         assert (tmp_path / "a.mesh").read_bytes() == (tmp_path / "b.mesh").read_bytes()
         assert (tmp_path / "a.sol").read_bytes() == (tmp_path / "b.sol").read_bytes()
+
+    @pytest.mark.parametrize("cells", ["8", "16"])
+    def test_inverted_refinement_is_usage_error(self, tmp_path, capsys, cells):
+        # the inner-arc sagitta exceeds the first graded ring: children invert
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "annulus", "--eps", "0.05",
+                   "--n-radial", cells, "--n-angular", cells, "--refine", "1",
+                   "--out-prefix", str(prefix)) == 2
+        err = capsys.readouterr().err
+        assert "non-positive area" in err and "sagitta below the radial spacing" in err
+        assert not prefix.with_suffix(".mesh").exists()
 
     def test_graph_domain(self, tmp_path):
         assert run("solve", "--domain", "graph", "--nx", "6", "--ny", "6",

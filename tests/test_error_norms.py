@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -138,18 +139,29 @@ class TestLqGradientNorm:
         assert lq_gradient_norm(sol, q) == pytest.approx(0.8 ** (1.0 / q), rel=1e-12)
 
     def test_below_threshold_converges(self):
+        # |grad u|^2 = a sin^2 + b cos^2 with a = w'^2, b = (k w / r)^2, so
+        # ||grad u||_4^4 = (beta/8) int (3a^2 + 2ab + 3b^2) r dr
+        with mp.workdps(30):
+            beta = mp.mpf(BETA)
+            k = mp.pi / beta
+
+            def f(r):
+                a = (k * r ** (k - 1) - 2 * r) ** 2
+                b = (k * (r**k - r**2) / r) ** 2
+                return (3 * a * a + 2 * a * b + 3 * b * b) * r
+
+            q4 = beta / 8 * mp.quad(f, [0, mp.mpf("1e-6"), mp.mpf("1e-3"), 1])
         u0 = limit_solution(BETA)
-        v1 = lq_gradient_norm(u0, 5.0)
-        v2 = lq_gradient_norm(u0, 5.0, n_levels=8)
-        assert v2 == pytest.approx(v1, rel=5e-3)
+        assert lq_gradient_norm(u0, 4.0) == pytest.approx(float(q4 ** 0.25), rel=1e-12)
+        # nested 25-digit mpmath quadrature over (r, theta), r = t^3
+        assert lq_gradient_norm(u0, 5.0) == pytest.approx(1.093520283444352, rel=1e-12)
 
     def test_above_threshold_diverges(self):
-        u0 = limit_solution(BETA)
-        with pytest.raises(DivergentNormError) as err:
-            lq_gradient_norm(u0, 7.0)
-        levels = err.value.levels
-        assert len(levels) >= 3
-        assert levels[-1] > levels[0]
+        u0 = limit_solution(BETA)  # q* = 6
+        assert np.isfinite(lq_gradient_norm(u0, 6.0 - 1e-3))
+        for q in (6.0, 6.0 + 1e-3):
+            with pytest.raises(DivergentNormError):
+                lq_gradient_norm(u0, q)
 
     def test_annulus_norm_finite_for_large_q(self):
         # away from the corner the solution is smooth, no divergence at all

@@ -167,6 +167,20 @@ class TestEvaluateGradient:
                               np.repeat(np.arange(mesh.num_triangles), 6))
         assert locate_point(mesh, pts[-1]) == polar[-1]
 
+    def test_bucket_locator_chunks_agree_with_one_batch(self, monkeypatch):
+        # graded corner buckets hold many candidates; vertices and edge
+        # midpoints exercise the lowest-index tie-break across chunk seams
+        coarse = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0)
+        mesh = refine_uniform(coarse)
+        ends = mesh.vertices[mesh.edges()]
+        pts = np.concatenate([tri6_points(coarse.corners()).reshape(-1, 2),
+                              mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1]),
+                              [[2.0, 2.0], [0.5, -0.5]]])
+        whole = _Locator(mesh).locate_many(pts)
+        assert whole.max() < mesh.num_triangles and whole[-1] == whole[-2] == -1
+        monkeypatch.setattr("ellipstab.fem.LOCATE_PAIRS", 7)
+        assert np.array_equal(_Locator(mesh).locate_many(pts), whole)
+
     def test_refined_mesh_locator(self):
         # refinement clears the polar structure; the bucket locator takes over
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8))
