@@ -263,10 +263,7 @@ def _cmd_solve(parser, args):
     try:
         mesh.validate()
     except ValueError as exc:
-        parser.error(f"the mesh after --refine {args.refine} is invalid ({exc}): "
-                     "refine_uniform needs each arc chord's sagitta below the radial "
-                     "spacing beside the arc; use more --n-angular cells or a "
-                     "smaller --grading")
+        parser.error(f"the mesh after --refine {args.refine} is invalid: {exc}")
     field = (coefficients.identity_field() if args.coeff == "identity"
              else coefficients.radial_jump_field(args.alpha, args.jump_eps))
     system = fem.assemble(mesh, field, source=source)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import FemSolution, evaluate_gradient_many
-from .meshing import mesh_sector
 from .quadrature import (CORNER_DEPTH, TRI6_WEIGHTS, gauss_on_panels, integrate_radial,
                          tri6_points)
 
@@ -21,39 +20,47 @@ class DivergentNormError(ArithmeticError):
 
 
 def _integrate_f2_on_triangle(f2, corners):
-    """Apply the 6-point rule to f2 (squared-difference integrand) per triangle."""
+    """Apply the 6-point rule to f2 (squared-difference integrand) per triangle.
+
+    ``corners`` has shape (T, ..., 3, 2); f2 maps points of shape (T, n, 2)
+    to values of shape (T, n), so it can tell which of the T groups a point
+    belongs to.
+    """
     pts = tri6_points(corners)
-    vals = np.asarray(f2(pts.reshape(-1, 2))).reshape(pts.shape[:-1])
+    per_group = int(np.prod(pts.shape[1:-1]))
+    vals = np.asarray(f2(pts.reshape(len(pts), per_group, 2))).reshape(pts.shape[:-1])
     e1 = corners[..., 1, :] - corners[..., 0, :]
     e2 = corners[..., 2, :] - corners[..., 0, :]
     area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     return np.sum(area[..., None] * TRI6_WEIGHTS * vals, axis=-1)
 
 
-def integrate_corner_triangle(f2, apex, p, q, levels=30):
-    """Integrate toward a singular apex by geometric triangle subdivision.
+def integrate_corner_triangles(f2, apex, p, q, levels=30):
+    """Integrate toward singular apexes by geometric triangle subdivision.
 
-    Splits off similar triangles scaled by 1/2 toward the apex; each ring
-    (a trapezoid, two triangles) uses the standard rule, and the innermost
+    ``apex``, ``p`` and ``q`` are (T, 2) arrays, one triangle per row, and
+    f2 is as in ``_integrate_f2_on_triangle``.  Each level splits off
+    similar triangles scaled by 1/2 toward the apex; each ring (a
+    trapezoid, two triangles) uses the standard rule, and the innermost
     triangle is added with the plain rule once its scale is negligible.
+    Returns the (T,) integrals.
     """
     apex = np.asarray(apex, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    total = 0.0
+    total = np.zeros(len(apex))
     for _ in range(levels):
         p_half = apex + 0.5 * (p - apex)
         q_half = apex + 0.5 * (q - apex)
-        ring = np.stack(
-            [np.stack([p_half, p, q]), np.stack([p_half, q, q_half])], axis=0
-        )
-        total += float(np.sum(_integrate_f2_on_triangle(f2, ring)))
+        ring = np.stack([np.stack([p_half, p, q], axis=1),
+                         np.stack([p_half, q, q_half], axis=1)], axis=1)
+        total += np.sum(_integrate_f2_on_triangle(f2, ring), axis=1)
         p, q = p_half, q_half
-    total += float(_integrate_f2_on_triangle(f2, np.stack([apex, p, q])[None])[0])
+    total += _integrate_f2_on_triangle(f2, np.stack([apex, p, q], axis=1))
     return total
 
 
-def h1_error_vs_analytic(sol, exact, corner_levels=30):
+def h1_error_vs_analytic(sol, exact):
     """L2 norm of grad(u_h) - grad(u_exact) over the solution mesh.
 
     Triangles touching the corner r = 0 are integrated by graded
@@ -66,9 +73,8 @@ def h1_error_vs_analytic(sol, exact, corner_levels=30):
 
     radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     at_apex = radius <= 1e-12
-    corner_tris = np.flatnonzero(np.any(at_apex[mesh.triangles], axis=1))
-    regular = np.ones(mesh.num_triangles, dtype=bool)
-    regular[corner_tris] = False
+    on_corner = at_apex[mesh.triangles]
+    regular = ~np.any(on_corner, axis=1)
 
     pts = tri6_points(corners[regular])
     diff = tri_grads[regular][:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(
@@ -78,42 +84,28 @@ def h1_error_vs_analytic(sol, exact, corner_levels=30):
     areas = mesh.areas()[regular]
     total = float(np.sum(areas[:, None] * TRI6_WEIGHTS * f2))
 
-    for t in corner_tris:
-        gh = tri_grads[t]
-        loc = np.flatnonzero(at_apex[mesh.triangles[t]])[0]
-        order = [loc, (loc + 1) % 3, (loc + 2) % 3]
-        a, p, q = corners[t][order]
+    corner_tris = np.flatnonzero(~regular)
+    gh = tri_grads[corner_tris]
+    # each corner triangle's vertices in order, starting at the apex
+    loc = np.argmax(on_corner[corner_tris], axis=1)
+    a, p, q = (corners[corner_tris, (loc + i) % 3] for i in range(3))
 
-        def f2_corner(x):
-            d = gh[None, :] - exact.gradient(x)
-            return np.sum(d**2, axis=-1)
+    def f2_corner(x):
+        d = gh[:, None, :] - exact.gradient(x.reshape(-1, 2)).reshape(x.shape)
+        return np.sum(d**2, axis=-1)
 
-        total += integrate_corner_triangle(f2_corner, a, p, q, levels=corner_levels)
+    total += float(np.sum(integrate_corner_triangles(f2_corner, a, p, q)))
     return float(np.sqrt(max(total, 0.0)))
 
 
-def cross_domain_gradient_error(sol_a, sol_b, quad_region=None, quad_mesh=None,
-                                n_radial=96, n_angular=72, grading=3.0):
-    """L2 distance of two discrete gradients over a union-region mesh.
+def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
+    """L2 distance of two discrete gradients over ``quad_mesh``.
 
     Gradients are looked up by point location in each solution's own mesh
-    and are zero outside it.  ``quad_mesh`` overrides the internally built
-    union mesh; passing a mesh whose cells align with both solution meshes
-    makes the piecewise-constant integrand exact per cell.
+    and are zero outside it.  A quadrature mesh covering the union of both
+    solution meshes whose cells align with both makes the
+    piecewise-constant integrand exact per cell.
     """
-    if quad_mesh is None:
-        if quad_region is None:
-            raise ValueError("need quad_region or quad_mesh")
-        aligned = set()
-        for s in (sol_a, sol_b):
-            dom = s.mesh.meta.domain
-            aligned.update(s.mesh.meta.aligned_radii)
-            if dom is not None and getattr(dom, "r_inner", 0.0) > quad_region.r_inner:
-                aligned.add(dom.r_inner)
-        aligned = tuple(sorted(a for a in aligned
-                               if quad_region.r_inner < a < quad_region.r_outer))
-        quad_mesh = mesh_sector(quad_region, n_radial, n_angular,
-                                grading=grading, aligned_radii=aligned)
     pts = tri6_points(quad_mesh.corners()).reshape(-1, 2)
     ga = evaluate_gradient_many(sol_a, pts)
     gb = evaluate_gradient_many(sol_b, pts)

@@ -237,11 +237,9 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol):
     annulus = geometry.SectorDomain(beta, r_inner=eps)
     aligned = (eps, 2.0 * eps)
     radii = meshing.graded_radii(sector, n_radial, grading, aligned_radii=aligned)
-    mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular, grading,
-                                           aligned_radii=aligned)
+    mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
     radii_eps = radii[radii >= eps - 1e-15]
-    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular, grading,
-                                              aligned_radii=aligned)
+    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular)
     src = analytic.SourceTerm(beta)
     ident = coefficients.identity_field()
     sol0 = fem.solve_cg(fem.assemble(mesh0, ident, source=src), rel_tol=rel_tol)

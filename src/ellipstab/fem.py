@@ -306,11 +306,11 @@ class _PolarLocator:
     """
 
     def __init__(self, mesh):
-        _, radii, m = mesh.meta.structure
+        radii, m = mesh.structure
         self.mesh = mesh
         self.radii = np.asarray(radii, dtype=float)
         self.m = int(m)
-        self.beta = mesh.meta.domain.beta
+        self.beta = mesh.domain.beta
         self.has_corner = self.radii[0] == 0.0
         self.n_intervals = self.radii.size - 1
 
@@ -352,8 +352,7 @@ class _PolarLocator:
 
 def _locator(mesh):
     if mesh._locator is None:
-        structure = getattr(mesh.meta, "structure", ())
-        if structure and structure[0] == "polar":
+        if mesh.structure:
             mesh._locator = _PolarLocator(mesh)
         else:
             mesh._locator = _Locator(mesh)

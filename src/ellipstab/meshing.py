@@ -3,47 +3,34 @@
 Sector meshes are structured polar grids with optional radial grading
 toward the corner and exact insertion of interface radii, so quadrature
 never straddles a coefficient discontinuity.  Curved arcs are approximated
-by chords; uniform refinement projects new arc midpoints back to their
-circle, keeping the O(h^2) geometric error and the interface alignment.
+by chords.  Uniform refinement splits sector edges at their polar
+midpoints, so node circles, interface circles included, stay exact and
+refined vertices lie on the parent's polar grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import GraphDomain, SectorDomain
 
 
-@dataclass(frozen=True)
-class GenerationMeta:
-    domain: object
-    grading: float = 1.0
-    level: int = 0
-    aligned_radii: tuple = ()
-    min_angle_deg: float = 0.0
-    # ("polar", radii tuple, n_angular) on structured sector meshes; enables
-    # O(1) point location.  Cleared by refinement, which breaks the structure.
-    structure: tuple = ()
-
-
 class TriMesh:
     """Triangulation with per-vertex Dirichlet flags.
 
-    Immutable after construction; derived structures (the edge numbering
-    and the point locator) are built lazily and cached.
+    ``domain`` is the meshed domain (None for a bare triangulation);
+    ``structure`` is ``(radii, n_angular)`` on structured sector meshes,
+    which enables O(1) point location, and ``()`` otherwise.  Immutable
+    after construction; derived structures (the edge numbering and the
+    point locator) are built lazily and cached.
     """
 
-    def __init__(self, vertices, triangles, boundary_flags, meta=None):
+    def __init__(self, vertices, triangles, boundary_flags, domain=None, structure=()):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary_flags = np.asarray(boundary_flags, dtype=bool)
-        if meta is None:
-            meta = GenerationMeta(domain=None)
-        if meta.min_angle_deg == 0.0:
-            meta = replace(meta, min_angle_deg=self._compute_min_angle())
-        self.meta = meta
+        self.domain = domain
+        self.structure = structure
         self._edge_cache = None
         self._locator = None
 
@@ -84,7 +71,8 @@ class TriMesh:
             g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
         return g
 
-    def _compute_min_angle(self):
+    @property
+    def min_angle_deg(self):
         p = self.corners()
         angles = []
         for i in range(3):
@@ -95,10 +83,6 @@ class TriMesh:
             )
             angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(np.degrees(np.min(angles)))
-
-    @property
-    def min_angle_deg(self):
-        return self.meta.min_angle_deg
 
     # -- connectivity ----------------------------------------------------
 
@@ -159,7 +143,7 @@ class TriMesh:
         used[self.triangles.ravel()] = True
         if not np.all(used):
             raise ValueError("mesh has unused (hanging) vertices")
-        dom = self.meta.domain
+        dom = self.domain
         if dom is not None:
             on = dom.on_boundary(self.vertices, tol=tol)
             if np.any(on & ~self.boundary_flags):
@@ -196,13 +180,8 @@ def _grid(n_rows, n_cols, offset=0):
     return triangles, border
 
 
-def mesh_sector_from_radii(domain, radii, n_angular, grading=1.0, aligned_radii=()):
-    """Structured sector mesh with an explicit radial node list.
-
-    ``aligned_radii`` records which node circles are coefficient interfaces;
-    only those (and the boundary arcs) are projected back onto their circle
-    during refinement.
-    """
+def mesh_sector_from_radii(domain, radii, n_angular):
+    """Structured sector mesh with an explicit radial node list."""
     radii = np.asarray(sorted(radii), dtype=float)
     if abs(radii[0] - domain.r_inner) > 1e-14 or abs(radii[-1] - domain.r_outer) > 1e-14:
         raise ValueError("radii must span [r_inner, r_outer]")
@@ -227,13 +206,8 @@ def mesh_sector_from_radii(domain, radii, n_angular, grading=1.0, aligned_radii=
         flags = np.concatenate([[True], border.ravel()])
     else:
         flags = border.ravel()
-
-    interior = tuple(float(s) for s in sorted(set(aligned_radii))
-                     if domain.r_inner + 1e-14 < s < domain.r_outer - 1e-14)
-    meta = GenerationMeta(domain=domain, grading=grading, level=0,
-                          aligned_radii=interior,
-                          structure=("polar", tuple(float(r) for r in radii), n_angular))
-    return TriMesh(vertices, triangles, flags, meta)
+    return TriMesh(vertices, triangles, flags, domain=domain,
+                   structure=(tuple(float(r) for r in radii), n_angular))
 
 
 def graded_radii(domain, n_radial, grading=1.0, aligned_radii=()):
@@ -244,10 +218,15 @@ def graded_radii(domain, n_radial, grading=1.0, aligned_radii=()):
         raise ValueError("grading exponent must be >= 1")
     t = (np.arange(n_radial + 1) / n_radial) ** grading
     radii = domain.r_inner + (domain.r_outer - domain.r_inner) * t
-    aligned = np.asarray(sorted(set(float(s) for s in aligned_radii)), dtype=float)
-    for s in aligned:
+    aligned = []
+    for s in sorted(set(float(s) for s in aligned_radii)):
         if not domain.r_inner < s < domain.r_outer:
             raise ValueError(f"aligned radius {s} outside ({domain.r_inner}, {domain.r_outer})")
+        # radii that differ only by rounding are one circle; keeping both
+        # would leave a ring of zero-area triangles
+        if not aligned or s - aligned[-1] > 1e-12 * s:
+            aligned.append(s)
+    aligned = np.asarray(aligned, dtype=float)
     if aligned.size:
         # drop generated nodes indistinguishable from an aligned radius so the
         # exact aligned value survives
@@ -268,8 +247,7 @@ def mesh_sector(domain, n_radial, n_angular, grading=1.0, aligned_radii=()):
     if n_angular < 2:
         raise ValueError("need at least 2 angular intervals")
     radii = graded_radii(domain, n_radial, grading, aligned_radii)
-    return mesh_sector_from_radii(domain, radii, n_angular, grading=grading,
-                                  aligned_radii=aligned_radii)
+    return mesh_sector_from_radii(domain, radii, n_angular)
 
 
 def mesh_graph_domain(domain, n_x, n_y):
@@ -281,54 +259,45 @@ def mesh_graph_domain(domain, n_x, n_y):
     ys = domain.floor + (hs[:, None] - domain.floor) * np.arange(n_y + 1) / n_y
     verts = np.stack([np.repeat(xs, n_y + 1), ys.ravel()], axis=1)
     triangles, border = _grid(n_x + 1, n_y + 1)
-    meta = GenerationMeta(domain=domain)
-    return TriMesh(verts, triangles, border.ravel(), meta)
+    return TriMesh(verts, triangles, border.ravel(), domain=domain)
 
 
-def _project_midpoints(mesh, ends, mids):
-    """Snap midpoints of edges on a curved boundary piece back onto it.
+def _midpoints(domain, ends):
+    """New vertices for the edges with endpoints ``ends``, shape (E, 2, 2).
 
-    ``ends`` holds the two endpoints of each edge, shape (E, 2, 2).  An edge
-    is projected when both endpoints lie on the same circle (outer, inner
-    or aligned interface) or on the top graph; the first matching circle
-    in that order wins.
+    On a sector, an edge with both ends off the corner gets its polar
+    midpoint: the mean radius along the bisector of the two end directions.
+    Arcs of node circles then stay on their circle, and every new vertex
+    lies on the parent's polar grid with interleaved radii and angles, so
+    children cannot invert.  An edge from the corner lies on a ray, where
+    the Cartesian midpoint is already polar.  On a graph domain, midpoints
+    of edges on the top graph are moved onto it; other midpoints stay
+    Cartesian, so refinement of a polygonal domain is nested.
     """
-    dom = mesh.meta.domain
-    tol = 1e-10
-    if isinstance(dom, SectorDomain):
-        circles = [dom.r_outer] + list(mesh.meta.aligned_radii)
-        if dom.r_inner > 0.0:
-            circles.append(dom.r_inner)
-        r_ends = np.hypot(ends[..., 0], ends[..., 1])
-        rm = np.hypot(mids[:, 0], mids[:, 1])
-        todo = rm > 0.0
-        for rc in circles:
-            on = todo & np.all(np.abs(r_ends - rc) <= tol, axis=1)
-            mids[on] *= (rc / rm[on])[:, None]
-            todo &= ~on
-    elif isinstance(dom, GraphDomain):
-        on = np.all(np.abs(ends[..., 1] - dom.height(ends[..., 0])) <= tol, axis=1)
-        mids[on, 1] = dom.height(mids[on, 0])
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
+    if isinstance(domain, SectorDomain):
+        r = np.hypot(ends[..., 0], ends[..., 1])
+        off = np.all(r > 0.0, axis=1)
+        r = r[off]
+        bisector = np.sum(ends[off] / r[..., None], axis=1)
+        bisector /= np.hypot(bisector[:, 0], bisector[:, 1])[:, None]
+        mids[off] = 0.5 * (r[:, 0] + r[:, 1])[:, None] * bisector
+    elif isinstance(domain, GraphDomain):
+        tol = 1e-10
+        on = np.all(np.abs(ends[..., 1] - domain.height(ends[..., 0])) <= tol, axis=1)
+        mids[on, 1] = domain.height(mids[on, 0])
     return mids
 
 
 def refine_uniform(mesh):
-    """Split every triangle into four via edge midpoints.
+    """Split every triangle into four via edge midpoints (see ``_midpoints``).
 
-    Midpoints of edges lying on a circular arc (outer, inner or aligned
-    interface circle) or on the top graph boundary are projected back onto
-    the curve; interior midpoints are untouched so nested refinement stays
-    nested on polygonal domains.  A new midpoint is flagged Dirichlet
-    exactly when its parent edge is a boundary edge.
-
-    The projection assumes the angular resolution is fine enough that the
-    chord sagitta stays below the local radial spacing; otherwise children
-    can invert, which ``validate`` reports.
+    A new midpoint is flagged Dirichlet exactly when its parent edge is a
+    boundary edge.
     """
     edges = mesh.edges()
     counts = mesh.edge_counts()
-    ends = mesh.vertices[edges]
-    mids = _project_midpoints(mesh, ends, 0.5 * (ends[:, 0] + ends[:, 1]))
+    mids = _midpoints(mesh.domain, mesh.vertices[edges])
     vertices = np.concatenate([mesh.vertices, mids])
     bflags = np.concatenate([mesh.boundary_flags, counts == 1])
 
@@ -336,6 +305,4 @@ def refine_uniform(mesh):
     # local edge e is opposite local vertex e, so columns are m12, m20, m01
     m12, m20, m01 = (mesh.num_vertices + mesh._edges()[2]).T
     tris = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1)
-    meta = replace(mesh.meta, level=mesh.meta.level + 1, min_angle_deg=0.0,
-                   structure=())
-    return TriMesh(vertices, tris.reshape(-1, 3), bflags, meta)
+    return TriMesh(vertices, tris.reshape(-1, 3), bflags, domain=mesh.domain)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ellipstab import cli, fem
+from ellipstab import cli, fem, meshing
+from ellipstab.geometry import SectorDomain
+from ellipstab.meshing import TriMesh
 
 BETA = f"{1.5 * np.pi:.9f}"
 
@@ -166,14 +168,33 @@ class TestSolve:
         assert (tmp_path / "a.sol").read_bytes() == (tmp_path / "b.sol").read_bytes()
 
     @pytest.mark.parametrize("cells", ["8", "16"])
-    def test_inverted_refinement_is_usage_error(self, tmp_path, capsys, cells):
-        # the inner-arc sagitta exceeds the first graded ring: children invert
+    def test_refined_graded_annulus_is_valid(self, tmp_path, cells):
+        # the first graded ring is thinner than the sagitta of the inner-arc
+        # chords; the written mesh must still have no inverted triangle
         prefix = tmp_path / "x"
-        assert run("solve", "--domain", "annulus", "--eps", "0.05",
+        assert run("solve", "--domain", "annulus", "--eps", "0.05", "--beta", BETA,
                    "--n-radial", cells, "--n-angular", cells, "--refine", "1",
+                   "--out-prefix", str(prefix)) == 0
+        rows = [l.split() for l in prefix.with_suffix(".mesh").read_text().splitlines()]
+        v = np.array([r[1:] for r in rows if r[0] == "v"], dtype=float)
+        t = np.array([r[1:] for r in rows if r[0] == "t"], dtype=np.int64)
+        dom = SectorDomain(float(BETA), r_inner=0.05)
+        assert TriMesh(v[:, :2], t, v[:, 2] == 1.0, domain=dom).validate()
+
+    def test_invalid_refined_mesh_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        refine = meshing.refine_uniform
+
+        def inverting(mesh):
+            fine = refine(mesh)
+            return TriMesh(fine.vertices, fine.triangles[:, ::-1], fine.boundary_flags,
+                           domain=fine.domain)
+
+        monkeypatch.setattr(meshing, "refine_uniform", inverting)
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "sector", "--refine", "1",
                    "--out-prefix", str(prefix)) == 2
-        err = capsys.readouterr().err
-        assert "non-positive area" in err and "sagitta below the radial spacing" in err
+        assert "after --refine 1 is invalid: triangle 0 has non-positive area" in (
+            capsys.readouterr().err)
         assert not prefix.with_suffix(".mesh").exists()
 
     def test_graph_domain(self, tmp_path):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ellipstab.analytic import SourceTerm, limit_solution
+from ellipstab.analytic import SourceTerm, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
     identity_field,
     pullback_field,
     radial_jump_field,
 )
+from ellipstab.error_norms import h1_error_vs_analytic
 from ellipstab.fem import (
     ConvergenceFailure,
     FemSolution,
@@ -262,8 +263,6 @@ class TestEnergyMonotonicity:
     def test_nested_refinement_on_graph_domain(self):
         # Galerkin best approximation in nested spaces: the energy-norm error
         # against a manufactured solution cannot grow under refinement
-        from ellipstab.error_norms import h1_error_vs_analytic
-
         dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
                                       lambda x: 0.8 * np.ones_like(x), n_grid=3)
 
@@ -295,6 +294,39 @@ class TestEnergyMonotonicity:
             mesh = refine_uniform(mesh)
         assert errors[1] <= errors[0] * (1.0 + 1e-10)
         assert errors[2] <= errors[1] * (1.0 + 1e-10)
+
+
+class TestP1Order:
+    """Measured H1 error orders of P1 on graded (mu = 3) jump-problem meshes.
+
+    The exact solution is in H^(1+k-) with k = pi/beta < 1, and grading
+    mu = 3 > 1/k restores the optimal order h^1 (Babuska, Kellogg and
+    Pitkaranta, Numer. Math. 33, 1979).
+    """
+
+    @staticmethod
+    def order(beta, alpha, r_jump, n_radial, n_angular):
+        mesh = mesh_sector(SectorDomain(beta), n_radial, n_angular, grading=3.0,
+                           aligned_radii=(r_jump,))
+        field = radial_jump_field(alpha, r_jump)
+        exact = jump_solution(beta, alpha, r_jump)
+        errors = []
+        for _ in range(2):
+            mesh = refine_uniform(mesh)
+            assert mesh.validate()
+            sol = solve_cg(assemble(mesh, field, source=SourceTerm(beta)))
+            errors.append(h1_error_vs_analytic(sol, exact))
+        return np.log2(errors[0] / errors[1])
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1e2, 1e4])
+    def test_jump_family(self, alpha):
+        assert 0.9 <= self.order(BETA, alpha, 0.3, 12, 16) <= 1.1
+
+    def test_thin_ring_beside_interface(self):
+        # the graded node circle (18/24)^3 lies 4.5e-4 outside the interface,
+        # a ring thinner than the sagitta of the interface chords
+        r_jump = (18 / 24) ** 3 - 4.5e-4
+        assert 0.9 <= self.order(1.1 * np.pi, 1e-2, r_jump, 24, 16) <= 1.1
 
 
 class TestExports:

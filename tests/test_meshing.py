@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
     TriMesh,
-    graded_radii,
     mesh_graph_domain,
     mesh_sector,
     refine_uniform,
@@ -44,7 +43,7 @@ class TestMeshSector:
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         # node circle at the interface radius, up to 1 ulp from cos/sin rounding
         assert np.count_nonzero(np.abs(r - 0.1) < 1e-16) == 9
-        assert mesh.meta.aligned_radii == (0.1,)
+        assert 0.1 in mesh.structure[0]
 
     def test_grading_smallest_element(self):
         n = 16
@@ -63,6 +62,15 @@ class TestMeshSector:
     def test_aligned_radius_out_of_range(self):
         with pytest.raises(ValueError):
             mesh_sector(SectorDomain(BETA, r_inner=0.2), 4, 4, aligned_radii=[0.1])
+
+    def test_aligned_radii_one_ulp_apart_are_one_circle(self):
+        mesh = mesh_sector(SectorDomain(4.0), 2, 2, aligned_radii=[0.07, 0.07000000000000002])
+        assert mesh.structure[0] == (0.0, 0.07, 0.5, 1.0)
+        assert mesh.validate()
+        assert refine_uniform(mesh).validate()
+        # distinct radii closer than 1e-12 stay distinct when they are small
+        radii = mesh_sector(SectorDomain(BETA), 4, 4, aligned_radii=[2e-12, 2.5e-12]).structure[0]
+        assert radii[:3] == (0.0, 2e-12, 2.5e-12)
 
     def test_counts_too_small(self):
         with pytest.raises(ValueError):
@@ -179,16 +187,9 @@ def sector_meshes(draw):
     r_inner = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
     n_radial = draw(st.integers(2, 8))
     grading = draw(st.floats(1.0, 4.0))
-    n_angular = draw(st.integers(8, 48))
+    n_angular = draw(st.integers(2, 48))
     aligned = draw(st.lists(st.floats(r_inner + 0.02, 0.98), max_size=2, unique=True))
     dom = SectorDomain(beta, r_inner=r_inner)
-    # refine_uniform's precondition: the sagitta of every chord on a projected
-    # inner circle stays well below the ring just outside it
-    radii = graded_radii(dom, n_radial, grading, aligned)
-    sagitta = 1.0 - np.cos(0.5 * beta / n_angular)
-    for rc, gap in zip(radii[:-1], np.diff(radii)):
-        if rc in aligned or rc == r_inner > 0.0:
-            assume(rc * sagitta <= 0.25 * gap)
     return mesh_sector(dom, n_radial, n_angular, grading=grading, aligned_radii=aligned)
 
 
@@ -212,9 +213,12 @@ def check_refinement(mesh, fine):
 
 class TestRefineProperties:
     @settings(max_examples=40, deadline=None)
-    @given(sector_meshes())
-    def test_sector(self, mesh):
-        check_refinement(mesh, refine_uniform(mesh))
+    @given(sector_meshes(), st.integers(1, 2))
+    def test_sector(self, mesh, levels):
+        for _ in range(levels):
+            fine = refine_uniform(mesh)
+            check_refinement(mesh, fine)
+            mesh = fine
 
     @settings(max_examples=40, deadline=None)
     @given(polygonal_graph_meshes(), st.integers(1, 2))
@@ -231,13 +235,23 @@ class TestValiditySuite:
     @pytest.mark.parametrize("r_inner", [0.0, 0.05])
     @pytest.mark.parametrize("grading", [1.0, 3.0])
     def test_sector_grid(self, beta, r_inner, grading):
-        # angular resolution keeps arc sagittas below the graded radial gaps,
-        # else midpoint projection could invert children near the inner arc
         dom = SectorDomain(beta, r_inner=r_inner)
         aligned = (0.3,) if r_inner < 0.3 else ()
         mesh = mesh_sector(dom, 6, 16, grading=grading, aligned_radii=aligned)
         assert mesh.validate()
         assert refine_uniform(mesh).validate()
+
+    @pytest.mark.parametrize("r_inner,grading,n_radial,n_angular", [
+        (0.05, 3.0, 6, 8), (0.05, 3.0, 16, 16), (0.2, 2.0, 16, 16), (0.2, 3.0, 6, 16),
+    ])
+    def test_graded_annulus(self, r_inner, grading, n_radial, n_angular):
+        # the first graded ring is thinner than the sagitta of the inner-arc
+        # chords, so moving only arc midpoints onto their circle inverts children
+        mesh = mesh_sector(SectorDomain(BETA, r_inner=r_inner), n_radial, n_angular,
+                           grading=grading)
+        for _ in range(2):
+            mesh = refine_uniform(mesh)
+            assert mesh.validate()
 
     @pytest.mark.parametrize("height", [lambda x: 0.8 * np.ones_like(x),
                                         lambda x: 0.8 + 0.1 * x,
