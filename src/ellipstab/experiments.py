@@ -238,7 +238,7 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol):
     aligned = (eps, 2.0 * eps)
     radii = meshing.graded_radii(sector, n_radial, grading, aligned_radii=aligned)
     mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
-    radii_eps = radii[radii >= eps - 1e-15]
+    radii_eps = radii[radii >= eps]
     mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular)
     src = analytic.SourceTerm(beta)
     ident = coefficients.identity_field()

@@ -204,23 +204,27 @@ def interpolate(fn, mesh, zero_dirichlet=True):
 
 
 class _Locator:
-    """Uniform-grid bucket index over triangle bounding boxes.
+    """Bucket index over triangle bounding boxes.
 
-    Candidate triangles per bucket are stored in ascending index order and
-    the first containing triangle wins, so location is deterministic with
-    the lowest triangle index breaking ties on shared edges.
+    Bucket edges sit at quantiles of the triangle centroids along each axis,
+    so every row and column of buckets holds about as many centroids, and
+    buckets shrink where triangles do (at a graded corner).  Candidate
+    triangles per bucket are stored in ascending index order and the first
+    containing triangle wins, so location is deterministic with the lowest
+    triangle index breaking ties on shared edges.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        v = mesh.vertices
-        self.lo = v.min(axis=0)
-        hi = v.max(axis=0)
-        span = np.maximum(hi - self.lo, 1e-300)
-        n_cells = max(int(np.sqrt(mesh.num_triangles / 2.0)), 1)
-        self.n = (n_cells, n_cells)
-        self.cell = span / self.n
         corners = mesh.corners()
+        centroids = corners.mean(axis=1)
+        # 2 sqrt(M) buckets per axis: of the counts measured on graded sector
+        # meshes, sqrt(M/2) to 4 sqrt(M), as fast to build and query as any,
+        # with fewer (bucket, triangle) pairs than the larger ones
+        n_cells = max(int(2.0 * np.sqrt(mesh.num_triangles)), 1)
+        q = np.arange(1, n_cells) / n_cells
+        self.edges = [np.unique(np.quantile(centroids[:, a], q)) for a in (0, 1)]
+        self.n_y = self.edges[1].size + 1
         tlo = corners.min(axis=1)
         thi = corners.max(axis=1)
         i0 = self._cell_idx(tlo[:, 0], 0)
@@ -232,16 +236,15 @@ class _Locator:
         cnt = (i1 - i0 + 1) * nj
         tris = np.repeat(np.arange(mesh.num_triangles), cnt)
         k = np.arange(tris.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        cells = (i0[tris] + k // nj[tris]) * self.n[1] + j0[tris] + k % nj[tris]
+        cells = (i0[tris] + k // nj[tris]) * self.n_y + j0[tris] + k % nj[tris]
         order = np.lexsort((tris, cells))
         self.pair_cells = cells[order]
         self.pair_tris = tris[order]
-        n_total = self.n[0] * self.n[1]
+        n_total = (self.edges[0].size + 1) * self.n_y
         self.ptr = np.searchsorted(self.pair_cells, np.arange(n_total + 1))
 
     def _cell_idx(self, coords, axis):
-        idx = np.floor((np.asarray(coords) - self.lo[axis]) / self.cell[axis])
-        return np.clip(idx.astype(np.int64), 0, self.n[axis] - 1)
+        return np.searchsorted(self.edges[axis], coords, side="right")
 
     def locate_many(self, points, tol=1e-12):
         """Triangle index per point, -1 when outside the mesh.
@@ -250,7 +253,7 @@ class _Locator:
         (point, candidate) pairs (a point with more candidates alone).
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        cells = self._cell_idx(pts[:, 0], 0) * self.n[1] + self._cell_idx(pts[:, 1], 1)
+        cells = self._cell_idx(pts[:, 0], 0) * self.n_y + self._cell_idx(pts[:, 1], 1)
         start = self.ptr[cells]
         cnt = self.ptr[cells + 1] - start
         ends = np.cumsum(cnt)
@@ -296,66 +299,9 @@ def _contains(corners, pts, tol):
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
-class _PolarLocator:
-    """O(1) point location on structured polar meshes via index arithmetic.
-
-    The candidate cell follows from binary search in the radial node list
-    and the uniform angular grid; the 3x3 cell neighborhood is tested so
-    chord-vs-arc effects at curved circles cannot misplace a point.  Among
-    containing candidates the lowest triangle index wins.
-    """
-
-    def __init__(self, mesh):
-        radii, m = mesh.structure
-        self.mesh = mesh
-        self.radii = np.asarray(radii, dtype=float)
-        self.m = int(m)
-        self.beta = mesh.domain.beta
-        self.has_corner = self.radii[0] == 0.0
-        self.n_intervals = self.radii.size - 1
-
-    def _cell_tris(self, q, j):
-        m = self.m
-        if self.has_corner:
-            t0 = np.where(q == 0, j, m + ((q - 1) * m + j) * 2)
-            t1 = np.where(q == 0, -1, t0 + 1)
-        else:
-            t0 = (q * m + j) * 2
-            t1 = t0 + 1
-        return t0, t1
-
-    def locate_many(self, points, tol=1e-12):
-        from .geometry import polar_angle
-
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        theta = polar_angle(pts)
-        q0 = np.clip(np.searchsorted(self.radii, r, side="right") - 1,
-                     0, self.n_intervals - 1)
-        j0 = np.clip(np.floor(theta * self.m / self.beta).astype(np.int64),
-                     0, self.m - 1)
-        cands = []
-        for dq in (-1, 0, 1):
-            q = np.clip(q0 + dq, 0, self.n_intervals - 1)
-            for dj in (-1, 0, 1):
-                j = np.clip(j0 + dj, 0, self.m - 1)
-                t0, t1 = self._cell_tris(q, j)
-                cands.extend([t0, t1])
-        cand = np.stack(cands, axis=1)
-        valid = cand >= 0
-        corners = self.mesh.vertices[self.mesh.triangles[np.where(valid, cand, 0)]]
-        inside = valid & _contains(corners, pts[:, None, :], tol)
-        sentinel = self.mesh.num_triangles + 1
-        best = np.where(inside, cand, sentinel).min(axis=1)
-        return np.where(best < sentinel, best, -1).astype(np.int64)
-
-
 def _locator(mesh):
     if mesh._locator is None:
-        if mesh.structure:
-            mesh._locator = _PolarLocator(mesh)
-        else:
-            mesh._locator = _Locator(mesh)
+        mesh._locator = _Locator(mesh)
     return mesh._locator
 
 

@@ -64,17 +64,18 @@ class SectorDomain:
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         r = np.hypot(x, y)
-        on = np.abs(r - self.r_outer) <= tol
+        # tolerances scale with the radius: an absolute one would put whole
+        # rings next to a tiny inner arc, or near the corner, on the boundary
+        on = np.abs(r - self.r_outer) <= tol * self.r_outer
         if self.r_inner > 0.0:
-            on |= np.abs(r - self.r_inner) <= tol
-        else:
-            on |= r <= tol
+            on |= np.abs(r - self.r_inner) <= tol * self.r_inner
         # the straight edges are half-lines: perpendicular distance small AND
-        # the projection onto the edge direction nonnegative (for beta > pi
-        # the full line through theta = 0 cuts the interior)
-        on |= (np.abs(y) <= tol) & (x >= -tol)
+        # projection onto the edge direction nonnegative (for beta > pi the
+        # full line through theta = 0 cuts the interior); the corner (0, 0)
+        # passes both
+        on |= (np.abs(y) <= tol * r) & (x >= 0.0)
         c, s = np.cos(self.beta), np.sin(self.beta)
-        on |= (np.abs(s * x - c * y) <= tol) & (c * x + s * y >= -tol)
+        on |= (np.abs(s * x - c * y) <= tol * r) & (c * x + s * y >= 0.0)
         return on
 
     def sample_interior(self, n, start=1):

@@ -5,7 +5,9 @@ toward the corner and exact insertion of interface radii, so quadrature
 never straddles a coefficient discontinuity.  Curved arcs are approximated
 by chords.  Uniform refinement splits sector edges at their polar
 midpoints, so node circles, interface circles included, stay exact and
-refined vertices lie on the parent's polar grid.
+refined vertices lie on the parent's polar grid.  A mesh keeps only its
+arrays and its domain; connectivity and point location are derived from
+the triangles when first needed.
 """
 
 from __future__ import annotations
@@ -18,19 +20,16 @@ from .geometry import GraphDomain, SectorDomain
 class TriMesh:
     """Triangulation with per-vertex Dirichlet flags.
 
-    ``domain`` is the meshed domain (None for a bare triangulation);
-    ``structure`` is ``(radii, n_angular)`` on structured sector meshes,
-    which enables O(1) point location, and ``()`` otherwise.  Immutable
-    after construction; derived structures (the edge numbering and the
-    point locator) are built lazily and cached.
+    ``domain`` is the meshed domain (None for a bare triangulation).
+    Immutable after construction; derived structures (the edge numbering
+    and the point locator) are built lazily and cached.
     """
 
-    def __init__(self, vertices, triangles, boundary_flags, domain=None, structure=()):
+    def __init__(self, vertices, triangles, boundary_flags, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary_flags = np.asarray(boundary_flags, dtype=bool)
         self.domain = domain
-        self.structure = structure
         self._edge_cache = None
         self._locator = None
 
@@ -206,8 +205,7 @@ def mesh_sector_from_radii(domain, radii, n_angular):
         flags = np.concatenate([[True], border.ravel()])
     else:
         flags = border.ravel()
-    return TriMesh(vertices, triangles, flags, domain=domain,
-                   structure=(tuple(float(r) for r in radii), n_angular))
+    return TriMesh(vertices, triangles, flags, domain=domain)
 
 
 def graded_radii(domain, n_radial, grading=1.0, aligned_radii=()):
@@ -228,11 +226,11 @@ def graded_radii(domain, n_radial, grading=1.0, aligned_radii=()):
             aligned.append(s)
     aligned = np.asarray(aligned, dtype=float)
     if aligned.size:
-        # drop generated nodes indistinguishable from an aligned radius so the
-        # exact aligned value survives
-        near = np.min(np.abs(radii[:, None] - aligned[None, :]), axis=1)
-        radii = radii[near > 1e-12]
-        radii = np.unique(np.concatenate([radii, aligned]))
+        # drop generated inner nodes that are one circle with an aligned
+        # radius, by the rule above, so the exact aligned value survives
+        near = np.any(np.abs(radii[:, None] - aligned) <= 1e-12 * aligned, axis=1)
+        near[[0, -1]] = False
+        radii = np.unique(np.concatenate([radii[~near], aligned]))
     return radii
 
 

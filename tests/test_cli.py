@@ -12,6 +12,14 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def read_mesh(prefix, domain):
+    """The mesh a ``solve`` run wrote, parsed back with its domain."""
+    rows = [l.split() for l in prefix.with_suffix(".mesh").read_text().splitlines()]
+    v = np.array([r[1:] for r in rows if r[0] == "v"], dtype=float)
+    t = np.array([r[1:] for r in rows if r[0] == "t"], dtype=np.int64)
+    return TriMesh(v[:, :2], t, v[:, 2] == 1.0, domain=domain)
+
+
 class TestVerifyAnalytic:
     def test_limit_passes(self, capsys):
         assert run("verify-analytic", "--example", "limit", "--beta",
@@ -175,11 +183,26 @@ class TestSolve:
         assert run("solve", "--domain", "annulus", "--eps", "0.05", "--beta", BETA,
                    "--n-radial", cells, "--n-angular", cells, "--refine", "1",
                    "--out-prefix", str(prefix)) == 0
-        rows = [l.split() for l in prefix.with_suffix(".mesh").read_text().splitlines()]
-        v = np.array([r[1:] for r in rows if r[0] == "v"], dtype=float)
-        t = np.array([r[1:] for r in rows if r[0] == "t"], dtype=np.int64)
-        dom = SectorDomain(float(BETA), r_inner=0.05)
-        assert TriMesh(v[:, :2], t, v[:, 2] == 1.0, domain=dom).validate()
+        assert read_mesh(prefix, SectorDomain(float(BETA), r_inner=0.05)).validate()
+
+    @pytest.mark.parametrize("jump_eps", ["1e-11", "1e-13", "1e-14"])
+    def test_tiny_jump_radius_keeps_corner(self, tmp_path, jump_eps):
+        # the ring at r = jump_eps lies within the validation tolerance of the
+        # corner, yet only the corner vertex is on the boundary there
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "sector", "--coeff", "jump", "--beta", BETA,
+                   "--jump-eps", jump_eps, "--out-prefix", str(prefix)) == 0
+        mesh = read_mesh(prefix, SectorDomain(float(BETA)))
+        assert mesh.validate()
+        assert np.array_equal(mesh.vertices[0], [0.0, 0.0]) and mesh.boundary_flags[0]
+
+    def test_tiny_inner_radius_validates(self, tmp_path):
+        # the ring at r = 2 eps lies within the validation tolerance of the
+        # inner arc, yet it is interior
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "annulus", "--eps", "1e-11", "--coeff", "jump",
+                   "--jump-eps", "2e-11", "--beta", BETA, "--out-prefix", str(prefix)) == 0
+        assert read_mesh(prefix, SectorDomain(float(BETA), r_inner=1e-11)).validate()
 
     def test_invalid_refined_mesh_is_usage_error(self, tmp_path, capsys, monkeypatch):
         refine = meshing.refine_uniform

@@ -14,8 +14,8 @@ from ellipstab.fem import (
     ConvergenceFailure,
     FemSolution,
     SparseSystem,
+    _contains,
     _Locator,
-    _PolarLocator,
     assemble,
     evaluate_gradient,
     evaluate_gradient_many,
@@ -157,16 +157,52 @@ class TestEvaluateGradient:
         out = np.array([0.5, -0.5])
         assert np.array_equal(evaluate_gradient(sol, out), [0.0, 0.0])
 
-    def test_polar_and_bucket_locators_agree(self):
-        mesh = mesh_sector(SectorDomain(BETA), 10, 10, grading=3.0)
-        pts = np.concatenate([tri6_points(mesh.corners()).reshape(-1, 2),
-                              SectorDomain(BETA).sample_interior(500)])
-        polar = _PolarLocator(mesh).locate_many(pts)
-        assert np.array_equal(polar, _Locator(mesh).locate_many(pts))
+    @pytest.mark.parametrize("kind", ["graded", "annular", "refined", "graph"])
+    def test_locator_agrees_with_brute_force(self, kind):
+        if kind == "graph":
+            dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, lambda x: 0.6 + 0.3 * x)
+            mesh = mesh_graph_domain(dom, 9, 7)
+            outside = [[-0.1, 0.5], [0.5, 0.9], [1.2, 0.2]]
+        else:
+            dom = SectorDomain(BETA, r_inner=0.05 if kind == "annular" else 0.0)
+            mesh = mesh_sector(dom, 8, 10, grading=3.0)
+            if kind == "refined":
+                mesh = refine_uniform(mesh)
+            # the missing quadrant, past the arc, far off
+            outside = [[0.5, -0.5], [1.01, 1e-3], [2.0, 2.0]]
+            if kind == "annular":
+                outside.append([0.03, 0.01])  # inside the hole
+        ends = mesh.vertices[mesh.edges()]
+        pts = np.concatenate([tri6_points(mesh.corners()).reshape(-1, 2), mesh.vertices,
+                              0.5 * (ends[:, 0] + ends[:, 1]), outside])
+        # reference: the lowest-index containing triangle over all triangles
+        expected = -np.ones(pts.shape[0], dtype=np.int64)
+        for t, corners in enumerate(mesh.corners()):
+            expected[(expected < 0) & _contains(corners, pts, 1e-12)] = t
+        found = _Locator(mesh).locate_many(pts)
+        assert np.array_equal(found, expected)
         # every rule point lies inside its own triangle
-        assert np.array_equal(polar[:6 * mesh.num_triangles],
+        assert np.array_equal(found[:6 * mesh.num_triangles],
                               np.repeat(np.arange(mesh.num_triangles), 6))
-        assert locate_point(mesh, pts[-1]) == polar[-1]
+        assert np.all(found[-len(outside):] == -1)
+        assert locate_point(mesh, pts[-1]) == expected[-1]
+
+    def test_graded_corner_buckets_stay_small(self, monkeypatch):
+        # locating the coarse rule points on the refined graded mesh tests few
+        # (point, candidate) pairs per point, although a quarter of the
+        # triangles crowd into a corner region of width 1/64
+        coarse = mesh_sector(SectorDomain(BETA), 24, 32, grading=3.0)
+        mesh = refine_uniform(coarse)
+        pts = tri6_points(coarse.corners()).reshape(-1, 2)
+        tested = []
+
+        def counting(corners, p, tol):
+            tested.append(corners.shape[0])
+            return _contains(corners, p, tol)
+
+        monkeypatch.setattr("ellipstab.fem._contains", counting)
+        assert np.all(_Locator(mesh).locate_many(pts) >= 0)
+        assert sum(tested) / pts.shape[0] < 30
 
     def test_bucket_locator_chunks_agree_with_one_batch(self, monkeypatch):
         # graded corner buckets hold many candidates; vertices and edge
@@ -183,7 +219,7 @@ class TestEvaluateGradient:
         assert np.array_equal(_Locator(mesh).locate_many(pts), whole)
 
     def test_refined_mesh_locator(self):
-        # refinement clears the polar structure; the bucket locator takes over
+        # a refined sector mesh goes through the same bucket locator
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8))
         vals = 3.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
         sol = FemSolution(mesh, vals, (0, 0.0))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
     TriMesh,
+    graded_radii,
     mesh_graph_domain,
     mesh_sector,
     refine_uniform,
@@ -43,7 +44,7 @@ class TestMeshSector:
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         # node circle at the interface radius, up to 1 ulp from cos/sin rounding
         assert np.count_nonzero(np.abs(r - 0.1) < 1e-16) == 9
-        assert 0.1 in mesh.structure[0]
+        assert 0.1 in graded_radii(SectorDomain(BETA), 8, aligned_radii=[0.1])
 
     def test_grading_smallest_element(self):
         n = 16
@@ -64,13 +65,25 @@ class TestMeshSector:
             mesh_sector(SectorDomain(BETA, r_inner=0.2), 4, 4, aligned_radii=[0.1])
 
     def test_aligned_radii_one_ulp_apart_are_one_circle(self):
-        mesh = mesh_sector(SectorDomain(4.0), 2, 2, aligned_radii=[0.07, 0.07000000000000002])
-        assert mesh.structure[0] == (0.0, 0.07, 0.5, 1.0)
+        aligned = [0.07, 0.07000000000000002]
+        mesh = mesh_sector(SectorDomain(4.0), 2, 2, aligned_radii=aligned)
+        assert graded_radii(SectorDomain(4.0), 2, aligned_radii=aligned).tolist() == [
+            0.0, 0.07, 0.5, 1.0]
         assert mesh.validate()
         assert refine_uniform(mesh).validate()
         # distinct radii closer than 1e-12 stay distinct when they are small
-        radii = mesh_sector(SectorDomain(BETA), 4, 4, aligned_radii=[2e-12, 2.5e-12]).structure[0]
-        assert radii[:3] == (0.0, 2e-12, 2.5e-12)
+        radii = graded_radii(SectorDomain(BETA), 4, aligned_radii=[2e-12, 2.5e-12])
+        assert radii[:3].tolist() == [0.0, 2e-12, 2.5e-12]
+
+    def test_aligned_radii_near_the_corner_keep_it(self):
+        # an aligned radius closer to r = 0 than any absolute tolerance must
+        # not replace the corner node
+        dom = SectorDomain(BETA)
+        assert graded_radii(dom, 4, aligned_radii=[1e-14, 2e-14])[:3].tolist() == [
+            0.0, 1e-14, 2e-14]
+        mesh = mesh_sector(dom, 4, 4, aligned_radii=[1e-14, 2e-14])
+        assert np.array_equal(mesh.vertices[0], [0.0, 0.0]) and mesh.boundary_flags[0]
+        assert mesh.validate()
 
     def test_counts_too_small(self):
         with pytest.raises(ValueError):
