@@ -11,7 +11,6 @@ Keeping the norms 1D isolates the perturbation rates from any mesh error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,21 +44,67 @@ class SourceTerm:
         return self.value(points)
 
 
+def _power_sum(r, terms, order):
+    """Sum of c * p^order * r^(p - order) over the (c, p) terms; zero for none."""
+    total = np.zeros(r.shape)
+    for c, p in terms:
+        term = r ** (p - order)  # scaled in place: one temporary per term
+        term *= c * p**order
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class SeparableSolution:
     """u(r, theta) = w(r) * sin(k * theta) on a sector domain.
 
-    ``radial_profile`` and ``radial_derivative`` are vectorized callables;
-    ``breakpoints`` lists the radii where the profile is merely continuous.
-    The gradient lies in L^q of the domain for every q < ``q_star``.
+    The profile w is a sum of power terms c * r^p on each radial piece:
+    ``pieces`` is ((end, ((c, p), ...)), ...) in increasing order of end.
+    A piece covers [previous end, end), the last one also every radius
+    beyond, and an empty term tuple is the zero profile.
     """
 
-    radial_profile: Callable
-    radial_derivative: Callable
-    breakpoints: tuple
+    pieces: tuple
     angular_wavenumber: float
     domain: SectorDomain
-    q_star: float = float("inf")
+
+    @property
+    def breakpoints(self):
+        """Radii where the profile is merely continuous: the inner piece ends."""
+        return tuple(end for end, _ in self.pieces[:-1])
+
+    @property
+    def q_star(self):
+        """The gradient lies in L^q of the domain for every q < ``q_star``.
+
+        A term c r^p sin(k theta) has |grad| ~ r^(p-1) at the corner, in L^q
+        exactly when (p - 1) q + 2 > 0, so the corner piece's terms with
+        p < 1 decide.  An annular domain excludes the corner.
+        """
+        corner = self.pieces[0][1] if self.domain.r_inner == 0.0 else ()
+        return min((2.0 / (1.0 - p) for _, p in corner if p < 1.0), default=float("inf"))
+
+    def _piece_index(self, r):
+        # the number of piece ends at or below r, so r = end starts the next piece
+        return sum(r >= end for end in self.breakpoints)
+
+    def _sum(self, r, order):
+        """Sum c * r^p (order 0) or c * p * r^(p-1) (order 1) over r's piece."""
+        r = np.asarray(r, dtype=float)
+        if len(self.pieces) == 1:  # no lookup: 2D integrands pass millions of radii
+            return _power_sum(r, self.pieces[0][1], order)
+        piece = self._piece_index(r)
+        out = np.empty(r.shape)
+        for i, (_, terms) in enumerate(self.pieces):
+            on = piece == i
+            out[on] = _power_sum(r[on], terms, order)
+        return out
+
+    def radial_profile(self, r):
+        return self._sum(r, 0)
+
+    def radial_derivative(self, r):
+        return self._sum(r, 1)
 
     def value(self, points):
         pts = np.asarray(points, dtype=float)
@@ -84,22 +129,19 @@ class SeparableSolution:
         return self.value(points)
 
     def difference(self, other):
-        """Profile difference as a new solution (wavenumbers must match)."""
+        """Profile difference (wavenumbers must match): on each merged piece the
+        coefficients of equal exponents subtract, and exact zeros are dropped."""
         if abs(self.angular_wavenumber - other.angular_wavenumber) > 1e-14:
             raise ValueError("angular wavenumbers differ")
-        w1, w2 = self.radial_profile, other.radial_profile
-        d1, d2 = self.radial_derivative, other.radial_derivative
         dom = self.domain if self.domain.r_inner >= other.domain.r_inner else other.domain
-        breaks = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return SeparableSolution(
-            lambda r: w1(r) - w2(r),
-            lambda r: d1(r) - d2(r),
-            breaks,
-            self.angular_wavenumber,
-            dom,
-            # an annular domain excludes the corner, the only singular point
-            min(self.q_star, other.q_star) if dom.r_inner == 0.0 else float("inf"),
-        )
+        ends = sorted(set(self.breakpoints) | set(other.breakpoints))
+        pieces = []
+        for start, end in zip([0.0, *ends], [*ends, np.inf]):
+            coef = {p: c for c, p in self.pieces[self._piece_index(start)][1]}
+            for c, p in other.pieces[other._piece_index(start)][1]:
+                coef[p] = coef.get(p, 0.0) - c
+            pieces.append((end, tuple((c, p) for p, c in coef.items() if c != 0.0)))
+        return SeparableSolution(tuple(pieces), self.angular_wavenumber, dom)
 
     def extended_by_zero(self):
         """Extend an annular solution by zero onto the full sector.
@@ -113,20 +155,8 @@ class SeparableSolution:
             return self
         if abs(float(self.radial_profile(np.array([eps]))[0])) > 1e-10:
             raise ValueError("profile does not vanish at the inner radius")
-        w, d = self.radial_profile, self.radial_derivative
-
-        def wz(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r >= eps, w(np.maximum(r, eps)), 0.0)
-
-        def dz(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r >= eps, d(np.maximum(r, eps)), 0.0)
-
         dom = SectorDomain(self.domain.beta, 0.0, self.domain.r_outer)
-        breaks = tuple(sorted(set(self.breakpoints) | {eps}))
-        return SeparableSolution(wz, dz, breaks, self.angular_wavenumber, dom,
-                                 self.q_star)
+        return SeparableSolution(((eps, ()),) + self.pieces, self.angular_wavenumber, dom)
 
 
 def _check_angle(beta):
@@ -138,29 +168,20 @@ def q_star(beta):
     """Gradient integrability threshold 2*beta/(beta - pi) of r^k sin(k*theta).
 
     |grad (r^k sin(k*theta))| ~ r^(k-1) with k = pi/beta lies in L^q near the
-    corner exactly when (k - 1) q + 2 > 0.
+    corner exactly when (k - 1) q + 2 > 0.  Written as 2/(1 - k), it equals
+    ``SeparableSolution.q_star`` of every solution whose corner term is r^k.
     """
-    return 2.0 * beta / (beta - np.pi)
+    return 2.0 / (1.0 - np.pi / beta)
 
 
 def limit_solution(beta):
     """Solution (r^k - r^2) sin(k*theta), k = pi/beta, of the unperturbed problem.
 
-    Its gradient lies in L^q exactly for q below 2*beta/(beta - pi); that
-    threshold is stored as ``q_star``.
+    Its gradient lies in L^q exactly for q below 2*beta/(beta - pi).
     """
     _check_angle(beta)
     k = np.pi / beta
-
-    def w(r):
-        r = np.asarray(r, dtype=float)
-        return np.power(r, k) - r**2
-
-    def dw(r):
-        r = np.asarray(r, dtype=float)
-        return k * np.power(r, k - 1.0) - 2.0 * r
-
-    return SeparableSolution(w, dw, (), k, SectorDomain(beta), q_star(beta))
+    return SeparableSolution(((np.inf, ((1.0, k), (-1.0, 2.0))),), k, SectorDomain(beta))
 
 
 def jump_solution(beta, alpha, eps):
@@ -174,8 +195,8 @@ def jump_solution(beta, alpha, eps):
     _check_angle(beta)
     alpha = float(alpha)
     eps = float(eps)
-    if alpha <= 0.0:
-        raise ValueError(f"conductivity must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"conductivity must be positive and finite, got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"jump radius must lie in (0, 1), got {eps}")
     k = np.pi / beta
@@ -185,22 +206,9 @@ def jump_solution(beta, alpha, eps):
     c_in = ((1.0 / alpha - 1.0) * (eps**2 + eps ** (2.0 - 2.0 * k)) + 2.0 * emk) / denom
     c_out = ((1.0 - alpha) * eps**2 + (1.0 + alpha) * emk) / denom
     d_out = (1.0 - alpha) * (ek - eps**2) / denom
-
-    def w(r):
-        r = np.asarray(r, dtype=float)
-        rk = np.power(r, k)
-        inner = c_in * rk - r**2 / alpha
-        outer = c_out * rk + d_out * np.power(r, -k) - r**2
-        return np.where(r < eps, inner, outer)
-
-    def dw(r):
-        r = np.asarray(r, dtype=float)
-        rk1 = np.power(r, k - 1.0)
-        inner = k * c_in * rk1 - 2.0 * r / alpha
-        outer = k * c_out * rk1 - k * d_out * np.power(r, -k - 1.0) - 2.0 * r
-        return np.where(r < eps, inner, outer)
-
-    return SeparableSolution(w, dw, (eps,), k, SectorDomain(beta), q_star(beta))
+    pieces = ((eps, ((c_in, k), (-1.0 / alpha, 2.0))),
+              (np.inf, ((c_out, k), (d_out, -k), (-1.0, 2.0))))
+    return SeparableSolution(pieces, k, SectorDomain(beta))
 
 
 def annulus_solution(beta, eps):
@@ -215,16 +223,8 @@ def annulus_solution(beta, eps):
     denom = emk - ek
     c1 = (emk - eps**2) / denom
     c2 = (eps**2 - ek) / denom
-
-    def w(r):
-        r = np.asarray(r, dtype=float)
-        return c1 * np.power(r, k) + c2 * np.power(r, -k) - r**2
-
-    def dw(r):
-        r = np.asarray(r, dtype=float)
-        return k * c1 * np.power(r, k - 1.0) - k * c2 * np.power(r, -k - 1.0) - 2.0 * r
-
-    return SeparableSolution(w, dw, (), k, SectorDomain(beta, r_inner=eps))
+    return SeparableSolution(((np.inf, ((c1, k), (c2, -k), (-1.0, 2.0))),), k,
+                             SectorDomain(beta, r_inner=eps))
 
 
 def h1_seminorm_separable(sol):

@@ -76,14 +76,18 @@ def _check_angle(parser, beta):
 
 
 def _check_at_least(parser, flag, value, limit):
-    if value < limit:
+    if not value >= limit:
         parser.error(f"{flag} must be at least {limit:g}, got {value:g}")
+
+
+def _check_alpha(parser, alpha):
+    if not 0.0 < alpha < np.inf:
+        parser.error(f"--alpha must be positive and finite, got {alpha:g}")
 
 
 def _cmd_verify(parser, args):
     _check_angle(parser, args.beta)
-    if args.alpha <= 0.0:
-        parser.error("--alpha must be positive")
+    _check_alpha(parser, args.alpha)
     if not 0.0 < args.eps < 1.0:
         parser.error("--eps must lie in (0, 1)")
     src = analytic.SourceTerm(args.beta)
@@ -94,20 +98,16 @@ def _cmd_verify(parser, args):
     elif args.example == "jump":
         sol = analytic.jump_solution(args.beta, args.alpha, args.eps)
         field = coefficients.radial_jump_field(args.alpha, args.eps)
-        w, dw = sol.radial_profile, sol.radial_derivative
-        below = np.nextafter(args.eps, 0.0)
-        cont = abs(float(w(np.array([below]))[0] - w(np.array([args.eps]))[0]))
-        flux = abs(float(args.alpha * dw(np.array([below]))[0]
-                         - dw(np.array([args.eps]))[0]))
-        defects = [("interface continuity", cont), ("flux continuity", flux)]
+        r = np.array([np.nextafter(args.eps, 0.0), args.eps])
+        (w_in, w_out), (d_in, d_out) = sol.radial_profile(r), sol.radial_derivative(r)
+        defects = [("interface continuity", float(abs(w_in - w_out))),
+                   ("flux continuity", float(abs(args.alpha * d_in - d_out)))]
     else:
         sol = analytic.annulus_solution(args.beta, args.eps)
         field = coefficients.identity_field()
-        w = sol.radial_profile
-        defects = [
-            ("inner Dirichlet value", abs(float(w(np.array([args.eps]))[0]))),
-            ("outer Dirichlet value", abs(float(w(np.array([1.0]))[0]))),
-        ]
+        w_in, w_out = sol.radial_profile(np.array([args.eps, 1.0]))
+        defects = [("inner Dirichlet value", float(abs(w_in))),
+                   ("outer Dirichlet value", float(abs(w_out)))]
     report = analytic.residual_check(sol, src, field)
     print(f"example={args.example} beta={_fmt(args.beta)} "
           f"alpha={_fmt(args.alpha)} eps={_fmt(args.eps)}")
@@ -148,6 +148,10 @@ def _cmd_rate_study(parser, args):
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         parser.error("need 0 < --eps-min < --eps-max < 1")
     _check_at_least(parser, "--eps-min", args.eps_min, EPS_MIN)
+    if not 2.0 < args.q < np.inf:
+        parser.error(f"--q must be a finite number above 2, got {args.q:g}")
+    if args.study in ("coeff", "qualitative"):
+        _check_alpha(parser, args.alpha)
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
@@ -225,6 +229,8 @@ def _jump_family(alpha):
 def _cmd_solve(parser, args):
     if args.refine < 0:
         parser.error("--refine must be nonnegative")
+    if args.coeff == "jump":
+        _check_alpha(parser, args.alpha)
     if args.domain in ("sector", "annulus"):
         _check_angle(parser, args.beta)
         _check_at_least(parser, "--n-radial", args.n_radial, 2)
@@ -248,7 +254,7 @@ def _cmd_solve(parser, args):
         _check_at_least(parser, "--nx", args.nx, 2)
         _check_at_least(parser, "--ny", args.ny, 2)
         lo, hi = args.graph_height, args.graph_height + args.graph_slope
-        if min(lo, hi) <= 0.1 or max(lo, hi) > 1.0:
+        if not all(0.1 < h <= 1.0 for h in (lo, hi)):
             parser.error("graph height must stay in (0.1, 1] over [0, 1]")
         dom = geometry.GraphDomain.from_height(
             0.0, 1.0, 0.0, 1.0,

@@ -125,8 +125,8 @@ def radial_jump_field(alpha, eps):
     """
     alpha = float(alpha)
     eps = float(eps)
-    if alpha <= 0.0:
-        raise ValueError(f"conductivity must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"conductivity must be positive and finite, got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"jump radius must lie in (0, 1), got {eps}")
 
@@ -195,27 +195,25 @@ def pullback_field(field, bilip):
                             interface_radii=field.interface_radii)
 
 
-def lp_distance(field_a, field_b, p, domain, n_gauss=12, n_radial_panels=8,
-                n_angular_panels=8, n_sup_samples=100_000):
+def lp_distance(field_a, field_b, p, domain):
     """Entrywise-sup L^p distance between two fields over a sector domain.
 
     For finite p the integral uses polar quadrature with radial breakpoints
     at both fields' interface radii.  For p = inf the value is a supremum
-    over a deterministic low-discrepancy sample of ``n_sup_samples``
-    points, which is an approximation, not a certified bound.
+    over a deterministic low-discrepancy sample of 100000 points, which is
+    an approximation, not a certified bound.
     """
-    if p != np.inf and p < 1.0:
+    if not p >= 1.0:
         raise ValueError("need p >= 1 or p = inf")
     if p == np.inf:
-        pts = domain.sample_interior(n_sup_samples)
+        pts = domain.sample_interior(100_000)
         diff = np.abs(field_a.eval(pts) - field_b.eval(pts))
         return float(np.max(diff))
 
     entry_integrals = integrate_polar(
         lambda pts: np.abs(field_a.eval(pts) - field_b.eval(pts)) ** p,
         domain.beta, domain.r_inner, domain.r_outer,
-        (*field_a.interface_radii, *field_b.interface_radii), n_gauss=n_gauss,
-        n_radial_panels=n_radial_panels, n_angular_panels=n_angular_panels)
+        (*field_a.interface_radii, *field_b.interface_radii))
     return float(np.max(entry_integrals) ** (1.0 / p))
 
 

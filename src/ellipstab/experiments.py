@@ -147,13 +147,13 @@ q_star = analytic.q_star
 
 
 def _check_exponent(beta, q):
+    if not 2.0 < q:
+        raise ValueError(f"q must exceed 2, got {q:g}")
     qs = q_star(beta)
-    if q >= qs:
+    if not q < qs:
         raise HypothesisViolation(
             f"q = {q:g} is not admissible: the corner gradient lies in L^q "
             f"only for q < {qs:g}", q=q, q_star=qs)
-    if q <= 2.0:
-        raise ValueError("q must exceed 2")
 
 
 # -- coefficient perturbation study ------------------------------------------
@@ -232,7 +232,7 @@ def _semi_annulus_error(beta, eps, u0):
     return analytic.h1_seminorm_separable(ue.difference(u0))
 
 
-def _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol):
+def _fem_annulus_error(beta, eps, n_radial, n_angular, grading):
     sector = geometry.SectorDomain(beta)
     annulus = geometry.SectorDomain(beta, r_inner=eps)
     aligned = (eps, 2.0 * eps)
@@ -242,8 +242,8 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol):
     mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular)
     src = analytic.SourceTerm(beta)
     ident = coefficients.identity_field()
-    sol0 = fem.solve_cg(fem.assemble(mesh0, ident, source=src), rel_tol=rel_tol)
-    sol_eps = fem.solve_cg(fem.assemble(mesh_eps, ident, source=src), rel_tol=rel_tol)
+    sol0 = fem.solve_cg(fem.assemble(mesh0, ident, source=src))
+    sol_eps = fem.solve_cg(fem.assemble(mesh_eps, ident, source=src))
     # the sector mesh covers the union of both domains and its cells align
     # with the annulus mesh on r >= eps, so the quadrature is exact per cell
     return error_norms.cross_domain_gradient_error(sol_eps, sol0, quad_mesh=mesh0)
@@ -251,7 +251,7 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol):
 
 def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
                       rhs_eps_exponent=None, n_radial=96, n_angular=64,
-                      grading=3.0, rel_tol=1e-10):
+                      grading=3.0):
     """Error decay of the annular-sector family against the hole size.
 
     The bound check compares the error over the full sector (perturbed
@@ -272,7 +272,7 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
     semi = tuple(_semi_annulus_error(beta, eps, u0) for eps in eps_grid)
     if mode == "fem":
         fem_err = tuple(
-            _fem_annulus_error(beta, eps, n_radial, n_angular, grading, rel_tol)
+            _fem_annulus_error(beta, eps, n_radial, n_angular, grading)
             for eps in eps_grid
         )
         errors = fem_err
@@ -311,7 +311,7 @@ def _spectral_norm_2x2(mats):
     return np.sqrt(0.5 * (fro2 + gap))
 
 
-def composition_inequality_check(func, maps, q, domain, n_gauss=12, n_panels=12):
+def composition_inequality_check(func, maps, q, domain):
     """Check ||F o phi - F||_L2 <= c ||F||_Lq |E|^((q-2)/(2q)) over a map family.
 
     Also tracks ||(Dphi)^{-1} - I||_Lq against the same majorant in
@@ -322,17 +322,19 @@ def composition_inequality_check(func, maps, q, domain, n_gauss=12, n_panels=12)
     """
     from .quadrature import integrate_polar
 
-    if q <= 2.0:
-        raise ValueError("q must exceed 2")
+    if not 2.0 < q:
+        raise ValueError(f"q must exceed 2, got {q:g}")
     maps = list(maps)
     if not maps:
         raise ValueError("need at least one map")
 
-    f_norm_q = integrate_polar(
-        lambda pts: np.abs(np.asarray(func(pts), dtype=float)) ** q,
-        domain.beta, domain.r_inner, domain.r_outer,
-        n_gauss=n_gauss, n_radial_panels=n_panels, n_angular_panels=n_panels,
-    ) ** (1.0 / q)
+    def polar(f, breaks=()):
+        # 12 equal panels in r and in theta; the radial rule adds its octave panels
+        return integrate_polar(f, domain.beta, domain.r_inner, domain.r_outer, breaks,
+                               n_radial_panels=12, n_angular_panels=12)
+
+    f_norm_q = polar(
+        lambda pts: np.abs(np.asarray(func(pts), dtype=float)) ** q) ** (1.0 / q)
 
     eps_list, lhs, rhs, jac_dev = [], [], [], []
     exponent = (q - 2.0) / (2.0 * q)
@@ -345,11 +347,7 @@ def composition_inequality_check(func, maps, q, domain, n_gauss=12, n_panels=12)
             fv = np.asarray(func(pts), dtype=float)
             return (np.asarray(func(_mp.forward(pts)), dtype=float) - fv) ** 2
 
-        l2 = np.sqrt(max(integrate_polar(
-            comp_sq, domain.beta, domain.r_inner, domain.r_outer,
-            radial_breaks=breaks, n_gauss=n_gauss,
-            n_radial_panels=n_panels, n_angular_panels=n_panels,
-        ), 0.0))
+        l2 = np.sqrt(max(polar(comp_sq, breaks), 0.0))
 
         def inv_dev_q(pts, _mp=mp):
             J = _mp.jacobian(pts)
@@ -358,11 +356,7 @@ def composition_inequality_check(func, maps, q, domain, n_gauss=12, n_panels=12)
             Jinv[..., 1, 1] -= 1.0
             return _spectral_norm_2x2(Jinv) ** q
 
-        dev = integrate_polar(
-            inv_dev_q, domain.beta, domain.r_inner, domain.r_outer,
-            radial_breaks=breaks, n_gauss=n_gauss,
-            n_radial_panels=n_panels, n_angular_panels=n_panels,
-        ) ** (1.0 / q)
+        dev = polar(inv_dev_q, breaks) ** (1.0 / q)
 
         eps_list.append(eps)
         lhs.append(l2)
@@ -398,8 +392,7 @@ class ConvergenceTable:
 
 def qualitative_convergence_study(field_family, eps_grid, mode, beta,
                                   exclusion_radius=0.5, n_radial=24,
-                                  n_angular=24, grading=3.0, n_check=4000,
-                                  rel_tol=1e-10):
+                                  n_angular=24, grading=3.0, n_check=4000):
     """Tabulate FEM errors for a coefficient family under one of two conditions.
 
     ``mode`` is "condition_3" (uniform convergence off a compact set, here
@@ -442,8 +435,8 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
         f_eps = field_family(eps)
         aligned = tuple(r for r in f_eps.interface_radii if 0.0 < r < 1.0)
         mesh = meshing.mesh_sector(sector, n_radial, n_angular, grading, aligned)
-        sol_eps = fem.solve_cg(fem.assemble(mesh, f_eps, source=src), rel_tol=rel_tol)
-        sol_0 = fem.solve_cg(fem.assemble(mesh, field0, source=src), rel_tol=rel_tol)
+        sol_eps = fem.solve_cg(fem.assemble(mesh, f_eps, source=src))
+        sol_0 = fem.solve_cg(fem.assemble(mesh, field0, source=src))
         d = sol_eps.triangle_gradients() - sol_0.triangle_gradients()
         err = float(np.sqrt(np.sum(mesh.areas() * np.sum(d**2, axis=1))))
         rows.append((eps, err, stat))

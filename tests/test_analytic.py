@@ -1,10 +1,11 @@
-from dataclasses import replace
-
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipstab.analytic import (
+    SeparableSolution,
     SourceTerm,
     annulus_solution,
     h1_seminorm_separable,
@@ -142,6 +143,45 @@ class TestAnnulusSolution:
             bad.extended_by_zero()
 
 
+def _term_scale(sol, r, order):
+    """Sum of |c p^order r^(p - order)| over the terms of r's piece."""
+    piece = np.searchsorted(sol.breakpoints, r, side="right")
+    return np.array([sum(abs(c * p**order) * x ** (p - order)
+                         for c, p in sol.pieces[i][1])
+                     for i, x in zip(piece, r)])
+
+
+class TestPieceArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.05, 1.95), st.floats(-4.0, 4.0), st.floats(-14.0, -0.3))
+    def test_difference_is_pointwise(self, b, log_alpha, log_eps):
+        beta, alpha, eps = b * np.pi, 10.0**log_alpha, 10.0**log_eps
+        u0 = limit_solution(beta)
+        r = np.array([eps, np.nextafter(eps, 0.0), 1.0, 0.5 * eps, 0.5])
+        for u in (jump_solution(beta, alpha, eps),
+                  annulus_solution(beta, eps).extended_by_zero()):
+            diff = u.difference(u0)
+            for order, name in enumerate(("radial_profile", "radial_derivative")):
+                pointwise = getattr(u, name)(r) - getattr(u0, name)(r)
+                scale = _term_scale(u, r, order) + _term_scale(u0, r, order)
+                assert np.all(np.abs(getattr(diff, name)(r) - pointwise)
+                              <= 2e-15 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1.05, 1.95), st.floats(-14.0, -0.3))
+    def test_extension_vanishes_below_inner_radius(self, b, log_eps):
+        eps = 10.0**log_eps
+        ext = annulus_solution(b * np.pi, eps).extended_by_zero()
+        below = np.array([0.0, 0.5 * eps, np.nextafter(eps, 0.0)])
+        assert np.all(ext.radial_profile(below) == 0.0)
+        assert np.all(ext.radial_derivative(below) == 0.0)
+
+    def test_exact_cancellation_drops_terms(self):
+        zero = limit_solution(BETA).difference(limit_solution(BETA))
+        assert zero.pieces == ((np.inf, ()),)
+        assert zero.q_star == np.inf
+
+
 class TestH1Seminorm:
     def test_zero_profile(self):
         zero = limit_solution(BETA).difference(limit_solution(BETA))
@@ -174,12 +214,9 @@ class TestH1Seminorm:
         assert val**2 / eps ** (2 * K) >= (1.0 / 27.0) * 0.95
 
     def test_divergent_profile_detected(self):
-        from ellipstab.analytic import SeparableSolution
-        from ellipstab.geometry import SectorDomain
-
-        # |grad log r| = 1/r lies in L^q only for q < 2
-        bad = SeparableSolution(lambda r: np.log(r), lambda r: 1.0 / r, (), K,
-                                SectorDomain(BETA), q_star=2.0)
+        # a constant profile has |grad u| = k/r at the corner, in L^q only for q < 2
+        bad = SeparableSolution(((np.inf, ((1.0, 0.0),)),), K, SectorDomain(BETA))
+        assert bad.q_star == 2.0
         with pytest.raises(ArithmeticError):
             h1_seminorm_separable(bad)
 
@@ -311,8 +348,12 @@ class TestIntegrabilityThreshold:
         assert limit_solution(BETA).difference(ua).q_star == np.inf
 
     def test_threshold_decides_square_integrability(self):
-        u0 = limit_solution(BETA)
-        for qs in (2.0, 1.5):
+        def power(p):
+            return SeparableSolution(((np.inf, ((1.0, p),)),), K, SectorDomain(BETA))
+
+        for p, qs in ((0.0, 2.0), (-1.0 / 3.0, 1.5)):
+            assert power(p).q_star == qs
             with pytest.raises(ArithmeticError):
-                h1_seminorm_separable(replace(u0, q_star=qs))
-        assert h1_seminorm_separable(replace(u0, q_star=2.0 + 1e-9)) > 0.0
+                h1_seminorm_separable(power(p))
+        assert power(1e-6).q_star > 2.0
+        assert h1_seminorm_separable(power(1e-6)) > 0.0

@@ -98,6 +98,23 @@ class TestRateStudy:
         assert code == 3
         assert "q < 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
+    @pytest.mark.parametrize("q", ["nan", "inf", "2"])
+    def test_q_not_finite_above_two_is_usage_error(self, study, q, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", study, "--q", q, "--out", str(out)) == 2
+        assert "--q must be a finite number above 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["coeff", "qualitative"])
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_alpha_is_usage_error(self, study, alpha, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", study, "--alpha", alpha,
+                   "--out", str(out)) == 2
+        assert "--alpha must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_family_fails_fit(self, tmp_path):
         code = run("rate-study", "--study", "coeff", "--alpha", "1",
                    "--out", str(tmp_path / "x.csv"))
@@ -241,6 +258,30 @@ class TestSolve:
         assert run("solve", "--domain", domain, flag, value,
                    "--out-prefix", str(tmp_path / "x")) == 2
         assert f"{flag} must be at least {limit}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_jump_alpha_is_usage_error(self, tmp_path, capsys, alpha):
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "sector", "--coeff", "jump", "--alpha", alpha,
+                   "--out-prefix", str(prefix)) == 2
+        assert "--alpha must be positive and finite" in capsys.readouterr().err
+        assert not prefix.with_suffix(".mesh").exists()
+
+    @pytest.mark.parametrize("domain", ["sector", "annulus"])
+    def test_nan_grading_is_usage_error(self, tmp_path, capsys, domain):
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", domain, "--grading", "nan",
+                   "--out-prefix", str(prefix)) == 2
+        assert "--grading must be at least 1, got nan" in capsys.readouterr().err
+        assert not prefix.with_suffix(".mesh").exists()
+
+    @pytest.mark.parametrize("height,slope", [("nan", "0"), ("0.5", "nan")])
+    def test_nan_graph_height_is_usage_error(self, tmp_path, capsys, height, slope):
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "graph", "--graph-height", height,
+                   "--graph-slope", slope, "--out-prefix", str(prefix)) == 2
+        assert "graph height must stay in (0.1, 1]" in capsys.readouterr().err
+        assert not prefix.with_suffix(".mesh").exists()
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(system, rel_tol=0.0, max_iter=0):

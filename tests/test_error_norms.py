@@ -92,7 +92,7 @@ class TestCrossDomainError:
         eps = 0.05
         from ellipstab.experiments import _fem_annulus_error
 
-        fem_err = _fem_annulus_error(BETA, eps, 64, 48, 3.0, 1e-10)
+        fem_err = _fem_annulus_error(BETA, eps, 64, 48, 3.0)
         ua = annulus_solution(BETA, eps).extended_by_zero()
         semi = h1_seminorm_separable(ua.difference(limit_solution(BETA)))
         assert fem_err == pytest.approx(semi, rel=0.02)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ellipstab.analytic import SourceTerm, jump_solution, limit_solution
+from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
     identity_field,
@@ -29,6 +29,7 @@ from ellipstab.meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_un
 from ellipstab.quadrature import tri6_points
 
 BETA = 1.5 * np.pi
+ANGLES = [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi]
 
 
 def single_element_mesh():
@@ -341,11 +342,8 @@ class TestP1Order:
     """
 
     @staticmethod
-    def order(beta, alpha, r_jump, n_radial, n_angular):
-        mesh = mesh_sector(SectorDomain(beta), n_radial, n_angular, grading=3.0,
-                           aligned_radii=(r_jump,))
-        field = radial_jump_field(alpha, r_jump)
-        exact = jump_solution(beta, alpha, r_jump)
+    def refined_order(mesh, field, exact, beta):
+        """Order from the H1 errors of the meshes refined once and twice."""
         errors = []
         for _ in range(2):
             mesh = refine_uniform(mesh)
@@ -353,6 +351,26 @@ class TestP1Order:
             sol = solve_cg(assemble(mesh, field, source=SourceTerm(beta)))
             errors.append(h1_error_vs_analytic(sol, exact))
         return np.log2(errors[0] / errors[1])
+
+    def order(self, beta, alpha, r_jump, n_radial, n_angular):
+        mesh = mesh_sector(SectorDomain(beta), n_radial, n_angular, grading=3.0,
+                           aligned_radii=(r_jump,))
+        return self.refined_order(mesh, radial_jump_field(alpha, r_jump),
+                                  jump_solution(beta, alpha, r_jump), beta)
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    def test_limit_family(self, beta):
+        mesh = mesh_sector(SectorDomain(beta), 12, 16, grading=3.0)
+        order = self.refined_order(mesh, identity_field(), limit_solution(beta), beta)
+        assert 0.9 <= order <= 1.1
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_annulus_family(self, beta, eps):
+        mesh = mesh_sector(SectorDomain(beta, r_inner=eps), 12, 16, grading=3.0)
+        order = self.refined_order(mesh, identity_field(), annulus_solution(beta, eps),
+                                   beta)
+        assert 0.9 <= order <= 1.1
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1e2, 1e4])
     def test_jump_family(self, alpha):
