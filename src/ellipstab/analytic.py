@@ -91,8 +91,6 @@ class SeparableSolution:
     def _sum(self, r, order):
         """Sum c * r^p (order 0) or c * p * r^(p-1) (order 1) over r's piece."""
         r = np.asarray(r, dtype=float)
-        if len(self.pieces) == 1:  # no lookup: 2D integrands pass millions of radii
-            return _power_sum(r, self.pieces[0][1], order)
         piece = self._piece_index(r)
         out = np.empty(r.shape)
         for i, (_, terms) in enumerate(self.pieces):
@@ -165,13 +163,8 @@ def _check_angle(beta):
 
 
 def q_star(beta):
-    """Gradient integrability threshold 2*beta/(beta - pi) of r^k sin(k*theta).
-
-    |grad (r^k sin(k*theta))| ~ r^(k-1) with k = pi/beta lies in L^q near the
-    corner exactly when (k - 1) q + 2 > 0.  Written as 2/(1 - k), it equals
-    ``SeparableSolution.q_star`` of every solution whose corner term is r^k.
-    """
-    return 2.0 / (1.0 - np.pi / beta)
+    """Gradient integrability threshold 2*beta/(beta - pi) of the corner term r^(pi/beta)."""
+    return limit_solution(beta).q_star
 
 
 def limit_solution(beta):

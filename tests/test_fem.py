@@ -334,7 +334,8 @@ class TestEnergyMonotonicity:
 
 
 class TestP1Order:
-    """Measured H1 error orders of P1 on graded (mu = 3) jump-problem meshes.
+    """Measured H1 error orders of P1 on graded (mu = 3) sector meshes for the
+    jump, limit and annulus families.
 
     The exact solution is in H^(1+k-) with k = pi/beta < 1, and grading
     mu = 3 > 1/k restores the optimal order h^1 (Babuska, Kellogg and
