@@ -152,6 +152,9 @@ def _cmd_rate_study(parser, args):
         parser.error(f"--q must be a finite number above 2, got {args.q:g}")
     if args.study in ("coeff", "qualitative"):
         _check_alpha(parser, args.alpha)
+    if args.mode == "fem" and args.study in ("coeff", "wwww"):
+        parser.error(f"--mode fem is not available for --study {args.study} "
+                     f"(only --study domain has a FEM path)")
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
@@ -167,10 +170,6 @@ def _cmd_rate_study(parser, args):
         if args.study == "coeff":
             study = experiments.coefficient_rate_study(args.beta, args.alpha, grid,
                                                        q=args.q)
-            if study.rate.degenerate:
-                print("degenerate study: all errors vanish (no rate to fit)",
-                      file=sys.stderr)
-                return 1
             rows = list(zip(study.bound.eps, study.bound.lhs_series,
                             study.bound.rhs_series,
                             _ratios(study.bound)))
@@ -184,8 +183,7 @@ def _cmd_rate_study(parser, args):
         elif args.study == "wwww":
             u0 = analytic.limit_solution(args.beta)
             maps = [geometry.radial_shift_map(e, args.beta) for e in grid]
-            check = experiments.composition_inequality_check(
-                u0.value, maps, args.q, geometry.SectorDomain(args.beta))
+            check = experiments.composition_inequality_check(u0, maps, args.q)
             rows = list(zip(check.eps, check.lhs_series, check.rhs_series,
                             _ratios(check)))
             fit = experiments.fit_loglog(list(zip(check.eps, check.lhs_series)))
@@ -197,7 +195,7 @@ def _cmd_rate_study(parser, args):
             first = table.rows[0][1]
             rows = [(eps, err, stat, err / first if first > 0 else 0.0)
                     for eps, err, stat in table.rows]
-            fit = experiments.fit_loglog([(eps, err) for eps, err, _ in table.rows])
+            fit = experiments.fit_rate([(eps, err) for eps, err, _ in table.rows])
     except experiments.HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
@@ -206,6 +204,9 @@ def _cmd_rate_study(parser, args):
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if fit.degenerate:
+        print("degenerate study: all errors vanish (no rate to fit)", file=sys.stderr)
         return 1
 
     _write(args.out, _csv_lines(cmdline, rows, fit))
@@ -229,24 +230,23 @@ def _jump_family(alpha):
 def _cmd_solve(parser, args):
     if args.refine < 0:
         parser.error("--refine must be nonnegative")
+    r_inner = 0.0
+    if args.domain == "annulus":
+        if not 0.0 < args.eps < 1.0:
+            parser.error("--eps must lie in (0, 1) for an annulus")
+        r_inner = args.eps
     if args.coeff == "jump":
         _check_alpha(parser, args.alpha)
+        if not r_inner < args.jump_eps < 1.0:
+            parser.error(f"--jump-eps must lie in ({r_inner:g}, 1), "
+                         f"got {args.jump_eps:g}")
     if args.domain in ("sector", "annulus"):
         _check_angle(parser, args.beta)
         _check_at_least(parser, "--n-radial", args.n_radial, 2)
         _check_at_least(parser, "--n-angular", args.n_angular, 2)
         _check_at_least(parser, "--grading", args.grading, 1.0)
-        r_inner = 0.0
-        if args.domain == "annulus":
-            if not 0.0 < args.eps < 1.0:
-                parser.error("--eps must lie in (0, 1) for an annulus")
-            r_inner = args.eps
         dom = geometry.SectorDomain(args.beta, r_inner=r_inner)
-        aligned = ()
-        if args.coeff == "jump":
-            if not r_inner < args.jump_eps < 1.0:
-                parser.error("--jump-eps must lie inside the domain radii")
-            aligned = (args.jump_eps,)
+        aligned = (args.jump_eps,) if args.coeff == "jump" else ()
         mesh = meshing.mesh_sector(dom, args.n_radial, args.n_angular,
                                    grading=args.grading, aligned_radii=aligned)
         source = analytic.SourceTerm(args.beta)

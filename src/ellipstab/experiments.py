@@ -10,11 +10,12 @@ growing ratio refutes the tested exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, coefficients, error_norms, fem, geometry, meshing
+from . import analytic, coefficients, error_norms, fem, geometry, meshing, quadrature
 
 
 class HypothesisViolation(ValueError):
@@ -90,7 +91,14 @@ def fit_loglog(samples, window=None):
                    float(np.clip(r2, 0.0, 1.0)), samples, (i0, i1))
 
 
-def _degenerate_fit(samples):
+def fit_rate(samples):
+    """``fit_loglog``, or a degenerate fit when every error vanishes.
+
+    A family whose errors all lie below 1e-14 has no rate to fit; its fit
+    has a NaN exponent and ``degenerate`` set.
+    """
+    if max(v for _, v in samples) >= 1e-14:
+        return fit_loglog(samples)
     samples = tuple(sorted(((float(e), float(v)) for e, v in samples),
                            key=lambda t: -t[0]))
     return RateFit(float("nan"), 0.0, 0.0, samples,
@@ -192,13 +200,12 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     samples = tuple(zip(eps_grid, errors))
 
     lower_const = np.pi * (1.0 - alpha) ** 2 / (2.0 * beta * (1.0 + alpha) ** 2)
-    if max(errors) < 1e-14:
-        rate = _degenerate_fit(samples)
+    rate = fit_rate(samples)
+    if rate.degenerate:
         bound = bound_check(eps_grid, errors, [1.0] * len(errors), q, 0.0)
         return CoefficientStudy(rate, bound, tuple(0.0 for _ in eps_grid),
                                 float(lower_const), 0.0)
 
-    rate = fit_loglog(samples)
     p = 2.0 * q / (q - 2.0)
     grad_norm = error_norms.lq_gradient_norm(u0, q)
     sector = geometry.SectorDomain(beta)
@@ -303,76 +310,66 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
 # -- composition inequality ----------------------------------------------------
 
 
-def _spectral_norm_2x2(mats):
-    m = np.asarray(mats, dtype=float)
-    fro2 = np.sum(m**2, axis=(-2, -1))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    gap = np.sqrt(np.maximum(fro2**2 - 4.0 * det**2, 0.0))
-    return np.sqrt(0.5 * (fro2 + gap))
+def composition_inequality_check(sol, maps, q):
+    """Check ||u o phi - u||_L2 <= c ||u||_Lq |E|^((q-2)/(2q)) over radial shift maps.
 
+    ``sol`` is a separable solution u = w(r) sin(k theta) on the sector of
+    angle beta = ``sol.domain.beta``, and every map is a
+    ``geometry.radial_shift_map`` (r, theta) -> (s(r), theta) for that
+    angle, which moves exactly the points with r < 2 eps.  The angular
+    factor integrates in closed form, so each norm is one radial integral:
 
-def composition_inequality_check(func, maps, q, domain):
-    """Check ||F o phi - F||_L2 <= c ||F||_Lq |E|^((q-2)/(2q)) over a map family.
+        ||u o phi - u||_L2^2 = (beta/2) int_0^{2 eps} (w(s(r)) - w(r))^2 r dr,
+        ||u||_Lq^q = A_q int |w|^q r dr,
+        A_q = int_0^beta |sin(k theta)|^q dtheta
+            = (beta/sqrt(pi)) Gamma((q+1)/2) / Gamma(q/2+1).
 
-    Also tracks ||(Dphi)^{-1} - I||_Lq against the same majorant in
-    ``extras``.  The inverse Jacobian deviation is the bounded one for the
-    radial shift family (the forward angular stretch blows up at the
-    corner, so its L^q deviation is infinite for q > 2); the constant is
-    reported, never assumed to be 1.
+    ``extras`` tracks ||(Dphi)^{-1} - I||_Lq against the same majorant.  In
+    the polar frame that matrix is diag(1/s' - 1, r/s - 1) = diag(1, r/s - 1)
+    on r < 2 eps, with |r/s - 1| <= 1, and zero beyond, so its spectral norm
+    is the indicator of the moved set and the deviation is |E|^(1/q).  It is
+    the bounded one: the forward angular stretch s(r)/r blows up at the
+    corner, so the forward deviation is not in L^q for q > 2.  The constant
+    is reported, never assumed to be 1.
     """
-    from .quadrature import integrate_polar
-
     if not 2.0 < q:
         raise ValueError(f"q must exceed 2, got {q:g}")
     maps = list(maps)
     if not maps:
         raise ValueError("need at least one map")
+    dom = sol.domain
+    for mp in maps:
+        if mp.kind != "radial_shift" or dict(mp.meta)["beta"] != dom.beta:
+            raise ValueError(f"need radial shift maps of the sector of angle "
+                             f"{dom.beta:g}, got a {mp.kind} map")
+    w = sol.radial_profile
 
-    def polar(f, breaks=()):
-        # 12 equal panels in r and in theta; the radial rule adds its octave panels
-        return integrate_polar(f, domain.beta, domain.r_inner, domain.r_outer, breaks,
-                               n_radial_panels=12, n_angular_panels=12)
+    a_q = dom.beta / np.sqrt(np.pi) * math.exp(
+        math.lgamma((q + 1.0) / 2.0) - math.lgamma(q / 2.0 + 1.0))
+    f_norm_q = (a_q * quadrature.integrate_radial(
+        lambda r: np.abs(w(r)) ** q * r, dom.r_inner, dom.r_outer,
+        sol.breakpoints)) ** (1.0 / q)
 
-    f_norm_q = polar(
-        lambda pts: np.abs(np.asarray(func(pts), dtype=float)) ** q) ** (1.0 / q)
-
-    eps_list, lhs, rhs, jac_dev = [], [], [], []
+    eps_list, lhs, rhs = [], [], []
     exponent = (q - 2.0) / (2.0 * q)
     for mp in maps:
-        meta = dict(mp.meta)
-        eps = float(meta.get("eps", mp.e_set_measure))
-        breaks = (2.0 * meta["eps"],) if "eps" in meta else ()
+        eps = dict(mp.meta)["eps"]
 
-        def comp_sq(pts, _mp=mp):
-            fv = np.asarray(func(pts), dtype=float)
-            return (np.asarray(func(_mp.forward(pts)), dtype=float) - fv) ** 2
-
-        l2 = np.sqrt(max(polar(comp_sq, breaks), 0.0))
-
-        def inv_dev_q(pts, _mp=mp):
-            J = _mp.jacobian(pts)
-            Jinv = coefficients._inv_2x2(J, pts)
-            Jinv[..., 0, 0] -= 1.0
-            Jinv[..., 1, 1] -= 1.0
-            return _spectral_norm_2x2(Jinv) ** q
-
-        dev = polar(inv_dev_q, breaks) ** (1.0 / q)
+        def comp_sq(r, _mp=mp):
+            s = _mp.forward(np.stack([r, np.zeros_like(r)], axis=-1))[:, 0]  # theta = 0
+            return (w(s) - w(r)) ** 2 * r
 
         eps_list.append(eps)
-        lhs.append(l2)
-        rhs.append(f_norm_q * mp.e_set_measure**exponent
-                   if mp.e_set_measure > 0.0 else 0.0)
-        jac_dev.append(dev)
+        lhs.append(np.sqrt(0.5 * dom.beta * quadrature.integrate_radial(
+            comp_sq, 0.0, 2.0 * eps)))
+        rhs.append(f_norm_q * mp.e_set_measure**exponent)
 
     check = bound_check(eps_list, lhs, rhs, q, f_norm_q)
-    order = np.argsort(-np.asarray(eps_list))
-    e_sorted = [maps[i].e_set_measure for i in order]
-    dev_sorted = [jac_dev[i] for i in order]
-    dev_ratio = tuple(
-        d / e**exponent if e > 0.0 else 0.0 for d, e in zip(dev_sorted, e_sorted)
-    )
-    check.extras["jac_dev_lq"] = tuple(dev_sorted)
-    check.extras["jac_dev_ratio"] = dev_ratio
+    # |E| = 2 beta eps^2, so decreasing |E| is the check's decreasing-eps order
+    e_sets = sorted((mp.e_set_measure for mp in maps), reverse=True)
+    dev = tuple(e ** (1.0 / q) for e in e_sets)
+    check.extras["jac_dev_lq"] = dev
+    check.extras["jac_dev_ratio"] = tuple(d / e**exponent for d, e in zip(dev, e_sets))
     return check
 
 

@@ -233,8 +233,7 @@ def test_criterion_8_composition_inequality():
         u0 = es.limit_solution(BETA)
         maps = [es.radial_shift_map(e, BETA)
                 for e in np.geomspace(1e-1, 1e-3, 5)]
-        check = es.composition_inequality_check(u0.value, maps, 5.0,
-                                                es.SectorDomain(BETA))
+        check = es.composition_inequality_check(u0, maps, 5.0)
         assert check.verdict == "bounded"
         # the constant is reported, not assumed to be 1
         assert 0.0 < check.ratio_max < 1.0

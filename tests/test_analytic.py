@@ -314,8 +314,7 @@ class TestClosedFormAccuracy:
         # r = eps t turns the difference into eps^k a(t) + eps^2 b(t)
         eps_list = [1e-6, 1e-12, 1e-14]
         maps = [radial_shift_map(e, beta) for e in eps_list]
-        check = composition_inequality_check(limit_solution(beta).value, maps, 4.0,
-                                             SectorDomain(beta))
+        check = composition_inequality_check(limit_solution(beta), maps, 4.0)
         with mp.workdps(40):
             k = mp.pi / mp.mpf(beta)
             for e, lhs in zip(eps_list, check.lhs_series):
@@ -328,6 +327,23 @@ class TestClosedFormAccuracy:
 
                 ref = mp.sqrt(mp.mpf(beta) / 2 * e**2 * mp.quad(f, [0, 1, 2]))
                 assert lhs == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta,q,rel", [
+        *((b, q, 1e-12) for b in ANGLES for q in (4.0, 5.0)),
+        # a non-integer power of the profile at r = 1, where w vanishes
+        (1.771 * np.pi, 2.649, 1e-11),
+    ])
+    def test_composition_lq_norm(self, beta, q, rel):
+        # ||u0||_Lq^q = int_0^beta sin(k theta)^q dtheta * int_0^1 (r^k - r^2)^q r dr
+        check = composition_inequality_check(limit_solution(beta),
+                                             [radial_shift_map(0.1, beta)], q)
+        with mp.workdps(40):
+            b, q_mp = mp.mpf(beta), mp.mpf(q)
+            k = mp.pi / b
+            ang = mp.quad(lambda t: mp.sin(k * t) ** q_mp, [0, b])
+            rad = mp.quad(lambda r: (r**k - r**2) ** q_mp * r, [0, 1])
+            ref = (ang * rad) ** (1 / q_mp)
+        assert check.hypothesis_params[1] == pytest.approx(float(ref), rel=rel, abs=0.0)
 
 
 class TestIntegrabilityThreshold:

@@ -115,10 +115,25 @@ class TestRateStudy:
         assert "--alpha must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_degenerate_family_fails_fit(self, tmp_path):
-        code = run("rate-study", "--study", "coeff", "--alpha", "1",
-                   "--out", str(tmp_path / "x.csv"))
+    @pytest.mark.parametrize("study", ["coeff", "qualitative"])
+    def test_degenerate_family_fails_fit(self, study, tmp_path, capsys):
+        # alpha = 1 is no jump at all, so every error vanishes
+        out = tmp_path / "x.csv"
+        code = run("rate-study", "--study", study, "--alpha", "1", "--points", "4",
+                   "--eps-min", "0.05", "--eps-max", "0.4", "--out", str(out))
         assert code == 1
+        assert ("degenerate study: all errors vanish (no rate to fit)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["coeff", "wwww"])
+    def test_fem_mode_without_fem_path_is_usage_error(self, study, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", study, "--mode", "fem",
+                   "--out", str(out)) == 2
+        assert (f"--mode fem is not available for --study {study}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_wwww_study(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -149,9 +164,10 @@ class TestRateStudy:
         summary = dict(part.split("=") for part in lines[-1][2:].split())
         assert 0.60 <= float(summary["exponent"]) <= 0.73
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
+    def test_byte_identical_reruns(self, study, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["rate-study", "--study", "domain", "--points", "5",
+        args = ["rate-study", "--study", study, "--points", "5",
                 "--eps-min", "1e-3"]
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
@@ -241,6 +257,18 @@ class TestSolve:
         assert run("solve", "--domain", "graph", "--nx", "6", "--ny", "6",
                    "--graph-slope", "0.1",
                    "--out-prefix", str(tmp_path / "g")) == 0
+
+    @pytest.mark.parametrize("domain", ["sector", "annulus", "graph"])
+    @pytest.mark.parametrize("jump_eps", ["1.5", "0", "nan"])
+    def test_jump_eps_outside_domain_is_usage_error(self, tmp_path, capsys,
+                                                    domain, jump_eps):
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", domain, "--coeff", "jump", "--eps", "0.05",
+                   "--jump-eps", jump_eps, "--out-prefix", str(prefix)) == 2
+        r_inner = "0.05" if domain == "annulus" else "0"
+        assert (f"--jump-eps must lie in ({r_inner}, 1), got {jump_eps}"
+                in capsys.readouterr().err)
+        assert not prefix.with_suffix(".mesh").exists()
 
     def test_bad_annulus_eps_is_usage_error(self, tmp_path):
         assert run("solve", "--domain", "annulus", "--eps", "1.5",

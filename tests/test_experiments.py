@@ -20,7 +20,13 @@ from ellipstab.experiments import (
     q_star,
     qualitative_convergence_study,
 )
-from ellipstab.geometry import SectorDomain, identity_map, radial_shift_map
+from ellipstab.geometry import (
+    GraphDomain,
+    build_graph_map,
+    identity_map,
+    radial_shift_map,
+)
+from ellipstab.quadrature import halton
 
 BETA = 1.5 * np.pi
 K = np.pi / BETA
@@ -226,37 +232,57 @@ class TestDomainRateStudy:
 
 
 class TestCompositionInequality:
-    def test_identity_map_lhs_zero(self):
-        u0 = limit_solution(BETA)
-        check = composition_inequality_check(u0.value, [identity_map()], 5.0,
-                                             SectorDomain(BETA))
-        assert check.lhs_series[0] == pytest.approx(0.0, abs=1e-12)
-        assert check.verdict == "bounded"
-
     def test_radial_family_bounded(self):
         u0 = limit_solution(BETA)
         maps = [radial_shift_map(e, BETA) for e in np.geomspace(1e-1, 1e-3, 5)]
-        check = composition_inequality_check(u0.value, maps, 5.0, SectorDomain(BETA))
+        check = composition_inequality_check(u0, maps, 5.0)
         assert check.verdict == "bounded"
         assert check.ratio_max < 1.0  # constant reported, not assumed
 
     def test_jacobian_deviation_scaling(self):
-        # |(Dphi)^-1 - I| is 1 on the moved band, so its L^q norm scales as
+        # |(Dphi)^-1 - I| is 1 on the moved band, so its L^q norm is exactly
         # |E|^(1/q); against |E|^((q-2)/(2q)) the ratio shrinks iff q < 4
         maps = [radial_shift_map(e, BETA) for e in np.geomspace(1e-1, 1e-3, 5)]
         u0 = limit_solution(BETA)
-        check3 = composition_inequality_check(u0.value, maps, 3.0, SectorDomain(BETA))
+        check3 = composition_inequality_check(u0, maps, 3.0)
         dev3 = check3.extras["jac_dev_ratio"]
         assert all(b < a for a, b in zip(dev3[:-1], dev3[1:]))
         lq = check3.extras["jac_dev_lq"]
         e_sets = [2.0 * BETA * e**2 for e in np.geomspace(1e-1, 1e-3, 5)]
         for val, es in zip(lq, e_sets):
-            assert val == pytest.approx(es ** (1.0 / 3.0), rel=0.2)
+            assert val == pytest.approx(es ** (1.0 / 3.0), rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.3, 1e-3, 1e-8])
+    def test_inverse_jacobian_deviation_is_an_indicator(self, eps):
+        # the premise of the closed form |E|^(1/q): the spectral norm of
+        # Dphi^-1 - I is 1 on r < 2 eps and 0 beyond.  A Cartesian inverse is
+        # accurate to rounding times cond(Dphi), which grows like 2 eps / r
+        # toward the corner (about 2000 at the innermost point here)
+        mp = radial_shift_map(eps, BETA)
+        uv = halton(2000, dim=2)
+        theta = BETA * uv[:, 1]
+        for r, expect in ((2.0 * eps * uv[:, 0], 1.0),
+                          (2.0 * eps + (1.0 - 2.0 * eps) * uv[:, 0], 0.0)):
+            pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+            jac = mp.jacobian(pts)
+            norms = np.linalg.norm(np.linalg.inv(jac) - np.eye(2), 2, axis=(1, 2))
+            assert np.all(np.abs(norms - expect) < 1e-14 * np.linalg.cond(jac))
+
+    @pytest.mark.parametrize("kind", ["identity", "graph"])
+    def test_rejects_maps_other_than_radial_shifts(self, kind):
+        if kind == "identity":
+            mp = identity_map()
+        else:
+            flat = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
+                                           lambda x: 0.8 * np.ones_like(x))
+            mp = build_graph_map(flat, flat)
+        with pytest.raises(ValueError):
+            composition_inequality_check(limit_solution(BETA), [mp], 5.0)
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
-            composition_inequality_check(lambda p: np.ones(len(p)),
-                                         [identity_map()], 2.0, SectorDomain(BETA))
+            composition_inequality_check(limit_solution(BETA),
+                                         [radial_shift_map(0.1, BETA)], 2.0)
 
 
 class TestQualitativeConvergence:
