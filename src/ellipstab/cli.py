@@ -122,8 +122,8 @@ def _cmd_verify(parser, args):
     return 0 if status == "PASS" else 1
 
 
-def _csv_lines(cmdline, rows, fit):
-    lines = [f"# cmd: {cmdline}", "eps,error,bound,ratio"]
+def _csv_lines(cmdline, header, rows, fit):
+    lines = [f"# cmd: {cmdline}", header]
     for eps, err, bnd, ratio in rows:
         lines.append(",".join(_fmt(v) for v in (eps, err, bnd, ratio)))
     lines.append(
@@ -159,11 +159,18 @@ def _cmd_rate_study(parser, args):
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
     grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
+    header = "eps,error,bound,ratio"
+    q_flag, mode_flag = f" --q {_fmt(args.q)}", f" --mode {args.mode}"
+    if args.study == "qualitative":
+        # the qualitative study reads neither --q nor --mode, and its third
+        # column is the condition-3 statistic, not a bound
+        header = "eps,error,condition_3_deviation,ratio"
+        q_flag = mode_flag = ""
     cmdline = (
         f"rate-study --study {args.study} --beta {_fmt(args.beta)} "
-        f"--alpha {_fmt(args.alpha)} --q {_fmt(args.q)} "
+        f"--alpha {_fmt(args.alpha)}{q_flag} "
         f"--eps-min {_fmt(args.eps_min)} --eps-max {_fmt(args.eps_max)} "
-        f"--points {args.points} --mode {args.mode}"
+        f"--points {args.points}{mode_flag}"
     )
 
     try:
@@ -209,7 +216,7 @@ def _cmd_rate_study(parser, args):
         print("degenerate study: all errors vanish (no rate to fit)", file=sys.stderr)
         return 1
 
-    _write(args.out, _csv_lines(cmdline, rows, fit))
+    _write(args.out, _csv_lines(cmdline, header, rows, fit))
     return 0
 
 

@@ -71,13 +71,20 @@ class FemSolution:
 
     def energy(self, field, weight=None):
         """int a grad u . grad u g dx over the mesh, by the assembly rule."""
-        mesh = self.mesh
-        pts = tri6_points(mesh.corners())
-        a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-        g = _eval_scalar(weight, pts)
+        pts = tri6_points(self.mesh.corners())
+        abar = _element_coefficients(pts, self.mesh.areas(), field, weight)
         grads = self.triangle_gradients()
-        qf = np.einsum("mx,mqxy,my->mq", grads, a, grads)
-        return float(np.sum(mesh.areas()[:, None] * TRI6_WEIGHTS[None, :] * qf * g))
+        return float(np.einsum("mx,mxy,my->", grads, abar, grads))
+
+
+def _element_coefficients(pts, areas, field, weight):
+    """area * sum_q w_q g(x_q) a(x_q) per element, (M, 2, 2), from the rule points
+    (M, 6, 2): P1 gradients are constant per element, so the rule acts on a alone."""
+    a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
+    g = _eval_scalar(weight, pts)
+    abar = np.einsum("q,mq,mqxy->mxy", TRI6_WEIGHTS, g, a)
+    abar *= areas[:, None, None]
+    return abar
 
 
 def _eval_scalar(fn, pts):
@@ -100,16 +107,12 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
     areas = mesh.areas()
     grads = mesh.p1_gradients()
     pts = tri6_points(mesh.corners())
-    flat = pts.reshape(-1, 2)
     try:
-        a = field.eval(flat).reshape(pts.shape[:2] + (2, 2))
+        abar = _element_coefficients(pts, areas, field, weight)
     except FieldEvaluationError as exc:
         elem = None if exc.index is None else int(exc.index) // TRI6_BARY.shape[0]
         raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
-    g = _eval_scalar(weight, pts)
-    ag = a * g[..., None, None]
-    ke = np.einsum("q,mix,mqxy,mjy->mij", TRI6_WEIGHTS, grads, ag, grads)
-    ke *= areas[:, None, None]
+    ke = np.einsum("mix,mxy,mjy->mij", grads, abar, grads, optimize=True)
     ke = 0.5 * (ke + np.swapaxes(ke, 1, 2))
 
     if source is None:
@@ -342,5 +345,5 @@ def galerkin_residual(system, sol):
 
 def export_solution_text(sol):
     """ASCII export: one `sol vertex_index value` line per vertex."""
-    lines = [f"sol {i} {v:.17g}" for i, v in enumerate(sol.nodal_values)]
-    return "\n".join(lines) + "\n"
+    return "".join([f"sol {i} {v:.17g}\n"
+                    for i, v in enumerate(sol.nodal_values.tolist())])

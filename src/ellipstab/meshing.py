@@ -156,12 +156,10 @@ class TriMesh:
 
     def export_text(self):
         """ASCII export: one `v x y flag` line per vertex, then `t i j k` lines."""
-        lines = []
-        for (x, y), flag in zip(self.vertices, self.boundary_flags):
-            lines.append(f"v {x:.17g} {y:.17g} {int(flag)}")
-        for i, j, k in self.triangles:
-            lines.append(f"t {i} {j} {k}")
-        return "\n".join(lines) + "\n"
+        lines = [f"v {x:.17g} {y:.17g} {flag:d}\n" for (x, y), flag
+                 in zip(self.vertices.tolist(), self.boundary_flags.tolist())]
+        lines += [f"t {i} {j} {k}\n" for i, j, k in self.triangles.tolist()]
+        return "".join(lines)
 
 
 def _grid(n_rows, n_cols, offset=0):

@@ -37,7 +37,7 @@ TRI6_WEIGHTS = np.array(
 
 def tri6_points(corners):
     """Physical points of the six-point rule, corners (..., 3, 2) -> (..., 6, 2)."""
-    return np.einsum("qi,...ix->...qx", TRI6_BARY, corners)
+    return np.matmul(TRI6_BARY, corners)
 
 
 def gauss_on_panels(edges, n_gauss=16):

@@ -154,6 +154,17 @@ class TestRateStudy:
         errors = [float(r.split(",")[1]) for r in rows]
         assert errors[-1] < errors[0]
 
+    def test_qualitative_header_names_what_it_holds(self, tmp_path):
+        # --q and --mode are accepted but not read by the qualitative study
+        out = tmp_path / "q.csv"
+        assert run("rate-study", "--study", "qualitative", "--points", "4",
+                   "--eps-min", "0.05", "--eps-max", "0.4", "--q", "5",
+                   "--mode", "fem", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("# cmd: rate-study --study qualitative --beta 4.71238898038 "
+                            "--alpha 2 --eps-min 0.05 --eps-max 0.4 --points 4")
+        assert lines[1] == "eps,error,condition_3_deviation,ratio"
+
     def test_domain_fem_mode(self, tmp_path):
         out = tmp_path / "fem.csv"
         assert run("rate-study", "--study", "domain", "--mode", "fem",
@@ -164,7 +175,7 @@ class TestRateStudy:
         summary = dict(part.split("=") for part in lines[-1][2:].split())
         assert 0.60 <= float(summary["exponent"]) <= 0.73
 
-    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww", "qualitative"])
     def test_byte_identical_reruns(self, study, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["rate-study", "--study", study, "--points", "5",

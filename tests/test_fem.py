@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
@@ -26,7 +28,7 @@ from ellipstab.fem import (
 )
 from ellipstab.geometry import GraphDomain, SectorDomain, affine_map, radial_shift_map
 from ellipstab.meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_uniform
-from ellipstab.quadrature import tri6_points
+from ellipstab.quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 BETA = 1.5 * np.pi
 ANGLES = [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi]
@@ -43,7 +45,72 @@ def solve_limit_problem(n_radial, n_angular, grading=3.0):
     return system, solve_cg(system)
 
 
+def loop_assembly(mesh, field, weight, source):
+    """Full stiffness matrix, its sparsity pattern and the load vector, by a
+    plain loop over elements and rule points (the reference for ``assemble``)."""
+    n = mesh.num_vertices
+    K = np.zeros((n, n))
+    touched = np.zeros((n, n), dtype=bool)
+    b = np.zeros(n)
+    for tri in mesh.triangles:
+        p = mesh.vertices[tri]
+        det = ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+               - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0]))
+        area = 0.5 * abs(det)
+        grads = [np.array([p[(i + 1) % 3, 1] - p[(i + 2) % 3, 1],
+                           p[(i + 2) % 3, 0] - p[(i + 1) % 3, 0]]) / det
+                 for i in range(3)]
+        pts = tri6_points(p)
+        ke = np.zeros((3, 3))
+        be = np.zeros(3)
+        for q in range(6):
+            x = pts[q:q + 1]
+            a, g, f = field.eval(x)[0], weight(x)[0], source.value(x)[0]
+            for i in range(3):
+                be[i] += TRI6_WEIGHTS[q] * f * TRI6_BARY[q, i]
+                for j in range(3):
+                    ke[i, j] += TRI6_WEIGHTS[q] * g * (grads[i] @ a @ grads[j])
+        ke *= area
+        be *= area
+        for i in range(3):
+            b[tri[i]] += be[i]
+            for j in range(3):
+                K[tri[i], tri[j]] += ke[i, j]
+                touched[tri[i], tri[j]] = True
+    return K, touched, b
+
+
+def graded_weight(pts):
+    pts = np.asarray(pts)
+    return 1.0 + pts[..., 0] ** 2 + 0.5 * pts[..., 1]
+
+
 class TestAssemble:
+    def test_matches_loop_reference(self):
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
+                                          aligned_radii=[0.3]))
+        field = radial_jump_field(1e-2, 0.3)
+        system = assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA))
+        K, touched, b = loop_assembly(mesh, field, graded_weight, SourceTerm(BETA))
+        free = system.free_vertices
+        K_ff = K[np.ix_(free, free)]
+        A = system.matrix
+        assert np.max(np.abs(A.toarray() - K_ff)) <= 1e-14 * np.max(np.abs(K_ff))
+        pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        assert np.array_equal(pattern.toarray() == 1.0, touched[np.ix_(free, free)])
+        assert np.array_equal(system.rhs, b[free])
+
+    def test_energy_is_the_quadratic_form(self, rng):
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
+                                          aligned_radii=[0.3]))
+        field = radial_jump_field(1e-2, 0.3)
+        system = assemble(mesh, field, weight=graded_weight)
+        x = rng.normal(size=system.num_unknowns)
+        values = np.zeros(mesh.num_vertices)
+        values[system.free_vertices] = x
+        energy = FemSolution(mesh, values, (0, 0.0)).energy(field, weight=graded_weight)
+        assert energy == pytest.approx(x @ (system.matrix @ x), rel=1e-14)
+
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
         system = assemble(single_element_mesh(), identity_field())
@@ -85,6 +152,43 @@ class TestAssemble:
         x1 = solve_cg(s1).nodal_values
         x2 = solve_cg(s2).nodal_values
         assert np.array_equal(x1, x2)
+
+
+@st.composite
+def jump_problems(draw):
+    """A sector or annulus mesh, refined 0 or 1 times, with a jump field
+    whose interface is a mesh circle."""
+    beta = draw(st.floats(1.05 * np.pi, 1.95 * np.pi))
+    r_inner = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    r_jump = draw(st.floats(r_inner + 0.02, 0.98))
+    mesh = mesh_sector(SectorDomain(beta, r_inner=r_inner), draw(st.integers(2, 6)),
+                       draw(st.integers(2, 12)), grading=draw(st.floats(1.0, 4.0)),
+                       aligned_radii=[r_jump])
+    for _ in range(draw(st.integers(0, 1))):
+        mesh = refine_uniform(mesh)
+    alpha = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return mesh, radial_jump_field(alpha, r_jump)
+
+
+class TestAssembleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(jump_problems())
+    def test_reduced_matrix_symmetric_positive_definite(self, problem):
+        mesh, field = problem
+        system = assemble(mesh, field, weight=graded_weight)
+        assert system.symmetry_defect() == 0
+        np.linalg.cholesky(system.matrix.toarray())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(7, 3, 2), (5, 2, 3, 2)]),
+           st.floats(-3.0, 3.0))
+    def test_tri6_points_are_the_barycentric_sum(self, seed, shape, log_scale):
+        corners = np.random.default_rng(seed).uniform(-1.0, 1.0, shape) * 10.0**log_scale
+        pts = tri6_points(corners)
+        expect = sum(TRI6_BARY[:, i, None] * corners[..., i, None, :] for i in range(3))
+        assert pts.shape == shape[:-2] + (6, 2)
+        ulp = np.spacing(np.max(np.abs(corners), axis=-2))[..., None, :]
+        assert np.all(np.abs(pts - expect) <= 2.0 * ulp)
 
 
 class TestSolveCg:
@@ -392,3 +496,16 @@ class TestExports:
         lines = export_solution_text(sol).strip().split("\n")
         assert len(lines) == sol.mesh.num_vertices
         assert lines[0].split()[0] == "sol"
+
+    def test_solution_golden_text(self):
+        from ellipstab.fem import export_solution_text
+
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]), np.zeros(4, bool))
+        sol = FemSolution(mesh, np.array([1 / 3, -0.0, 1e-300, -2.5e17]), (0, 0.0))
+        assert export_solution_text(sol) == (
+            "sol 0 0.33333333333333331\n"
+            "sol 1 -0\n"
+            "sol 2 1e-300\n"
+            "sol 3 -2.5e+17\n"
+        )

@@ -304,3 +304,18 @@ class TestExport:
         tline = lines[mesh.num_vertices]
         assert tline.startswith("t ")
         assert all(p.isdigit() for p in tline.split()[1:])
+
+    def test_golden_text(self):
+        # .17g round-trips every float: a repeating fraction, a signed
+        # zero, tiny and huge magnitudes; both flag values
+        verts = np.array([[1 / 3, -0.0], [1e-300, -2.5e17], [1.0, 2.0], [-0.0, 1 / 3]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]),
+                       np.array([True, False, False, True]))
+        assert mesh.export_text() == (
+            "v 0.33333333333333331 -0 1\n"
+            "v 1e-300 -2.5e+17 0\n"
+            "v 1 2 0\n"
+            "v -0 0.33333333333333331 1\n"
+            "t 0 1 2\n"
+            "t 0 2 3\n"
+        )
