@@ -42,16 +42,13 @@ from .fem import (
     FemSolution,
     SparseSystem,
     assemble,
-    evaluate_gradient,
     solve_cg,
 )
 from .geometry import (
     BiLipschitzMap,
     GraphDomain,
     SectorDomain,
-    build_graph_map,
     radial_shift_map,
-    symmetric_difference_measure,
 )
 from .meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_uniform
 
@@ -75,12 +72,10 @@ __all__ = [
     "TriMesh",
     "annulus_solution",
     "assemble",
-    "build_graph_map",
     "coefficient_rate_study",
     "composition_inequality_check",
     "cross_domain_gradient_error",
     "domain_rate_study",
-    "evaluate_gradient",
     "fit_loglog",
     "h1_error_vs_analytic",
     "h1_seminorm_separable",
@@ -101,5 +96,4 @@ __all__ = [
     "refine_uniform",
     "residual_check",
     "solve_cg",
-    "symmetric_difference_measure",
 ]

@@ -242,6 +242,17 @@ def h1_seminorm_separable(sol):
     return float(np.sqrt(0.5 * dom.beta * max(val, 0.0)))
 
 
+# residual_check's sample: Halton points over the sector, kept CORNER_MARGIN
+# from the corner and the arcs, THETA_MARGIN from the straight edges and
+# INTERFACE_MARGIN from every interface circle; RESIDUAL_STEP is the
+# central-difference step
+RESIDUAL_POINTS = 1000
+RESIDUAL_STEP = 1e-5
+CORNER_MARGIN = 0.02
+INTERFACE_MARGIN = 1e-3
+THETA_MARGIN = 0.01
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
@@ -252,31 +263,30 @@ class ResidualReport:
         return self.max_residual
 
 
-def residual_check(sol, source, field, n_points=1000, step=1e-5,
-                   corner_margin=0.02, interface_margin=1e-3, theta_margin=0.01):
+def residual_check(sol, source, field):
     """Max of |-div(A grad u) - f| at interior sample points, by finite differences.
 
-    Second-order central differences with the given step, nested for the
-    divergence, at a deterministic low-discrepancy sample.  Points too close
+    Second-order central differences with step ``RESIDUAL_STEP``, nested for
+    the divergence, at a deterministic low-discrepancy sample.  Points too close
     to the corner, to a coefficient interface or to the angular boundaries
     are skipped and counted in the report.
     """
     dom = sol.domain
-    uv = halton(n_points, dim=2, start=1)
-    r_lo = max(dom.r_inner + corner_margin, corner_margin)
-    r_hi = dom.r_outer - corner_margin
+    uv = halton(RESIDUAL_POINTS, dim=2, start=1)
+    r_lo = max(dom.r_inner + CORNER_MARGIN, CORNER_MARGIN)
+    r_hi = dom.r_outer - CORNER_MARGIN
     r = r_lo + uv[:, 0] * (r_hi - r_lo)
-    theta = theta_margin + uv[:, 1] * (dom.beta - 2.0 * theta_margin)
+    theta = THETA_MARGIN + uv[:, 1] * (dom.beta - 2.0 * THETA_MARGIN)
 
     keep = np.ones(r.shape, dtype=bool)
     interfaces = set(field.interface_radii) | set(sol.breakpoints)
     for s in interfaces:
-        keep &= np.abs(r - s) > interface_margin
+        keep &= np.abs(r - s) > INTERFACE_MARGIN
     n_skipped = int(np.count_nonzero(~keep))
     r, theta = r[keep], theta[keep]
     pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
-    h = step
+    h = RESIDUAL_STEP
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
 

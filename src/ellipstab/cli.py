@@ -17,6 +17,10 @@ from . import analytic, coefficients, experiments, fem, geometry, meshing
 BETA_DEFAULT = 1.5 * np.pi
 # smallest eps at which the semi-analytic errors are tested against closed forms
 EPS_MIN = 1e-14
+# the rate-study flags (beyond --beta and the eps grid) each study reads, and
+# so echoes in its CSV's `# cmd:` line
+STUDY_FLAGS = {"coeff": ("alpha", "q"), "domain": ("q", "mode"), "wwww": ("q",),
+               "qualitative": ("alpha",)}
 
 
 def _fmt(v):
@@ -159,18 +163,19 @@ def _cmd_rate_study(parser, args):
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
     grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
-    header = "eps,error,bound,ratio"
-    q_flag, mode_flag = f" --q {_fmt(args.q)}", f" --mode {args.mode}"
-    if args.study == "qualitative":
-        # the qualitative study reads neither --q nor --mode, and its third
-        # column is the condition-3 statistic, not a bound
-        header = "eps,error,condition_3_deviation,ratio"
-        q_flag = mode_flag = ""
+    # the qualitative study's third column is the condition-3 statistic, not a bound
+    header = ("eps,error,condition_3_deviation,ratio" if args.study == "qualitative"
+              else "eps,error,bound,ratio")
+    reads = STUDY_FLAGS[args.study]
+
+    def flag(name, text):
+        return f" --{name} {text}" if name in reads else ""
+
     cmdline = (
-        f"rate-study --study {args.study} --beta {_fmt(args.beta)} "
-        f"--alpha {_fmt(args.alpha)}{q_flag} "
+        f"rate-study --study {args.study} --beta {_fmt(args.beta)}"
+        f"{flag('alpha', _fmt(args.alpha))}{flag('q', _fmt(args.q))} "
         f"--eps-min {_fmt(args.eps_min)} --eps-max {_fmt(args.eps_max)} "
-        f"--points {args.points}{mode_flag}"
+        f"--points {args.points}{flag('mode', args.mode)}"
     )
 
     try:

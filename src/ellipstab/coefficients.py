@@ -38,11 +38,6 @@ class EllipticityBounds:
         if not 0.0 < self.lower <= self.upper:
             raise ValueError("need 0 < lower <= upper")
 
-    @property
-    def constant_m(self):
-        """Single uniform constant M with eig(A) in [1/M, M]."""
-        return max(self.upper, 1.0 / self.lower)
-
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -145,11 +140,6 @@ def radial_jump_field(alpha, eps):
         kind=f"radial_jump(alpha={alpha:g}, eps={eps:g})",
         interface_radii=(eps,),
     )
-
-
-def scaled_identity_field(scale):
-    """(scale) * I; convenience for coefficient families."""
-    return constant_field(float(scale) * np.eye(2))
 
 
 def _inv_2x2(J, points):

@@ -90,9 +90,7 @@ def _element_coefficients(pts, areas, field, weight):
 def _eval_scalar(fn, pts):
     if fn is None:
         return np.ones(pts.shape[:2])
-    flat = pts.reshape(-1, 2)
-    vals = fn.value(flat) if hasattr(fn, "value") else fn(flat)
-    return np.asarray(vals, dtype=float).reshape(pts.shape[:2])
+    return np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
 
 
 def assemble(mesh, field, weight=None, source=None, source_weight=None):
@@ -100,7 +98,7 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
 
     ``field`` is a CoefficientField; ``weight`` (density g) and
     ``source_weight`` are optional scalar functions of position; ``source``
-    is a SourceTerm, a callable, or None for a zero load.  Uses the
+    is one too (a SourceTerm, say), or None for a zero load.  Uses the
     degree-4 six-point triangle rule; interfaces are assumed mesh-aligned
     so integrands are smooth per element.
     """
@@ -195,9 +193,8 @@ def _expand(system, x_free, report):
 
 
 def interpolate(fn, mesh, zero_dirichlet=True):
-    """Nodal interpolant of a function (or .value object) on a mesh."""
-    vals = fn.value(mesh.vertices) if hasattr(fn, "value") else fn(mesh.vertices)
-    vals = np.array(vals, dtype=float)
+    """Nodal interpolant of a function of position on a mesh."""
+    vals = np.array(fn(mesh.vertices), dtype=float)
     if zero_dirichlet:
         vals[mesh.boundary_flags] = 0.0
     return FemSolution(mesh, vals, (0, 0.0))
@@ -306,20 +303,6 @@ def _locator(mesh):
     if mesh._locator is None:
         mesh._locator = _Locator(mesh)
     return mesh._locator
-
-
-def locate_point(mesh, point, tol=1e-12):
-    """Containing triangle index of one point, -1 when it lies outside the mesh."""
-    pts = np.asarray(point, dtype=float).reshape(1, 2)
-    return int(_locator(mesh).locate_many(pts, tol=tol)[0])
-
-
-def evaluate_gradient(sol, point):
-    """P1 gradient at one point; zero vector outside the mesh by convention."""
-    t = locate_point(sol.mesh, point)
-    if t < 0:
-        return np.zeros(2)
-    return sol.triangle_gradients()[t].copy()
 
 
 def evaluate_gradient_many(sol, points, tri_grads=None):

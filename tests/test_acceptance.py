@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 import ellipstab as es
-from conftest import smooth_bump_gradient
+from conftest import affine_map, smooth_bump_gradient
 from ellipstab.coefficients import pullback_energy_gap, sym_eigvals
 from ellipstab.error_norms import DivergentNormError
 from ellipstab.fem import assemble, galerkin_residual, solve_cg
-from ellipstab.geometry import affine_map
 from ellipstab.meshing import mesh_graph_domain, mesh_sector, refine_uniform
 
 BETA = 1.5 * np.pi

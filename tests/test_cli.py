@@ -154,16 +154,24 @@ class TestRateStudy:
         errors = [float(r.split(",")[1]) for r in rows]
         assert errors[-1] < errors[0]
 
-    def test_qualitative_header_names_what_it_holds(self, tmp_path):
-        # --q and --mode are accepted but not read by the qualitative study
-        out = tmp_path / "q.csv"
-        assert run("rate-study", "--study", "qualitative", "--points", "4",
-                   "--eps-min", "0.05", "--eps-max", "0.4", "--q", "5",
-                   "--mode", "fem", "--out", str(out)) == 0
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww", "qualitative"])
+    def test_header_names_what_it_holds(self, study, tmp_path):
+        # every study is given --alpha, --q and --mode; the `# cmd:` line
+        # echoes only the flags the study reads
+        grid = "--eps-min 0.05 --eps-max 0.4 --points 4"
+        echo = {"coeff": f"--alpha 0.5 --q 5 {grid}",
+                "domain": f"--q 5 {grid} --mode semi",
+                "wwww": f"--q 5 {grid}",
+                "qualitative": f"--alpha 0.5 {grid}"}[study]
+        mode = "fem" if study == "qualitative" else "semi"
+        out = tmp_path / "h.csv"
+        assert run("rate-study", "--study", study, *grid.split(), "--alpha", "0.5",
+                   "--q", "5", "--mode", mode, "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == ("# cmd: rate-study --study qualitative --beta 4.71238898038 "
-                            "--alpha 2 --eps-min 0.05 --eps-max 0.4 --points 4")
-        assert lines[1] == "eps,error,condition_3_deviation,ratio"
+        assert lines[0] == f"# cmd: rate-study --study {study} --beta 4.71238898038 {echo}"
+        # the qualitative study's third column is its condition-3 statistic
+        assert lines[1] == ("eps,error,condition_3_deviation,ratio" if study == "qualitative"
+                            else "eps,error,bound,ratio")
 
     def test_domain_fem_mode(self, tmp_path):
         out = tmp_path / "fem.csv"

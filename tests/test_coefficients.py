@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_bump_gradient
+from conftest import affine_map, smooth_bump_gradient
 from ellipstab.coefficients import (
     FieldEvaluationError,
     constant_field,
@@ -13,7 +13,7 @@ from ellipstab.coefficients import (
     radial_jump_field,
     sym_eigvals,
 )
-from ellipstab.geometry import SectorDomain, affine_map, radial_shift_map
+from ellipstab.geometry import SectorDomain, radial_shift_map
 
 BETA = 1.5 * np.pi
 
@@ -102,10 +102,8 @@ class TestMatrixPositivePart:
 
 class TestPullbackField:
     def test_identity_map(self):
-        from ellipstab.geometry import identity_map
-
         f = radial_jump_field(2.0, 0.3)
-        pb = pullback_field(f, identity_map())
+        pb = pullback_field(f, affine_map(np.eye(2)))
         pts = SectorDomain(BETA).sample_interior(200)
         assert np.max(np.abs(pb.eval(pts) - f.eval(pts))) < 1e-14
 

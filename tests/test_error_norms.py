@@ -27,7 +27,7 @@ class LinearExact:
     def __init__(self, gx, gy):
         self.g = np.array([gx, gy])
 
-    def value(self, pts):
+    def __call__(self, pts):
         return np.asarray(pts) @ self.g
 
     def gradient(self, pts):

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import affine_map
 from ellipstab.analytic import limit_solution
-from ellipstab.coefficients import (
-    identity_field,
-    radial_jump_field,
-    scaled_identity_field,
-)
+from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.experiments import (
     BoundCheck,
     ConditionViolation,
@@ -20,12 +17,7 @@ from ellipstab.experiments import (
     q_star,
     qualitative_convergence_study,
 )
-from ellipstab.geometry import (
-    GraphDomain,
-    build_graph_map,
-    identity_map,
-    radial_shift_map,
-)
+from ellipstab.geometry import radial_shift_map
 from ellipstab.quadrature import halton
 
 BETA = 1.5 * np.pi
@@ -268,14 +260,12 @@ class TestCompositionInequality:
             norms = np.linalg.norm(np.linalg.inv(jac) - np.eye(2), 2, axis=(1, 2))
             assert np.all(np.abs(norms - expect) < 1e-14 * np.linalg.cond(jac))
 
-    @pytest.mark.parametrize("kind", ["identity", "graph"])
+    @pytest.mark.parametrize("kind", ["affine", "angle"])
     def test_rejects_maps_other_than_radial_shifts(self, kind):
-        if kind == "identity":
-            mp = identity_map()
+        if kind == "affine":
+            mp = affine_map(np.eye(2))
         else:
-            flat = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
-                                           lambda x: 0.8 * np.ones_like(x))
-            mp = build_graph_map(flat, flat)
+            mp = radial_shift_map(0.1, 1.2 * np.pi)
         with pytest.raises(ValueError):
             composition_inequality_check(limit_solution(BETA), [mp], 5.0)
 
@@ -314,7 +304,7 @@ class TestQualitativeConvergence:
     def test_condition_4_scaled_identity(self):
         # A_eps = (1 + eps) I: the deficit (A_0 - A_eps)_+ vanishes and the
         # solutions scale as u_0 / (1 + eps), so errors are linear in eps
-        family = lambda e: scaled_identity_field(1.0 + e)
+        family = lambda e: constant_field((1.0 + e) * np.eye(2))
         grid = np.geomspace(0.4, 0.05, 4)
         table = qualitative_convergence_study(family, grid, "condition_4", BETA,
                                               n_radial=16, n_angular=16)
@@ -325,7 +315,7 @@ class TestQualitativeConvergence:
 
     def test_condition_4_would_reject_growth(self):
         # shrinking A_eps below A_0 leaves a positive part that does not die
-        family = lambda e: scaled_identity_field(1.0 / (1.0 + e)) \
+        family = lambda e: constant_field((1.0 / (1.0 + e)) * np.eye(2)) \
             if e > 0 else identity_field()
         grid = (0.4, 0.3, 0.2)  # the deficit stays about eps at the smallest eps
         with pytest.raises(ConditionViolation):

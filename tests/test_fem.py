@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import affine_map
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
@@ -19,14 +20,12 @@ from ellipstab.fem import (
     _contains,
     _Locator,
     assemble,
-    evaluate_gradient,
     evaluate_gradient_many,
     galerkin_residual,
     interpolate,
-    locate_point,
     solve_cg,
 )
-from ellipstab.geometry import GraphDomain, SectorDomain, affine_map, radial_shift_map
+from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
 from ellipstab.meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_uniform
 from ellipstab.quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
@@ -99,6 +98,10 @@ class TestAssemble:
         pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
         assert np.array_equal(pattern.toarray() == 1.0, touched[np.ix_(free, free)])
         assert np.array_equal(system.rhs, b[free])
+        # the reference reads SourceTerm.value; assembly calls the SourceTerm
+        # itself, and a plain function of position loads the same bits
+        plain = assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA).value)
+        assert np.array_equal(plain.rhs, system.rhs)
 
     def test_energy_is_the_quadratic_form(self, rng):
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
@@ -246,8 +249,8 @@ class TestEvaluateGradient:
         mesh = mesh_sector(SectorDomain(BETA), 6, 6)
         vals = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]
         sol = FemSolution(mesh, vals, (0, 0.0))
-        g = evaluate_gradient(sol, np.array([-0.3, -0.4]))
-        assert np.allclose(g, [1.0, 2.0], atol=1e-12)
+        g = evaluate_gradient_many(sol, np.array([-0.3, -0.4]))
+        assert np.allclose(g, [[1.0, 2.0]], atol=1e-12)
         # stay below the chord sagitta band near the curved arc, where points
         # are legitimately outside the inscribed polygon
         pts = SectorDomain(BETA, r_outer=0.9).sample_interior(200)
@@ -257,10 +260,9 @@ class TestEvaluateGradient:
     def test_outside_returns_zero(self):
         mesh = mesh_sector(SectorDomain(BETA), 6, 6)
         sol = FemSolution(mesh, np.ones(mesh.num_vertices), (0, 0.0))
-        assert np.array_equal(evaluate_gradient(sol, np.array([2.5, 2.5])), [0.0, 0.0])
-        # the missing quadrant of the 3pi/2 sector is outside too
-        out = np.array([0.5, -0.5])
-        assert np.array_equal(evaluate_gradient(sol, out), [0.0, 0.0])
+        # far off, and in the missing quadrant of the 3pi/2 sector
+        out = np.array([[2.5, 2.5], [0.5, -0.5]])
+        assert np.array_equal(evaluate_gradient_many(sol, out), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("kind", ["graded", "annular", "refined", "graph"])
     def test_locator_agrees_with_brute_force(self, kind):
@@ -290,7 +292,8 @@ class TestEvaluateGradient:
         assert np.array_equal(found[:6 * mesh.num_triangles],
                               np.repeat(np.arange(mesh.num_triangles), 6))
         assert np.all(found[-len(outside):] == -1)
-        assert locate_point(mesh, pts[-1]) == expected[-1]
+        # a single point alone gives the same answer
+        assert np.array_equal(_Locator(mesh).locate_many(pts[-1]), expected[-1:])
 
     def test_graded_corner_buckets_stay_small(self, monkeypatch):
         # locating the coarse rule points on the refined graded mesh tests few
@@ -338,7 +341,7 @@ class TestEvaluateGradient:
         mesh = mesh_sector(SectorDomain(BETA), 32, 32, grading=3.0)
         sol = interpolate(u0, mesh)
         pt = 0.5 * np.array([np.cos(BETA / 2), np.sin(BETA / 2)])
-        g = evaluate_gradient(sol, pt)
+        g = evaluate_gradient_many(sol, pt)[0]
         exact = u0.gradient(pt[None])[0]
         assert np.linalg.norm(g - exact) < 0.05
 

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from ellipstab.geometry import (
-    GraphDomain,
-    SectorDomain,
-    affine_map,
-    build_graph_map,
-    radial_shift_map,
-    symmetric_difference_measure,
-)
+from conftest import affine_map
+from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
 from ellipstab.quadrature import halton
 
 BETA = 1.5 * np.pi
@@ -130,9 +124,8 @@ class TestRadialShiftMap:
             radial_shift_map(eps, BETA)
 
 
-def flat_domain(height, n_grid=65, lip_bound=0.0):
-    return GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, height, n_grid=n_grid,
-                                   lip_bound=lip_bound)
+def flat_domain(height):
+    return GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, height, n_grid=65)
 
 
 class TestGraphDomain:
@@ -141,125 +134,10 @@ class TestGraphDomain:
             flat_domain(lambda x: 0.05 * np.ones_like(x))  # below the margin line
         with pytest.raises(ValueError):
             flat_domain(lambda x: 1.2 * np.ones_like(x))  # above the ceiling
-        with pytest.raises(ValueError):
-            flat_domain(lambda x: 0.5 + 0.4 * x, lip_bound=0.1)  # slope exceeds bound
-
-    def test_lipschitz_estimate(self):
-        dom = flat_domain(lambda x: 0.5 + 0.25 * x)
-        assert dom.lip_bound == pytest.approx(0.25)
 
     def test_area(self):
         dom = flat_domain(lambda x: 0.8 + 0.1 * x)
         assert dom.area() == pytest.approx(0.85)
-
-
-class TestSymmetricDifference:
-    def test_equal_heights(self):
-        d = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        assert symmetric_difference_measure(d, d) == 0.0
-
-    def test_rectangle_strip(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = flat_domain(lambda x: 0.9 * np.ones_like(x))
-        assert symmetric_difference_measure(a, b) == pytest.approx(0.1, abs=1e-14)
-
-    def test_triangle_strip(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = flat_domain(lambda x: 0.8 + 0.1 * x)
-        assert symmetric_difference_measure(a, b) == pytest.approx(0.05, abs=1e-14)
-
-    def test_sign_change_and_monte_carlo(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = flat_domain(lambda x: 0.8 + 0.1 * (x - 0.5))
-        val = symmetric_difference_measure(a, b)
-        assert val == pytest.approx(0.025, abs=1e-14)
-        # Monte-Carlo cross-check on the strip 0.75 < y < 0.85
-        uv = halton(200_000, dim=2, start=11)
-        x = uv[:, 0]
-        y = 0.75 + 0.1 * uv[:, 1]
-        in_a = y < a.height(x)
-        in_b = y < b.height(x)
-        assert 0.1 * np.mean(in_a ^ in_b) == pytest.approx(val, rel=0.02)
-
-    def test_mismatched_cylinder(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = GraphDomain.from_height(0.0, 2.0, 0.0, 1.0, lambda x: 0.8 * np.ones_like(x))
-        with pytest.raises(ValueError):
-            symmetric_difference_measure(a, b)
-
-
-class TestBuildGraphMap:
-    def test_equal_heights_identity(self):
-        d = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        m = build_graph_map(d, d)
-        assert m.e_set_measure == 0.0
-        pts = d.sample_interior(200)
-        assert np.allclose(m.forward(pts), pts, atol=1e-15)
-
-    def test_rectangle_stretch(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = flat_domain(lambda x: 0.9 * np.ones_like(x))
-        m = build_graph_map(a, b)
-        # everything strictly above the margin line moves
-        assert m.e_set_measure == pytest.approx(0.7, abs=1e-14)
-        assert dict(m.meta)["c_over_symdiff"] == pytest.approx(7.0, rel=1e-12)
-        # fixed below the margin, linear stretch above
-        low = np.array([[0.3, 0.05]])
-        assert np.allclose(m.forward(low), low)
-        top = np.array([[0.3, 0.8]])
-        assert m.forward(top)[0, 1] == pytest.approx(0.9, abs=1e-14)
-
-    def test_image_and_round_trip(self):
-        a = flat_domain(lambda x: 0.75 + 0.1 * np.sin(2 * x))
-        b = flat_domain(lambda x: 0.85 - 0.15 * x * (1 - x))
-        m = build_graph_map(a, b)
-        pts = a.sample_interior(1000)
-        assert np.all(b.contains(m.forward(pts), tol=1e-12))
-        pts_b = b.sample_interior(1000, start=7)
-        assert np.all(a.contains(m.inverse(pts_b), tol=1e-12))
-        assert np.max(np.abs(m.inverse(m.forward(pts)) - pts)) < 1e-12
-
-    def test_e_set_bounded_by_recorded_constant(self):
-        a = flat_domain(lambda x: 0.75 + 0.1 * np.sin(2 * x))
-        b = flat_domain(lambda x: 0.85 - 0.15 * x * (1 - x))
-        m = build_graph_map(a, b)
-        c = dict(m.meta)["c_over_symdiff"]
-        assert m.e_set_measure <= c * symmetric_difference_measure(a, b) * (1 + 1e-12)
-
-    def test_lip_bounds_dominate_sampled_jacobians(self):
-        a = flat_domain(lambda x: 0.75 + 0.1 * np.sin(2 * x))
-        b = flat_domain(lambda x: 0.85 - 0.15 * x * (1 - x))
-        m = build_graph_map(a, b)
-        pts = a.sample_interior(2000)
-        J = m.jacobian(pts)
-        assert np.max(np.linalg.norm(J, 2, axis=(1, 2))) <= m.lip_bounds[0] + 1e-12
-        Jinv = np.linalg.inv(J)
-        assert np.max(np.linalg.norm(Jinv, 2, axis=(1, 2))) <= m.lip_bounds[1] + 1e-12
-
-    def test_jacobian_matches_finite_differences(self):
-        a = flat_domain(lambda x: 0.75 + 0.1 * np.sin(2 * x))
-        b = flat_domain(lambda x: 0.85 - 0.15 * x * (1 - x))
-        m = build_graph_map(a, b)
-        pts = a.sample_interior(500)
-        # keep away from the margin line and the height-grid kinks
-        keep = np.abs(pts[:, 1] - a.margin) > 1e-3
-        xi = np.searchsorted(a.grid, pts[:, 0])
-        keep &= np.minimum(np.abs(pts[:, 0] - a.grid[np.clip(xi - 1, 0, None)]),
-                           np.abs(pts[:, 0] - a.grid[np.clip(xi, None, a.grid.size - 1)])) > 1e-4
-        pts = pts[keep]
-        J = m.jacobian(pts)
-        h = 1e-7
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            col = (m.forward(pts + e) - m.forward(pts - e)) / (2 * h)
-            assert np.max(np.abs(col - J[:, :, k])) < 1e-6
-
-    def test_mismatched_cylinder(self):
-        a = flat_domain(lambda x: 0.8 * np.ones_like(x))
-        b = GraphDomain.from_height(0.0, 1.0, 0.0, 2.0, lambda x: 0.8 * np.ones_like(x))
-        with pytest.raises(ValueError):
-            build_graph_map(a, b)
 
 
 class TestAffineMap:
