@@ -101,15 +101,24 @@ def h1_error_vs_analytic(sol, exact):
 def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
     """L2 distance of two discrete gradients over ``quad_mesh``.
 
-    Gradients are looked up by point location in each solution's own mesh
-    and are zero outside it.  A quadrature mesh covering the union of both
-    solution meshes whose cells align with both makes the
-    piecewise-constant integrand exact per cell.
+    Each solution's gradient is taken at the six rule points of every
+    ``quad_mesh`` cell and is zero outside the solution's own mesh.  A
+    solution whose mesh is ``quad_mesh`` itself takes its own cell's
+    gradient at each of the cell's rule points, which lie inside that cell;
+    any other solution's gradients are looked up by point location in its
+    mesh.  A quadrature mesh covering the union of both solution meshes
+    whose cells align with both makes the piecewise-constant integrand
+    exact per cell.
     """
     pts = tri6_points(quad_mesh.corners()).reshape(-1, 2)
-    ga = evaluate_gradient_many(sol_a, pts)
-    gb = evaluate_gradient_many(sol_b, pts)
-    f2 = np.sum((ga - gb) ** 2, axis=-1).reshape(quad_mesh.num_triangles, -1)
+
+    def rule_gradients(sol):
+        if sol.mesh is quad_mesh:
+            return np.repeat(sol.triangle_gradients(), TRI6_WEIGHTS.size, axis=0)
+        return evaluate_gradient_many(sol, pts)
+
+    f2 = np.sum((rule_gradients(sol_a) - rule_gradients(sol_b)) ** 2, axis=-1)
+    f2 = f2.reshape(quad_mesh.num_triangles, -1)
     total = np.sum(quad_mesh.areas()[:, None] * TRI6_WEIGHTS * f2)
     return float(np.sqrt(max(total, 0.0)))
 

@@ -21,7 +21,7 @@ from .coefficients import FieldEvaluationError
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
-# about 200 bytes of temporaries each
+# about 140 bytes of temporaries each
 LOCATE_PAIRS = 1 << 20
 
 
@@ -142,8 +142,13 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     """Jacobi-preconditioned conjugate gradients on the reduced system.
 
     Stops when ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure
-    with the residual history when the iteration cap is hit.
+    with the residual history when the iteration cap is hit, and ValueError
+    for a cap below 1 or a tolerance that is not finite and positive.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (np.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     K = system.matrix
     b = system.rhs
     n = b.size
@@ -215,8 +220,14 @@ class _Locator:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         corners = mesh.corners()
+        # containment frame per triangle, one row (v0, d1, d2, det) with
+        # d1 = v1 - v0, d2 = v2 - v0 and det = d1 x d2
+        v0 = corners[:, 0]
+        d1 = corners[:, 1] - v0
+        d2 = corners[:, 2] - v0
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self.frames = np.column_stack([v0, d1, d2, det])
         centroids = corners.mean(axis=1)
         # 2 sqrt(M) buckets per axis: of the counts measured on graded sector
         # meshes, sqrt(M/2) to 4 sqrt(M), as fast to build and query as any,
@@ -272,30 +283,26 @@ class _Locator:
         if total == 0:
             return result
         p_rep = np.repeat(np.arange(pts.shape[0]), cnt)
-        offs = np.concatenate([[0], np.cumsum(cnt)])
-        flat = np.arange(total) - np.repeat(offs[:-1], cnt) + np.repeat(start, cnt)
+        flat = np.arange(total) + np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
         t_cand = self.pair_tris[flat]
-
-        corners = self.mesh.vertices[self.mesh.triangles[t_cand]]
-        inside = _contains(corners, pts[p_rep], tol)
+        inside = _contains(self.frames[t_cand], pts[p_rep], tol)
         # pairs are ordered by (point, ascending triangle); first hit wins
         hit_p = p_rep[inside]
         hit_t = t_cand[inside]
-        if hit_p.size:
-            first = np.unique(hit_p, return_index=True)[1]
-            result[hit_p[first]] = hit_t[first]
+        first = np.diff(hit_p, prepend=-1) != 0
+        result[hit_p[first]] = hit_t[first]
         return result
 
 
-def _contains(corners, pts, tol):
-    """Whether each point lies in its triangle, corners of shape (..., 3, 2)."""
-    v0 = corners[..., 0, :]
-    d1 = corners[..., 1, :] - v0
-    d2 = corners[..., 2, :] - v0
-    dp = pts - v0
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
-    l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
+def _contains(frames, pts, tol):
+    """Whether each point (..., 2) lies in its triangle, given by its frame
+    row (..., 7) of ``_Locator.frames``: both barycentric coordinates l1, l2
+    and 1 - l1 - l2 are at least -tol."""
+    dpx = pts[..., 0] - frames[..., 0]
+    dpy = pts[..., 1] - frames[..., 1]
+    det = frames[..., 6]
+    l1 = (dpx * frames[..., 5] - dpy * frames[..., 4]) / det
+    l2 = (frames[..., 2] * dpy - frames[..., 3] * dpx) / det
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 

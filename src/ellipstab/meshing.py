@@ -6,8 +6,8 @@ never straddles a coefficient discontinuity.  Curved arcs are approximated
 by chords.  Uniform refinement splits sector edges at their polar
 midpoints, so node circles, interface circles included, stay exact and
 refined vertices lie on the parent's polar grid.  A mesh keeps only its
-arrays and its domain; connectivity and point location are derived from
-the triangles when first needed.
+arrays and its domain; corner coordinates, signed areas, connectivity and
+point location are derived from the triangles when first needed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ class TriMesh:
     """Triangulation with per-vertex Dirichlet flags.
 
     ``domain`` is the meshed domain (None for a bare triangulation).
-    Immutable after construction; derived structures (the edge numbering
-    and the point locator) are built lazily and cached.
+    Immutable after construction; derived structures (the corner
+    coordinates, the signed areas, the edge numbering and the point
+    locator) are built lazily and cached.
     """
 
     def __init__(self, vertices, triangles, boundary_flags, domain=None):
@@ -30,6 +31,8 @@ class TriMesh:
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary_flags = np.asarray(boundary_flags, dtype=bool)
         self.domain = domain
+        self._corners = None
+        self._signed_areas = None
         self._edge_cache = None
         self._locator = None
 
@@ -44,13 +47,21 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def corners(self):
-        return self.vertices[self.triangles]
+        """Vertex coordinates per triangle, shape (M, 3, 2), read-only."""
+        if self._corners is None:
+            self._corners = self.vertices[self.triangles]
+            self._corners.flags.writeable = False
+        return self._corners
 
     def signed_areas(self):
-        p = self.corners()
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        """Signed triangle areas, shape (M,), read-only."""
+        if self._signed_areas is None:
+            p = self.corners()
+            e1 = p[:, 1] - p[:, 0]
+            e2 = p[:, 2] - p[:, 0]
+            self._signed_areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            self._signed_areas.flags.writeable = False
+        return self._signed_areas
 
     def areas(self):
         return np.abs(self.signed_areas())

@@ -16,9 +16,22 @@ from ellipstab.error_norms import (
     h1_error_vs_analytic,
     lq_gradient_norm,
 )
-from ellipstab.fem import FemSolution, assemble, interpolate, solve_cg
+from ellipstab.fem import (
+    FemSolution,
+    assemble,
+    evaluate_gradient_many,
+    interpolate,
+    solve_cg,
+)
 from ellipstab.geometry import GraphDomain, SectorDomain
-from ellipstab.meshing import mesh_graph_domain, mesh_sector
+from ellipstab.meshing import (
+    TriMesh,
+    graded_radii,
+    mesh_graph_domain,
+    mesh_sector,
+    mesh_sector_from_radii,
+    refine_uniform,
+)
 
 BETA = 1.5 * np.pi
 
@@ -68,6 +81,15 @@ class TestH1ErrorVsAnalytic:
         assert fem_path == pytest.approx(semi, rel=0.01)
 
 
+def annulus_meshes(eps, n_radial, n_angular):
+    """Sector and annulus meshes on shared radii, as the FEM domain study
+    builds them."""
+    radii = graded_radii(SectorDomain(BETA), n_radial, 3.0, aligned_radii=(eps, 2.0 * eps))
+    return (mesh_sector_from_radii(SectorDomain(BETA), radii, n_angular),
+            mesh_sector_from_radii(SectorDomain(BETA, r_inner=eps), radii[radii >= eps],
+                                   n_angular))
+
+
 class TestCrossDomainError:
     def make_solution(self, values_fn, n=12):
         mesh = mesh_sector(SectorDomain(BETA), n, n)
@@ -96,6 +118,38 @@ class TestCrossDomainError:
         ua = annulus_solution(BETA, eps).extended_by_zero()
         semi = h1_seminorm_separable(ua.difference(limit_solution(BETA)))
         assert fem_err == pytest.approx(semi, rel=0.02)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_same_mesh_gradients_equal_located_ones(self, refine):
+        # a copy of the sector mesh is a different object, so both solutions
+        # go through point location; the result is bit-identical
+        mesh0, mesh_eps = annulus_meshes(1e-3, 24, 16)
+        if refine:
+            mesh0, mesh_eps = refine_uniform(mesh0), refine_uniform(mesh_eps)
+        sol0, sol_eps = (solve_cg(assemble(m, identity_field(), source=SourceTerm(BETA)))
+                         for m in (mesh0, mesh_eps))
+        copy = TriMesh(mesh0.vertices, mesh0.triangles, mesh0.boundary_flags,
+                       domain=mesh0.domain)
+        same = cross_domain_gradient_error(sol_eps, sol0, quad_mesh=mesh0)
+        assert same > 0.0
+        assert same == cross_domain_gradient_error(sol_eps, sol0, quad_mesh=copy)
+
+    def test_domain_study_locates_only_the_annulus_solution(self, monkeypatch):
+        from ellipstab import error_norms
+        from ellipstab.experiments import _fem_annulus_error
+
+        calls = []
+
+        def counting(sol, points):
+            calls.append((sol.mesh.domain.r_inner, points.shape[0]))
+            return evaluate_gradient_many(sol, points)
+
+        monkeypatch.setattr(error_norms, "evaluate_gradient_many", counting)
+        for eps in (1e-3, 1e-2):
+            calls.clear()
+            _fem_annulus_error(BETA, eps, 24, 16, 3.0)
+            mesh0, _ = annulus_meshes(eps, 24, 16)
+            assert calls == [(eps, 6 * mesh0.num_triangles)]
 
     def test_triangle_inequality(self, rng):
         mesh = mesh_sector(SectorDomain(BETA), 10, 10)

@@ -44,6 +44,19 @@ def solve_limit_problem(n_radial, n_angular, grading=3.0):
     return system, solve_cg(system)
 
 
+def contains_reference(corners, pts, tol):
+    """Barycentric containment of points in one triangle, from its corners
+    (3, 2): both coordinates l1, l2 and 1 - l1 - l2 are at least -tol."""
+    v0 = corners[0]
+    d1 = corners[1] - v0
+    d2 = corners[2] - v0
+    dp = pts - v0
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    l1 = (dp[..., 0] * d2[1] - dp[..., 1] * d2[0]) / det
+    l2 = (d1[0] * dp[..., 1] - d1[1] * dp[..., 0]) / det
+    return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
+
+
 def loop_assembly(mesh, field, weight, source):
     """Full stiffness matrix, its sparsity pattern and the load vector, by a
     plain loop over elements and rule points (the reference for ``assemble``)."""
@@ -224,6 +237,18 @@ class TestSolveCg:
             solve_cg(system, rel_tol=1e-14, max_iter=3)
         assert len(err.value.residual_history) == 3
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_cap_below_one_is_rejected(self, max_iter):
+        system, _ = solve_limit_problem(4, 4)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_cg(system, max_iter=max_iter)
+
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 0.0, -1e-10])
+    def test_tolerance_not_finite_and_positive_is_rejected(self, rel_tol):
+        system, _ = solve_limit_problem(4, 4)
+        with pytest.raises(ValueError, match="rel_tol"):
+            solve_cg(system, rel_tol=rel_tol)
+
     def test_discrete_maximum_principle(self):
         # nonnegative source on the jump problem gives a nonnegative solution
         mesh = mesh_sector(SectorDomain(BETA), 12, 12, grading=3.0,
@@ -285,7 +310,7 @@ class TestEvaluateGradient:
         # reference: the lowest-index containing triangle over all triangles
         expected = -np.ones(pts.shape[0], dtype=np.int64)
         for t, corners in enumerate(mesh.corners()):
-            expected[(expected < 0) & _contains(corners, pts, 1e-12)] = t
+            expected[(expected < 0) & contains_reference(corners, pts, 1e-12)] = t
         found = _Locator(mesh).locate_many(pts)
         assert np.array_equal(found, expected)
         # every rule point lies inside its own triangle
@@ -304,9 +329,9 @@ class TestEvaluateGradient:
         pts = tri6_points(coarse.corners()).reshape(-1, 2)
         tested = []
 
-        def counting(corners, p, tol):
-            tested.append(corners.shape[0])
-            return _contains(corners, p, tol)
+        def counting(frames, p, tol):
+            tested.append(frames.shape[0])
+            return _contains(frames, p, tol)
 
         monkeypatch.setattr("ellipstab.fem._contains", counting)
         assert np.all(_Locator(mesh).locate_many(pts) >= 0)

@@ -92,6 +92,16 @@ class TestMeshSector:
             mesh_sector(SectorDomain(BETA), 4, 1)
 
 
+class TestCachedGeometry:
+    @pytest.mark.parametrize("name", ["corners", "signed_areas"])
+    def test_gathered_once_and_read_only(self, name):
+        mesh = mesh_sector(SectorDomain(BETA), 4, 6)
+        first = getattr(mesh, name)()
+        assert getattr(mesh, name)() is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+
 class TestMeshGraphDomain:
     def test_full_rectangle(self):
         dom = flat_domain(lambda x: np.ones_like(x))
