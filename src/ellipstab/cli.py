@@ -1,6 +1,7 @@
 """Command-line front end: verify-analytic, rate-study and solve workflows.
 
-Exit codes: 0 success, 2 usage error, 3 integrability-hypothesis violation,
+Exit codes: 0 success, 1 no usable result (a failed check, or a study that
+writes no CSV), 2 usage error, 3 integrability-hypothesis violation,
 4 solver failure.  All commands are deterministic: identical flags produce
 byte-identical outputs, and every CSV embeds its normalized command line.
 """
@@ -8,6 +9,9 @@ byte-identical outputs, and every CSV embeds its normalized command line.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
+import os
 import sys
 
 import numpy as np
@@ -27,7 +31,9 @@ def _fmt(v):
     return f"{v:.12g}"
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ellipstab",
         description="Elliptic H1-stability workbench: analytic verification, "
@@ -87,6 +93,13 @@ def _check_at_least(parser, flag, value, limit):
 def _check_alpha(parser, alpha):
     if not 0.0 < alpha < np.inf:
         parser.error(f"--alpha must be positive and finite, got {alpha:g}")
+
+
+def _check_out_dir(parser, flag, path):
+    """Refuse an output path whose directory is missing, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        parser.error(f"{flag}: directory {folder!r} does not exist")
 
 
 def _cmd_verify(parser, args):
@@ -162,6 +175,8 @@ def _cmd_rate_study(parser, args):
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
+    if args.out != "-":
+        _check_out_dir(parser, "--out", args.out)
     grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
     # the qualitative study's third column is the condition-3 statistic, not a bound
     header = ("eps,error,condition_3_deviation,ratio" if args.study == "qualitative"
@@ -217,12 +232,33 @@ def _cmd_rate_study(parser, args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__} in the study: {exc}; no CSV written",
+              file=sys.stderr)
+        return 1
     if fit.degenerate:
         print("degenerate study: all errors vanish (no rate to fit)", file=sys.stderr)
+        return 1
+    bad = _non_finite(header.split(","), rows, fit)
+    if bad:
+        print(f"error: non-finite {bad}; no CSV written", file=sys.stderr)
         return 1
 
     _write(args.out, _csv_lines(cmdline, header, rows, fit))
     return 0
+
+
+def _non_finite(columns, rows, fit):
+    """Describe the first non-finite CSV cell or fit value, or return None."""
+    for row in rows:
+        for name, v in zip(columns, row):
+            if not math.isfinite(v):
+                return f"{name} {_fmt(v)} at eps={_fmt(row[0])}"
+    for name in ("exponent", "constant", "r_squared"):
+        v = getattr(fit, name)
+        if not math.isfinite(v):
+            return f"fit {name} {_fmt(v)}"
+    return None
 
 
 def _ratios(check):
@@ -242,6 +278,7 @@ def _jump_family(alpha):
 def _cmd_solve(parser, args):
     if args.refine < 0:
         parser.error("--refine must be nonnegative")
+    _check_out_dir(parser, "--out-prefix", args.out_prefix)
     r_inner = 0.0
     if args.domain == "annulus":
         if not 0.0 < args.eps < 1.0:

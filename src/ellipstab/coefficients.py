@@ -44,6 +44,8 @@ class CoefficientField:
     """Evaluable symmetric 2x2 matrix field with an ellipticity certificate.
 
     ``eval`` maps an (..., 2) array of points to (..., 2, 2) matrices.
+    The result may be a read-only view (a constant field broadcasts its one
+    matrix), so callers copy it before writing into it.
     ``interface_radii`` lists radii of known discontinuity circles.
     """
 
@@ -103,7 +105,7 @@ def constant_field(matrix):
 
     def ev(points):
         pts = np.asarray(points, dtype=float)
-        return np.broadcast_to(M, pts.shape[:-1] + (2, 2)).copy()
+        return np.broadcast_to(M, pts.shape[:-1] + (2, 2))
 
     return CoefficientField(ev, EllipticityBounds(float(lam[0]), float(lam[1])),
                             kind="constant")
@@ -200,9 +202,14 @@ def lp_distance(field_a, field_b, p, domain):
         diff = np.abs(field_a.eval(pts) - field_b.eval(pts))
         return float(np.max(diff))
 
+    def entry_powers(pts):
+        d = np.subtract(field_a.eval(pts), field_b.eval(pts))
+        np.abs(d, out=d)
+        np.power(d, p, out=d)
+        return d
+
     entry_integrals = integrate_polar(
-        lambda pts: np.abs(field_a.eval(pts) - field_b.eval(pts)) ** p,
-        domain.beta, domain.r_inner, domain.r_outer,
+        entry_powers, domain.beta, domain.r_inner, domain.r_outer,
         (*field_a.interface_radii, *field_b.interface_radii))
     return float(np.max(entry_integrals) ** (1.0 / p))
 

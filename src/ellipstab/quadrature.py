@@ -8,6 +8,8 @@ Halton sequence for deterministic low-discrepancy sampling.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -40,6 +42,19 @@ def tri6_points(corners):
     return np.matmul(TRI6_BARY, corners)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_rule(n):
+    """The ``n``-point Gauss-Legendre rule on [-1, 1], built once per ``n``.
+
+    ``leggauss`` solves an eigenvalue problem on every call; the cached
+    node and weight arrays are read-only because every caller shares them.
+    """
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_on_panels(edges, n_gauss=16):
     """Composite Gauss-Legendre nodes and weights over consecutive panels.
 
@@ -51,7 +66,7 @@ def gauss_on_panels(edges, n_gauss=16):
         raise ValueError("need at least two panel edges")
     if np.any(np.diff(edges) <= 0):
         raise ValueError("panel edges must be strictly increasing")
-    x, w = leggauss(n_gauss)
+    x, w = _reference_rule(n_gauss)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -108,10 +123,10 @@ def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(),
     rn, rw = gauss_on_panels(
         radial_edges(r_inner, r_outer, radial_breaks, n_radial_panels), n_gauss)
     tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_angular_panels + 1), n_gauss)
-    R, T = np.meshgrid(rn, tn, indexing="ij")
-    pts = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
+    r = rn[:, None]
+    pts = np.stack([r * np.cos(tn), r * np.sin(tn)], axis=-1).reshape(-1, 2)
     vals = np.asarray(f_xy(pts), dtype=float)
-    total = np.tensordot((rw[:, None] * tw[None, :] * R).ravel(), vals, axes=1)
+    total = np.tensordot((rw[:, None] * tw[None, :] * r).ravel(), vals, axes=1)
     return float(total) if total.ndim == 0 else total
 
 

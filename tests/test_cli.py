@@ -183,6 +183,47 @@ class TestRateStudy:
         summary = dict(part.split("=") for part in lines[-1][2:].split())
         assert 0.60 <= float(summary["exponent"]) <= 0.73
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("alpha,column", [
+        ("1e-300", "error"), ("1e100", "bound"), ("1e160", None), ("1e300", None)])
+    def test_extreme_alpha_writes_no_csv(self, alpha, column, tmp_path, capsys):
+        # errors or bounds overflow to inf, or the sharpness constant raises
+        # OverflowError: exit 1 with one line, never a CSV or a traceback
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", "coeff", "--points", "4",
+                   "--eps-min", "1e-3", "--alpha", alpha, "--out", str(out)) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        if column is None:
+            assert last.startswith("error: OverflowError in the study")
+        else:
+            assert last == f"error: non-finite {column} inf at eps=0.1; no CSV written"
+        assert not out.exists()
+
+    def test_missing_out_dir_is_usage_error_before_work(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli.experiments, "composition_inequality_check", no_work)
+        out = tmp_path / "missing" / "t.csv"
+        assert run("rate-study", "--study", "wwww", "--out", str(out)) == 2
+        assert (f"--out: directory '{out.parent}' does not exist"
+                in capsys.readouterr().err)
+        assert not out.parent.exists()
+
+    def test_reused_parser_keeps_no_state(self, tmp_path):
+        # the parser is built once per process; a usage error in between
+        # leaves later parses and outputs unchanged
+        parser = cli._build_parser()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["rate-study", "--study", "wwww", "--points", "4", "--eps-min", "1e-3"]
+        assert run("rate-study", "--study", "wwww", "--points", "1") == 2
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert cli._build_parser() is parser
+
     @pytest.mark.parametrize("study", ["coeff", "domain", "wwww", "qualitative"])
     def test_byte_identical_reruns(self, study, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -329,6 +370,18 @@ class TestSolve:
                    "--graph-slope", slope, "--out-prefix", str(prefix)) == 2
         assert "graph height must stay in (0.1, 1]" in capsys.readouterr().err
         assert not prefix.with_suffix(".mesh").exists()
+
+    def test_missing_out_dir_is_usage_error_before_work(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.meshing, "mesh_sector", no_work)
+        prefix = tmp_path / "missing" / "x"
+        assert run("solve", "--domain", "sector", "--out-prefix", str(prefix)) == 2
+        assert (f"--out-prefix: directory '{prefix.parent}' does not exist"
+                in capsys.readouterr().err)
+        assert not prefix.parent.exists()
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(system, rel_tol=0.0, max_iter=0):

@@ -176,19 +176,30 @@ class TestPullbackField:
         assert err.value.point == (0.0, 0.7)
 
 
+# (beta / pi, alpha, eps, p): the first cases at beta = 1.5 pi, then a grid
+# over the rate studies' eps, beta, p and alpha ranges
+CLOSED_FORM_CASES = (
+    [pytest.param(1.5, alpha, eps, p, id=f"{alpha}-{eps}-{p}")
+     for alpha, eps in [(0.5, 0.02), (2.0, 0.1)] for p in (1.0, 2.0, 3.0, 4.5)]
+    + [pytest.param(b, alpha, eps, p, id=f"{b}pi-{alpha:g}-{eps:g}-{p:g}")
+       for eps in (1e-1, 1e-4, 1e-8, 1e-12, 1e-14) for b in (1.1, 1.5, 1.9)
+       for p in (2.2, 3.0, 7.5) for alpha in (1e-2, 2.0, 1e2)]
+)
+
+
 class TestLpDistance:
     def test_zero_for_equal_fields(self):
         f = radial_jump_field(2.0, 0.1)
         assert lp_distance(f, f, 3.0, SectorDomain(BETA)) == 0.0
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
-    @pytest.mark.parametrize("alpha,eps", [(2.0, 0.1), (0.5, 0.02)])
-    def test_jump_vs_identity_closed_form(self, p, alpha, eps):
+    @pytest.mark.parametrize("b,alpha,eps,p", CLOSED_FORM_CASES)
+    def test_jump_vs_identity_closed_form(self, b, alpha, eps, p):
         # |alpha - 1| * (beta eps^2 / 2)^(1/p): the jump region is a sector
-        dom = SectorDomain(BETA)
-        val = lp_distance(radial_jump_field(alpha, eps), identity_field(), p, dom)
-        expect = abs(alpha - 1.0) * (0.5 * BETA * eps**2) ** (1.0 / p)
-        assert val == pytest.approx(expect, rel=1e-9)
+        beta = b * np.pi
+        val = lp_distance(radial_jump_field(alpha, eps), identity_field(), p,
+                          SectorDomain(beta))
+        expect = abs(alpha - 1.0) * (0.5 * beta * eps**2) ** (1.0 / p)
+        assert val == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_jump_vs_identity_monte_carlo(self):
         dom = SectorDomain(BETA)

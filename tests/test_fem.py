@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -158,6 +160,21 @@ class TestAssemble:
         assert np.all(system.free_index_map[mesh.boundary_flags] == -1)
         free = system.free_index_map[~mesh.boundary_flags]
         assert np.array_equal(np.sort(free), np.arange(system.num_unknowns))
+
+    def test_read_only_coefficient_view(self):
+        # a constant field returns a read-only broadcast view; assembly reads
+        # it to the same bits as a writable copy
+        ident = identity_field()
+        assert not ident.eval(np.zeros((3, 2))).flags.writeable
+        copied = dataclasses.replace(ident, eval=lambda pts: ident.eval(pts).copy())
+        mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0)
+        for weight in (None, graded_weight):
+            a = assemble(mesh, ident, weight=weight, source=SourceTerm(BETA))
+            b = assemble(mesh, copied, weight=weight, source=SourceTerm(BETA))
+            for attr in ("data", "indices", "indptr"):
+                assert (getattr(a.matrix, attr).tobytes()
+                        == getattr(b.matrix, attr).tobytes())
+            assert a.rhs.tobytes() == b.rhs.tobytes()
 
     def test_deterministic(self):
         mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0)
