@@ -259,9 +259,6 @@ class ResidualReport:
     n_evaluated: int
     n_skipped: int
 
-    def __float__(self):
-        return self.max_residual
-
 
 def residual_check(sol, source, field):
     """Max of |-div(A grad u) - f| at interior sample points, by finite differences.
@@ -272,7 +269,7 @@ def residual_check(sol, source, field):
     are skipped and counted in the report.
     """
     dom = sol.domain
-    uv = halton(RESIDUAL_POINTS, dim=2, start=1)
+    uv = halton(RESIDUAL_POINTS)
     r_lo = max(dom.r_inner + CORNER_MARGIN, CORNER_MARGIN)
     r_hi = dom.r_outer - CORNER_MARGIN
     r = r_lo + uv[:, 0] * (r_hi - r_lo)

@@ -95,11 +95,18 @@ def _check_alpha(parser, alpha):
         parser.error(f"--alpha must be positive and finite, got {alpha:g}")
 
 
-def _check_out_dir(parser, flag, path):
-    """Refuse an output path whose directory is missing, before any work."""
-    folder = os.path.dirname(path) or "."
+def _check_out_path(parser, flag, path, suffixes=("",)):
+    """Refuse, before any work, an output path whose directory is missing,
+    that names no file, or that with any of ``suffixes`` is a directory."""
+    folder, name = os.path.split(path)
+    folder = folder or "."
     if not os.path.isdir(folder):
         parser.error(f"{flag}: directory {folder!r} does not exist")
+    if not name:
+        parser.error(f"{flag}: {path!r} names a directory, not a file")
+    for target in (path + s for s in suffixes):
+        if os.path.isdir(target):
+            parser.error(f"{flag}: {target!r} is a directory")
 
 
 def _cmd_verify(parser, args):
@@ -176,7 +183,7 @@ def _cmd_rate_study(parser, args):
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
     if args.out != "-":
-        _check_out_dir(parser, "--out", args.out)
+        _check_out_path(parser, "--out", args.out)
     grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
     # the qualitative study's third column is the condition-3 statistic, not a bound
     header = ("eps,error,condition_3_deviation,ratio" if args.study == "qualitative"
@@ -194,35 +201,9 @@ def _cmd_rate_study(parser, args):
     )
 
     try:
-        if args.study == "coeff":
-            study = experiments.coefficient_rate_study(args.beta, args.alpha, grid,
-                                                       q=args.q)
-            rows = list(zip(study.bound.eps, study.bound.lhs_series,
-                            study.bound.rhs_series,
-                            _ratios(study.bound)))
-            fit = study.rate
-        elif args.study == "domain":
-            mode = "semi_analytic" if args.mode == "semi" else "fem"
-            study = experiments.domain_rate_study(args.beta, grid, q=args.q, mode=mode)
-            rows = list(zip(study.bound.eps, study.bound.lhs_series,
-                            study.bound.rhs_series, _ratios(study.bound)))
-            fit = study.rate
-        elif args.study == "wwww":
-            u0 = analytic.limit_solution(args.beta)
-            maps = [geometry.radial_shift_map(e, args.beta) for e in grid]
-            check = experiments.composition_inequality_check(u0, maps, args.q)
-            rows = list(zip(check.eps, check.lhs_series, check.rhs_series,
-                            _ratios(check)))
-            fit = experiments.fit_loglog(list(zip(check.eps, check.lhs_series)))
-        else:
-            family = _jump_family(args.alpha)
-            table = experiments.qualitative_convergence_study(
-                family, grid, "condition_3", args.beta,
-                exclusion_radius=min(0.5, 2.0 * args.eps_max))
-            first = table.rows[0][1]
-            rows = [(eps, err, stat, err / first if first > 0 else 0.0)
-                    for eps, err, stat in table.rows]
-            fit = experiments.fit_rate([(eps, err) for eps, err, _ in table.rows])
+        # overflow and invalid values surface as non-finite cells, reported below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows, fit = _run_study(args, grid)
     except experiments.HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
@@ -248,6 +229,31 @@ def _cmd_rate_study(parser, args):
     return 0
 
 
+def _run_study(args, grid):
+    """The CSV rows and the rate fit of the study ``args`` asks for."""
+    if args.study == "qualitative":
+        table = experiments.qualitative_convergence_study(
+            _jump_family(args.alpha), grid, "condition_3", args.beta,
+            exclusion_radius=min(0.5, 2.0 * args.eps_max))
+        first = table.rows[0][1]
+        rows = [(eps, err, stat, err / first if first > 0 else 0.0)
+                for eps, err, stat in table.rows]
+        return rows, experiments.fit_loglog([(eps, err) for eps, err, _ in table.rows])
+    if args.study == "coeff":
+        study = experiments.coefficient_rate_study(args.beta, args.alpha, grid, q=args.q)
+        check, fit = study.bound, study.rate
+    elif args.study == "domain":
+        mode = "semi_analytic" if args.mode == "semi" else "fem"
+        study = experiments.domain_rate_study(args.beta, grid, q=args.q, mode=mode)
+        check, fit = study.bound, study.rate
+    else:
+        u0 = analytic.limit_solution(args.beta)
+        maps = [geometry.radial_shift_map(e, args.beta) for e in grid]
+        check = experiments.composition_inequality_check(u0, maps, args.q)
+        fit = experiments.fit_loglog(list(zip(check.eps, check.lhs_series)))
+    return list(zip(check.eps, check.lhs_series, check.rhs_series, check.ratios)), fit
+
+
 def _non_finite(columns, rows, fit):
     """Describe the first non-finite CSV cell or fit value, or return None."""
     for row in rows:
@@ -259,11 +265,6 @@ def _non_finite(columns, rows, fit):
         if not math.isfinite(v):
             return f"fit {name} {_fmt(v)}"
     return None
-
-
-def _ratios(check):
-    return [l / r if r > 0.0 else 0.0
-            for l, r in zip(check.lhs_series, check.rhs_series)]
 
 
 def _jump_family(alpha):
@@ -278,7 +279,7 @@ def _jump_family(alpha):
 def _cmd_solve(parser, args):
     if args.refine < 0:
         parser.error("--refine must be nonnegative")
-    _check_out_dir(parser, "--out-prefix", args.out_prefix)
+    _check_out_path(parser, "--out-prefix", args.out_prefix, (".mesh", ".sol"))
     r_inner = 0.0
     if args.domain == "annulus":
         if not 0.0 < args.eps < 1.0:

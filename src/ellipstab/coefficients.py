@@ -51,7 +51,6 @@ class CoefficientField:
 
     eval: Callable
     ellipticity: EllipticityBounds
-    kind: str = "custom"
     interface_radii: tuple = ()
 
 
@@ -107,8 +106,7 @@ def constant_field(matrix):
         pts = np.asarray(points, dtype=float)
         return np.broadcast_to(M, pts.shape[:-1] + (2, 2))
 
-    return CoefficientField(ev, EllipticityBounds(float(lam[0]), float(lam[1])),
-                            kind="constant")
+    return CoefficientField(ev, EllipticityBounds(float(lam[0]), float(lam[1])))
 
 
 def identity_field():
@@ -139,7 +137,6 @@ def radial_jump_field(alpha, eps):
     return CoefficientField(
         ev,
         EllipticityBounds(min(alpha, 1.0), max(alpha, 1.0)),
-        kind=f"radial_jump(alpha={alpha:g}, eps={eps:g})",
         interface_radii=(eps,),
     )
 
@@ -183,24 +180,17 @@ def pullback_field(field, bilip):
 
     bounds = EllipticityBounds(field.ellipticity.lower / Lf**2,
                                field.ellipticity.upper * Li**2)
-    return CoefficientField(ev, bounds, kind="pulled_back",
-                            interface_radii=field.interface_radii)
+    return CoefficientField(ev, bounds, interface_radii=field.interface_radii)
 
 
 def lp_distance(field_a, field_b, p, domain):
-    """Entrywise-sup L^p distance between two fields over a sector domain.
+    """Entrywise-sup L^p distance, finite p >= 1, between two fields over a sector.
 
-    For finite p the integral uses polar quadrature with radial breakpoints
-    at both fields' interface radii.  For p = inf the value is a supremum
-    over a deterministic low-discrepancy sample of 100000 points, which is
-    an approximation, not a certified bound.
+    The integral uses polar quadrature with radial breakpoints at both
+    fields' interface radii.
     """
-    if not p >= 1.0:
-        raise ValueError("need p >= 1 or p = inf")
-    if p == np.inf:
-        pts = domain.sample_interior(100_000)
-        diff = np.abs(field_a.eval(pts) - field_b.eval(pts))
-        return float(np.max(diff))
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"need a finite p >= 1, got {p}")
 
     def entry_powers(pts):
         d = np.subtract(field_a.eval(pts), field_b.eval(pts))
@@ -220,7 +210,7 @@ def _quadform(mats, vecs):
 
 def pullback_energy_gap(field, bilip, grad_v, source_region, target_region,
                         radial_breaks_source=(), radial_breaks_target=(),
-                        n_gauss=12, n_panels=16):
+                        n_panels=16):
     """Gap in the change-of-variables energy identity for a test gradient.
 
     Computes the energy of ``grad_v`` against ``field`` over the target
@@ -245,12 +235,11 @@ def pullback_energy_gap(field, bilip, grad_v, source_region, target_region,
         if isinstance(region, SectorDomain):
             return integrate_polar(
                 integrand, region.beta, region.r_inner, region.r_outer,
-                radial_breaks=breaks, n_gauss=n_gauss,
-                n_radial_panels=n_panels, n_angular_panels=n_panels,
+                radial_breaks=breaks, n_radial_panels=n_panels,
+                n_angular_panels=n_panels,
             )
         (xlim, ylim) = region
-        return integrate_rect(integrand, xlim, ylim, n_gauss=n_gauss,
-                              nx_panels=n_panels, ny_panels=n_panels)
+        return integrate_rect(integrand, xlim, ylim, n_panels=n_panels)
 
     direct = run(target_region, direct_integrand, radial_breaks_target)
     pulled = run(source_region, pulled_integrand, radial_breaks_source)

@@ -35,21 +35,26 @@ def _integrate_f2_on_triangle(f2, corners):
     return np.sum(area[..., None] * TRI6_WEIGHTS * vals, axis=-1)
 
 
-def integrate_corner_triangles(f2, apex, p, q, levels=30):
+# halvings toward the apex; 2^-30 leaves a negligible innermost triangle
+CORNER_LEVELS = 30
+
+
+def integrate_corner_triangles(f2, apex, p, q):
     """Integrate toward singular apexes by geometric triangle subdivision.
 
     ``apex``, ``p`` and ``q`` are (T, 2) arrays, one triangle per row, and
-    f2 is as in ``_integrate_f2_on_triangle``.  Each level splits off
-    similar triangles scaled by 1/2 toward the apex; each ring (a
-    trapezoid, two triangles) uses the standard rule, and the innermost
-    triangle is added with the plain rule once its scale is negligible.
+    f2 is as in ``_integrate_f2_on_triangle``.  Each of ``CORNER_LEVELS``
+    levels splits off similar triangles scaled by 1/2 toward the apex; each
+    ring (a trapezoid, two triangles) uses the standard rule, and the
+    innermost triangle is added with the plain rule once its scale is
+    negligible.
     Returns the (T,) integrals.
     """
     apex = np.asarray(apex, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     total = np.zeros(len(apex))
-    for _ in range(levels):
+    for _ in range(CORNER_LEVELS):
         p_half = apex + 0.5 * (p - apex)
         q_half = apex + 0.5 * (q - apex)
         ring = np.stack([np.stack([p_half, p, q], axis=1),

@@ -35,11 +35,8 @@ class ConditionViolation(ValueError):
         self.value = value
 
 
-def default_eps_grid(eps_max=1e-1, eps_min=1e-4, points=7):
-    """Geometric grid from eps_max down to eps_min (decreasing)."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    return tuple(np.geomspace(eps_max, eps_min, points))
+# the studies' default eps grid: 7 geometric steps from 1e-1 down to 1e-4
+DEFAULT_EPS_GRID = tuple(np.geomspace(1e-1, 1e-4, 7))
 
 
 def default_window(n):
@@ -62,14 +59,18 @@ class RateFit:
 def fit_loglog(samples, window=None):
     """Least-squares line through (log eps, log error) over the window.
 
-    Samples are sorted by decreasing eps; at least 4 points must fall in
-    the window and every windowed error must be positive.
+    Samples are sorted by decreasing eps.  A family whose errors all vanish
+    has no rate to fit: its fit has a NaN exponent, spans every sample and
+    has ``degenerate`` set.  Otherwise at least 4 points must fall in the
+    window and every windowed error must be positive.
     """
     samples = tuple(sorted(((float(e), float(v)) for e, v in samples),
                            key=lambda t: -t[0]))
     n = len(samples)
     if n >= 2 and len({e for e, _ in samples}) != n:
         raise ValueError("duplicate eps values")
+    if n and all(v == 0.0 for _, v in samples):
+        return RateFit(float("nan"), 0.0, 0.0, samples, (0, n - 1), degenerate=True)
     if window is None:
         window = default_window(n)
     i0, i1 = window
@@ -91,37 +92,29 @@ def fit_loglog(samples, window=None):
                    float(np.clip(r2, 0.0, 1.0)), samples, (i0, i1))
 
 
-def fit_rate(samples):
-    """``fit_loglog``, or a degenerate fit when every error vanishes.
-
-    A family whose errors all lie below 1e-14 has no rate to fit; its fit
-    has a NaN exponent and ``degenerate`` set.
-    """
-    if max(v for _, v in samples) >= 1e-14:
-        return fit_loglog(samples)
-    samples = tuple(sorted(((float(e), float(v)) for e, v in samples),
-                           key=lambda t: -t[0]))
-    return RateFit(float("nan"), 0.0, 0.0, samples,
-                   (0, len(samples) - 1), degenerate=True)
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """Tracks lhs <= c * rhs over a parameter grid.
 
     ``verdict`` is "bounded" when the ratio series is non-increasing or
     stable (spread below 20%) over the asymptotic window, else "violated".
-    ``hypothesis_params`` records (q, M) used to form the right-hand side.
+    ``ratios`` holds lhs / rhs per grid point: 0 where both vanish, inf
+    where only rhs does.  ``hypothesis_params`` records (q, M) used to form
+    the right-hand side.
     """
 
     eps: tuple
     lhs_series: tuple
     rhs_series: tuple
-    ratio_max: float
+    ratios: tuple
     hypothesis_params: tuple
     verdict: str
     window: tuple
     extras: dict = field(default_factory=dict)
+
+    @property
+    def ratio_max(self):
+        return float(np.max(self.ratios))
 
 
 def bound_check(eps, lhs, rhs, q, m_const, window=None):
@@ -132,8 +125,8 @@ def bound_check(eps, lhs, rhs, q, m_const, window=None):
     eps = tuple(eps[i] for i in order)
     lhs = tuple(lhs[i] for i in order)
     rhs = tuple(rhs[i] for i in order)
-    ratios = [l / r if r > 0.0 else (0.0 if l <= 0.0 else float("inf"))
-              for l, r in zip(lhs, rhs)]
+    ratios = tuple(l / r if r > 0.0 else (0.0 if l <= 0.0 else float("inf"))
+                   for l, r in zip(lhs, rhs))
     if window is None:
         window = default_window(len(eps))
     i0, i1 = window
@@ -147,7 +140,7 @@ def bound_check(eps, lhs, rhs, q, m_const, window=None):
     else:
         stable = max(positive) / min(positive) < 1.2 and max(w) == max(positive)
     verdict = "bounded" if (non_increasing or stable) else "violated"
-    return BoundCheck(eps, lhs, rhs, float(np.max(ratios)), (float(q), float(m_const)),
+    return BoundCheck(eps, lhs, rhs, ratios, (float(q), float(m_const)),
                       verdict, (i0, i1))
 
 
@@ -188,7 +181,7 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     """
     _check_exponent(beta, q)
     if eps_grid is None:
-        eps_grid = default_eps_grid()
+        eps_grid = DEFAULT_EPS_GRID
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
     u0 = analytic.limit_solution(beta)
     k = np.pi / beta
@@ -199,8 +192,9 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
         errors.append(analytic.h1_seminorm_separable(diff))
     samples = tuple(zip(eps_grid, errors))
 
-    lower_const = np.pi * (1.0 - alpha) ** 2 / (2.0 * beta * (1.0 + alpha) ** 2)
-    rate = fit_rate(samples)
+    # the squared contrast ratio stays in [0, 1) for every finite alpha > 0
+    lower_const = np.pi / (2.0 * beta) * ((1.0 - alpha) / (1.0 + alpha)) ** 2
+    rate = fit_loglog(samples)
     if rate.degenerate:
         bound = bound_check(eps_grid, errors, [1.0] * len(errors), q, 0.0)
         return CoefficientStudy(rate, bound, tuple(0.0 for _ in eps_grid),
@@ -272,7 +266,7 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
     if mode not in ("semi_analytic", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
     if eps_grid is None:
-        eps_grid = default_eps_grid()
+        eps_grid = DEFAULT_EPS_GRID
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
     u0 = analytic.limit_solution(beta)
 
@@ -376,6 +370,10 @@ def composition_inequality_check(sol, maps, q):
 # -- qualitative convergence (no rate claimed) ---------------------------------
 
 
+# sample size of the qualitative study's condition check
+CONDITION_POINTS = 4000
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     mode: str
@@ -389,7 +387,7 @@ class ConvergenceTable:
 
 def qualitative_convergence_study(field_family, eps_grid, mode, beta,
                                   exclusion_radius=0.5, n_radial=24,
-                                  n_angular=24, grading=3.0, n_check=4000):
+                                  n_angular=24, grading=3.0):
     """Tabulate FEM errors for a coefficient family under one of two conditions.
 
     ``mode`` is "condition_3" (uniform convergence off a compact set, here
@@ -403,7 +401,7 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
     sector = geometry.SectorDomain(beta)
     field0 = field_family(0.0)
-    pts = sector.sample_interior(n_check)
+    pts = sector.sample_interior(CONDITION_POINTS)
     if mode == "condition_3":
         pts_check = pts[np.hypot(pts[:, 0], pts[:, 1]) > exclusion_radius]
     else:

@@ -43,7 +43,6 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    free_index_map: np.ndarray  # vertex -> unknown index, -1 at Dirichlet vertices
     free_vertices: np.ndarray  # unknown index -> vertex
     mesh: object = None
 
@@ -131,11 +130,9 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
 
     free = ~mesh.boundary_flags
     free_vertices = np.flatnonzero(free)
-    free_index_map = -np.ones(mesh.num_vertices, dtype=np.int64)
-    free_index_map[free_vertices] = np.arange(free_vertices.size)
     K_ff = K[free_vertices][:, free_vertices].tocsr()
     K_ff.sum_duplicates()
-    return SparseSystem(K_ff, b[free_vertices], free_index_map, free_vertices, mesh)
+    return SparseSystem(K_ff, b[free_vertices], free_vertices, mesh)
 
 
 def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
@@ -312,15 +309,13 @@ def _locator(mesh):
     return mesh._locator
 
 
-def evaluate_gradient_many(sol, points, tri_grads=None):
+def evaluate_gradient_many(sol, points):
     """Vectorized gradient evaluation; rows are zero outside the mesh."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     idx = _locator(sol.mesh).locate_many(pts)
-    if tri_grads is None:
-        tri_grads = sol.triangle_gradients()
     out = np.zeros((pts.shape[0], 2))
     inside = idx >= 0
-    out[inside] = tri_grads[idx[inside]]
+    out[inside] = sol.triangle_gradients()[idx[inside]]
     return out
 
 

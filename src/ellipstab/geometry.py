@@ -79,9 +79,9 @@ class SectorDomain:
         on |= (np.abs(s * x - c * y) <= tol * r) & (c * x + s * y >= 0.0)
         return on
 
-    def sample_interior(self, n, start=1):
+    def sample_interior(self, n):
         """Deterministic area-uniform low-discrepancy sample of the sector."""
-        uv = halton(n, dim=2, start=start)
+        uv = halton(n)
         r = np.sqrt(self.r_inner**2 + uv[:, 0] * (self.r_outer**2 - self.r_inner**2))
         theta = uv[:, 1] * self.beta
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)

@@ -141,7 +141,7 @@ class TriMesh:
 
     # -- validation and export --------------------------------------------
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Raise ValueError on any violated mesh invariant."""
         if np.any(self.signed_areas() <= 0.0):
             bad = int(np.argmax(self.signed_areas() <= 0.0))
@@ -155,7 +155,7 @@ class TriMesh:
             raise ValueError("mesh has unused (hanging) vertices")
         dom = self.domain
         if dom is not None:
-            on = dom.on_boundary(self.vertices, tol=tol)
+            on = dom.on_boundary(self.vertices)
             if np.any(on & ~self.boundary_flags):
                 raise ValueError("boundary vertex not flagged Dirichlet")
             if np.any(self.boundary_flags & ~on):

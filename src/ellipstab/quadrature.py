@@ -3,7 +3,7 @@
 Composite Gauss-Legendre rules on intervals, radial rules graded by octaves
 of r between knots and toward a corner, tensor-product rules on polar
 rectangles and Cartesian boxes, the degree-4 six-point triangle rule, and a
-Halton sequence for deterministic low-discrepancy sampling.
+2-D Halton sequence for deterministic low-discrepancy sampling.
 """
 
 from __future__ import annotations
@@ -113,16 +113,20 @@ def integrate_radial(f, a, b, breakpoints=(), n_gauss=16, n_panels=8):
     return float(np.dot(weights, f(nodes)))
 
 
+# Gauss points per panel and direction of the 2D tensor rules
+TENSOR_GAUSS = 12
+
+
 def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(),
-                    n_gauss=12, n_radial_panels=8, n_angular_panels=8):
+                    n_radial_panels=8, n_angular_panels=8):
     """Integrate a Cartesian-argument function over a (possibly annular) sector.
 
     ``f_xy`` maps an (N, 2) array of points to N values, or to an (N, ...)
     array integrated entrywise; the polar area weight r is applied here.
     """
     rn, rw = gauss_on_panels(
-        radial_edges(r_inner, r_outer, radial_breaks, n_radial_panels), n_gauss)
-    tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_angular_panels + 1), n_gauss)
+        radial_edges(r_inner, r_outer, radial_breaks, n_radial_panels), TENSOR_GAUSS)
+    tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_angular_panels + 1), TENSOR_GAUSS)
     r = rn[:, None]
     pts = np.stack([r * np.cos(tn), r * np.sin(tn)], axis=-1).reshape(-1, 2)
     vals = np.asarray(f_xy(pts), dtype=float)
@@ -130,18 +134,19 @@ def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(),
     return float(total) if total.ndim == 0 else total
 
 
-def integrate_rect(f_xy, xlim, ylim, n_gauss=12, nx_panels=8, ny_panels=8):
-    """Integrate a Cartesian-argument function over an axis-aligned box."""
-    xn, xw = gauss_on_panels(np.linspace(xlim[0], xlim[1], nx_panels + 1), n_gauss)
-    yn, yw = gauss_on_panels(np.linspace(ylim[0], ylim[1], ny_panels + 1), n_gauss)
+def integrate_rect(f_xy, xlim, ylim, n_panels=8):
+    """Integrate a Cartesian-argument function over an axis-aligned box,
+    ``n_panels`` panels per side."""
+    xn, xw = gauss_on_panels(np.linspace(xlim[0], xlim[1], n_panels + 1), TENSOR_GAUSS)
+    yn, yw = gauss_on_panels(np.linspace(ylim[0], ylim[1], n_panels + 1), TENSOR_GAUSS)
     X, Y = np.meshgrid(xn, yn, indexing="ij")
     pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
     vals = np.asarray(f_xy(pts), dtype=float).reshape(X.shape)
     return float(np.sum(xw[:, None] * yw[None, :] * vals))
 
 
-def _van_der_corput(n, base, start=1):
-    idx = np.arange(start, start + n, dtype=np.int64)
+def _van_der_corput(n, base):
+    idx = np.arange(1, n + 1, dtype=np.int64)
     out = np.zeros(n)
     f = 1.0 / base
     while np.any(idx > 0):
@@ -151,7 +156,6 @@ def _van_der_corput(n, base, start=1):
     return out
 
 
-def halton(n, dim=2, start=1):
-    """First ``n`` points of the Halton sequence in [0, 1)^dim (deterministic)."""
-    bases = (2, 3, 5, 7)[:dim]
-    return np.stack([_van_der_corput(n, b, start) for b in bases], axis=1)
+def halton(n):
+    """First ``n`` points of the 2D Halton sequence (bases 2 and 3) in [0, 1)^2."""
+    return np.stack([_van_der_corput(n, 2), _van_der_corput(n, 3)], axis=1)

@@ -1,11 +1,17 @@
+import os
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ellipstab import cli, fem, meshing
-from ellipstab.geometry import SectorDomain
+from ellipstab import cli, experiments, fem, meshing
+from ellipstab.analytic import limit_solution
+from ellipstab.geometry import SectorDomain, radial_shift_map
 from ellipstab.meshing import TriMesh
 
 BETA = f"{1.5 * np.pi:.9f}"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -183,22 +189,34 @@ class TestRateStudy:
         summary = dict(part.split("=") for part in lines[-1][2:].split())
         assert 0.60 <= float(summary["exponent"]) <= 0.73
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha,column", [
-        ("1e-300", "error"), ("1e100", "bound"), ("1e160", None), ("1e300", None)])
+        ("1e-300", "error"), ("1e100", "bound"), ("1e160", "bound"), ("1e300", "bound")])
     def test_extreme_alpha_writes_no_csv(self, alpha, column, tmp_path, capsys):
-        # errors or bounds overflow to inf, or the sharpness constant raises
-        # OverflowError: exit 1 with one line, never a CSV or a traceback
+        # errors or bounds overflow to inf: exit 1 with one line naming the
+        # column, never a CSV, a traceback or a numpy RuntimeWarning
         out = tmp_path / "x.csv"
         assert run("rate-study", "--study", "coeff", "--points", "4",
                    "--eps-min", "1e-3", "--alpha", alpha, "--out", str(out)) == 1
-        last = capsys.readouterr().err.splitlines()[-1]
-        if column is None:
-            assert last.startswith("error: OverflowError in the study")
-        else:
-            assert last == f"error: non-finite {column} inf at eps=0.1; no CSV written"
+        assert capsys.readouterr().err == (
+            f"error: non-finite {column} inf at eps=0.1; no CSV written\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
+    def test_ratio_column_is_the_bound_checks(self, study, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run("rate-study", "--study", study, "--alpha", "0.5", "--q", "5",
+                   "--points", "5", "--eps-min", "1e-3", "--out", str(out)) == 0
+        cells = [l.split(",")[3] for l in out.read_text().splitlines()[2:-1]]
+        beta, grid = 1.5 * np.pi, tuple(np.geomspace(0.1, 1e-3, 5))
+        if study == "coeff":
+            check = experiments.coefficient_rate_study(beta, 0.5, grid, q=5.0).bound
+        elif study == "domain":
+            check = experiments.domain_rate_study(beta, grid, q=5.0).bound
+        else:
+            check = experiments.composition_inequality_check(
+                limit_solution(beta), [radial_shift_map(e, beta) for e in grid], 5.0)
+        assert cells == [f"{r:.12g}" for r in check.ratios]
 
     def test_missing_out_dir_is_usage_error_before_work(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -211,6 +229,18 @@ class TestRateStudy:
         assert (f"--out: directory '{out.parent}' does not exist"
                 in capsys.readouterr().err)
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("trailing_sep", [False, True])
+    def test_directory_out_is_usage_error_before_work(self, trailing_sep, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli.experiments, "composition_inequality_check", no_work)
+        out = str(tmp_path) + (os.sep if trailing_sep else "")
+        assert run("rate-study", "--study", "wwww", "--out", out) == 2
+        assert "--out: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_reused_parser_keeps_no_state(self, tmp_path):
         # the parser is built once per process; a usage error in between
@@ -383,6 +413,23 @@ class TestSolve:
                 in capsys.readouterr().err)
         assert not prefix.parent.exists()
 
+    @pytest.mark.parametrize("target", ["empty stem", "mesh is a directory"])
+    def test_out_prefix_naming_no_file_is_usage_error_before_work(
+            self, target, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.meshing, "mesh_sector", no_work)
+        if target == "empty stem":
+            prefix = str(tmp_path) + os.sep
+        else:
+            prefix = str(tmp_path / "x")
+            (tmp_path / "x.mesh").mkdir()
+        assert run("solve", "--domain", "sector", "--out-prefix", prefix) == 2
+        assert "--out-prefix: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if target == "empty stem" else ["x.mesh"])
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(system, rel_tol=0.0, max_iter=0):
             raise fem.ConvergenceFailure("stalled", residual_history=(1.0,))
@@ -391,3 +438,15 @@ class TestSolve:
         code = run("solve", "--domain", "sector", "--n-radial", "4",
                    "--n-angular", "4", "--out-prefix", str(tmp_path / "x"))
         assert code == 4
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every `ellipstab ...` line of the sh block under README's `## CLI`
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ellipstab ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, " ".join(argv)

@@ -210,12 +210,12 @@ class TestLpDistance:
         mc = (dom.area() * np.mean((r < eps) * abs(alpha - 1.0) ** p)) ** (1.0 / p)
         assert val == pytest.approx(mc, rel=0.01)
 
-    def test_sup_norm_never_vanishes(self):
-        # convergence in every L^p but not in L^inf
+    def test_rejects_p_not_finite(self):
+        # the studies' p = 2q/(q-2) is finite for every q > 2
         dom = SectorDomain(BETA)
-        for eps in (0.3, 0.05, 0.005):
-            val = lp_distance(radial_jump_field(2.0, eps), identity_field(), np.inf, dom)
-            assert val == pytest.approx(1.0, abs=1e-12)
+        for p in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite p"):
+                lp_distance(radial_jump_field(2.0, 0.1), identity_field(), p, dom)
 
     def test_metric_properties(self, rng):
         dom = SectorDomain(BETA)

@@ -10,8 +10,8 @@ from ellipstab.experiments import (
     HypothesisViolation,
     bound_check,
     coefficient_rate_study,
+    DEFAULT_EPS_GRID,
     composition_inequality_check,
-    default_eps_grid,
     domain_rate_study,
     fit_loglog,
     q_star,
@@ -54,11 +54,27 @@ class TestFitLoglog:
     def test_errors(self):
         eps = np.geomspace(1e-1, 1e-3, 5)
         with pytest.raises(ValueError):
-            fit_loglog([(e, 0.0) for e in eps], window=(0, 4))
+            fit_loglog([(e, 0.0 if i == 2 else e) for i, e in enumerate(eps)],
+                       window=(0, 4))
         with pytest.raises(ValueError):
             fit_loglog([(e, e) for e in eps[:3]])
         with pytest.raises(ValueError):
             fit_loglog([(0.1, 1.0), (0.1, 2.0), (0.01, 1.0), (0.001, 1.0)])
+
+    def test_vanishing_family_is_degenerate(self):
+        eps = np.geomspace(1e-1, 1e-3, 5)
+        fit = fit_loglog([(e, 0.0) for e in eps[::-1]])
+        assert fit.degenerate
+        assert np.isnan(fit.exponent)
+        assert fit.window == (0, 4)
+        assert [e for e, _ in fit.samples] == sorted(eps, reverse=True)
+
+    def test_tiny_positive_errors_are_fitted(self):
+        # an absolute floor would call this exact power law degenerate
+        eps = np.geomspace(1e-12, 1e-14, 4)
+        fit = fit_loglog([(e, 0.6 * e ** (5.0 / 3.0)) for e in eps])
+        assert not fit.degenerate
+        assert fit.exponent == pytest.approx(5.0 / 3.0, rel=1e-10)
 
     def test_deterministic(self):
         eps = np.geomspace(1e-1, 1e-4, 7)
@@ -152,6 +168,21 @@ class TestCoefficientRateStudy:
         with pytest.raises(HypothesisViolation) as err:
             coefficient_rate_study(BETA, 2.0, q=7.0)
         assert err.value.q_star == pytest.approx(6.0)
+
+    def test_vanishing_family_is_degenerate(self):
+        eps = np.geomspace(1e-1, 1e-3, 5)
+        fit = fit_loglog([(e, 0.0) for e in eps[::-1]])
+        assert fit.degenerate
+        assert np.isnan(fit.exponent)
+        assert fit.window == (0, 4)
+        assert [e for e, _ in fit.samples] == sorted(eps, reverse=True)
+
+    def test_tiny_positive_errors_are_fitted(self):
+        # an absolute floor would call this exact power law degenerate
+        eps = np.geomspace(1e-12, 1e-14, 4)
+        fit = fit_loglog([(e, 0.6 * e ** (5.0 / 3.0)) for e in eps])
+        assert not fit.degenerate
+        assert fit.exponent == pytest.approx(5.0 / 3.0, rel=1e-10)
 
     def test_deterministic(self):
         a = coefficient_rate_study(BETA, 2.0, q=4.0)
@@ -251,7 +282,7 @@ class TestCompositionInequality:
         # accurate to rounding times cond(Dphi), which grows like 2 eps / r
         # toward the corner (about 2000 at the innermost point here)
         mp = radial_shift_map(eps, BETA)
-        uv = halton(2000, dim=2)
+        uv = halton(2000)
         theta = BETA * uv[:, 1]
         for r, expect in ((2.0 * eps * uv[:, 0], 1.0),
                           (2.0 * eps + (1.0 - 2.0 * eps) * uv[:, 0], 0.0)):
@@ -323,7 +354,7 @@ class TestQualitativeConvergence:
                                           n_radial=8, n_angular=8)
 
     def test_eps_grid_and_defaults(self):
-        grid = default_eps_grid()
+        grid = DEFAULT_EPS_GRID
         assert len(grid) == 7
         assert grid[0] == pytest.approx(1e-1)
         assert grid[-1] == pytest.approx(1e-4)

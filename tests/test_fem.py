@@ -154,12 +154,11 @@ class TestAssemble:
             v = rng.normal(size=system.num_unknowns)
             assert v @ (system.matrix @ v) > 0.0
 
-    def test_free_index_map(self):
+    def test_free_vertices(self):
         mesh = mesh_sector(SectorDomain(BETA), 4, 4)
         system = assemble(mesh, identity_field())
-        assert np.all(system.free_index_map[mesh.boundary_flags] == -1)
-        free = system.free_index_map[~mesh.boundary_flags]
-        assert np.array_equal(np.sort(free), np.arange(system.num_unknowns))
+        assert np.array_equal(system.free_vertices, np.flatnonzero(~mesh.boundary_flags))
+        assert system.free_vertices.size == system.num_unknowns
 
     def test_read_only_coefficient_view(self):
         # a constant field returns a read-only broadcast view; assembly reads
@@ -236,7 +235,7 @@ class TestSolveCg:
         K = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
                                     [-1.0, 2.0, -1.0],
                                     [0.0, -1.0, 2.0]]))
-        system = SparseSystem(K, np.ones(3), np.arange(3), np.arange(3), mesh=None)
+        system = SparseSystem(K, np.ones(3), np.arange(3), mesh=None)
         sol = solve_cg(system, rel_tol=1e-14)
         assert np.allclose(sol.nodal_values, [1.5, 2.0, 1.5], atol=1e-12)
 

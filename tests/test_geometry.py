@@ -143,7 +143,7 @@ class TestGraphDomain:
 class TestAffineMap:
     def test_round_trip_and_jacobian(self):
         m = affine_map([[2.0, 0.3], [0.1, 0.7]], (0.4, -0.1))
-        pts = halton(100, dim=2)
+        pts = halton(100)
         assert np.max(np.abs(m.inverse(m.forward(pts)) - pts)) < 1e-14
         assert np.allclose(m.jacobian(pts)[0], [[2.0, 0.3], [0.1, 0.7]])
 
