@@ -187,21 +187,28 @@ def lp_distance(field_a, field_b, p, domain):
     """Entrywise-sup L^p distance, finite p >= 1, between two fields over a sector.
 
     The integral uses polar quadrature with radial breakpoints at both
-    fields' interface radii.
+    fields' interface radii.  The entries are divided by the largest sampled
+    |a - b| before the p-th power, and the root multiplied by it, so that a
+    large p neither underflows nor overflows.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"need a finite p >= 1, got {p}")
+    scale = 0.0
 
     def entry_powers(pts):
+        nonlocal scale
         d = np.subtract(field_a.eval(pts), field_b.eval(pts))
         np.abs(d, out=d)
+        scale = float(np.max(d))
+        if 0.0 < scale < np.inf:
+            np.divide(d, scale, out=d)
         np.power(d, p, out=d)
         return d
 
     entry_integrals = integrate_polar(
         entry_powers, domain.beta, domain.r_inner, domain.r_outer,
         (*field_a.interface_radii, *field_b.interface_radii))
-    return float(np.max(entry_integrals) ** (1.0 / p))
+    return scale * float(np.max(entry_integrals) ** (1.0 / p))
 
 
 def _quadform(mats, vecs):

@@ -4,7 +4,11 @@ The assembled form is  Q(u, v) = int a_ij u_xi v_xj g dx  with an optional
 positive density g (defaults to 1), and the load is  int f * sw * v dx with
 an optional source weight sw.  Dirichlet rows and columns are eliminated
 symmetrically so the reduced system stays symmetric positive definite and
-a Jacobi-preconditioned conjugate gradient applies.
+a preconditioned conjugate gradient applies.  The preconditioner is the
+banded Cholesky factor of the reduced matrix when its band, in the mesh's
+own vertex numbering, fits ``BAND_ENTRIES`` stored entries (a ring-by-ring
+sector mesh: CG then stops after one iteration), and Jacobi otherwise (a
+larger uniformly refined mesh, whose numbering is not banded).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.
@@ -21,8 +25,15 @@ from .coefficients import FieldEvaluationError
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
-# about 140 bytes of temporaries each
-LOCATE_PAIRS = 1 << 20
+# about 140 bytes of temporaries each (18 MB a chunk); on a graded 96 x 64
+# sector, 2^16 and 2^17 located fastest (70-73 ms, 92 ms at 2^20), and each
+# doubling raised the peak memory
+LOCATE_PAIRS = 1 << 17
+
+# largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
+# taken as the CG preconditioner: a 96 x 64 sector needs 0.39 M, a once
+# refined 24 x 64 one 28.6 M and keeps Jacobi
+BAND_ENTRIES = 1 << 20
 
 
 class AssemblyError(RuntimeError):
@@ -136,11 +147,14 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
 
 
 def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
-    """Jacobi-preconditioned conjugate gradients on the reduced system.
+    """Preconditioned conjugate gradients on the reduced system.
 
+    The preconditioner is the banded Cholesky factor of the matrix when
+    (bandwidth + 1) * unknowns <= ``BAND_ENTRIES``, and Jacobi otherwise.
     Stops when ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure
-    with the residual history when the iteration cap is hit, and ValueError
-    for a cap below 1 or a tolerance that is not finite and positive.
+    with the residual history when the iteration cap is hit (with an empty
+    history when the factorization fails), and ValueError for a cap below 1
+    or a tolerance that is not finite and positive.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -156,9 +170,14 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     diag = K.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("system diagonal is not positive")
-    inv_diag = 1.0 / diag
+    precondition = _band_preconditioner(K)
+    if precondition is None:
+        inv_diag = 1.0 / diag
+
+        def precondition(r):
+            return inv_diag * r
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
@@ -172,7 +191,7 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
         history.append(rel)
         if rel <= rel_tol:
             break
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -183,6 +202,37 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
             residual_history=history,
         )
     return _expand(system, x, (iterations, history[-1]))
+
+
+def _band_preconditioner(K):
+    """r -> K^-1 r through K's banded Cholesky factor, or None when the band
+    needs more than ``BAND_ENTRIES`` entries.  K is a symmetric CSR matrix
+    with a stored diagonal; with sorted indices, the last stored column of
+    row i is its rightmost."""
+    if not K.has_sorted_indices:
+        K = K.sorted_indices()
+    n = K.shape[0]
+    bw = int(np.max(K.indices[K.indptr[1:] - 1] - np.arange(n)))
+    if (bw + 1) * n > BAND_ENTRIES:
+        return None
+    # imported here: scipy.linalg would add about 7 MB and 40 ms to every
+    # import of the package, and most callers never solve
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+
+    # upper band storage, ab[bw + i - j, j] = K[i, j] for i <= j
+    rows = np.repeat(np.arange(n), np.diff(K.indptr))
+    upper = K.indices >= rows
+    cols = K.indices[upper]
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[bw + rows[upper] - cols, cols] = K.data[upper]
+    try:
+        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"banded Cholesky factorization failed: {exc}") from exc
+
+    def precondition(r):
+        return cho_solve_banded((factor, False), r, check_finite=False)
+    return precondition
 
 
 def _expand(system, x_free, report):

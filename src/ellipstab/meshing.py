@@ -22,8 +22,8 @@ class TriMesh:
 
     ``domain`` is the meshed domain (None for a bare triangulation).
     Immutable after construction; derived structures (the corner
-    coordinates, the signed areas, the edge numbering and the point
-    locator) are built lazily and cached.
+    coordinates, the signed areas, the P1 gradients, the edge numbering and
+    the point locator) are built lazily and cached.
     """
 
     def __init__(self, vertices, triangles, boundary_flags, domain=None):
@@ -33,6 +33,7 @@ class TriMesh:
         self.domain = domain
         self._corners = None
         self._signed_areas = None
+        self._p1_gradients = None
         self._edge_cache = None
         self._locator = None
 
@@ -70,16 +71,20 @@ class TriMesh:
         return float(np.sum(self.areas()))
 
     def p1_gradients(self):
-        """Gradients of the three nodal basis functions, shape (M, 3, 2)."""
-        p = self.corners()
-        det = 2.0 * self.signed_areas()
-        g = np.empty((self.num_triangles, 3, 2))
-        for i in range(3):
-            a = p[:, (i + 1) % 3]
-            b = p[:, (i + 2) % 3]
-            g[:, i, 0] = (a[:, 1] - b[:, 1]) / det
-            g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
-        return g
+        """Gradients of the three nodal basis functions, shape (M, 3, 2),
+        read-only."""
+        if self._p1_gradients is None:
+            p = self.corners()
+            det = 2.0 * self.signed_areas()
+            g = np.empty((self.num_triangles, 3, 2))
+            for i in range(3):
+                a = p[:, (i + 1) % 3]
+                b = p[:, (i + 2) % 3]
+                g[:, i, 0] = (a[:, 1] - b[:, 1]) / det
+                g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+            g.flags.writeable = False
+            self._p1_gradients = g
+        return self._p1_gradients
 
     @property
     def min_angle_deg(self):

@@ -190,17 +190,43 @@ class TestRateStudy:
         assert 0.60 <= float(summary["exponent"]) <= 0.73
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha,column", [
-        ("1e-300", "error"), ("1e100", "bound"), ("1e160", "bound"), ("1e300", "bound")])
+    @pytest.mark.parametrize("alpha,column", [("1e-300", "error")])
     def test_extreme_alpha_writes_no_csv(self, alpha, column, tmp_path, capsys):
-        # errors or bounds overflow to inf: exit 1 with one line naming the
-        # column, never a CSV, a traceback or a numpy RuntimeWarning
+        # errors overflow to inf: exit 1 with one line naming the column,
+        # never a CSV, a traceback or a numpy RuntimeWarning
         out = tmp_path / "x.csv"
         assert run("rate-study", "--study", "coeff", "--points", "4",
                    "--eps-min", "1e-3", "--alpha", alpha, "--out", str(out)) == 1
         assert capsys.readouterr().err == (
             f"error: non-finite {column} inf at eps=0.1; no CSV written\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ["1e100", "1e160", "1e300"])
+    def test_extreme_alpha_bound_is_finite(self, alpha, tmp_path):
+        # |alpha - 1| scales out of the L^p distance before the p-th power,
+        # so bound / (alpha - 1) is the same finite column as at alpha = 2
+        def bounds(a):
+            out = tmp_path / f"{a}.csv"
+            assert run("rate-study", "--study", "coeff", "--points", "4",
+                       "--eps-min", "1e-3", "--alpha", a, "--out", str(out)) == 0
+            rows = out.read_text().splitlines()[2:-1]
+            return np.array([float(r.split(",")[2]) for r in rows])
+
+        big = bounds(alpha)
+        assert np.all(np.isfinite(big))
+        assert big / (float(alpha) - 1.0) == pytest.approx(bounds("2"), rel=1e-11)
+
+    def test_coeff_study_near_q_two_has_finite_bound(self, tmp_path):
+        # q = 2.0000001 gives p = 2q/(q - 2) of about 4e7
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", "coeff", "--q", "2.0000001",
+                   "--alpha", "1.5", "--points", "4", "--eps-min", "1e-3",
+                   "--out", str(out)) == 0
+        rows = out.read_text().splitlines()[2:-1]
+        bound = np.array([float(r.split(",")[2]) for r in rows])
+        assert len(rows) == 4
+        assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
 
     @pytest.mark.parametrize("study", ["coeff", "domain", "wwww"])
     def test_ratio_column_is_the_bound_checks(self, study, tmp_path):
@@ -438,6 +464,24 @@ class TestSolve:
         code = run("solve", "--domain", "sector", "--n-radial", "4",
                    "--n-angular", "4", "--out-prefix", str(tmp_path / "x"))
         assert code == 4
+
+    def test_band_factor_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from scipy.linalg import LinAlgError
+
+        def boom(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr("scipy.linalg.cholesky_banded", boom)
+        code = run("solve", "--domain", "sector", "--n-radial", "4",
+                   "--n-angular", "4", "--out-prefix", str(tmp_path / "x"))
+        assert code == 4
+        assert "solver failure: banded Cholesky" in capsys.readouterr().err
+        assert not (tmp_path / "x.mesh").exists()
+
+    def test_unrefined_solve_reports_one_iteration(self, tmp_path, capsys):
+        assert run("solve", "--domain", "sector", "--out-prefix",
+                   str(tmp_path / "x")) == 0
+        assert " iterations 1 " in capsys.readouterr().out
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):

@@ -201,6 +201,16 @@ class TestLpDistance:
         expect = abs(alpha - 1.0) * (0.5 * beta * eps**2) ** (1.0 / p)
         assert val == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("p", [1100.0, 2e7])
+    @pytest.mark.parametrize("alpha", [1.5, 1e-2, 1e300])
+    def test_large_p_does_not_underflow(self, p, alpha):
+        # |alpha - 1|^p alone under- or overflows; the closed form does not
+        beta, eps = 1.5 * np.pi, 0.1
+        val = lp_distance(radial_jump_field(alpha, eps), identity_field(), p,
+                          SectorDomain(beta))
+        expect = abs(alpha - 1.0) * (0.5 * beta * eps**2) ** (1.0 / p)
+        assert val == pytest.approx(expect, rel=1e-13, abs=0.0)
+
     def test_jump_vs_identity_monte_carlo(self):
         dom = SectorDomain(BETA)
         p, alpha, eps = 3.0, 2.0, 0.15

@@ -28,7 +28,14 @@ from ellipstab.fem import (
     solve_cg,
 )
 from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
-from ellipstab.meshing import TriMesh, mesh_graph_domain, mesh_sector, refine_uniform
+from ellipstab.meshing import (
+    TriMesh,
+    graded_radii,
+    mesh_graph_domain,
+    mesh_sector,
+    mesh_sector_from_radii,
+    refine_uniform,
+)
 from ellipstab.quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 BETA = 1.5 * np.pi
@@ -247,11 +254,68 @@ class TestSolveCg:
         system, sol = solve_limit_problem(8, 8)
         assert np.all(sol.nodal_values[sol.mesh.boundary_flags] == 0.0)
 
-    def test_max_iter_failure_carries_history(self):
+    def test_max_iter_failure_carries_history(self, monkeypatch):
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)  # Jacobi
         system, _ = solve_limit_problem(8, 8)
         with pytest.raises(ConvergenceFailure) as err:
             solve_cg(system, rel_tol=1e-14, max_iter=3)
         assert len(err.value.residual_history) == 3
+
+    def test_max_iter_failure_carries_history_banded(self):
+        # each iteration with the exact factor cuts the residual by about
+        # rounding (1e-15), so three cannot reach 1e-300
+        system, _ = solve_limit_problem(8, 8)
+        with pytest.raises(ConvergenceFailure) as err:
+            solve_cg(system, rel_tol=1e-300, max_iter=3)
+        assert len(err.value.residual_history) == 3
+
+    def test_ring_numbered_sector_solves_in_one_banded_step(self, monkeypatch):
+        # the domain study's mesh: 96 x 64, grading 3, circles at eps and 2 eps
+        sector = SectorDomain(BETA)
+        radii = graded_radii(sector, 96, 3.0, aligned_radii=(1e-3, 2e-3))
+        mesh = mesh_sector_from_radii(sector, radii, 64)
+        system = assemble(mesh, identity_field(), source=SourceTerm(BETA))
+        banded = solve_cg(system)
+        iterations, residual = banded.solve_report
+        assert iterations <= 2
+        assert residual <= 1e-12
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
+        jacobi = solve_cg(system)
+        assert jacobi.solve_report[0] > 100
+        scale = np.max(np.abs(jacobi.nodal_values))
+        assert np.max(np.abs(banded.nodal_values - jacobi.nodal_values)) <= 1e-9 * scale
+
+    def test_refined_mesh_keeps_jacobi_bit_for_bit(self, monkeypatch):
+        # uniform refinement numbers midpoints after every old vertex, so
+        # the band spans most of the matrix and Jacobi stays
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0,
+                                          aligned_radii=[0.2]))
+        system = assemble(mesh, radial_jump_field(3.0, 0.2), source=SourceTerm(BETA))
+        sol = solve_cg(system)
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
+        forced = solve_cg(system)
+        assert sol.solve_report == forced.solve_report
+        assert sol.solve_report[0] > 100
+        assert np.array_equal(sol.nodal_values, forced.nodal_values)
+
+    def test_unsorted_indices_take_the_full_band(self):
+        # each row's columns stored in descending order
+        data = np.array([-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -1.0])
+        indices = np.array([1, 0, 2, 1, 0, 2, 1])
+        K = sp.csr_matrix((data, indices, np.array([0, 2, 5, 7])), shape=(3, 3))
+        assert not K.has_sorted_indices
+        system = SparseSystem(K, np.ones(3), np.arange(3), mesh=None)
+        sol = solve_cg(system, rel_tol=1e-14)
+        assert sol.solve_report[0] == 1
+        assert np.allclose(sol.nodal_values, [1.5, 2.0, 1.5], atol=1e-12)
+
+    def test_indefinite_band_is_convergence_failure(self):
+        # positive diagonal, negative eigenvalue: the factorization fails
+        K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        system = SparseSystem(K, np.ones(2), np.arange(2), mesh=None)
+        with pytest.raises(ConvergenceFailure, match="Cholesky") as err:
+            solve_cg(system)
+        assert err.value.residual_history == ()
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_cap_below_one_is_rejected(self, max_iter):

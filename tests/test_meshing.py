@@ -93,7 +93,7 @@ class TestMeshSector:
 
 
 class TestCachedGeometry:
-    @pytest.mark.parametrize("name", ["corners", "signed_areas"])
+    @pytest.mark.parametrize("name", ["corners", "signed_areas", "p1_gradients"])
     def test_gathered_once_and_read_only(self, name):
         mesh = mesh_sector(SectorDomain(BETA), 4, 6)
         first = getattr(mesh, name)()
