@@ -240,13 +240,10 @@ def pullback_energy_gap(field, bilip, grad_v, source_region, target_region,
 
     def run(region, integrand, breaks):
         if isinstance(region, SectorDomain):
-            return integrate_polar(
-                integrand, region.beta, region.r_inner, region.r_outer,
-                radial_breaks=breaks, n_radial_panels=n_panels,
-                n_angular_panels=n_panels,
-            )
+            return integrate_polar(integrand, region.beta, region.r_inner,
+                                   region.r_outer, breaks, n_panels)
         (xlim, ylim) = region
-        return integrate_rect(integrand, xlim, ylim, n_panels=n_panels)
+        return integrate_rect(integrand, xlim, ylim, n_panels)
 
     direct = run(target_region, direct_integrand, radial_breaks_target)
     pulled = run(source_region, pulled_integrand, radial_breaks_source)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import FemSolution, evaluate_gradient_many
-from .quadrature import (CORNER_DEPTH, TRI6_WEIGHTS, gauss_on_panels, integrate_radial,
+from .quadrature import (TRI6_WEIGHTS, corner_cut, gauss_on_panels, integrate_radial,
                          tri6_points)
 
 
@@ -76,30 +76,25 @@ def h1_error_vs_analytic(sol, exact):
     tri_grads = sol.triangle_gradients()
     corners = mesh.corners()
 
-    radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    at_apex = radius <= 1e-12
-    on_corner = at_apex[mesh.triangles]
-    regular = ~np.any(on_corner, axis=1)
+    on_corner = (np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= 1e-12)[mesh.triangles]
+    touches = np.any(on_corner, axis=1)
+    regular, corner_tris = np.flatnonzero(~touches), np.flatnonzero(touches)
 
-    pts = tri6_points(corners[regular])
-    diff = tri_grads[regular][:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(
-        pts.shape
-    )
-    f2 = np.sum(diff**2, axis=-1)
-    areas = mesh.areas()[regular]
-    total = float(np.sum(areas[:, None] * TRI6_WEIGHTS * f2))
+    def f2_on(cells):
+        # the squared gradient error, one row of points per cell of ``cells``
+        gh = tri_grads[cells]
 
-    corner_tris = np.flatnonzero(~regular)
-    gh = tri_grads[corner_tris]
+        def f2(x):
+            d = gh[:, None, :] - exact.gradient(x.reshape(-1, 2)).reshape(x.shape)
+            return np.sum(d**2, axis=-1)
+
+        return f2
+
+    total = float(np.sum(_integrate_f2_on_triangle(f2_on(regular), corners[regular])))
     # each corner triangle's vertices in order, starting at the apex
     loc = np.argmax(on_corner[corner_tris], axis=1)
     a, p, q = (corners[corner_tris, (loc + i) % 3] for i in range(3))
-
-    def f2_corner(x):
-        d = gh[:, None, :] - exact.gradient(x.reshape(-1, 2)).reshape(x.shape)
-        return np.sum(d**2, axis=-1)
-
-    total += float(np.sum(integrate_corner_triangles(f2_corner, a, p, q)))
+    total += float(np.sum(integrate_corner_triangles(f2_on(corner_tris), a, p, q)))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -162,6 +157,6 @@ def lq_gradient_norm(sol, q):
 
     total = integrate_radial(integrand, dom.r_inner, dom.r_outer, sol.breakpoints)
     if dom.r_inner == 0.0:
-        cut = CORNER_DEPTH * min([s for s in sol.breakpoints if s > 0.0] + [dom.r_outer])
+        cut = corner_cut(dom.r_outer, sol.breakpoints)
         total += cut * integrand(np.array([cut]))[0] / (2.0 - 2.0 * q / sol.q_star)
     return float(total ** (1.0 / q))

@@ -177,7 +177,8 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     The bound check compares the error with
     ||grad u0||_{L^q} * ||a_eps - 1||_{L^p}, p = 2q/(q-2), and the squared
     error divided by eps^(2 pi / beta) is reported against the sharpness
-    constant pi (1-alpha)^2 / (2 beta (1+alpha)^2).
+    constant pi (1-alpha)^2 / (2 beta (1+alpha)^2).  At alpha = 1 every
+    error and every bound is zero, and the fit is degenerate.
     """
     _check_exponent(beta, q)
     if eps_grid is None:
@@ -195,10 +196,6 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     # the squared contrast ratio stays in [0, 1) for every finite alpha > 0
     lower_const = np.pi / (2.0 * beta) * ((1.0 - alpha) / (1.0 + alpha)) ** 2
     rate = fit_loglog(samples)
-    if rate.degenerate:
-        bound = bound_check(eps_grid, errors, [1.0] * len(errors), q, 0.0)
-        return CoefficientStudy(rate, bound, tuple(0.0 for _ in eps_grid),
-                                float(lower_const), 0.0)
 
     p = 2.0 * q / (q - 2.0)
     grad_norm = error_norms.lq_gradient_norm(u0, q)
@@ -250,7 +247,7 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading):
     return error_norms.cross_domain_gradient_error(sol_eps, sol0, quad_mesh=mesh0)
 
 
-def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
+def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
                       rhs_eps_exponent=None, n_radial=96, n_angular=64,
                       grading=3.0):
     """Error decay of the annular-sector family against the hole size.
@@ -260,10 +257,11 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi_analytic",
     |E| = 2*beta*eps^2 is the measure moved by the radial shift map.
     ``rhs_eps_exponent`` overrides the eps-exponent (q-2)/q of that
     majorant; a larger exponent makes the ratio diverge, which is how the
-    sharpness of the original exponent is exhibited.
+    sharpness of the original exponent is exhibited.  ``mode`` is "semi"
+    (semi-analytic errors) or "fem" (FEM errors, checked against them).
     """
     _check_exponent(beta, q)
-    if mode not in ("semi_analytic", "fem"):
+    if mode not in ("semi", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
     if eps_grid is None:
         eps_grid = DEFAULT_EPS_GRID
@@ -336,6 +334,8 @@ def composition_inequality_check(sol, maps, q):
         if mp.kind != "radial_shift" or dict(mp.meta)["beta"] != dom.beta:
             raise ValueError(f"need radial shift maps of the sector of angle "
                              f"{dom.beta:g}, got a {mp.kind} map")
+    # every series below, like the bound check's, runs by decreasing eps
+    maps.sort(key=lambda mp: dict(mp.meta)["eps"], reverse=True)
     w = sol.radial_profile
 
     a_q = dom.beta / np.sqrt(np.pi) * math.exp(
@@ -359,8 +359,7 @@ def composition_inequality_check(sol, maps, q):
         rhs.append(f_norm_q * mp.e_set_measure**exponent)
 
     check = bound_check(eps_list, lhs, rhs, q, f_norm_q)
-    # |E| = 2 beta eps^2, so decreasing |E| is the check's decreasing-eps order
-    e_sets = sorted((mp.e_set_measure for mp in maps), reverse=True)
+    e_sets = [mp.e_set_measure for mp in maps]
     dev = tuple(e ** (1.0 / q) for e in e_sets)
     check.extras["jac_dev_lq"] = dev
     check.extras["jac_dev_ratio"] = tuple(d / e**exponent for d, e in zip(dev, e_sets))

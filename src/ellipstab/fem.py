@@ -55,7 +55,7 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     free_vertices: np.ndarray  # unknown index -> vertex
-    mesh: object = None
+    mesh: object
 
     @property
     def num_unknowns(self):

@@ -83,33 +83,39 @@ def gauss_on_panels(edges, n_gauss=16):
 CORNER_DEPTH = 2.0**-40
 
 
+def corner_cut(b, breakpoints):
+    """Where the radial rule on (0, b) stops: ``CORNER_DEPTH`` times the first knot."""
+    return CORNER_DEPTH * min([s for s in breakpoints if 0.0 < s < b] + [b])
+
+
 def radial_edges(a, b, breakpoints=(), n_panels=8):
     """Panel edges on (a, b) honoring interior breakpoints.
 
     Every interval (lo, hi) between knots gets ``n_panels`` equal panels
     plus one panel per octave of r (edges hi * 2^-j above lo), which
-    resolves power laws c * r^p at either end on their own scale.  The
-    corner interval (0, hi) stops at hi * CORNER_DEPTH and the sliver below
-    is dropped.
+    resolves power laws c * r^p at either end on their own scale.  On
+    (0, b) the rule starts at ``corner_cut(b, breakpoints)`` and the sliver
+    below is dropped.
     """
     if not b > a >= 0:
         raise ValueError("invalid radial interval")
     knots = np.unique([a, b, *(s for s in breakpoints if a < s < b)])
+    if a == 0.0:
+        knots[0] = corner_cut(b, breakpoints)
     edges = []
     for lo, hi in zip(knots[:-1], knots[1:]):
-        stop = lo if lo > 0.0 else hi * CORNER_DEPTH
-        edges.extend(np.linspace(stop, hi, n_panels + 1))
-        edges.extend(hi * 0.5 ** np.arange(1, np.log2(hi / stop)))
+        edges.extend(np.linspace(lo, hi, n_panels + 1))
+        edges.extend(hi * 0.5 ** np.arange(1, np.log2(hi / lo)))
     return np.unique(edges)
 
 
-def integrate_radial(f, a, b, breakpoints=(), n_gauss=16, n_panels=8):
+def integrate_radial(f, a, b, breakpoints=()):
     """Integrate ``f(r)`` over (a, b) with breakpoint-aligned panels.
 
     The caller includes any Jacobian factor (such as the polar weight r)
     in ``f`` itself.
     """
-    nodes, weights = gauss_on_panels(radial_edges(a, b, breakpoints, n_panels), n_gauss)
+    nodes, weights = gauss_on_panels(radial_edges(a, b, breakpoints))
     return float(np.dot(weights, f(nodes)))
 
 
@@ -117,16 +123,17 @@ def integrate_radial(f, a, b, breakpoints=(), n_gauss=16, n_panels=8):
 TENSOR_GAUSS = 12
 
 
-def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(),
-                    n_radial_panels=8, n_angular_panels=8):
+def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(), n_panels=8):
     """Integrate a Cartesian-argument function over a (possibly annular) sector.
 
     ``f_xy`` maps an (N, 2) array of points to N values, or to an (N, ...)
     array integrated entrywise; the polar area weight r is applied here.
+    ``n_panels`` is the radial rule's equal panels per knot interval and
+    the number of angular panels.
     """
     rn, rw = gauss_on_panels(
-        radial_edges(r_inner, r_outer, radial_breaks, n_radial_panels), TENSOR_GAUSS)
-    tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_angular_panels + 1), TENSOR_GAUSS)
+        radial_edges(r_inner, r_outer, radial_breaks, n_panels), TENSOR_GAUSS)
+    tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_panels + 1), TENSOR_GAUSS)
     r = rn[:, None]
     pts = np.stack([r * np.cos(tn), r * np.sin(tn)], axis=-1).reshape(-1, 2)
     vals = np.asarray(f_xy(pts), dtype=float)
@@ -134,7 +141,7 @@ def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(),
     return float(total) if total.ndim == 0 else total
 
 
-def integrate_rect(f_xy, xlim, ylim, n_panels=8):
+def integrate_rect(f_xy, xlim, ylim, n_panels):
     """Integrate a Cartesian-argument function over an axis-aligned box,
     ``n_panels`` panels per side."""
     xn, xw = gauss_on_panels(np.linspace(xlim[0], xlim[1], n_panels + 1), TENSOR_GAUSS)

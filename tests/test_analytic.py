@@ -226,9 +226,7 @@ class TestGradientIntegrability:
         # 1D oracle: int |w'|^q r dr with a hard cutoff at r_floor
         u0 = limit_solution(BETA)
         return integrate_radial(
-            lambda r: np.abs(u0.radial_derivative(r)) ** q * r, r_floor, 1.0,
-            n_panels=16,
-        )
+            lambda r: np.abs(u0.radial_derivative(r)) ** q * r, r_floor, 1.0)
 
     def test_converges_below_threshold(self):
         # tail below the cutoff scales like cutoff^(1 - (1-k) q / 2) > 0, so the

@@ -44,6 +44,20 @@ class TestVerifyAnalytic:
         assert run("verify-analytic", "--example", "annulus", "--eps", "0.05") == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_overflowing_flux_fails(self, capsys):
+        # the outer profile's r^(-k) term overflows, so the flux defect is NaN
+        assert run("verify-analytic", "--example", "jump", "--eps", "1e-300") == 1
+        out = capsys.readouterr()
+        assert "flux continuity defect nan" in out.out
+        assert out.out.endswith("FAIL\n")
+        assert out.err == ""
+
+    def test_flux_defect_is_relative(self, capsys):
+        # the flux exceeds 1e13 here, so rounding alone leaves an absolute
+        # defect of about 0.05
+        assert run("verify-analytic", "--example", "jump", "--eps", "1e-40") == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     def test_small_angle_is_usage_error(self):
         assert run("verify-analytic", "--example", "limit", "--beta", "3.0") == 2
 

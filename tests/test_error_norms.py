@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from ellipstab import quadrature
 from ellipstab.analytic import (
     SourceTerm,
     annulus_solution,
@@ -211,6 +212,15 @@ class TestLqGradientNorm:
         for q in (6.0, 6.0 + 1e-3):
             with pytest.raises(DivergentNormError):
                 lq_gradient_norm(u0, q)
+
+    def test_corner_sliver_follows_the_corner_cut(self, monkeypatch):
+        # the closed-form sliver starts where the radial rule stops, so a
+        # shallower cut moves both together and near q* the norm stays put
+        u0 = limit_solution(BETA)
+        q = u0.q_star - 0.5
+        reference = lq_gradient_norm(u0, q)
+        monkeypatch.setattr(quadrature, "CORNER_DEPTH", 2.0**-20)
+        assert lq_gradient_norm(u0, q) == pytest.approx(reference, rel=0, abs=1e-7)
 
     def test_annulus_norm_finite_for_large_q(self):
         # away from the corner the solution is smooth, no divergence at all

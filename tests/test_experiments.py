@@ -4,6 +4,7 @@ import pytest
 from conftest import affine_map
 from ellipstab.analytic import limit_solution
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
+from ellipstab.error_norms import lq_gradient_norm
 from ellipstab.experiments import (
     BoundCheck,
     ConditionViolation,
@@ -112,6 +113,9 @@ class TestCoefficientRateStudy:
         study = coefficient_rate_study(BETA, 1.0)
         assert study.rate.degenerate
         assert np.isnan(study.rate.exponent)
+        # the bound is the real one, zero because a_eps - 1 vanishes
+        assert study.bound.rhs_series == (0.0,) * len(DEFAULT_EPS_GRID)
+        assert study.grad_norm_q == lq_gradient_norm(limit_solution(BETA), 4.0)
 
     def test_sharpness_rate(self):
         study = coefficient_rate_study(BETA, 2.0, q=4.0)
@@ -195,7 +199,7 @@ class TestDomainRateStudy:
     def test_semi_analytic_rate(self):
         study = domain_rate_study(BETA, q=5.0)
         assert study.rate.exponent == pytest.approx(2.0 / 3.0, abs=0.03)
-        assert study.mode == "semi_analytic"
+        assert study.mode == "semi"
 
     def test_rate_tracks_the_angle(self):
         beta = 1.2 * np.pi
