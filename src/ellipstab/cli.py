@@ -248,9 +248,7 @@ def _run_study(args, grid):
         study = experiments.domain_rate_study(args.beta, grid, q=args.q, mode=args.mode)
         check, fit = study.bound, study.rate
     else:
-        u0 = analytic.limit_solution(args.beta)
-        maps = [geometry.radial_shift_map(e, args.beta) for e in grid]
-        check = experiments.composition_inequality_check(u0, maps, args.q)
+        check = experiments.composition_inequality_check(args.beta, grid, args.q)
         fit = experiments.fit_loglog(list(zip(check.eps, check.lhs_series)))
     return list(zip(check.eps, check.lhs_series, check.rhs_series, check.ratios)), fit
 
@@ -305,10 +303,10 @@ def _cmd_solve(parser, args):
         _check_at_least(parser, "--nx", args.nx, 2)
         _check_at_least(parser, "--ny", args.ny, 2)
         lo, hi = args.graph_height, args.graph_height + args.graph_slope
-        if not all(0.1 < h <= 1.0 for h in (lo, hi)):
-            parser.error("graph height must stay in (0.1, 1] over [0, 1]")
+        if not all(geometry.MARGIN < h <= 1.0 for h in (lo, hi)):
+            parser.error(f"graph height must stay in ({geometry.MARGIN:g}, 1] "
+                         f"over [0, 1]")
         dom = geometry.GraphDomain.from_height(
-            0.0, 1.0, 0.0, 1.0,
             lambda x: args.graph_height + args.graph_slope * x, n_grid=args.nx + 1)
         mesh = meshing.mesh_graph_domain(dom, args.nx, args.ny)
 

@@ -206,7 +206,7 @@ def lp_distance(field_a, field_b, p, domain):
         return d
 
     entry_integrals = integrate_polar(
-        entry_powers, domain.beta, domain.r_inner, domain.r_outer,
+        entry_powers, domain.beta, domain.r_inner,
         (*field_a.interface_radii, *field_b.interface_radii))
     return scale * float(np.max(entry_integrals) ** (1.0 / p))
 
@@ -240,8 +240,8 @@ def pullback_energy_gap(field, bilip, grad_v, source_region, target_region,
 
     def run(region, integrand, breaks):
         if isinstance(region, SectorDomain):
-            return integrate_polar(integrand, region.beta, region.r_inner,
-                                   region.r_outer, breaks, n_panels)
+            return integrate_polar(integrand, region.beta, region.r_inner, breaks,
+                                   n_panels)
         (xlim, ylim) = region
         return integrate_rect(integrand, xlim, ylim, n_panels)
 

@@ -155,8 +155,8 @@ def lq_gradient_norm(sol, q):
         grad2 = dw(r)[:, None] ** 2 * sin2 + (k * w(r) / r)[:, None] ** 2 * cos2
         return grad2 ** (0.5 * q) @ t_weights * r
 
-    total = integrate_radial(integrand, dom.r_inner, dom.r_outer, sol.breakpoints)
+    total = integrate_radial(integrand, dom.r_inner, 1.0, sol.breakpoints)
     if dom.r_inner == 0.0:
-        cut = corner_cut(dom.r_outer, sol.breakpoints)
+        cut = corner_cut(1.0, sol.breakpoints)
         total += cut * integrand(np.array([cut]))[0] / (2.0 - 2.0 * q / sol.q_star)
     return float(total ** (1.0 / q))

@@ -37,6 +37,8 @@ class ConditionViolation(ValueError):
 
 # the studies' default eps grid: 7 geometric steps from 1e-1 down to 1e-4
 DEFAULT_EPS_GRID = tuple(np.geomspace(1e-1, 1e-4, 7))
+# radial grading exponent mu of the studies' FEM meshes, nodes at (i/n)^mu
+GRADING = 3.0
 
 
 def default_window(n):
@@ -219,8 +221,6 @@ class DomainStudy:
     rate: RateFit
     bound: BoundCheck
     mode: str
-    semi_errors: tuple
-    fem_errors: tuple = ()
     agreement: tuple = ()  # relative fem vs semi difference per grid point
     flagged: tuple = ()  # grid indices where the disagreement exceeds 10%
 
@@ -230,11 +230,11 @@ def _semi_annulus_error(beta, eps, u0):
     return analytic.h1_seminorm_separable(ue.difference(u0))
 
 
-def _fem_annulus_error(beta, eps, n_radial, n_angular, grading):
+def _fem_annulus_error(beta, eps, n_radial, n_angular):
     sector = geometry.SectorDomain(beta)
     annulus = geometry.SectorDomain(beta, r_inner=eps)
     aligned = (eps, 2.0 * eps)
-    radii = meshing.graded_radii(sector, n_radial, grading, aligned_radii=aligned)
+    radii = meshing.graded_radii(sector, n_radial, GRADING, aligned_radii=aligned)
     mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
     radii_eps = radii[radii >= eps]
     mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular)
@@ -248,8 +248,7 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular, grading):
 
 
 def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
-                      rhs_eps_exponent=None, n_radial=96, n_angular=64,
-                      grading=3.0):
+                      rhs_eps_exponent=None, n_radial=96, n_angular=64):
     """Error decay of the annular-sector family against the hole size.
 
     The bound check compares the error over the full sector (perturbed
@@ -270,15 +269,11 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
 
     semi = tuple(_semi_annulus_error(beta, eps, u0) for eps in eps_grid)
     if mode == "fem":
-        fem_err = tuple(
-            _fem_annulus_error(beta, eps, n_radial, n_angular, grading)
-            for eps in eps_grid
-        )
-        errors = fem_err
-        agreement = tuple(abs(f - s) / s for f, s in zip(fem_err, semi))
+        errors = tuple(_fem_annulus_error(beta, eps, n_radial, n_angular)
+                       for eps in eps_grid)
+        agreement = tuple(abs(f - s) / s for f, s in zip(errors, semi))
         flagged = tuple(i for i, a in enumerate(agreement) if a > 0.10)
     else:
-        fem_err = ()
         errors = semi
         agreement = ()
         flagged = ()
@@ -296,23 +291,23 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
             rhs.append((2.0 * beta) ** exponent_rhs * eps**rhs_eps_exponent)
     lip = geometry.radial_shift_map(eps_grid[0], beta).lip_constant
     bound = bound_check(eps_grid, errors, rhs, q, lip)
-    return DomainStudy(rate, bound, mode, semi, fem_err, agreement, flagged)
+    return DomainStudy(rate, bound, mode, agreement, flagged)
 
 
 # -- composition inequality ----------------------------------------------------
 
 
-def composition_inequality_check(sol, maps, q):
+def composition_inequality_check(beta, eps_grid, q):
     """Check ||u o phi - u||_L2 <= c ||u||_Lq |E|^((q-2)/(2q)) over radial shift maps.
 
-    ``sol`` is a separable solution u = w(r) sin(k theta) on the sector of
-    angle beta = ``sol.domain.beta``, and every map is a
-    ``geometry.radial_shift_map`` (r, theta) -> (s(r), theta) for that
-    angle, which moves exactly the points with r < 2 eps.  The angular
-    factor integrates in closed form, so each norm is one radial integral:
+    u = w(r) sin(k theta) is the limit solution on the sector of angle
+    ``beta``, and phi runs over ``geometry.radial_shift_map(eps, beta)``,
+    (r, theta) -> (s(r), theta), for every eps of ``eps_grid``; each map
+    moves exactly the points with r < 2 eps.  The angular factor integrates
+    in closed form, so each norm is one radial integral:
 
         ||u o phi - u||_L2^2 = (beta/2) int_0^{2 eps} (w(s(r)) - w(r))^2 r dr,
-        ||u||_Lq^q = A_q int |w|^q r dr,
+        ||u||_Lq^q = A_q int_0^1 |w|^q r dr,
         A_q = int_0^beta |sin(k theta)|^q dtheta
             = (beta/sqrt(pi)) Gamma((q+1)/2) / Gamma(q/2+1).
 
@@ -326,39 +321,32 @@ def composition_inequality_check(sol, maps, q):
     """
     if not 2.0 < q:
         raise ValueError(f"q must exceed 2, got {q:g}")
-    maps = list(maps)
-    if not maps:
-        raise ValueError("need at least one map")
-    dom = sol.domain
-    for mp in maps:
-        if mp.kind != "radial_shift" or dict(mp.meta)["beta"] != dom.beta:
-            raise ValueError(f"need radial shift maps of the sector of angle "
-                             f"{dom.beta:g}, got a {mp.kind} map")
     # every series below, like the bound check's, runs by decreasing eps
-    maps.sort(key=lambda mp: dict(mp.meta)["eps"], reverse=True)
+    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    if not eps_grid:
+        raise ValueError("need at least one eps")
+    sol = analytic.limit_solution(beta)
+    maps = [geometry.radial_shift_map(eps, beta) for eps in eps_grid]
     w = sol.radial_profile
 
-    a_q = dom.beta / np.sqrt(np.pi) * math.exp(
+    a_q = beta / np.sqrt(np.pi) * math.exp(
         math.lgamma((q + 1.0) / 2.0) - math.lgamma(q / 2.0 + 1.0))
     f_norm_q = (a_q * quadrature.integrate_radial(
-        lambda r: np.abs(w(r)) ** q * r, dom.r_inner, dom.r_outer,
-        sol.breakpoints)) ** (1.0 / q)
+        lambda r: np.abs(w(r)) ** q * r, 0.0, 1.0, sol.breakpoints)) ** (1.0 / q)
 
-    eps_list, lhs, rhs = [], [], []
+    lhs, rhs = [], []
     exponent = (q - 2.0) / (2.0 * q)
-    for mp in maps:
-        eps = dict(mp.meta)["eps"]
+    for eps, mp in zip(eps_grid, maps):
 
         def comp_sq(r, _mp=mp):
             s = _mp.forward(np.stack([r, np.zeros_like(r)], axis=-1))[:, 0]  # theta = 0
             return (w(s) - w(r)) ** 2 * r
 
-        eps_list.append(eps)
-        lhs.append(np.sqrt(0.5 * dom.beta * quadrature.integrate_radial(
+        lhs.append(np.sqrt(0.5 * beta * quadrature.integrate_radial(
             comp_sq, 0.0, 2.0 * eps)))
         rhs.append(f_norm_q * mp.e_set_measure**exponent)
 
-    check = bound_check(eps_list, lhs, rhs, q, f_norm_q)
+    check = bound_check(eps_grid, lhs, rhs, q, f_norm_q)
     e_sets = [mp.e_set_measure for mp in maps]
     dev = tuple(e ** (1.0 / q) for e in e_sets)
     check.extras["jac_dev_lq"] = dev
@@ -386,7 +374,7 @@ class ConvergenceTable:
 
 def qualitative_convergence_study(field_family, eps_grid, mode, beta,
                                   exclusion_radius=0.5, n_radial=24,
-                                  n_angular=24, grading=3.0):
+                                  n_angular=24):
     """Tabulate FEM errors for a coefficient family under one of two conditions.
 
     ``mode`` is "condition_3" (uniform convergence off a compact set, here
@@ -428,7 +416,7 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     for (eps, (stat, _)) in zip(eps_grid, stats):
         f_eps = field_family(eps)
         aligned = tuple(r for r in f_eps.interface_radii if 0.0 < r < 1.0)
-        mesh = meshing.mesh_sector(sector, n_radial, n_angular, grading, aligned)
+        mesh = meshing.mesh_sector(sector, n_radial, n_angular, GRADING, aligned)
         sol_eps = fem.solve_cg(fem.assemble(mesh, f_eps, source=src))
         sol_0 = fem.solve_cg(fem.assemble(mesh, field0, source=src))
         d = sol_eps.triangle_gradients() - sol_0.triangle_gradients()

@@ -1,8 +1,9 @@
 """Parametric planar domains and bi-Lipschitz perturbation maps.
 
-Two domain families are supported: circular / annular sectors described in
-polar coordinates, and subgraph domains bounded above by a piecewise-linear
-height function over an interval (meshed and solved on, but not perturbed).
+Two domain families are supported: unit-radius circular / annular sectors
+described in polar coordinates, and subgraph domains in the unit box bounded
+above by a piecewise-linear height function (meshed and solved on, but not
+perturbed).
 The one perturbation map is the radial shift of a sector's corner.  Maps
 carry their Jacobian, a certified inverse, Lipschitz bounds and the measure
 of the set they move, ``|E| = |{x : phi(x) != x}|``.
@@ -32,24 +33,24 @@ def polar_angle(points):
 
 @dataclass(frozen=True)
 class SectorDomain:
-    """Circular sector of angle ``beta``, optionally with a hole at the corner.
+    """Unit sector of angle ``beta``, optionally with a hole at the corner.
 
     ``r_inner = 0`` gives the plain sector; ``r_inner > 0`` gives the
-    annular sector with inner radius ``r_inner``.
+    annular sector with inner radius ``r_inner``.  The outer arc is r = 1,
+    where every closed-form solution vanishes.
     """
 
     beta: float
     r_inner: float = 0.0
-    r_outer: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.beta < TWO_PI:
             raise ValueError(f"sector angle must lie in (0, 2*pi), got {self.beta}")
-        if not 0.0 <= self.r_inner < self.r_outer:
-            raise ValueError("need 0 <= r_inner < r_outer")
+        if not 0.0 <= self.r_inner < 1.0:
+            raise ValueError("need 0 <= r_inner < 1")
 
     def area(self):
-        return 0.5 * self.beta * (self.r_outer**2 - self.r_inner**2)
+        return 0.5 * self.beta * (1.0 - self.r_inner**2)
 
     def contains(self, points, tol=0.0):
         pts = np.asarray(points, dtype=float)
@@ -57,7 +58,7 @@ class SectorDomain:
         theta = polar_angle(pts)
         return (
             (r >= self.r_inner - tol)
-            & (r <= self.r_outer + tol)
+            & (r <= 1.0 + tol)
             & (theta <= self.beta + tol)
         )
 
@@ -67,7 +68,7 @@ class SectorDomain:
         r = np.hypot(x, y)
         # tolerances scale with the radius: an absolute one would put whole
         # rings next to a tiny inner arc, or near the corner, on the boundary
-        on = np.abs(r - self.r_outer) <= tol * self.r_outer
+        on = np.abs(r - 1.0) <= tol
         if self.r_inner > 0.0:
             on |= np.abs(r - self.r_inner) <= tol * self.r_inner
         # the straight edges are half-lines: perpendicular distance small AND
@@ -82,24 +83,23 @@ class SectorDomain:
     def sample_interior(self, n):
         """Deterministic area-uniform low-discrepancy sample of the sector."""
         uv = halton(n)
-        r = np.sqrt(self.r_inner**2 + uv[:, 0] * (self.r_outer**2 - self.r_inner**2))
+        r = np.sqrt(self.r_inner**2 + uv[:, 0] * (1.0 - self.r_inner**2))
         theta = uv[:, 1] * self.beta
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
+# graph heights must stay above this line and at or below y = 1
+MARGIN = 0.1
+
+
 @dataclass(frozen=True)
 class GraphDomain:
-    """Subgraph domain {(x, y) : x in [x_lo, x_hi], floor < y < h(x)}.
+    """Subgraph domain {(x, y) : x in [0, 1], 0 < y < h(x)} in the unit box.
 
     The height function is stored piecewise linearly on ``grid`` and must
-    stay strictly above the margin line ``floor + (ceiling - floor)/10``
-    and at or below ``ceiling``.
+    stay strictly above ``MARGIN`` and at or below 1.
     """
 
-    x_lo: float
-    x_hi: float
-    floor: float
-    ceiling: float
     grid: np.ndarray
     heights: np.ndarray
 
@@ -108,48 +108,39 @@ class GraphDomain:
         heights = np.asarray(self.heights, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "heights", heights)
-        if not self.x_lo < self.x_hi:
-            raise ValueError("empty base interval")
-        if not self.ceiling > self.floor:
-            raise ValueError("ceiling must exceed floor")
         if grid.ndim != 1 or grid.shape != heights.shape or grid.size < 2:
             raise ValueError("grid and heights must be matching 1D arrays")
-        if abs(grid[0] - self.x_lo) > 1e-14 or abs(grid[-1] - self.x_hi) > 1e-14:
-            raise ValueError("grid must span the base interval")
+        if abs(grid[0]) > 1e-14 or abs(grid[-1] - 1.0) > 1e-14:
+            raise ValueError("grid must span [0, 1]")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        m = self.margin
-        if np.any(heights <= m) or np.any(heights > self.ceiling + 1e-12):
-            raise ValueError("heights must lie in (floor + (ceiling-floor)/10, ceiling]")
+        if np.any(heights <= MARGIN) or np.any(heights > 1.0 + 1e-12):
+            raise ValueError(f"heights must lie in ({MARGIN:g}, 1]")
 
     @classmethod
-    def from_height(cls, x_lo, x_hi, floor, ceiling, height, n_grid=129):
+    def from_height(cls, height, n_grid=129):
         """Build from a callable or per-node array of heights."""
-        grid = np.linspace(x_lo, x_hi, n_grid)
         if callable(height):
+            grid = np.linspace(0.0, 1.0, n_grid)
             heights = np.asarray(height(grid), dtype=float) * np.ones_like(grid)
         else:
             heights = np.asarray(height, dtype=float)
-            grid = np.linspace(x_lo, x_hi, heights.size)
-        return cls(x_lo, x_hi, floor, ceiling, grid, heights)
-
-    @property
-    def margin(self):
-        return self.floor + 0.1 * (self.ceiling - self.floor)
+            grid = np.linspace(0.0, 1.0, heights.size)
+        return cls(grid, heights)
 
     def height(self, x):
         return np.interp(np.asarray(x, dtype=float), self.grid, self.heights)
 
     def area(self):
-        return float(np.trapezoid(self.heights - self.floor, self.grid))
+        return float(np.trapezoid(self.heights, self.grid))
 
     def on_boundary(self, points, tol=1e-10):
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         return (
-            (np.abs(x - self.x_lo) <= tol)
-            | (np.abs(x - self.x_hi) <= tol)
-            | (np.abs(y - self.floor) <= tol)
+            (np.abs(x) <= tol)
+            | (np.abs(x - 1.0) <= tol)
+            | (np.abs(y) <= tol)
             | (np.abs(y - self.height(x)) <= tol)
         )
 
@@ -169,9 +160,7 @@ class BiLipschitzMap:
     inverse: Callable
     lip_bounds: tuple
     e_set_measure: float
-    kind: str = "custom"
     cert_radius: float = 0.0
-    meta: tuple = ()
 
     @property
     def lip_constant(self):
@@ -246,8 +235,6 @@ def radial_shift_map(eps, beta):
         inv,
         (1.5, 2.0),
         2.0 * beta * eps**2,
-        kind="radial_shift",
         cert_radius=eps,
-        meta=(("eps", eps), ("beta", beta)),
     )
 

@@ -196,8 +196,8 @@ def _grid(n_rows, n_cols, offset=0):
 def mesh_sector_from_radii(domain, radii, n_angular):
     """Structured sector mesh with an explicit radial node list."""
     radii = np.asarray(sorted(radii), dtype=float)
-    if abs(radii[0] - domain.r_inner) > 1e-14 or abs(radii[-1] - domain.r_outer) > 1e-14:
-        raise ValueError("radii must span [r_inner, r_outer]")
+    if abs(radii[0] - domain.r_inner) > 1e-14 or abs(radii[-1] - 1.0) > 1e-14:
+        raise ValueError("radii must span [r_inner, 1]")
     if n_angular < 1:
         raise ValueError("need at least one angular interval")
     thetas = np.linspace(0.0, domain.beta, n_angular + 1)
@@ -223,17 +223,17 @@ def mesh_sector_from_radii(domain, radii, n_angular):
 
 
 def graded_radii(domain, n_radial, grading=1.0, aligned_radii=()):
-    """Radial nodes r_inner + (r_outer - r_inner) * (i/n)^mu, plus aligned radii."""
+    """Radial nodes r_inner + (1 - r_inner) * (i/n)^mu, plus aligned radii."""
     if n_radial < 2:
         raise ValueError("need at least 2 radial intervals")
     if grading < 1.0:
         raise ValueError("grading exponent must be >= 1")
     t = (np.arange(n_radial + 1) / n_radial) ** grading
-    radii = domain.r_inner + (domain.r_outer - domain.r_inner) * t
+    radii = domain.r_inner + (1.0 - domain.r_inner) * t
     aligned = []
     for s in sorted(set(float(s) for s in aligned_radii)):
-        if not domain.r_inner < s < domain.r_outer:
-            raise ValueError(f"aligned radius {s} outside ({domain.r_inner}, {domain.r_outer})")
+        if not domain.r_inner < s < 1.0:
+            raise ValueError(f"aligned radius {s} outside ({domain.r_inner}, 1)")
         # radii that differ only by rounding are one circle; keeping both
         # would leave a ring of zero-area triangles
         if not aligned or s - aligned[-1] > 1e-12 * s:
@@ -266,9 +266,9 @@ def mesh_graph_domain(domain, n_x, n_y):
     """Tensor mesh of a subgraph domain; the top row follows the height function."""
     if n_x < 2 or n_y < 2:
         raise ValueError("need at least 2 intervals per direction")
-    xs = np.linspace(domain.x_lo, domain.x_hi, n_x + 1)
+    xs = np.linspace(0.0, 1.0, n_x + 1)
     hs = domain.height(xs)
-    ys = domain.floor + (hs[:, None] - domain.floor) * np.arange(n_y + 1) / n_y
+    ys = hs[:, None] * np.arange(n_y + 1) / n_y
     verts = np.stack([np.repeat(xs, n_y + 1), ys.ravel()], axis=1)
     triangles, border = _grid(n_x + 1, n_y + 1)
     return TriMesh(verts, triangles, border.ravel(), domain=domain)

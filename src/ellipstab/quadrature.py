@@ -123,8 +123,8 @@ def integrate_radial(f, a, b, breakpoints=()):
 TENSOR_GAUSS = 12
 
 
-def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(), n_panels=8):
-    """Integrate a Cartesian-argument function over a (possibly annular) sector.
+def integrate_polar(f_xy, beta, r_inner, radial_breaks=(), n_panels=8):
+    """Integrate a Cartesian-argument function over a (possibly annular) unit sector.
 
     ``f_xy`` maps an (N, 2) array of points to N values, or to an (N, ...)
     array integrated entrywise; the polar area weight r is applied here.
@@ -132,7 +132,7 @@ def integrate_polar(f_xy, beta, r_inner, r_outer, radial_breaks=(), n_panels=8):
     the number of angular panels.
     """
     rn, rw = gauss_on_panels(
-        radial_edges(r_inner, r_outer, radial_breaks, n_panels), TENSOR_GAUSS)
+        radial_edges(r_inner, 1.0, radial_breaks, n_panels), TENSOR_GAUSS)
     tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_panels + 1), TENSOR_GAUSS)
     r = rn[:, None]
     pts = np.stack([r * np.cos(tn), r * np.sin(tn)], axis=-1).reshape(-1, 2)

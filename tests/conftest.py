@@ -25,7 +25,7 @@ def affine_map(matrix, offset=(0.0, 0.0), e_set_measure=float("nan")):
 
     op = float(np.linalg.norm(M, 2))
     op_inv = float(np.linalg.norm(Minv, 2))
-    return BiLipschitzMap(fwd, jac, inv, (op, op_inv), e_set_measure, kind="affine")
+    return BiLipschitzMap(fwd, jac, inv, (op, op_inv), e_set_measure)
 
 
 def smooth_bump_gradient(center, radius, cutoff=1e-3):

@@ -16,7 +16,7 @@ from ellipstab.analytic import (
 )
 from ellipstab.coefficients import identity_field, radial_jump_field
 from ellipstab.experiments import composition_inequality_check
-from ellipstab.geometry import SectorDomain, radial_shift_map
+from ellipstab.geometry import SectorDomain
 from ellipstab.quadrature import integrate_radial
 
 BETA = 1.5 * np.pi
@@ -105,6 +105,15 @@ class TestJumpSolution:
         rep = residual_check(jump_solution(BETA, alpha, eps), SourceTerm(BETA),
                              radial_jump_field(alpha, eps))
         assert rep.max_residual < 1e-4
+
+    @pytest.mark.parametrize("beta", [1.1 * np.pi, 1.9 * np.pi])
+    @pytest.mark.parametrize("alpha", [0.01, 100.0])
+    def test_residual_sees_a_one_percent_alpha_error(self, beta, alpha):
+        # the check must still fail a solution paired with the wrong field
+        eps = 0.1
+        rep = residual_check(jump_solution(beta, alpha, eps), SourceTerm(beta),
+                             radial_jump_field(1.01 * alpha, eps))
+        assert rep.max_residual > 1e-4
 
     @pytest.mark.parametrize("alpha,eps", [(-1.0, 0.1), (0.0, 0.1), (2.0, 1.5)])
     def test_invalid(self, alpha, eps):
@@ -311,8 +320,7 @@ class TestClosedFormAccuracy:
         # (beta/2) int_0^{2 eps} (w(r/2 + eps) - w(r))^2 r dr with w = r^k - r^2;
         # r = eps t turns the difference into eps^k a(t) + eps^2 b(t)
         eps_list = [1e-6, 1e-12, 1e-14]
-        maps = [radial_shift_map(e, beta) for e in eps_list]
-        check = composition_inequality_check(limit_solution(beta), maps, 4.0)
+        check = composition_inequality_check(beta, eps_list, 4.0)
         with mp.workdps(40):
             k = mp.pi / mp.mpf(beta)
             for e, lhs in zip(eps_list, check.lhs_series):
@@ -333,8 +341,7 @@ class TestClosedFormAccuracy:
     ])
     def test_composition_lq_norm(self, beta, q, rel):
         # ||u0||_Lq^q = int_0^beta sin(k theta)^q dtheta * int_0^1 (r^k - r^2)^q r dr
-        check = composition_inequality_check(limit_solution(beta),
-                                             [radial_shift_map(0.1, beta)], q)
+        check = composition_inequality_check(beta, [0.1], q)
         with mp.workdps(40):
             b, q_mp = mp.mpf(beta), mp.mpf(q)
             k = mp.pi / b

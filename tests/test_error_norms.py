@@ -51,8 +51,7 @@ class LinearExact:
 
 class TestH1ErrorVsAnalytic:
     def test_interpolant_of_linear_is_exact(self):
-        dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
-                                      lambda x: 0.8 * np.ones_like(x))
+        dom = GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x))
         mesh = mesh_graph_domain(dom, 6, 6)
         exact = LinearExact(1.0, 2.0)
         sol = interpolate(exact, mesh, zero_dirichlet=False)
@@ -115,7 +114,7 @@ class TestCrossDomainError:
         eps = 0.05
         from ellipstab.experiments import _fem_annulus_error
 
-        fem_err = _fem_annulus_error(BETA, eps, 64, 48, 3.0)
+        fem_err = _fem_annulus_error(BETA, eps, 64, 48)
         ua = annulus_solution(BETA, eps).extended_by_zero()
         semi = h1_seminorm_separable(ua.difference(limit_solution(BETA)))
         assert fem_err == pytest.approx(semi, rel=0.02)
@@ -148,7 +147,7 @@ class TestCrossDomainError:
         monkeypatch.setattr(error_norms, "evaluate_gradient_many", counting)
         for eps in (1e-3, 1e-2):
             calls.clear()
-            _fem_annulus_error(BETA, eps, 24, 16, 3.0)
+            _fem_annulus_error(BETA, eps, 24, 16)
             mesh0, _ = annulus_meshes(eps, 24, 16)
             assert calls == [(eps, 6 * mesh0.num_triangles)]
 
@@ -181,8 +180,7 @@ class TestCrossDomainError:
 
 class TestLqGradientNorm:
     def test_linear_function_closed_form(self):
-        dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
-                                      lambda x: 0.8 * np.ones_like(x))
+        dom = GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x))
         mesh = mesh_graph_domain(dom, 8, 8)
         sol = FemSolution(mesh, mesh.vertices[:, 0], (0, 0.0))
         q = 3.0

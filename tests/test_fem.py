@@ -358,7 +358,7 @@ class TestEvaluateGradient:
         assert np.allclose(g, [[1.0, 2.0]], atol=1e-12)
         # stay below the chord sagitta band near the curved arc, where points
         # are legitimately outside the inscribed polygon
-        pts = SectorDomain(BETA, r_outer=0.9).sample_interior(200)
+        pts = 0.9 * SectorDomain(BETA).sample_interior(200)
         g_many = evaluate_gradient_many(sol, pts)
         assert np.max(np.abs(g_many - [1.0, 2.0])) < 1e-11
 
@@ -372,7 +372,7 @@ class TestEvaluateGradient:
     @pytest.mark.parametrize("kind", ["graded", "annular", "refined", "graph"])
     def test_locator_agrees_with_brute_force(self, kind):
         if kind == "graph":
-            dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, lambda x: 0.6 + 0.3 * x)
+            dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x)
             mesh = mesh_graph_domain(dom, 9, 7)
             outside = [[-0.1, 0.5], [0.5, 0.9], [1.2, 0.2]]
         else:
@@ -436,7 +436,7 @@ class TestEvaluateGradient:
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8))
         vals = 3.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
         sol = FemSolution(mesh, vals, (0, 0.0))
-        pts = SectorDomain(BETA, r_inner=0.05, r_outer=0.95).sample_interior(200)
+        pts = 0.95 * SectorDomain(BETA, r_inner=0.05 / 0.95).sample_interior(200)
         # keep clear of chord slivers near the outer arc
         g = evaluate_gradient_many(sol, pts)
         assert np.max(np.abs(g - [3.0, -1.0])) < 1e-11
@@ -458,8 +458,7 @@ class TestPullbackEquivalence:
         # energies agree to solver tolerance
         M = np.array([[1.2, 0.3], [0.1, 0.9]])
         amap = affine_map(M, (0.2, -0.1))
-        dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
-                                      lambda x: 0.8 * np.ones_like(x))
+        dom = GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x))
         mesh_src = mesh_graph_domain(dom, 8, 8)
         mesh_tgt = TriMesh(amap.forward(mesh_src.vertices), mesh_src.triangles,
                            mesh_src.boundary_flags)
@@ -512,8 +511,7 @@ class TestEnergyMonotonicity:
     def test_nested_refinement_on_graph_domain(self):
         # Galerkin best approximation in nested spaces: the energy-norm error
         # against a manufactured solution cannot grow under refinement
-        dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0,
-                                      lambda x: 0.8 * np.ones_like(x), n_grid=3)
+        dom = GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x), n_grid=3)
 
         class Exact:
             def value(self, pts):

@@ -16,7 +16,7 @@ BETA = 1.5 * np.pi
 
 
 def flat_domain(height_fn, n_grid=33):
-    return GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, height_fn, n_grid=n_grid)
+    return GraphDomain.from_height(height_fn, n_grid=n_grid)
 
 
 class TestMeshSector:
@@ -223,7 +223,7 @@ def polygonal_graph_meshes(draw):
     # one height node per mesh column keeps the top boundary a polyline
     # whose kinks are mesh vertices
     heights = draw(st.lists(st.floats(0.2, 1.0), min_size=n_x + 1, max_size=n_x + 1))
-    dom = GraphDomain.from_height(0.0, 1.0, 0.0, 1.0, np.array(heights))
+    dom = GraphDomain.from_height(np.array(heights))
     return mesh_graph_domain(dom, n_x, n_y)
 
 

@@ -48,7 +48,7 @@ def test_polar_points_and_weights_match_the_meshgrid_form():
         seen.append(pts)
         return pts[:, 0] ** 2 + pts[:, 1]
 
-    total = integrate_polar(f, beta, 0.0, 1.0, (0.3,))
+    total = integrate_polar(f, beta, 0.0, (0.3,))
     rn, rw = gauss_on_panels(quadrature.radial_edges(0.0, 1.0, (0.3,), 8), 12)
     tn, tw = gauss_on_panels(np.linspace(0.0, beta, 9), 12)
     R, T = np.meshgrid(rn, tn, indexing="ij")
