@@ -106,19 +106,20 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
     solution whose mesh is ``quad_mesh`` itself takes its own cell's
     gradient at each of the cell's rule points, which lie inside that cell;
     any other solution's gradients are looked up by point location in its
-    mesh.  A quadrature mesh covering the union of both solution meshes
-    whose cells align with both makes the piecewise-constant integrand
-    exact per cell.
+    mesh, the six points of a cell as one group: where the meshes align,
+    the points after a cell's first are kept in its first point's triangle
+    without a search.  A quadrature mesh covering the union of both
+    solution meshes whose cells align with both makes the
+    piecewise-constant integrand exact per cell.
     """
-    pts = tri6_points(quad_mesh.corners()).reshape(-1, 2)
+    pts = tri6_points(quad_mesh.corners())
 
     def rule_gradients(sol):
         if sol.mesh is quad_mesh:
-            return np.repeat(sol.triangle_gradients(), TRI6_WEIGHTS.size, axis=0)
+            return np.repeat(sol.triangle_gradients()[:, None], TRI6_WEIGHTS.size, axis=1)
         return evaluate_gradient_many(sol, pts)
 
     f2 = np.sum((rule_gradients(sol_a) - rule_gradients(sol_b)) ** 2, axis=-1)
-    f2 = f2.reshape(quad_mesh.num_triangles, -1)
     total = np.sum(quad_mesh.areas()[:, None] * TRI6_WEIGHTS * f2)
     return float(np.sqrt(max(total, 0.0)))
 

@@ -35,6 +35,12 @@ LOCATE_PAIRS = 1 << 17
 # refined 24 x 64 one 28.6 M and keeps Jacobi
 BAND_ENTRIES = 1 << 20
 
+# smallest barycentric coordinate of a grouped point kept in its group's
+# triangle without a bucket search: it then lies GROUP_MARGIN of that
+# triangle's heights inside it, which another triangle's 1e-12 containment
+# band reaches only if that triangle is over 1000 times taller
+GROUP_MARGIN = 1e-9
+
 
 class AssemblyError(RuntimeError):
     def __init__(self, message, element=None):
@@ -304,6 +310,26 @@ class _Locator:
     def _cell_idx(self, coords, axis):
         return np.searchsorted(self.edges[axis], coords, side="right")
 
+    def locate_groups(self, groups):
+        """Triangle index per point of groups (G, n, 2), shaped (G, n), equal
+        to ``locate_many`` of the same points.
+
+        Each group's first point is located.  The group's other points are
+        kept in that triangle when all their barycentric coordinates there
+        exceed ``GROUP_MARGIN``, so that no other triangle contains them;
+        every other point is located too.
+        """
+        first = self.locate_many(groups[:, 0])
+        rest = groups[:, 1:]
+        # a first point outside the mesh (-1) reads the last frame; the
+        # mask drops its group
+        l1, l2 = _barycentric(self.frames[first][:, None], rest)
+        kept = ((first >= 0)[:, None] & (l1 > GROUP_MARGIN) & (l2 > GROUP_MARGIN)
+                & (l1 + l2 < 1.0 - GROUP_MARGIN))
+        result = np.repeat(first[:, None], groups.shape[1], axis=1)
+        result[:, 1:][~kept] = self.locate_many(rest[~kept])
+        return result
+
     def locate_many(self, points, tol=1e-12):
         """Triangle index per point, -1 when outside the mesh.
 
@@ -341,15 +367,21 @@ class _Locator:
         return result
 
 
-def _contains(frames, pts, tol):
-    """Whether each point (..., 2) lies in its triangle, given by its frame
-    row (..., 7) of ``_Locator.frames``: both barycentric coordinates l1, l2
-    and 1 - l1 - l2 are at least -tol."""
+def _barycentric(frames, pts):
+    """Barycentric coordinates l1, l2 of each point (..., 2) in its triangle,
+    given by its frame row (..., 7) of ``_Locator.frames``."""
     dpx = pts[..., 0] - frames[..., 0]
     dpy = pts[..., 1] - frames[..., 1]
     det = frames[..., 6]
     l1 = (dpx * frames[..., 5] - dpy * frames[..., 4]) / det
     l2 = (frames[..., 2] * dpy - frames[..., 3] * dpx) / det
+    return l1, l2
+
+
+def _contains(frames, pts, tol):
+    """Whether each point lies in its triangle, as in ``_barycentric``: both
+    coordinates l1, l2 and 1 - l1 - l2 are at least -tol."""
+    l1, l2 = _barycentric(frames, pts)
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
@@ -360,10 +392,20 @@ def _locator(mesh):
 
 
 def evaluate_gradient_many(sol, points):
-    """Vectorized gradient evaluation; rows are zero outside the mesh."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    idx = _locator(sol.mesh).locate_many(pts)
-    out = np.zeros((pts.shape[0], 2))
+    """Gradient of ``sol`` at each point, the zero vector outside its mesh.
+
+    Points (N, 2), or any shape that flattens to rows of 2, give rows
+    (N, 2).  Points grouped (G, n, 2), such as the rule points of G cells,
+    give (G, n, 2): each group's first point is located, and the others are
+    first tested in its triangle (``_Locator.locate_groups``).  Both forms
+    give the same gradient per point.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 3:
+        idx = _locator(sol.mesh).locate_groups(pts)
+    else:
+        idx = _locator(sol.mesh).locate_many(pts.reshape(-1, 2))
+    out = np.zeros(idx.shape + (2,))
     inside = idx >= 0
     out[inside] = sol.triangle_gradients()[idx[inside]]
     return out

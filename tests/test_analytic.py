@@ -351,6 +351,32 @@ class TestClosedFormAccuracy:
         assert check.hypothesis_params[1] == pytest.approx(float(ref), rel=rel, abs=0.0)
 
 
+# err^2 / eps^(2 pi / beta) tends to pi ((1 - alpha) / (1 + alpha))^2 for the
+# jump family and to pi for the annulus family: each of the two pieces gives
+# (beta k / 2) times the squared leading coefficient, and beta k = pi; the
+# ratio to the limit is pinned from both sides, with no monotonicity assumed
+LEADING_TOLERANCES = [(1e-4, 1e-3), (1e-8, 1e-6), (1e-12, 1e-6)]
+
+
+class TestExactLeadingConstant:
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("alpha", [1e-2, 2.0, 1e2])
+    @pytest.mark.parametrize("eps, tol", LEADING_TOLERANCES)
+    def test_jump_family(self, beta, alpha, eps, tol):
+        diff = jump_solution(beta, alpha, eps).difference(limit_solution(beta))
+        ratio = h1_seminorm_separable(diff) ** 2 / eps ** (2 * np.pi / beta)
+        limit = np.pi * ((1 - alpha) / (1 + alpha)) ** 2
+        assert abs(ratio / limit - 1) <= tol
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("eps, tol", LEADING_TOLERANCES)
+    def test_annulus_family(self, beta, eps, tol):
+        diff = annulus_solution(beta, eps).extended_by_zero().difference(
+            limit_solution(beta))
+        ratio = h1_seminorm_separable(diff) ** 2 / eps ** (2 * np.pi / beta)
+        assert abs(ratio / np.pi - 1) <= tol
+
+
 class TestIntegrabilityThreshold:
     @pytest.mark.parametrize("beta", ANGLES)
     def test_jump_keeps_the_corner_threshold(self, beta):

@@ -19,6 +19,7 @@ from ellipstab.error_norms import (
 )
 from ellipstab.fem import (
     FemSolution,
+    _Locator,
     assemble,
     evaluate_gradient_many,
     interpolate,
@@ -141,7 +142,7 @@ class TestCrossDomainError:
         calls = []
 
         def counting(sol, points):
-            calls.append((sol.mesh.domain.r_inner, points.shape[0]))
+            calls.append((sol.mesh.domain.r_inner, points.size // 2))
             return evaluate_gradient_many(sol, points)
 
         monkeypatch.setattr(error_norms, "evaluate_gradient_many", counting)
@@ -176,6 +177,74 @@ class TestCrossDomainError:
         interp = interpolate(u0, fine)
         crossed = cross_domain_gradient_error(sol, interp, quad_mesh=sol.mesh)
         assert crossed == pytest.approx(direct, rel=0.1)
+
+
+def grouped_case(kind, eps, refine):
+    """(solution mesh, quadrature cell corners) of a grouped location case."""
+    if kind == "domain":
+        mesh0, mesh_eps = annulus_meshes(eps, 96, 64)
+        if refine:
+            mesh0, mesh_eps = refine_uniform(mesh0), refine_uniform(mesh_eps)
+        return mesh_eps, mesh0.corners()
+    if kind == "coarse-over-fine":
+        fine = mesh_sector(SectorDomain(BETA), 96, 96, grading=3.0)
+        return fine, mesh_sector(SectorDomain(BETA), 24, 24, grading=3.0).corners()
+    dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x)
+    return mesh_graph_domain(dom, 20, 14), mesh_graph_domain(dom, 9, 7).corners()
+
+
+class TestGroupedLocation:
+    @pytest.mark.parametrize("kind, eps, refine", [
+        ("domain", 1e-4, False), ("domain", 1e-2, False), ("domain", 1e-4, True),
+        ("domain", 1e-2, True), ("coarse-over-fine", None, False), ("graph", None, False)])
+    def test_grouped_equals_flat(self, kind, eps, refine, rng):
+        mesh, corners = grouped_case(kind, eps, refine)
+        groups = quadrature.tri6_points(corners)
+        flat = groups.reshape(-1, 2)
+        locator = _Locator(mesh)
+        assert np.array_equal(locator.locate_groups(groups).ravel(),
+                              locator.locate_many(flat))
+        sol = FemSolution(mesh, rng.normal(size=mesh.num_vertices), (0, 0.0))
+        grouped = evaluate_gradient_many(sol, groups)
+        assert grouped.shape == groups.shape
+        assert np.array_equal(grouped.reshape(-1, 2), evaluate_gradient_many(sol, flat))
+
+    def test_shared_edges_and_vertices_fall_back(self):
+        # each group starts at a triangle's centroid and goes on to its
+        # vertices and edge midpoints, which lie in several triangles: the
+        # lowest index must win, as in flat location; one group starts
+        # outside the mesh and goes on to the last triangle's rule points
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 8, 10, grading=3.0))
+        corners = mesh.corners()
+        mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
+        groups = np.concatenate([corners.mean(axis=1, keepdims=True), corners, mids], axis=1)
+        outside = np.concatenate([[[0.5, -0.5]], quadrature.tri6_points(corners[-1])])
+        groups = np.concatenate([groups, outside[None]])
+        locator = _Locator(mesh)
+        found = locator.locate_groups(groups)
+        assert np.array_equal(found.ravel(), locator.locate_many(groups.reshape(-1, 2)))
+        assert np.array_equal(found[:-1, 0], np.arange(mesh.num_triangles))
+        # the tie-break moved shared points off their group's triangle
+        assert np.any(found[:-1, 1:] < found[:-1, :1])
+        assert found[-1, 0] == -1 and np.all(found[-1, 1:] == mesh.num_triangles - 1)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
+    def test_domain_study_searches_few_points(self, eps, monkeypatch):
+        # where the meshes align a cell's other rule points stay in its first
+        # point's triangle, so most rule points skip the bucket search
+        from ellipstab.experiments import _fem_annulus_error
+
+        searched = []
+        locate_many = _Locator.locate_many
+
+        def counting(self, points, tol=1e-12):
+            searched.append(np.asarray(points).size // 2)
+            return locate_many(self, points, tol)
+
+        monkeypatch.setattr(_Locator, "locate_many", counting)
+        _fem_annulus_error(BETA, eps, 96, 64)
+        mesh0, _ = annulus_meshes(eps, 96, 64)
+        assert sum(searched) <= 0.4 * 6 * mesh0.num_triangles
 
 
 class TestLqGradientNorm:
