@@ -259,9 +259,15 @@ THETA_MARGIN = 0.01
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """The largest residual over the evaluated samples, their count, the
+    count of skipped ones, and the evaluated count per radial piece of the
+    solution (``SeparableSolution.pieces`` order): a piece with none, such
+    as a jump's inner phase when eps < CORNER_MARGIN, was not checked."""
+
     max_residual: float
     n_evaluated: int
     n_skipped: int
+    piece_samples: tuple
 
 
 def residual_check(sol, source, field):
@@ -270,7 +276,8 @@ def residual_check(sol, source, field):
     Second-order central differences with step ``RESIDUAL_STEP``, nested for
     the divergence, at a deterministic low-discrepancy sample.  Points too close
     to the corner, to a coefficient interface or to the angular boundaries
-    are skipped and counted in the report.
+    are skipped and counted in the report, which also counts the evaluated
+    points on each radial piece of ``sol``.
     """
     dom = sol.domain
     uv = halton(RESIDUAL_POINTS)
@@ -303,4 +310,7 @@ def residual_check(sol, source, field):
         + (flux(pts + ey)[:, 1] - flux(pts - ey)[:, 1])
     ) / (2.0 * h)
     res = -div - source.value(pts)
-    return ResidualReport(float(np.max(np.abs(res))), int(res.size), n_skipped)
+    piece = np.searchsorted(sol.breakpoints, r, side="right")
+    per_piece = np.bincount(piece, minlength=len(sol.pieces))
+    return ResidualReport(float(np.max(np.abs(res))), int(res.size), n_skipped,
+                          tuple(per_piece.tolist()))

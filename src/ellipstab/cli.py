@@ -139,6 +139,12 @@ def _cmd_verify(parser, args):
           f"alpha={_fmt(args.alpha)} eps={_fmt(args.eps)}")
     print(f"max residual {_fmt(report.max_residual)} "
           f"({report.n_evaluated} points, {report.n_skipped} skipped)")
+    starts = (sol.domain.r_inner, *sol.breakpoints)
+    ends = (*sol.breakpoints, 1.0)
+    for lo, hi, n in zip(starts, ends, report.piece_samples):
+        if n == 0:
+            print(f"radial piece {_fmt(lo)} <= r < {_fmt(hi)} not sampled "
+                  f"(no residual point lies in it)")
     for name, d in defects:
         print(f"{name} defect {_fmt(d)}")
     # a NaN compares false, so a non-finite residual or defect FAILs

@@ -12,17 +12,25 @@ larger uniformly refined mesh, whose numbering is not banded).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.
+
+``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
+them (``assemble`` and the banded preconditioner), not with the module:
+together they would add about 0.3 s and 30 MB to every import of the
+package, and the semi-analytic studies never assemble or solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import FieldEvaluationError
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
 # about 140 bytes of temporaries each (18 MB a chunk); on a graded 96 x 64
@@ -137,6 +145,8 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
         be = np.einsum("q,mq,qi->mi", TRI6_WEIGHTS, fsw, TRI6_BARY)
         be *= areas[:, None]
 
+    import scipy.sparse as sp
+
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
@@ -221,8 +231,6 @@ def _band_preconditioner(K):
     bw = int(np.max(K.indices[K.indptr[1:] - 1] - np.arange(n)))
     if (bw + 1) * n > BAND_ENTRIES:
         return None
-    # imported here: scipy.linalg would add about 7 MB and 40 ms to every
-    # import of the package, and most callers never solve
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
     # upper band storage, ab[bw + i - j, j] = K[i, j] for i <= j
@@ -421,6 +429,10 @@ def galerkin_residual(system, sol):
 
 
 def export_solution_text(sol):
-    """ASCII export: one `sol vertex_index value` line per vertex."""
-    return "".join([f"sol {i} {v:.17g}\n"
-                    for i, v in enumerate(sol.nodal_values.tolist())])
+    """ASCII export: one `sol vertex_index value` line per vertex, formatted
+    in one pass over the interleaved (index, value) pairs."""
+    values = sol.nodal_values.tolist()
+    pairs = [None] * (2 * len(values))
+    pairs[0::2] = range(len(values))
+    pairs[1::2] = values
+    return ("sol %d %.17g\n" * len(values)) % tuple(pairs)

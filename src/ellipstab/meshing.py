@@ -174,11 +174,15 @@ class TriMesh:
         return True
 
     def export_text(self):
-        """ASCII export: one `v x y flag` line per vertex, then `t i j k` lines."""
-        lines = [f"v {x:.17g} {y:.17g} {flag:d}\n" for (x, y), flag
-                 in zip(self.vertices.tolist(), self.boundary_flags.tolist())]
-        lines += [f"t {i} {j} {k}\n" for i, j, k in self.triangles.tolist()]
-        return "".join(lines)
+        """ASCII export: one `v x y flag` line per vertex, then `t i j k` lines,
+        each block formatted in one pass over its flattened rows."""
+        n_v, n_t = self.num_vertices, self.num_triangles
+        rows = [None] * (3 * n_v)
+        rows[0::3] = self.vertices[:, 0].tolist()
+        rows[1::3] = self.vertices[:, 1].tolist()
+        rows[2::3] = self.boundary_flags.tolist()
+        return (("v %.17g %.17g %d\n" * n_v) % tuple(rows)
+                + ("t %d %d %d\n" * n_t) % tuple(self.triangles.ravel().tolist()))
 
 
 def _grid(n_rows, n_cols, offset=0):

@@ -61,6 +61,7 @@ class TestLimitSolution:
         rep = residual_check(limit_solution(BETA), SourceTerm(BETA), identity_field())
         assert rep.n_evaluated >= 900
         assert rep.max_residual < 1e-4
+        assert rep.piece_samples == (rep.n_evaluated,)
 
     def test_gradient_matches_finite_differences(self):
         sol = limit_solution(BETA)
@@ -114,6 +115,17 @@ class TestJumpSolution:
         rep = residual_check(jump_solution(beta, alpha, eps), SourceTerm(beta),
                              radial_jump_field(1.01 * alpha, eps))
         assert rep.max_residual > 1e-4
+
+    @pytest.mark.parametrize("eps, sampled", [(0.1, (True, True)), (0.01, (False, True)),
+                                              (0.99, (True, False))])
+    def test_residual_counts_samples_per_phase(self, eps, sampled):
+        # every sample has CORNER_MARGIN <= r <= 1 - CORNER_MARGIN, so a phase
+        # inside r < 0.02 or r > 0.98 gets none, and the report says so
+        rep = residual_check(jump_solution(BETA, 2.0, eps), SourceTerm(BETA),
+                             radial_jump_field(2.0, eps))
+        assert len(rep.piece_samples) == 2
+        assert sum(rep.piece_samples) == rep.n_evaluated
+        assert tuple(n > 0 for n in rep.piece_samples) == sampled
 
     @pytest.mark.parametrize("alpha,eps", [(-1.0, 0.1), (0.0, 0.1), (2.0, 1.5)])
     def test_invalid(self, alpha, eps):

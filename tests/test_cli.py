@@ -67,6 +67,16 @@ class TestVerifyAnalytic:
                    "--alpha", alpha, "--eps", eps) == 0
         assert capsys.readouterr().out.endswith("PASS\n")
 
+    def test_unsampled_inner_phase_is_reported(self, capsys):
+        # below the corner margin no residual point lies in the inner phase;
+        # the verdict still rests on the residual and the interface defects
+        assert run("verify-analytic", "--example", "jump", "--eps", "0.01") == 0
+        out = capsys.readouterr().out
+        assert "radial piece 0 <= r < 0.01 not sampled" in out
+        assert out.endswith("PASS\n")
+        assert run("verify-analytic", "--example", "jump", "--eps", "0.1") == 0
+        assert "not sampled" not in capsys.readouterr().out
+
     def test_small_angle_is_usage_error(self):
         assert run("verify-analytic", "--example", "limit", "--beta", "3.0") == 2
 

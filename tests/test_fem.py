@@ -615,3 +615,16 @@ class TestExports:
             "sol 2 1e-300\n"
             "sol 3 -2.5e+17\n"
         )
+
+    def test_solution_equals_per_line_formatting(self):
+        from ellipstab.fem import export_solution_text
+
+        _, sol = solve_limit_problem(6, 8)
+        values = sol.nodal_values.copy()
+        # negative, both zeros and subnormal values among the solved ones
+        values[:6] = [-1.5, 0.0, -0.0, 5e-324, -2.2e-310, -1e17]
+        sol = FemSolution(sol.mesh, values, sol.solve_report)
+        # the per-line f-string formatting that export_solution_text replaced
+        expected = "".join([f"sol {i} {v:.17g}\n"
+                            for i, v in enumerate(sol.nodal_values.tolist())])
+        assert export_solution_text(sol) == expected

@@ -1,9 +1,11 @@
 """Importing the package leaves out the scipy modules only some calls need.
 
-``scipy.linalg`` (the banded Cholesky preconditioner of ``fem.solve_cg``)
-costs about 7 MB and 40 ms to import, and ``scipy.sparse.csgraph`` (which
-pulls in ``scipy.linalg``) about 10 MB and 60 ms; the semi-analytic studies
-never solve, so neither may be imported at module level.
+``scipy.sparse`` (the stiffness matrix of ``fem.assemble``) costs about
+0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky
+preconditioner of ``fem.solve_cg``) about 7 MB and 40 ms more, and
+``scipy.sparse.csgraph`` (which pulls in ``scipy.linalg``) about 10 MB and
+60 ms; the semi-analytic studies never assemble or solve, so none of them
+may be imported at module level, nor by a semi-analytic command.
 """
 
 import os
@@ -13,14 +15,49 @@ from pathlib import Path
 
 import ellipstab
 
-LAZY = ("scipy.linalg", "scipy.sparse.csgraph")
+LAZY = ("scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph")
+
+# commands that run only the semi-analytic path
+SEMI_COMMANDS = (
+    ("rate-study", "--study", "coeff", "--points", "4"),
+    ("rate-study", "--study", "domain", "--mode", "semi", "--points", "4"),
+    ("rate-study", "--study", "wwww", "--points", "4"),
+    ("verify-analytic", "--example", "jump"),
+)
 
 
-def test_import_leaves_out_lazy_scipy_modules():
+def run_python(code):
     src = str(Path(ellipstab.__file__).resolve().parents[1])
-    code = ("import sys, ellipstab, ellipstab.cli; "
-            f"print(' '.join(m for m in {LAZY!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_import_leaves_out_lazy_scipy_modules():
+    code = ("import sys, ellipstab, ellipstab.cli; "
+            f"print(' '.join(m for m in {LAZY!r} if m in sys.modules))")
+    assert run_python(code) == []
+
+
+def commands_import_sparse(commands):
+    """Whether running ``commands`` through ``cli.main`` in a fresh
+    interpreter imports scipy.sparse; every command must exit 0."""
+    code = ("import contextlib, io, sys\n"
+            "from ellipstab import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(list(argv)) == 0, argv\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    return run_python(code)[-1] == "True"
+
+
+def test_semi_analytic_commands_leave_out_scipy_sparse():
+    assert not commands_import_sparse(SEMI_COMMANDS)
+
+
+def test_solve_imports_scipy_sparse(tmp_path):
+    # the guard above would pass vacuously if no command imported it
+    solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
+             "--out-prefix", str(tmp_path / "run"))
+    assert commands_import_sparse((solve,))

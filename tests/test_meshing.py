@@ -329,3 +329,25 @@ class TestExport:
             "t 0 1 2\n"
             "t 0 2 3\n"
         )
+
+    @staticmethod
+    def per_line_text(mesh):
+        # the per-line f-string formatting that export_text replaced
+        lines = [f"v {x:.17g} {y:.17g} {flag:d}\n" for (x, y), flag
+                 in zip(mesh.vertices.tolist(), mesh.boundary_flags.tolist())]
+        lines += [f"t {i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("case", ["graded_sector_refined", "graph", "extreme_values"])
+    def test_equals_per_line_formatting(self, case):
+        if case == "graded_sector_refined":
+            mesh = mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0, aligned_radii=(0.3,))
+            mesh = refine_uniform(refine_uniform(mesh))
+        elif case == "graph":
+            mesh = mesh_graph_domain(flat_domain(lambda x: 0.7 + 0.2 * np.sin(3 * x)), 9, 7)
+        else:
+            verts = np.array([[-0.0, 1e-300], [1e17, -0.0], [-1e17, 5e-324],
+                              [0.1, -1e-300], [2.0 / 3.0, 1e17]])
+            mesh = TriMesh(verts, np.array([[0, 1, 2], [2, 3, 4], [4, 0, 1]]),
+                           np.array([False, True, True, False, True]))
+        assert mesh.export_text() == self.per_line_text(mesh)
