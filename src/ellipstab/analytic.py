@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SectorDomain, polar_angle
-from .quadrature import halton, integrate_radial
+from .quadrature import integrate_radial
 
 
 @dataclass(frozen=True)
@@ -242,75 +242,81 @@ def h1_seminorm_separable(sol):
     return float(np.sqrt(0.5 * dom.beta * max(val, 0.0)))
 
 
-# residual_check's sample: Halton points over the sector, kept CORNER_MARGIN
-# from the corner and the arcs, THETA_MARGIN from the straight edges and
-# INTERFACE_MARGIN from every interface circle; RESIDUAL_STEP is the
-# central-difference step.  The nested differences have a truncation error
-# ~ h^2 r^(k-4), largest at r = CORNER_MARGIN for beta near 2 pi, and a
-# rounding error ~ 1e-16 / h^2.  Over beta in {1.1, 1.5, 1.9} pi, alpha in
-# [1e-2, 1e2] and eps in half-decades, a step of 1e-5 read residuals up to
-# 1.4e-4 and one of 2e-6 up to 2.4e-4; 5e-6 keeps all of them at or below 3.9e-5
-RESIDUAL_POINTS = 1000
-RESIDUAL_STEP = 5e-6
-CORNER_MARGIN = 0.02
-INTERFACE_MARGIN = 1e-3
-THETA_MARGIN = 0.01
-
-
 @dataclass(frozen=True)
 class ResidualReport:
-    """The largest residual over the evaluated samples, their count, the
-    count of skipped ones, and the evaluated count per radial piece of the
-    solution (``SeparableSolution.pieces`` order): a piece with none, such
-    as a jump's inner phase when eps < CORNER_MARGIN, was not checked."""
+    """Named relative defects of a solution table, ((name, defect), ...):
+    each is 0 for an exact table and O(1) or non-finite for a wrong one."""
 
-    max_residual: float
-    n_evaluated: int
-    n_skipped: int
-    piece_samples: tuple
+    defects: tuple
+
+    @property
+    def max_residual(self):
+        """The largest defect; NaN when any defect is NaN."""
+        return float(np.max([d for _, d in self.defects]))
+
+
+def _relative(parts):
+    """|sum of parts| over the largest |part|: 0 when all parts vanish."""
+    parts = np.asarray(parts, dtype=float)
+    scale = np.max(np.abs(parts), initial=0.0)
+    return float(abs(np.sum(parts)) / scale) if scale != 0.0 else 0.0
+
+
+def _terms(terms, r, order):
+    """The terms c * p^order * r^p of w(r) (order 0) or of r w'(r) (order 1):
+    scaled by r, a derivative term overflows no sooner than its profile term."""
+    c, p = np.array(terms, dtype=float).reshape(-1, 2).T
+    return c * p**order * r**p
 
 
 def residual_check(sol, source, field):
-    """Max of |-div(A grad u) - f| at interior sample points, by finite differences.
+    """Certify that ``sol`` solves -div(A grad u) = f exactly, term by term.
 
-    Second-order central differences with step ``RESIDUAL_STEP``, nested for
-    the divergence, at a deterministic low-discrepancy sample.  Points too close
-    to the corner, to a coefficient interface or to the angular boundaries
-    are skipped and counted in the report, which also counts the evaluated
-    points on each radial piece of ``sol``.
+    On a piece with conductivity a, -div(a grad(c r^p sin k theta)) =
+    -a c (p^2 - k^2) r^(p-2) sin k theta, and f = amplitude * sin k theta
+    with amplitude = 4 - k^2.  So the report holds, as relative defects:
+    k against pi/beta of the domain and against the source's wavenumber;
+    per piece, each term with p != 2 against c (p^2 - k^2) = 0 and the
+    p = 2 coefficient against -a c2 (4 - k^2) = amplitude; continuity and
+    flux continuity at each breakpoint; w(1) = 0, w(r_inner) = 0 on an
+    annulus, and no term with p <= 0 on a piece that reaches the corner.
+    The conductivity of each piece is read at one interior point; a field
+    that is not scalar * I there, or whose interface radii are not
+    breakpoints of ``sol``, raises ValueError.
     """
     dom = sol.domain
-    uv = halton(RESIDUAL_POINTS)
-    r_lo = max(dom.r_inner + CORNER_MARGIN, CORNER_MARGIN)
-    r_hi = 1.0 - CORNER_MARGIN
-    r = r_lo + uv[:, 0] * (r_hi - r_lo)
-    theta = THETA_MARGIN + uv[:, 1] * (dom.beta - 2.0 * THETA_MARGIN)
-
-    keep = np.ones(r.shape, dtype=bool)
-    interfaces = set(field.interface_radii) | set(sol.breakpoints)
-    for s in interfaces:
-        keep &= np.abs(r - s) > INTERFACE_MARGIN
-    n_skipped = int(np.count_nonzero(~keep))
-    r, theta = r[keep], theta[keep]
-    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-
-    h = RESIDUAL_STEP
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-
-    def flux(p):
-        # F(p) = A(p) grad u(p), gradient by central differences
-        gx = (sol.value(p + ex) - sol.value(p - ex)) / (2.0 * h)
-        gy = (sol.value(p + ey) - sol.value(p - ey)) / (2.0 * h)
-        grad = np.stack([gx, gy], axis=-1)
-        return np.einsum("...ij,...j->...i", field.eval(p), grad)
-
-    div = (
-        (flux(pts + ex)[:, 0] - flux(pts - ex)[:, 0])
-        + (flux(pts + ey)[:, 1] - flux(pts - ey)[:, 1])
-    ) / (2.0 * h)
-    res = -div - source.value(pts)
-    piece = np.searchsorted(sol.breakpoints, r, side="right")
-    per_piece = np.bincount(piece, minlength=len(sol.pieces))
-    return ResidualReport(float(np.max(np.abs(res))), int(res.size), n_skipped,
-                          tuple(per_piece.tolist()))
+    k = sol.angular_wavenumber
+    if not set(field.interface_radii) <= set(sol.breakpoints):
+        raise ValueError(f"field interfaces {field.interface_radii} are not "
+                         f"breakpoints of the solution {sol.breakpoints}")
+    starts = (0.0, *sol.breakpoints)
+    pieces = [(max(lo, dom.r_inner), min(end, 1.0), terms)
+              for lo, (end, terms) in zip(starts, sol.pieces)
+              if lo < 1.0 and end > dom.r_inner]
+    defects = [("angular wavenumber", _relative([k, -np.pi / dom.beta])),
+               ("source wavenumber", _relative([k, -source.angular_wavenumber]))]
+    cond = []
+    for lo, hi, terms in pieces:
+        r = 0.5 * (lo + hi)
+        a = field.eval(np.array([r * np.cos(0.5 * dom.beta), r * np.sin(0.5 * dom.beta)]))
+        if not (a[0, 1] == a[1, 0] == 0.0 and a[0, 0] == a[1, 1]):
+            raise ValueError(f"conductivity at r = {r:g} is not a scalar times I")
+        cond.append(float(a[0, 0]))
+        c2 = sum(c for c, p in terms if p == 2.0)
+        eq = [_relative([c * p * p, -c * k * k]) for c, p in terms if p != 2.0]
+        eq.append(_relative([cond[-1] * c2 * (4.0 - k * k), source.amplitude]))
+        defects.append((f"equation on {lo:.12g} <= r < {hi:.12g}", float(np.max(eq))))
+    for (_, s, left), (_, _, right), a_l, a_r in zip(pieces, pieces[1:], cond, cond[1:]):
+        for name, order, fl, fr in (("continuity", 0, 1.0, 1.0), ("flux continuity", 1, a_l, a_r)):
+            parts = np.concatenate([fl * _terms(left, s, order), -fr * _terms(right, s, order)])
+            defects.append((f"{name} at r={s:.12g}", _relative(parts)))
+    defects.append(("outer Dirichlet value", _relative(_terms(pieces[-1][2], 1.0, 0))))
+    if dom.r_inner > 0.0:
+        defects.append(("inner Dirichlet value",
+                        _relative(_terms(pieces[0][2], dom.r_inner, 0))))
+    else:
+        # c r^p with p <= 0 and c != 0 outgrows every other term as r -> 0,
+        # so its defect there is 1; NaN coefficients count as nonzero
+        defects.append(("corner terms",
+                        float(any(c != 0.0 for c, p in pieces[0][2] if p <= 0.0))))
+    return ResidualReport(tuple(defects))

@@ -14,7 +14,7 @@ from ellipstab.analytic import (
     q_star,
     residual_check,
 )
-from ellipstab.coefficients import identity_field, radial_jump_field
+from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.experiments import composition_inequality_check
 from ellipstab.geometry import SectorDomain
 from ellipstab.quadrature import integrate_radial
@@ -59,9 +59,10 @@ class TestLimitSolution:
 
     def test_residual(self):
         rep = residual_check(limit_solution(BETA), SourceTerm(BETA), identity_field())
-        assert rep.n_evaluated >= 900
         assert rep.max_residual < 1e-4
-        assert rep.piece_samples == (rep.n_evaluated,)
+        assert [name for name, _ in rep.defects] == [
+            "angular wavenumber", "source wavenumber", "equation on 0 <= r < 1",
+            "outer Dirichlet value", "corner terms"]
 
     def test_gradient_matches_finite_differences(self):
         sol = limit_solution(BETA)
@@ -116,16 +117,17 @@ class TestJumpSolution:
                              radial_jump_field(1.01 * alpha, eps))
         assert rep.max_residual > 1e-4
 
-    @pytest.mark.parametrize("eps, sampled", [(0.1, (True, True)), (0.01, (False, True)),
-                                              (0.99, (True, False))])
-    def test_residual_counts_samples_per_phase(self, eps, sampled):
-        # every sample has CORNER_MARGIN <= r <= 1 - CORNER_MARGIN, so a phase
-        # inside r < 0.02 or r > 0.98 gets none, and the report says so
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.99])
+    def test_residual_names_every_phase(self, eps):
+        # no sampling is involved, so a phase inside r < 0.02 or r > 0.98
+        # is certified like any other
         rep = residual_check(jump_solution(BETA, 2.0, eps), SourceTerm(BETA),
                              radial_jump_field(2.0, eps))
-        assert len(rep.piece_samples) == 2
-        assert sum(rep.piece_samples) == rep.n_evaluated
-        assert tuple(n > 0 for n in rep.piece_samples) == sampled
+        names = [name for name, _ in rep.defects]
+        for name in (f"equation on 0 <= r < {eps:g}", f"equation on {eps:g} <= r < 1",
+                     f"continuity at r={eps:g}", f"flux continuity at r={eps:g}"):
+            assert name in names
+        assert rep.max_residual < 1e-13
 
     @pytest.mark.parametrize("alpha,eps", [(-1.0, 0.1), (0.0, 0.1), (2.0, 1.5)])
     def test_invalid(self, alpha, eps):
@@ -416,3 +418,99 @@ class TestIntegrabilityThreshold:
                 h1_seminorm_separable(power(p))
         assert power(1e-6).q_star > 2.0
         assert h1_seminorm_separable(power(1e-6)) > 0.0
+
+
+# -- the exact certificate and the evaluator -----------------------------------
+
+CERT_ANGLES = [1.1 * np.pi, 1.3 * np.pi, 1.5 * np.pi, 1.7 * np.pi, 1.9 * np.pi]
+CERT_ALPHAS = [1e-2, 0.5, 2.0, 1e2]
+CERT_EPS = [1e-14, 1e-12, 1e-8, 1e-4, 1e-2, 0.02, 0.1, 0.5, 0.9, 0.99]
+MUTANT_EPS = [1e-12, 1e-4, 1e-2, 0.5, 0.99]
+
+
+def _swap_corner_coefficients(sol):
+    """The jump table with the r^k coefficients c_in and c_out exchanged."""
+    (e_in, ((c_in, k), *inner)), (e_out, ((c_out, _), *outer)) = sol.pieces
+    pieces = ((e_in, ((c_out, k), *inner)), (e_out, ((c_in, k), *outer)))
+    return SeparableSolution(pieces, k, sol.domain)
+
+
+def _drop_c2(sol):
+    """The annulus table without its r^(-k) term."""
+    ((end, ((c1, k), _, quadratic)),) = sol.pieces
+    return SeparableSolution(((end, ((c1, k), quadratic)),), k, sol.domain)
+
+
+# each pairs a table with a field so that exactly one ingredient is wrong
+MUTANTS = {
+    "alpha+1%": lambda b, a, e: (jump_solution(b, a, e), radial_jump_field(1.01 * a, e)),
+    "alpha-1%": lambda b, a, e: (jump_solution(b, a, e), radial_jump_field(0.99 * a, e)),
+    "swapped-c_in-c_out": lambda b, a, e: (_swap_corner_coefficients(jump_solution(b, a, e)),
+                                           radial_jump_field(a, e)),
+    "annulus-without-c2": lambda b, a, e: (_drop_c2(annulus_solution(b, e)), identity_field()),
+    "jump-with-identity-field": lambda b, a, e: (jump_solution(b, a, e), identity_field()),
+}
+
+
+def _mp_power_sum(terms, r, order):
+    """Sum of c * p^order * r^(p - order) in mpmath, from the same floats."""
+    r = mp.mpf(r)
+    return sum(mp.mpf(c) * mp.mpf(p) ** order * r ** (mp.mpf(p) - order) for c, p in terms)
+
+
+class TestResidualCertificate:
+    @pytest.mark.parametrize("beta", CERT_ANGLES)
+    def test_true_tables_are_exact(self, beta):
+        src = SourceTerm(beta)
+        worst = residual_check(limit_solution(beta), src, identity_field()).max_residual
+        for eps in CERT_EPS:
+            ua = annulus_solution(beta, eps)
+            worst = max(worst, residual_check(ua, src, identity_field()).max_residual)
+            for alpha in CERT_ALPHAS:
+                uj = jump_solution(beta, alpha, eps)
+                rep = residual_check(uj, src, radial_jump_field(alpha, eps))
+                worst = max(worst, rep.max_residual)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("eps", MUTANT_EPS)
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutant_fails(self, mutant, eps):
+        for beta in ANGLES:
+            for alpha in (1e-2, 2.0, 1e2):
+                sol, field = MUTANTS[mutant](beta, alpha, eps)
+                rep = residual_check(sol, SourceTerm(beta), field)
+                assert rep.max_residual > 1e-4, (beta, alpha)
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    def test_source_of_another_angle_fails(self, beta):
+        rep = residual_check(limit_solution(beta), SourceTerm(1.01 * beta), identity_field())
+        assert dict(rep.defects)["source wavenumber"] > 1e-4
+
+    def test_field_must_be_scalar_times_identity(self):
+        with pytest.raises(ValueError, match="scalar"):
+            residual_check(limit_solution(BETA), SourceTerm(BETA),
+                           constant_field(np.diag([2.0, 1.0])))
+
+    def test_field_interfaces_must_be_breakpoints(self):
+        with pytest.raises(ValueError, match="breakpoints"):
+            residual_check(limit_solution(BETA), SourceTerm(BETA),
+                           radial_jump_field(2.0, 0.1))
+        with pytest.raises(ValueError, match="breakpoints"):
+            residual_check(jump_solution(BETA, 2.0, 0.1), SourceTerm(BETA),
+                           radial_jump_field(2.0, 0.2))
+
+    @pytest.mark.parametrize("beta", ANGLES)
+    @pytest.mark.parametrize("eps", [1e-14, 1e-4, 1e-2, 0.5, 0.99])
+    def test_evaluator_matches_mpmath(self, beta, eps):
+        # radial_profile and radial_derivative against the same tables summed
+        # in 50 digits, at radii inside every piece of each jump table
+        for alpha in (1e-2, 2.0, 1e2):
+            sol = jump_solution(beta, alpha, eps)
+            lo = 0.0
+            for end, terms in sol.pieces:
+                r = lo + np.array([0.1, 0.5, 0.9]) * (min(end, 1.0) - lo)
+                lo = end
+                for order, evaluate in ((0, sol.radial_profile), (1, sol.radial_derivative)):
+                    with mp.workdps(50):
+                        ref = [float(_mp_power_sum(terms, x, order)) for x in r]
+                    assert evaluate(r) == pytest.approx(ref, rel=1e-12, abs=0)

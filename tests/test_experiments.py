@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipstab.analytic import limit_solution
+from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.error_norms import lq_gradient_norm
 from ellipstab.experiments import (
@@ -336,6 +336,23 @@ class TestQualitativeConvergence:
         assert table.monotone
         assert errors[-1] < 0.5 * errors[0]
         assert all(r[2] == 0.0 for r in table.rows)  # identical off the disc
+
+    @pytest.mark.parametrize("alpha", [1e-2, 2.0, 1e2])
+    def test_errors_match_the_closed_form(self, alpha):
+        # the FEM errors against the jump family's closed-form difference;
+        # the 5% gate sits above the discretization error (at most 3.4%)
+        family = lambda e: radial_jump_field(alpha, e) if e > 0 else identity_field()
+        table = qualitative_convergence_study(
+            family, np.geomspace(0.4, 0.05, 4), "condition_3", BETA, exclusion_radius=0.5)
+        u0 = limit_solution(BETA)
+
+        def closed_form(a, eps):
+            return h1_seminorm_separable(jump_solution(BETA, a, eps).difference(u0))
+
+        for eps, err, _ in table.rows:
+            assert err == pytest.approx(closed_form(alpha, eps), rel=0.05)
+            if alpha != 2.0:  # the 1/2 contrast is too close to 2 to tell apart
+                assert err != pytest.approx(closed_form(1.0 / alpha, eps), rel=0.05)
 
     def test_condition_3_violated_without_compact_set(self):
         family = lambda e: radial_jump_field(2.0, 0.8) if e > 0 else identity_field()
