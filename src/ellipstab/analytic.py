@@ -48,9 +48,11 @@ def _power_sum(r, terms, order):
     """Sum of c * p^order * r^(p - order) over the (c, p) terms; zero for none."""
     total = np.zeros(r.shape)
     for c, p in terms:
-        term = r ** (p - order)  # scaled in place: one temporary per term
+        term = r**p  # scaled in place: one temporary per term
         term *= c * p**order
         total += term
+    if order and terms:
+        total /= r  # once: a term c p r^p overflows no sooner than c r^p
     return total
 
 

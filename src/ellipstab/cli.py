@@ -197,6 +197,8 @@ def _cmd_rate_study(parser, args):
     except experiments.HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
+    except experiments.ResolutionViolation as exc:
+        parser.error(f"--eps-min is too small for --mode fem: {exc}")
     except fem.ConvergenceFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4

@@ -76,9 +76,7 @@ def matrix_positive_part(mat):
     if np.max(np.abs(m[..., 0, 1] - m[..., 1, 0])) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise ValueError("matrix is not symmetric")
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-    mean = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    lam1, lam2 = mean - disc, mean + disc
+    lam1, lam2 = np.moveaxis(sym_eigvals(m), -1, 0)
     # eigenvector for lam2; degenerate (b = 0, a = c) handled via axis vector
     ex = np.where(np.abs(b) > 0.0, b, np.where(a >= c, 1.0, 0.0))
     ey = np.where(np.abs(b) > 0.0, lam2 - a, np.where(a >= c, 0.0, 1.0))

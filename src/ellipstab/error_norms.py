@@ -11,90 +11,41 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import FemSolution, evaluate_gradient_many
-from .quadrature import (TRI6_WEIGHTS, corner_cut, gauss_on_panels, integrate_radial,
-                         tri6_points)
+from .quadrature import (TRI6_BARY, TRI6_WEIGHTS, corner_cut, corner_rule, gauss_on_panels,
+                         integrate_radial, tri6_points)
 
 
 class DivergentNormError(ArithmeticError):
     """The gradient norm is infinite: q is at or above the threshold q*."""
 
 
-def _integrate_f2_on_triangle(f2, corners):
-    """Apply the 6-point rule to f2 (squared-difference integrand) per triangle.
-
-    ``corners`` has shape (T, ..., 3, 2); f2 maps points of shape (T, n, 2)
-    to values of shape (T, n), so it can tell which of the T groups a point
-    belongs to.
-    """
-    pts = tri6_points(corners)
-    per_group = int(np.prod(pts.shape[1:-1]))
-    vals = np.asarray(f2(pts.reshape(len(pts), per_group, 2))).reshape(pts.shape[:-1])
-    e1 = corners[..., 1, :] - corners[..., 0, :]
-    e2 = corners[..., 2, :] - corners[..., 0, :]
-    area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-    return np.sum(area[..., None] * TRI6_WEIGHTS * vals, axis=-1)
-
-
-# halvings toward the apex; 2^-30 leaves a negligible innermost triangle
-CORNER_LEVELS = 30
-
-
-def integrate_corner_triangles(f2, apex, p, q):
-    """Integrate toward singular apexes by geometric triangle subdivision.
-
-    ``apex``, ``p`` and ``q`` are (T, 2) arrays, one triangle per row, and
-    f2 is as in ``_integrate_f2_on_triangle``.  Each of ``CORNER_LEVELS``
-    levels splits off similar triangles scaled by 1/2 toward the apex; each
-    ring (a trapezoid, two triangles) uses the standard rule, and the
-    innermost triangle is added with the plain rule once its scale is
-    negligible.
-    Returns the (T,) integrals.
-    """
-    apex = np.asarray(apex, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    total = np.zeros(len(apex))
-    for _ in range(CORNER_LEVELS):
-        p_half = apex + 0.5 * (p - apex)
-        q_half = apex + 0.5 * (q - apex)
-        ring = np.stack([np.stack([p_half, p, q], axis=1),
-                         np.stack([p_half, q, q_half], axis=1)], axis=1)
-        total += np.sum(_integrate_f2_on_triangle(f2, ring), axis=1)
-        p, q = p_half, q_half
-    total += _integrate_f2_on_triangle(f2, np.stack([apex, p, q], axis=1))
-    return total
-
-
 def h1_error_vs_analytic(sol, exact):
     """L2 norm of grad(u_h) - grad(u_exact) over the solution mesh.
 
-    Triangles touching the corner r = 0 are integrated by graded
-    subdivision toward the apex, which resolves the r^(k-1) gradient
-    singularity of the analytic solutions.
+    Regular cells take the six-point rule and cells touching the corner
+    r = 0 ``quadrature.corner_rule``, graded toward that vertex to resolve
+    the r^(k-1) gradient singularity; each rule makes one ``exact.gradient``
+    call at all of its cells' points.
     """
     mesh = sol.mesh
     tri_grads = sol.triangle_gradients()
+    areas = mesh.areas()
     corners = mesh.corners()
 
     on_corner = (np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= 1e-12)[mesh.triangles]
     touches = np.any(on_corner, axis=1)
     regular, corner_tris = np.flatnonzero(~touches), np.flatnonzero(touches)
-
-    def f2_on(cells):
-        # the squared gradient error, one row of points per cell of ``cells``
-        gh = tri_grads[cells]
-
-        def f2(x):
-            d = gh[:, None, :] - exact.gradient(x.reshape(-1, 2)).reshape(x.shape)
-            return np.sum(d**2, axis=-1)
-
-        return f2
-
-    total = float(np.sum(_integrate_f2_on_triangle(f2_on(regular), corners[regular])))
-    # each corner triangle's vertices in order, starting at the apex
+    # each corner cell's vertices in order, starting at the apex
     loc = np.argmax(on_corner[corner_tris], axis=1)
-    a, p, q = (corners[corner_tris, (loc + i) % 3] for i in range(3))
-    total += float(np.sum(integrate_corner_triangles(f2_on(corner_tris), a, p, q)))
+    apex_first = corners[corner_tris[:, None], (loc[:, None] + np.arange(3)) % 3]
+
+    total = 0.0
+    for (bary, weights), cells, cell_corners in (
+            ((TRI6_BARY, TRI6_WEIGHTS), regular, corners[regular]),
+            (corner_rule(), corner_tris, apex_first)):
+        pts = np.matmul(bary, cell_corners)
+        d = tri_grads[cells, None] - exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+        total += float(np.sum(areas[cells, None] * weights * np.sum(d**2, axis=-1)))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -27,6 +27,10 @@ class HypothesisViolation(ValueError):
         self.q_star = q_star
 
 
+class ResolutionViolation(ValueError):
+    """A FEM study was asked for an eps below what its mesh resolves."""
+
+
 class ConditionViolation(ValueError):
     def __init__(self, message, eps=None, point=None, value=None):
         super().__init__(message)
@@ -247,6 +251,13 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular):
     return error_norms.cross_domain_gradient_error(sol_eps, sol0, quad_mesh=mesh0)
 
 
+def fem_eps_floor(n_radial):
+    """Smallest eps the FEM domain study resolves: its mesh's innermost graded
+    radius (1/n_radial)^GRADING, below which the cells out to that radius are
+    stretched far past the grading and the FEM error drifts off."""
+    return (1.0 / n_radial) ** GRADING
+
+
 def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
                       rhs_eps_exponent=None, n_radial=96, n_angular=64):
     """Error decay of the annular-sector family against the hole size.
@@ -257,7 +268,9 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
     ``rhs_eps_exponent`` overrides the eps-exponent (q-2)/q of that
     majorant; a larger exponent makes the ratio diverge, which is how the
     sharpness of the original exponent is exhibited.  ``mode`` is "semi"
-    (semi-analytic errors) or "fem" (FEM errors, checked against them).
+    (semi-analytic errors) or "fem" (FEM errors, checked against them); a
+    "fem" grid reaching below ``fem_eps_floor(n_radial)`` raises
+    ResolutionViolation before any work.
     """
     _check_exponent(beta, q)
     if mode not in ("semi", "fem"):
@@ -265,6 +278,11 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
     if eps_grid is None:
         eps_grid = DEFAULT_EPS_GRID
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    floor = fem_eps_floor(n_radial)
+    if mode == "fem" and not eps_grid[-1] >= floor:
+        raise ResolutionViolation(
+            f"eps {eps_grid[-1]:g} is below {floor:.12g}, the innermost graded "
+            f"radius (1/{n_radial})^{GRADING:g} of the FEM mesh")
     u0 = analytic.limit_solution(beta)
 
     semi = tuple(_semi_annulus_error(beta, eps, u0) for eps in eps_grid)

@@ -500,15 +500,19 @@ class TestResidualCertificate:
                            radial_jump_field(2.0, 0.2))
 
     @pytest.mark.parametrize("beta", ANGLES)
-    @pytest.mark.parametrize("eps", [1e-14, 1e-4, 1e-2, 0.5, 0.99])
+    @pytest.mark.parametrize("eps", [1e-200, 1e-14, 1e-4, 1e-2, 0.5, 0.99])
     def test_evaluator_matches_mpmath(self, beta, eps):
         # radial_profile and radial_derivative against the same tables summed
-        # in 50 digits, at radii inside every piece of each jump table
+        # in 50 digits, at radii inside every piece of each jump table and at
+        # the interface, where a term c p r^(p - 1) outside it can overflow
+        # though c p r^p does not (eps = 1e-200)
         for alpha in (1e-2, 2.0, 1e2):
             sol = jump_solution(beta, alpha, eps)
             lo = 0.0
             for end, terms in sol.pieces:
                 r = lo + np.array([0.1, 0.5, 0.9]) * (min(end, 1.0) - lo)
+                if lo > 0.0:
+                    r = np.append(lo, r)
                 lo = end
                 for order, evaluate in ((0, sol.radial_profile), (1, sol.radial_derivative)):
                     with mp.workdps(50):

@@ -1,0 +1,48 @@
+"""The committed benchmark records ``BENCH_*.json`` are whole and consistent.
+
+Each record holds, per workload, the parent and change values of every
+alternating run pair, their medians and quartiles and the pairs the change
+won.  The medians and pair counts are recomputed here from the pairs, and
+every metric name must be one that ``BENCHMARK.json`` declares.
+"""
+
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_a_record_is_committed():
+    assert FILES
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_record_matches_its_pairs(path):
+    bench = json.loads(path.read_text())
+    assert bench["workloads"] and set(bench["workloads"]) <= WORKLOADS
+    for name, w in bench["workloads"].items():
+        pairs = w["pairs"]
+        assert [p["seed"] for p in pairs] == w["seeds"], name
+        for p in pairs:
+            assert set(p["parent"]) == set(p["change"]) == set(w["summary"]), name
+        for metric, s in w["summary"].items():
+            assert metric in BETTER, (name, metric)
+            for side in ("parent", "change"):
+                values = [p[side][metric] for p in pairs]
+                assert s[side]["median"] == statistics.median(values), (name, metric, side)
+                q1, q3 = s[side]["quartiles"]
+                assert min(values) <= q1 <= s[side]["median"] <= q3 <= max(values)
+            sign = 1 if BETTER[metric] == "higher" else -1
+            gain = [sign * (p["change"][metric] - p["parent"][metric]) for p in pairs]
+            assert s["pairs_better"] == sum(g > 0 for g in gain), (name, metric)
+            assert s["pairs_worse"] == sum(g < 0 for g in gain), (name, metric)
+        for seed, run in w.get("trace", {}).items():
+            for side in ("parent", "change"):
+                assert set(run[side]["metrics"]) <= set(BETTER), (name, seed, side)

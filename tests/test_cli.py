@@ -231,10 +231,13 @@ class TestRateStudy:
 
     @pytest.mark.parametrize("eps_min,flagged_eps", [("1e-8", "1e-08"),
                                                      ("1e-12", "4.64158883361e-09")])
-    def test_flagged_fem_row_writes_no_csv(self, eps_min, flagged_eps, tmp_path, capsys):
+    def test_flagged_fem_row_writes_no_csv(self, eps_min, flagged_eps, tmp_path, capsys,
+                                           monkeypatch):
         # below the mesh's innermost graded radius the FEM error drifts off
         # the semi-analytic one (41% and 52% here); the first flagged row
-        # ends the run
+        # ends the run.  The --eps-min floor rejects these grids first, so
+        # it is lifted here to reach the flagged-row rule behind it
+        monkeypatch.setattr(experiments, "fem_eps_floor", lambda n_radial: 0.0)
         out = tmp_path / "fem.csv"
         assert run("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
                    "--eps-min", eps_min, "--out", str(out)) == 1
@@ -243,6 +246,28 @@ class TestRateStudy:
                              r"at eps=(\S+); no CSV written\n", err)
         assert match and float(match[1]) > 10.0 and match[2] == flagged_eps
         assert not out.exists()
+
+    @pytest.mark.parametrize("eps_min", ["1e-8", "1e-12", "1.13e-6"])
+    def test_fem_eps_min_below_mesh_floor_is_usage_error(self, eps_min, tmp_path, capsys):
+        # the default 96-ring mesh's innermost graded radius (1/96)^3
+        out = tmp_path / "fem.csv"
+        assert run("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
+                   "--eps-min", eps_min, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert (f"--eps-min is too small for --mode fem: eps {float(eps_min):g} is below "
+                f"1.1302806713e-06, the innermost graded radius (1/96)^3 of the FEM mesh"
+                in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi])
+    def test_fem_eps_min_at_mesh_floor_runs(self, beta, tmp_path):
+        # the floor the message prints is accepted, and no row is flagged:
+        # at the floor the FEM error is 5.4%, 2.9% and 6.8% off the
+        # semi-analytic one at these angles
+        out = tmp_path / "fem.csv"
+        assert run("rate-study", "--study", "domain", "--mode", "fem", "--beta", repr(beta),
+                   "--points", "4", "--eps-min", "1.1302806713e-06", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[-2].startswith("1.1302806713e-06,")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha,column", [("1e-300", "error")])

@@ -81,6 +81,61 @@ class TestH1ErrorVsAnalytic:
         fem_path = h1_error_vs_analytic(sol, limit_solution(BETA))
         assert fem_path == pytest.approx(semi, rel=0.01)
 
+    @pytest.mark.parametrize("b,alpha,r_jump,expected", [
+        (1.1, 1e-2, 0.1, 0.13885197843154082),
+        (1.5, 2.0, 0.2, 0.10254040386491074),
+        (1.9, 1e2, 0.3, 0.12866704536760518),
+    ])
+    def test_refined_jump_values_are_pinned(self, b, alpha, r_jump, expected):
+        # the values of the graded subdivision integrator the corner rule
+        # replaced, which gave the same numbers to the last digit or two
+        beta = b * np.pi
+        mesh = refine_uniform(mesh_sector(SectorDomain(beta), 12, 16, grading=3.0,
+                                          aligned_radii=(r_jump,)))
+        sol = solve_cg(assemble(mesh, radial_jump_field(alpha, r_jump),
+                                source=SourceTerm(beta)))
+        err = h1_error_vs_analytic(sol, jump_solution(beta, alpha, r_jump))
+        assert err == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_graph_mesh_values_are_pinned(self):
+        # acceptance criterion 7's nested graph meshes, whose corner (0, 0)
+        # cells take the corner rule; values of the subdivision integrator
+        class Exact:
+            def value(self, pts):
+                return np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 0.8)
+
+            def gradient(self, pts):
+                x, y = np.pi * pts[..., 0], np.pi * pts[..., 1] / 0.8
+                return np.stack([np.pi * np.cos(x) * np.sin(y),
+                                 (np.pi / 0.8) * np.sin(x) * np.cos(y)], axis=-1)
+
+        exact = Exact()
+        amp = np.pi**2 * (1.0 + 1.0 / 0.8**2)
+        mesh = mesh_graph_domain(GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x),
+                                                         n_grid=3), 4, 4)
+        for expected in (0.8489641327174807, 0.43716221295091456, 0.2202387053438502):
+            sol = solve_cg(assemble(mesh, identity_field(),
+                                    source=lambda p: amp * exact.value(p)), rel_tol=1e-12)
+            assert h1_error_vs_analytic(sol, exact) == pytest.approx(expected, rel=1e-14, abs=0)
+            mesh = refine_uniform(mesh)
+
+    def test_one_gradient_call_per_rule(self):
+        # the six-point rule on the regular cells, then the corner rule on
+        # the 8 cells at the corner, each with one call at all its points
+        exact = jump_solution(BETA, 2.0, 0.2)
+        calls = []
+
+        class Counted:
+            def gradient(self, pts):
+                calls.append(len(pts))
+                return exact.gradient(pts)
+
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0,
+                                          aligned_radii=(0.2,)))
+        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
+        assert h1_error_vs_analytic(sol, Counted()) == h1_error_vs_analytic(sol, exact)
+        assert calls == [6 * (mesh.num_triangles - 8), 366 * 8]
+
 
 def annulus_meshes(eps, n_radial, n_angular):
     """Sector and annulus meshes on shared radii, as the FEM domain study

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ellipstab import experiments
 from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.error_norms import lq_gradient_norm
@@ -8,6 +9,7 @@ from ellipstab.experiments import (
     BoundCheck,
     ConditionViolation,
     HypothesisViolation,
+    ResolutionViolation,
     bound_check,
     coefficient_rate_study,
     DEFAULT_EPS_GRID,
@@ -235,6 +237,14 @@ class TestDomainRateStudy:
     def test_inadmissible_q(self):
         with pytest.raises(HypothesisViolation):
             domain_rate_study(BETA, q=6.0)
+
+    def test_fem_grid_below_the_mesh_floor_is_refused(self, monkeypatch):
+        # on 10 rings the floor is (1/10)^3; the check comes before any work
+        monkeypatch.setattr(experiments, "_semi_annulus_error", None)
+        assert experiments.fem_eps_floor(10) == pytest.approx(1e-3, rel=1e-15)
+        with pytest.raises(ResolutionViolation, match=r"eps 0\.0009 is below 0\.001, .*\(1/10\)\^3"):
+            domain_rate_study(BETA, (1e-1, 1e-2, 9e-4, 1e-3), q=4.0, mode="fem",
+                              n_radial=10, n_angular=6)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
