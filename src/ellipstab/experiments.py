@@ -235,20 +235,53 @@ def _semi_annulus_error(beta, eps, u0):
 
 
 def _fem_annulus_error(beta, eps, n_radial, n_angular):
+    """H1 seminorm distance of the FEM annulus solution, extended by zero,
+    from the FEM sector solution.
+
+    The sector mesh ``mesh0`` is graded (``GRADING``) with node circles at
+    eps and 2 eps; the annulus mesh ``mesh_eps`` is ``mesh0`` without its
+    rings r < eps.  Only ``mesh0``'s system is assembled: the annulus system
+    is its trailing block (``_annulus_system``).  The error is integrated
+    over ``mesh0``'s cells, locating the rule points in ``mesh_eps``.
+    """
     sector = geometry.SectorDomain(beta)
     annulus = geometry.SectorDomain(beta, r_inner=eps)
     aligned = (eps, 2.0 * eps)
     radii = meshing.graded_radii(sector, n_radial, GRADING, aligned_radii=aligned)
     mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
-    radii_eps = radii[radii >= eps]
-    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii_eps, n_angular)
-    src = analytic.SourceTerm(beta)
-    ident = coefficients.identity_field()
-    sol0 = fem.solve_cg(fem.assemble(mesh0, ident, source=src))
-    sol_eps = fem.solve_cg(fem.assemble(mesh_eps, ident, source=src))
+    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii[radii >= eps], n_angular)
+    sys0 = fem.assemble(mesh0, coefficients.identity_field(),
+                        source=analytic.SourceTerm(beta))
+    sol0 = fem.solve_cg(sys0)
+    sol_eps = fem.solve_cg(_annulus_system(sys0, mesh_eps))
+    del sys0  # no system is held during the cross-domain error
     # the sector mesh covers the union of both domains and its cells align
     # with the annulus mesh on r >= eps, so the quadrature is exact per cell
     return error_norms.cross_domain_gradient_error(sol_eps, sol0, quad_mesh=mesh0)
+
+
+def _annulus_system(sys0, mesh_eps):
+    """``fem.assemble`` of ``mesh_eps`` taken from the sector system ``sys0``.
+
+    ``mesh_eps`` must be the sector mesh without its rings r < eps, numbered
+    alike: its vertex v is the sector's vertex v + offset and its triangles
+    are the sector's last ones.  The sector's cells inside r < eps touch only
+    vertices with r <= eps, which are Dirichlet on ``mesh_eps``, so the
+    annulus system is the trailing principal block over ``mesh_eps``'s free
+    vertices, to the bit: each of its entries sums the same element terms
+    in the same order.  Raises ValueError when the meshes are not so related.
+    """
+    mesh0 = sys0.mesh
+    offset = mesh0.num_vertices - mesh_eps.num_vertices
+    first_triangle = mesh0.num_triangles - mesh_eps.num_triangles
+    free = np.flatnonzero(~mesh_eps.boundary_flags)
+    k = sys0.num_unknowns - free.size
+    if not (min(offset, first_triangle, k) >= 0
+            and np.array_equal(mesh0.vertices[offset:], mesh_eps.vertices)
+            and np.array_equal(mesh0.triangles[first_triangle:], mesh_eps.triangles + offset)
+            and np.array_equal(sys0.free_vertices[k:], free + offset)):
+        raise ValueError("annulus mesh is not the outer part of the sector mesh")
+    return fem.SparseSystem(sys0.matrix[k:, k:], sys0.rhs[k:], free, mesh_eps)
 
 
 def fem_eps_floor(n_radial):

@@ -11,7 +11,13 @@ sector mesh: CG then stops after one iteration), and Jacobi otherwise (a
 larger uniformly refined mesh, whose numbering is not banded).
 
 Assembly accumulates per-element contributions in a fixed element order,
-so repeated runs are bit-identical.
+so repeated runs are bit-identical.  Within an element, the six-point rule
+is summed in fixed point order as sum_q (w_q g(x_q)) a(x_q), one whole-array
+product per point (``_rule_sum``), not by ``np.einsum``.  Einsum's
+three-operand form runs a slow generic loop, and its two-operand form picks
+a vectorised inner loop by the operands' strides: a read-only broadcast
+coefficient view (a constant field) and a writable copy of it then sum to
+different last bits.
 
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
 them (``assemble`` and the banded preconditioner), not with the module:
@@ -105,15 +111,23 @@ def _element_coefficients(pts, areas, field, weight):
     """area * sum_q w_q g(x_q) a(x_q) per element, (M, 2, 2), from the rule points
     (M, 6, 2): P1 gradients are constant per element, so the rule acts on a alone."""
     a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-    g = _eval_scalar(weight, pts)
-    abar = np.einsum("q,mq,mqxy->mxy", TRI6_WEIGHTS, g, a)
+    w = TRI6_WEIGHTS[None] if weight is None else TRI6_WEIGHTS * _eval_scalar(weight, pts)
+    abar = _rule_sum(w, a)
     abar *= areas[:, None, None]
     return abar
 
 
+def _rule_sum(w, values):
+    """sum_q w[:, q] * values[:, q] per element, added in rule point order q;
+    w is (M, 6) or (1, 6), values (M, 6, ...) or (1, 6, ...)."""
+    w = w.reshape(w.shape + (1,) * (values.ndim - 2))
+    total = w[:, 0] * values[:, 0]
+    for q in range(1, w.shape[1]):
+        total += w[:, q] * values[:, q]
+    return total
+
+
 def _eval_scalar(fn, pts):
-    if fn is None:
-        return np.ones(pts.shape[:2])
     return np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
 
 
@@ -141,8 +155,9 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
         be = np.zeros((mesh.num_triangles, 3))
     else:
         f = _eval_scalar(source, pts)
-        fsw = f * _eval_scalar(source_weight, pts)
-        be = np.einsum("q,mq,qi->mi", TRI6_WEIGHTS, fsw, TRI6_BARY)
+        if source_weight is not None:
+            f = f * _eval_scalar(source_weight, pts)
+        be = _rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None])
         be *= areas[:, None]
 
     import scipy.sparse as sp
@@ -152,8 +167,7 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
     cols = np.tile(tri, (1, 3)).ravel()
     K = sp.coo_matrix((ke.ravel(), (rows, cols)),
                       shape=(mesh.num_vertices, mesh.num_vertices)).tocsr()
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, tri.ravel(), be.ravel())
+    b = np.bincount(tri.ravel(), weights=be.ravel(), minlength=mesh.num_vertices)
 
     free = ~mesh.boundary_flags
     free_vertices = np.flatnonzero(free)

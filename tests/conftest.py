@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ellipstab.geometry import BiLipschitzMap
+from ellipstab.geometry import BiLipschitzMap, SectorDomain
+from ellipstab.meshing import graded_radii, mesh_sector_from_radii
 
 
 def affine_map(matrix, offset=(0.0, 0.0), e_set_measure=float("nan")):
@@ -26,6 +27,18 @@ def affine_map(matrix, offset=(0.0, 0.0), e_set_measure=float("nan")):
     op = float(np.linalg.norm(M, 2))
     op_inv = float(np.linalg.norm(Minv, 2))
     return BiLipschitzMap(fwd, jac, inv, (op, op_inv), e_set_measure)
+
+
+def annulus_meshes(beta, eps, n_radial, n_angular, aligned=None):
+    """Sector and annulus meshes on shared radii, as the FEM domain study
+    builds them (grading 3, node circles at eps and 2 eps); ``aligned``
+    replaces the sector mesh's node circles."""
+    eps_radii = graded_radii(SectorDomain(beta), n_radial, 3.0, aligned_radii=(eps, 2.0 * eps))
+    radii = eps_radii if aligned is None else graded_radii(
+        SectorDomain(beta), n_radial, 3.0, aligned_radii=aligned)
+    return (mesh_sector_from_radii(SectorDomain(beta), radii, n_angular),
+            mesh_sector_from_radii(SectorDomain(beta, r_inner=eps), eps_radii[eps_radii >= eps],
+                                   n_angular))
 
 
 def smooth_bump_gradient(center, radius, cutoff=1e-3):

@@ -3,7 +3,11 @@
 Each record holds, per workload, the parent and change values of every
 alternating run pair, their medians and quartiles and the pairs the change
 won.  The medians and pair counts are recomputed here from the pairs, and
-every metric name must be one that ``BENCHMARK.json`` declares.
+every metric name must be one that ``BENCHMARK.json`` declares.  A record's
+``claim`` is null or names one end-to-end metric of one declared workload
+whose summary holds it; the pairs must then carry the claim: the change
+better in at least nine of every ten pairs, and its median better than the
+parent's by more than the parent's interquartile range.
 """
 
 import json
@@ -15,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
+END_TO_END = {m["name"] for m in SPEC["end_to_end"]}
 WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -46,3 +51,21 @@ def test_record_matches_its_pairs(path):
         for seed, run in w.get("trace", {}).items():
             for side in ("parent", "change"):
                 assert set(run[side]["metrics"]) <= set(BETTER), (name, seed, side)
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_claim_is_a_measured_end_to_end_gain(path):
+    bench = json.loads(path.read_text())
+    claim = bench["claim"]
+    if claim is None:
+        return
+    assert set(claim) == {"metric", "workload"}, claim
+    metric, workload = claim["metric"], claim["workload"]
+    assert metric in END_TO_END, claim
+    assert workload in WORKLOADS, claim
+    w = bench["workloads"][workload]
+    s = w["summary"][metric]
+    assert 10 * s["pairs_better"] >= 9 * len(w["pairs"]), claim
+    sign = 1 if BETTER[metric] == "higher" else -1
+    q1, q3 = s["parent"]["quartiles"]
+    assert sign * (s["change"]["median"] - s["parent"]["median"]) > q3 - q1, claim

@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import annulus_meshes
 from ellipstab import quadrature
 from ellipstab.analytic import (
     SourceTerm,
@@ -28,10 +29,8 @@ from ellipstab.fem import (
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
     TriMesh,
-    graded_radii,
     mesh_graph_domain,
     mesh_sector,
-    mesh_sector_from_radii,
     refine_uniform,
 )
 
@@ -137,15 +136,6 @@ class TestH1ErrorVsAnalytic:
         assert calls == [6 * (mesh.num_triangles - 8), 366 * 8]
 
 
-def annulus_meshes(eps, n_radial, n_angular):
-    """Sector and annulus meshes on shared radii, as the FEM domain study
-    builds them."""
-    radii = graded_radii(SectorDomain(BETA), n_radial, 3.0, aligned_radii=(eps, 2.0 * eps))
-    return (mesh_sector_from_radii(SectorDomain(BETA), radii, n_angular),
-            mesh_sector_from_radii(SectorDomain(BETA, r_inner=eps), radii[radii >= eps],
-                                   n_angular))
-
-
 class TestCrossDomainError:
     def make_solution(self, values_fn, n=12):
         mesh = mesh_sector(SectorDomain(BETA), n, n)
@@ -179,7 +169,7 @@ class TestCrossDomainError:
     def test_same_mesh_gradients_equal_located_ones(self, refine):
         # a copy of the sector mesh is a different object, so both solutions
         # go through point location; the result is bit-identical
-        mesh0, mesh_eps = annulus_meshes(1e-3, 24, 16)
+        mesh0, mesh_eps = annulus_meshes(BETA, 1e-3, 24, 16)
         if refine:
             mesh0, mesh_eps = refine_uniform(mesh0), refine_uniform(mesh_eps)
         sol0, sol_eps = (solve_cg(assemble(m, identity_field(), source=SourceTerm(BETA)))
@@ -204,7 +194,7 @@ class TestCrossDomainError:
         for eps in (1e-3, 1e-2):
             calls.clear()
             _fem_annulus_error(BETA, eps, 24, 16)
-            mesh0, _ = annulus_meshes(eps, 24, 16)
+            mesh0, _ = annulus_meshes(BETA, eps, 24, 16)
             assert calls == [(eps, 6 * mesh0.num_triangles)]
 
     def test_triangle_inequality(self, rng):
@@ -237,7 +227,7 @@ class TestCrossDomainError:
 def grouped_case(kind, eps, refine):
     """(solution mesh, quadrature cell corners) of a grouped location case."""
     if kind == "domain":
-        mesh0, mesh_eps = annulus_meshes(eps, 96, 64)
+        mesh0, mesh_eps = annulus_meshes(BETA, eps, 96, 64)
         if refine:
             mesh0, mesh_eps = refine_uniform(mesh0), refine_uniform(mesh_eps)
         return mesh_eps, mesh0.corners()
@@ -298,7 +288,7 @@ class TestGroupedLocation:
 
         monkeypatch.setattr(_Locator, "locate_many", counting)
         _fem_annulus_error(BETA, eps, 96, 64)
-        mesh0, _ = annulus_meshes(eps, 96, 64)
+        mesh0, _ = annulus_meshes(BETA, eps, 96, 64)
         assert sum(searched) <= 0.4 * 6 * mesh0.num_triangles
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from ellipstab import experiments
-from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
+from conftest import annulus_meshes
+from ellipstab import experiments, fem
+from ellipstab.analytic import (
+    SourceTerm,
+    h1_seminorm_separable,
+    jump_solution,
+    limit_solution,
+)
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.error_norms import lq_gradient_norm
 from ellipstab.experiments import (
@@ -19,7 +25,8 @@ from ellipstab.experiments import (
     q_star,
     qualitative_convergence_study,
 )
-from ellipstab.geometry import radial_shift_map
+from ellipstab.geometry import SectorDomain, radial_shift_map
+from ellipstab.meshing import graded_radii
 from ellipstab.quadrature import halton
 
 BETA = 1.5 * np.pi
@@ -280,6 +287,81 @@ class TestDomainRateStudy:
         assert len(study.bound.ratios) == 4
         for ratio in study.bound.ratios:
             assert abs(ratio / limit - 1.0) <= 1e-8
+
+
+def assert_same_system(a, b):
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(a.matrix, attr).dtype == getattr(b.matrix, attr).dtype
+        assert getattr(a.matrix, attr).tobytes() == getattr(b.matrix, attr).tobytes()
+    assert a.rhs.tobytes() == b.rhs.tobytes()
+    assert np.array_equal(a.free_vertices, b.free_vertices)
+    assert a.mesh is b.mesh
+
+
+class TestAnnulusSystem:
+    """The annulus system is the sector system's trailing block, to the bit."""
+
+    def check(self, beta, eps, n_radial, n_angular):
+        mesh0, mesh_eps = annulus_meshes(beta, eps, n_radial, n_angular)
+        src = SourceTerm(beta)
+        sys0 = fem.assemble(mesh0, identity_field(), source=src)
+        sliced = experiments._annulus_system(sys0, mesh_eps)
+        assert_same_system(sliced, fem.assemble(mesh_eps, identity_field(), source=src))
+        assert sliced.num_unknowns < sys0.num_unknowns
+
+    @pytest.mark.parametrize("beta", [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi])
+    @pytest.mark.parametrize("eps", [experiments.fem_eps_floor(96), 1e-4, 1e-2, 0.1])
+    def test_block_is_the_assembled_annulus_system(self, beta, eps):
+        self.check(beta, eps, 96, 64)
+
+    def test_eps_on_a_graded_node(self):
+        # eps = (10/96)^3 is a graded radius, so it adds no node circle
+        graded = graded_radii(SectorDomain(BETA), 96, experiments.GRADING)
+        eps = float(graded[10])
+        assert eps == pytest.approx((10.0 / 96.0) ** 3, rel=1e-15)
+        mesh0, _ = annulus_meshes(BETA, eps, 96, 64)
+        # the corner, then 65 vertices on each of the 96 graded rings and 2 eps
+        assert mesh0.num_vertices == 1 + graded.size * 65
+        self.check(BETA, eps, 96, 64)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_small_mesh(self, eps):
+        self.check(BETA, eps, 24, 16)
+
+    def test_sector_mesh_without_the_eps_circle_is_refused(self):
+        eps = 1e-2
+        mesh0, mesh_eps = annulus_meshes(BETA, eps, 24, 16, aligned=(2.0 * eps,))
+        sys0 = fem.assemble(mesh0, identity_field(), source=SourceTerm(BETA))
+        with pytest.raises(ValueError, match="not the outer part"):
+            experiments._annulus_system(sys0, mesh_eps)
+
+    def test_sector_mesh_with_other_angles_is_refused(self):
+        mesh0, _ = annulus_meshes(BETA, 1e-2, 24, 16)
+        _, mesh_eps = annulus_meshes(BETA, 1e-2, 24, 12)
+        sys0 = fem.assemble(mesh0, identity_field(), source=SourceTerm(BETA))
+        with pytest.raises(ValueError, match="not the outer part"):
+            experiments._annulus_system(sys0, mesh_eps)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2])
+    def test_each_solve_takes_one_banded_step(self, eps, monkeypatch):
+        # the banded preconditioner applies to the sliced matrix as to the
+        # assembled one, so both solves stop after one CG iteration
+        reports = []
+        solve_cg = fem.solve_cg
+
+        def counting(system, *args, **kwargs):
+            sol = solve_cg(system, *args, **kwargs)
+            reports.append((system.num_unknowns, sol.solve_report))
+            return sol
+
+        monkeypatch.setattr(fem, "solve_cg", counting)
+        experiments._fem_annulus_error(BETA, eps, 96, 64)
+        mesh0, mesh_eps = annulus_meshes(BETA, eps, 96, 64)
+        sizes = [int(np.sum(~m.boundary_flags)) for m in (mesh0, mesh_eps)]
+        assert [n for n, _ in reports] == sizes
+        for _, (iterations, residual) in reports:
+            assert iterations == 1
+            assert residual <= 1e-10
 
 
 class TestCompositionInequality:

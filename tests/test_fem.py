@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -106,7 +107,76 @@ def graded_weight(pts):
     return 1.0 + pts[..., 0] ** 2 + 0.5 * pts[..., 1]
 
 
+def source_density(pts):
+    pts = np.asarray(pts)
+    return 2.0 + np.sin(3.0 * pts[..., 0]) * pts[..., 1]
+
+
+def assembly_case(name):
+    if name == "graded_sector":
+        mesh = mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0,
+                           aligned_radii=[0.01, 0.02])
+        return assemble(mesh, identity_field(), source=SourceTerm(BETA))
+    if name == "jump_weighted":
+        mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
+        return assemble(mesh, radial_jump_field(1e-2, 0.3), weight=graded_weight,
+                        source=SourceTerm(BETA), source_weight=source_density)
+    assert name == "refined_graph"
+    dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
+    mesh = refine_uniform(mesh_graph_domain(dom, 6, 5))
+    field = constant_field(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    return assemble(mesh, field, source=lambda p: 1.0 + p[..., 0] * p[..., 1])
+
+
+# SHA-256 of the assembled arrays' bytes, as the einsum-based assembly wrote
+# them (x86-64, numpy 2.4, scipy 1.17); the fixed-order rule sums keep them
+ASSEMBLY_DIGESTS = {
+    "graded_sector": {
+        "data": "cd8b3351a1d2cdd2477989c1686667dc7eb7b68ddd1717e8f13385cd5a61164e",
+        "indices": "d524bb3a204a86acd36d35418c154c820a129cdca1c7b066e818c26323a32aa9",
+        "indptr": "949edf57ed60be91e623a7441b4c99029b7571871a403f5386c757e25767b139",
+        "rhs": "35a008ea8437521996f484e39988a3d7d7d4df6713edc3a66751c531de19b3e9",
+    },
+    "jump_weighted": {
+        "data": "fcf2bb810fbbb2738698fe9bf89112928432cd111edc252a67269dbb631b02d5",
+        "indices": "6df210a062ff9e06b1d3963ef9a752cc0debdc1194715db6e5c248dd746843a4",
+        "indptr": "dc409a041689459e2b395849cd0b21b13f8e6e01620b884323705072b40bb19c",
+        "rhs": "aaebfbcf3d75b11ad8f14fe43d5b6eb43cea620af439e4dcd333593761778a2b",
+    },
+    "refined_graph": {
+        "data": "6af968faa76ce0d6f8725b50578008e938f679c989d207aaec8c8bf59ce8b0fe",
+        "indices": "94d2a53d49ee7f1d549e7592489f36a00fcea30367a656330b1c80b719d32fe5",
+        "indptr": "b88c03a835f923c2e6a459f3b0b0f55f568beeae2934474869489dbb7f93d0f8",
+        "rhs": "45b13c0b260e5300c0dce3d6556924e3ec692f5211026cd69c0cc16979ce9d2a",
+    },
+}
+
+
+def system_arrays(system):
+    m = system.matrix
+    return {"data": m.data, "indices": m.indices, "indptr": m.indptr, "rhs": system.rhs}
+
+
 class TestAssemble:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
+    def test_pinned_bits(self, name):
+        arrays = system_arrays(assembly_case(name))
+        digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
+        assert digests == ASSEMBLY_DIGESTS[name]
+
+    def test_no_weight_is_a_weight_of_ones(self):
+        mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
+        field = radial_jump_field(1e-2, 0.3)
+
+        def ones(pts):
+            return np.ones(np.asarray(pts).shape[:-1])
+
+        plain = assemble(mesh, field, source=SourceTerm(BETA))
+        weighted = assemble(mesh, field, weight=ones, source=SourceTerm(BETA),
+                            source_weight=ones)
+        for k, v in system_arrays(plain).items():
+            assert v.tobytes() == system_arrays(weighted)[k].tobytes(), k
+
     def test_matches_loop_reference(self):
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
                                           aligned_radii=[0.3]))
