@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import SectorDomain
-from .quadrature import integrate_polar, integrate_rect
+from .quadrature import BLOCK_POINTS, integrate_polar, integrate_rect
 
 
 class FieldEvaluationError(ValueError):
@@ -25,6 +25,12 @@ class FieldEvaluationError(ValueError):
         super().__init__(message)
         self.point = point
         self.index = index
+
+    def shifted(self, offset):
+        """The same error with its point index counted from ``offset`` points
+        earlier, for a field evaluated on a block of points starting there."""
+        index = None if self.index is None else self.index + offset
+        return FieldEvaluationError(str(self), self.point, index)
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,13 @@ def lp_distance(field_a, field_b, p, domain):
     fields' interface radii.  The entries are divided by the largest sampled
     |a - b| before the p-th power, and the root multiplied by it, so that a
     large p neither underflows nor overflows.
+
+    |a - b| is evaluated ``BLOCK_POINTS`` points at a time into one array,
+    and the scale and the quadrature sum are taken over all of it, so the
+    blocks do not change the result's bits.  Only the entries other than 0
+    and the scale are raised to the p-th power (0^p = 0 and 1^p = 1): a
+    piecewise-constant field such as ``radial_jump_field`` has no others,
+    and ``pow`` is slow, on zeros most of all.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"need a finite p >= 1, got {p}")
@@ -195,12 +208,27 @@ def lp_distance(field_a, field_b, p, domain):
 
     def entry_powers(pts):
         nonlocal scale
-        d = np.subtract(field_a.eval(pts), field_b.eval(pts))
-        np.abs(d, out=d)
-        scale = float(np.max(d))
+        d = np.empty(pts.shape[:-1] + (2, 2))
+        block_max = []
+        for lo in range(0, pts.shape[0], BLOCK_POINTS):
+            block, out = pts[lo:lo + BLOCK_POINTS], d[lo:lo + BLOCK_POINTS]
+            try:
+                np.subtract(field_a.eval(block), field_b.eval(block), out=out)
+            except FieldEvaluationError as exc:
+                raise exc.shifted(lo) from exc
+            np.abs(out, out=out)
+            block_max.append(np.max(out))
+        scale = float(np.max(block_max))  # a NaN propagates
+        flat = d.reshape(-1)
         if 0.0 < scale < np.inf:
-            np.divide(d, scale, out=d)
-        np.power(d, p, out=d)
+            # (scale / scale)^p = 1 exactly, as pow gives it
+            top = flat == scale
+            rest = (flat != 0.0) & ~top
+            flat[rest] = np.power(flat[rest] / scale, p)
+            flat[top] = 1.0
+        else:
+            rest = flat != 0.0
+            flat[rest] = np.power(flat[rest], p)
         return d
 
     entry_integrals = integrate_polar(

@@ -12,12 +12,16 @@ larger uniformly refined mesh, whose numbering is not banded).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
-is summed in fixed point order as sum_q (w_q g(x_q)) a(x_q), one whole-array
+is summed in fixed point order as sum_q (w_q g(x_q)) a(x_q), one array
 product per point (``_rule_sum``), not by ``np.einsum``.  Einsum's
 three-operand form runs a slow generic loop, and its two-operand form picks
 a vectorised inner loop by the operands' strides: a read-only broadcast
 coefficient view (a constant field) and a writable copy of it then sum to
-different last bits.
+different last bits.  The rule points are formed and evaluated for
+``BLOCK_POINTS // 6`` elements at a time (``_element_integrals``), into
+per-element arrays that the sums over elements (the matrix, the load, the
+energy) then read whole, so the blocks change no bit and the whole-mesh
+arrays of rule point values are never built.
 
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
 them (``assemble`` and the banded preconditioner), not with the module:
@@ -33,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coefficients import FieldEvaluationError
-from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
+from .quadrature import BLOCK_POINTS, TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -101,20 +105,42 @@ class FemSolution:
 
     def energy(self, field, weight=None):
         """int a grad u . grad u g dx over the mesh, by the assembly rule."""
-        pts = tri6_points(self.mesh.corners())
-        abar = _element_coefficients(pts, self.mesh.areas(), field, weight)
+        abar, _ = _element_integrals(self.mesh, field, weight)
         grads = self.triangle_gradients()
         return float(np.einsum("mx,mxy,my->", grads, abar, grads))
 
 
-def _element_coefficients(pts, areas, field, weight):
-    """area * sum_q w_q g(x_q) a(x_q) per element, (M, 2, 2), from the rule points
-    (M, 6, 2): P1 gradients are constant per element, so the rule acts on a alone."""
-    a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-    w = TRI6_WEIGHTS[None] if weight is None else TRI6_WEIGHTS * _eval_scalar(weight, pts)
-    abar = _rule_sum(w, a)
-    abar *= areas[:, None, None]
-    return abar
+def _element_integrals(mesh, field, weight=None, source=None, source_weight=None):
+    """Per element, area * sum_q w_q g(x_q) a(x_q), (M, 2, 2), and the load
+    area * sum_q w_q f(x_q) sw(x_q) B_q, (M, 3), zero without a source.
+
+    P1 gradients are constant per element, so the rule acts on a alone.  The
+    rule points are formed and evaluated for ``BLOCK_POINTS // 6`` elements
+    at a time; every value is per element, so the blocks do not change its
+    bits.  A FieldEvaluationError carries its point's index in the mesh's
+    whole (M, 6) array of rule points.
+    """
+    corners, areas = mesh.corners(), mesh.areas()
+    abar = np.empty((mesh.num_triangles, 2, 2))
+    be = np.zeros((mesh.num_triangles, 3))
+    n_rule = TRI6_WEIGHTS.size
+    step = max(BLOCK_POINTS // n_rule, 1)
+    for lo in range(0, mesh.num_triangles, step):
+        s = slice(lo, lo + step)
+        pts = tri6_points(corners[s])
+        try:
+            a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
+            w = TRI6_WEIGHTS[None] if weight is None else TRI6_WEIGHTS * _eval_scalar(weight, pts)
+            np.multiply(_rule_sum(w, a), areas[s, None, None], out=abar[s])
+            if source is not None:
+                f = _eval_scalar(source, pts)
+                if source_weight is not None:
+                    f = f * _eval_scalar(source_weight, pts)
+                np.multiply(_rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None]), areas[s, None],
+                            out=be[s])
+        except FieldEvaluationError as exc:
+            raise exc.shifted(lo * n_rule) from exc
+    return abar, be
 
 
 def _rule_sum(w, values):
@@ -140,25 +166,14 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
     degree-4 six-point triangle rule; interfaces are assumed mesh-aligned
     so integrands are smooth per element.
     """
-    areas = mesh.areas()
     grads = mesh.p1_gradients()
-    pts = tri6_points(mesh.corners())
     try:
-        abar = _element_coefficients(pts, areas, field, weight)
+        abar, be = _element_integrals(mesh, field, weight, source, source_weight)
     except FieldEvaluationError as exc:
         elem = None if exc.index is None else int(exc.index) // TRI6_BARY.shape[0]
         raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
     ke = np.einsum("mix,mxy,mjy->mij", grads, abar, grads, optimize=True)
     ke = 0.5 * (ke + np.swapaxes(ke, 1, 2))
-
-    if source is None:
-        be = np.zeros((mesh.num_triangles, 3))
-    else:
-        f = _eval_scalar(source, pts)
-        if source_weight is not None:
-            f = f * _eval_scalar(source_weight, pts)
-        be = _rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None])
-        be *= areas[:, None]
 
     import scipy.sparse as sp
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from ellipstab import coefficients, error_norms, fem
+from ellipstab.analytic import SourceTerm, jump_solution
+from ellipstab.coefficients import (CoefficientField, EllipticityBounds, FieldEvaluationError,
+                                    identity_field, radial_jump_field)
 from ellipstab.geometry import BiLipschitzMap, SectorDomain
-from ellipstab.meshing import graded_radii, mesh_sector_from_radii
+from ellipstab.meshing import graded_radii, mesh_sector, mesh_sector_from_radii, refine_uniform
 
 
 def affine_map(matrix, offset=(0.0, 0.0), e_set_measure=float("nan")):
@@ -62,6 +66,49 @@ def smooth_bump_gradient(center, radius, cutoff=1e-3):
         return out
 
     return grad
+
+
+def identity_failing_at(point, calls=None):
+    """The identity field, except that evaluating it at ``point`` raises
+    FieldEvaluationError with the point's index in the evaluated array;
+    each call's point count is appended to ``calls``."""
+    ident = identity_field()
+
+    def ev(pts):
+        if calls is not None:
+            calls.append(len(pts))
+        hit = np.flatnonzero(np.all(pts == point, axis=-1))
+        if hit.size:
+            raise FieldEvaluationError("bad point", point=tuple(pts[hit[0]]), index=int(hit[0]))
+        return ident.eval(pts)
+
+    return CoefficientField(ev, EllipticityBounds(1.0, 1.0))
+
+
+@pytest.fixture
+def block_points(monkeypatch):
+    """Sets ``quadrature.BLOCK_POINTS`` in every module that evaluates in
+    blocks; None keeps it."""
+    def set_to(n):
+        if n is None:
+            return
+        for mod in (coefficients, fem, error_norms):
+            monkeypatch.setattr(mod, "BLOCK_POINTS", n)
+    return set_to
+
+
+@pytest.fixture(scope="session")
+def refined_jump():
+    """The ``fem_refine`` workload's finest solve: a graded 24 x 64 sector (beta =
+    1.5 pi, jump radius 0.3, alpha = 2) refined twice, 50 176 triangles, and
+    its exact solution."""
+    beta = 1.5 * np.pi
+    mesh = mesh_sector(SectorDomain(beta), 24, 64, grading=3.0, aligned_radii=(0.3,))
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    field = radial_jump_field(2.0, 0.3)
+    sol = fem.solve_cg(fem.assemble(mesh, field, source=SourceTerm(beta)))
+    return sol, field, jump_solution(beta, 2.0, 0.3)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import affine_map, smooth_bump_gradient
+from conftest import affine_map, identity_failing_at, smooth_bump_gradient
 from ellipstab.coefficients import (
+    CoefficientField,
+    EllipticityBounds,
     FieldEvaluationError,
     constant_field,
     identity_field,
@@ -14,6 +16,7 @@ from ellipstab.coefficients import (
     sym_eigvals,
 )
 from ellipstab.geometry import SectorDomain, radial_shift_map
+from ellipstab.quadrature import BLOCK_POINTS
 
 BETA = 1.5 * np.pi
 
@@ -187,6 +190,30 @@ CLOSED_FORM_CASES = (
 )
 
 
+# float.hex of lp_distance(field, identity, p, domain) as the unblocked
+# evaluation gave it.  The sector grid has 66 816 points, 8.2 blocks, and
+# the annular one 18 432, 2.25 blocks.  The jump fields' entries are 0 or
+# the scale; the sheared field's take other values too
+ANNULUS = SectorDomain(1.1 * np.pi, r_inner=0.5)
+LP_CASES = {
+    "sector": (lambda: radial_jump_field(1.5, 0.1), SectorDomain(BETA)),
+    "annulus": (lambda: radial_jump_field(1e-2, 0.7), ANNULUS),
+    "sheared": (lambda: pullback_field(radial_jump_field(3.0, 0.7),
+                                       affine_map([[1.3, 0.2], [0.0, 0.8]])), ANNULUS),
+}
+LP_PINNED = {
+    ("sector", 2.4): "0x1.ad9ebee798dadp-4",
+    ("sector", 1100.0): "0x1.fe4225bba564ep-2",
+    ("sector", 2e7): "0x1.fffff9b631a02p-2",
+    ("annulus", 2.4): "0x1.5f4176f8a8adfp-1",
+    ("annulus", 1100.0): "0x1.fa797c743166ep-1",
+    ("annulus", 2e7): "0x1.fae14637ceb43p-1",
+    ("sheared", 2.4): "0x1.355ac138e96b4p+1",
+    ("sheared", 1100.0): "0x1.d78d7e12ed8fep+1",
+    ("sheared", 2e7): "0x1.d7fffe6310720p+1",
+}
+
+
 class TestLpDistance:
     def test_zero_for_equal_fields(self):
         f = radial_jump_field(2.0, 0.1)
@@ -253,6 +280,34 @@ class TestLpDistance:
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             lp_distance(identity_field(), identity_field(), 0.5, SectorDomain(BETA))
+
+    @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
+    @pytest.mark.parametrize("name,p", sorted(LP_PINNED))
+    def test_pinned_bits_in_any_block_size(self, name, p, block, block_points):
+        # None keeps BLOCK_POINTS; 1 << 20 points hold a whole grid
+        block_points(block)
+        field, domain = LP_CASES[name]
+        assert lp_distance(field(), identity_field(), p, domain).hex() == LP_PINNED[name, p]
+
+    def test_field_error_carries_its_index_in_the_grid(self):
+        seen = []
+
+        def recording(pts):
+            seen.append(np.array(pts))
+            return identity_field().eval(pts)
+
+        dom = SectorDomain(BETA)
+        lp_distance(CoefficientField(recording, EllipticityBounds(1.0, 1.0)),
+                    identity_field(), 2.0, dom)
+        grid = np.concatenate(seen)
+        assert len(seen) > 2
+        assert [len(b) for b in seen[:-1]] == [BLOCK_POINTS] * (len(seen) - 1)
+        target = grid.shape[0] - 3  # in the last block
+        with pytest.raises(FieldEvaluationError) as err:
+            lp_distance(identity_failing_at(grid[target]), identity_field(), 2.0, dom)
+        assert err.value.index == target
+        assert err.value.point == tuple(grid[target])
+
 
 
 class TestEnergyIdentity:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -134,6 +136,55 @@ class TestH1ErrorVsAnalytic:
         sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
         assert h1_error_vs_analytic(sol, Counted()) == h1_error_vs_analytic(sol, exact)
         assert calls == [6 * (mesh.num_triangles - 8), 366 * 8]
+
+    def test_one_gradient_call_per_block(self, block_points):
+        # blocks of 61 regular cells and of one corner cell
+        block_points(366)
+        exact = jump_solution(BETA, 2.0, 0.2)
+        calls = []
+
+        class Counted:
+            def gradient(self, pts):
+                calls.append(len(pts))
+                return exact.gradient(pts)
+
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0,
+                                          aligned_radii=(0.2,)))
+        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
+        h1_error_vs_analytic(sol, Counted())
+        full, rest = divmod(mesh.num_triangles - 8, 61)
+        assert calls == [366] * full + [6 * rest] + [366] * 8
+
+    @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
+    def test_refined_jump_bits_in_any_block_size(self, block, block_points, refined_jump):
+        # float.hex as the unblocked rules gave it; the 64 corner cells
+        # span 3 blocks, the 50 112 regular ones 37
+        block_points(block)
+        sol, _, exact = refined_jump
+        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a27b5e73ap-6"
+
+    @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
+    def test_annulus_bits_in_any_block_size(self, block, block_points):
+        # no corner cell: the corner rule sums an empty array
+        block_points(block)
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA, r_inner=0.2), 16, 24,
+                                          grading=3.0))
+        sol = solve_cg(assemble(mesh, identity_field(), source=SourceTerm(BETA)))
+        err = h1_error_vs_analytic(sol, annulus_solution(BETA, 0.2))
+        assert err.hex() == "0x1.e9736f8f6ba1cp-5"
+
+    def test_memory_peak(self, refined_jump):
+        # 6.1 MB measured (numpy 2.4); evaluating each rule at all its cells
+        # at once peaked at 32.3 MB
+        sol, _, exact = refined_jump
+        h1_error_vs_analytic(sol, exact)
+        tracemalloc.start()
+        try:
+            h1_error_vs_analytic(sol, exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestCrossDomainError:

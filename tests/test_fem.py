@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_map
+from conftest import affine_map, identity_failing_at
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
@@ -16,7 +17,9 @@ from ellipstab.coefficients import (
     radial_jump_field,
 )
 from ellipstab.error_norms import h1_error_vs_analytic
+from ellipstab.coefficients import FieldEvaluationError
 from ellipstab.fem import (
+    AssemblyError,
     ConvergenceFailure,
     FemSolution,
     SparseSystem,
@@ -37,7 +40,7 @@ from ellipstab.meshing import (
     mesh_sector_from_radii,
     refine_uniform,
 )
-from ellipstab.quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
+from ellipstab.quadrature import BLOCK_POINTS, TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 BETA = 1.5 * np.pi
 ANGLES = [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi]
@@ -164,6 +167,46 @@ class TestAssemble:
         digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
         assert digests == ASSEMBLY_DIGESTS[name]
 
+    @pytest.mark.parametrize("block", [6, 7, 366, 367, 1 << 20])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
+    def test_pinned_bits_in_any_block_size(self, name, block, block_points):
+        block_points(block)
+        arrays = system_arrays(assembly_case(name))
+        digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
+        assert digests == ASSEMBLY_DIGESTS[name]
+
+    def test_field_error_names_its_element_in_the_mesh(self):
+        # 3 800 triangles, three blocks; the bad rule point is in the last
+        mesh = mesh_sector(SectorDomain(BETA), 48, 40, grading=3.0)
+        per_block = BLOCK_POINTS // TRI6_WEIGHTS.size
+        elem = mesh.num_triangles - 2
+        assert elem >= 2 * per_block
+        bad = tri6_points(mesh.corners())[elem, 4]
+        calls = []
+        with pytest.raises(AssemblyError) as err:
+            assemble(mesh, identity_failing_at(bad, calls))
+        assert err.value.element == elem
+        last = 6 * (mesh.num_triangles % per_block)
+        assert calls == [6 * per_block] * (elem // per_block) + [last]
+        sol = FemSolution(mesh, np.zeros(mesh.num_vertices), (0, 0.0))
+        with pytest.raises(FieldEvaluationError) as err:
+            sol.energy(identity_failing_at(bad))
+        assert err.value.index == 6 * elem + 4
+
+    def test_memory_peak(self, refined_jump):
+        # 23.7 MB measured (numpy 2.4); evaluating all rule points at once
+        # peaked at 31.0 MB
+        sol, field, _ = refined_jump
+        source = SourceTerm(1.5 * np.pi)
+        assemble(sol.mesh, field, source=source)
+        tracemalloc.start()
+        try:
+            assemble(sol.mesh, field, source=source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * 2**20
+
     def test_no_weight_is_a_weight_of_ones(self):
         mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
         field = radial_jump_field(1e-2, 0.3)
@@ -205,6 +248,16 @@ class TestAssemble:
         values[system.free_vertices] = x
         energy = FemSolution(mesh, values, (0, 0.0)).energy(field, weight=graded_weight)
         assert energy == pytest.approx(x @ (system.matrix @ x), rel=1e-14)
+
+    @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
+    def test_energy_pinned_bits_in_any_block_size(self, block, block_points):
+        # float.hex as the unblocked rule gave it; 3 136 triangles, 2.3 blocks
+        block_points(block)
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0,
+                                          aligned_radii=[0.3]))
+        field = radial_jump_field(1e-2, 0.3)
+        sol = solve_cg(assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA)))
+        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e4p+0"
 
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
