@@ -3,7 +3,8 @@
 Fields are closed-form evaluable functions of position (not grids), carry a
 certified two-sided ellipticity estimate and remember their discontinuity
 radii so meshing and quadrature can align with interfaces.  On an interface
-circle the outer branch is evaluated; this measure-zero convention keeps
+circle a field takes the branch ``np.hypot(x, y) < eps`` picks, the outer one
+where the rounded radius equals eps; this measure-zero convention keeps
 evaluation deterministic.
 """
 
@@ -120,7 +121,11 @@ def identity_field():
 def radial_jump_field(alpha, eps):
     """Scalar conductivity ``alpha`` inside radius ``eps`` and 1 outside, times I.
 
-    Points exactly on |x| = eps evaluate the outer branch.
+    A point takes the branch ``np.hypot(x, y) < eps`` picks, so one whose
+    rounded radius is eps evaluates the outer branch.  Outside a relative
+    band of 1e-14 around eps^2, x^2 + y^2 decides, since there it agrees
+    with ``np.hypot``.  Inside the band ``np.hypot`` decides, and it decides
+    every point when eps^2 is not a normal double (eps below about 1.5e-154).
     """
     alpha = float(alpha)
     eps = float(eps)
@@ -129,14 +134,28 @@ def radial_jump_field(alpha, eps):
     if not 0.0 < eps < 1.0:
         raise ValueError(f"jump radius must lie in (0, 1), got {eps}")
 
+    eps_sq = eps * eps
+    # x^2 + y^2 is within a few ulps of r^2 when eps^2 is normal, so outside
+    # this relative band around eps^2 it decides as np.hypot(x, y) < eps does
+    band = (eps_sq * (1.0 - 1e-14), eps_sq * (1.0 + 1e-14))
+    squares_decide = eps_sq >= np.finfo(float).tiny
+    branches = np.zeros((2, 2, 2))  # the outer matrix, then the inner one
+    branches[:, 0, 0] = branches[:, 1, 1] = (1.0, alpha)
+
     def ev(points):
         pts = np.asarray(points, dtype=float)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        scal = np.where(r < eps, alpha, 1.0)
-        out = np.zeros(pts.shape[:-1] + (2, 2))
-        out[..., 0, 0] = scal
-        out[..., 1, 1] = scal
-        return out
+        xy = pts.reshape(-1, 2)
+        if squares_decide:
+            sq = xy * xy
+            r_sq = sq[:, 0] + sq[:, 1]
+            inside = r_sq < eps_sq
+            near = (r_sq > band[0]) & (r_sq < band[1])
+            if near.any():
+                inside[near] = np.hypot(xy[near, 0], xy[near, 1]) < eps
+        else:
+            inside = np.hypot(xy[:, 0], xy[:, 1]) < eps
+        out = np.take(branches, inside.astype(np.intp), axis=0)
+        return out.reshape(pts.shape[:-1] + (2, 2))
 
     return CoefficientField(
         ev,
@@ -197,10 +216,13 @@ def lp_distance(field_a, field_b, p, domain):
 
     |a - b| is evaluated ``BLOCK_POINTS`` points at a time into one array,
     and the scale and the quadrature sum are taken over all of it, so the
-    blocks do not change the result's bits.  Only the entries other than 0
-    and the scale are raised to the p-th power (0^p = 0 and 1^p = 1): a
-    piecewise-constant field such as ``radial_jump_field`` has no others,
-    and ``pow`` is slow, on zeros most of all.
+    blocks do not change the result's bits.  The whole array is divided by
+    the scale in one pass, which takes the scale to exactly 1 and every
+    smaller entry below 1.  Only the entries other than 0 and 1 are then
+    raised to the p-th power (0^p = 0 and 1^p = 1), and ``pow`` is skipped
+    when there are none: a piecewise-constant field such as
+    ``radial_jump_field`` has no others, and ``pow`` is slow, on zeros most
+    of all.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"need a finite p >= 1, got {p}")
@@ -221,13 +243,10 @@ def lp_distance(field_a, field_b, p, domain):
         scale = float(np.max(block_max))  # a NaN propagates
         flat = d.reshape(-1)
         if 0.0 < scale < np.inf:
-            # (scale / scale)^p = 1 exactly, as pow gives it
-            top = flat == scale
-            rest = (flat != 0.0) & ~top
-            flat[rest] = np.power(flat[rest] / scale, p)
-            flat[top] = 1.0
-        else:
-            rest = flat != 0.0
+            # the scale divides to exactly 1, and an entry below it to below 1
+            flat /= scale
+        rest = (flat != 0.0) & (flat != 1.0)  # 0^p = 0 and 1^p = 1
+        if rest.any():
             flat[rest] = np.power(flat[rest], p)
         return d
 

@@ -168,10 +168,12 @@ def integrate_polar(f_xy, beta, r_inner, radial_breaks=(), n_panels=8):
     rn, rw = gauss_on_panels(
         radial_edges(r_inner, 1.0, radial_breaks, n_panels), TENSOR_GAUSS)
     tn, tw = gauss_on_panels(np.linspace(0.0, beta, n_panels + 1), TENSOR_GAUSS)
-    r = rn[:, None]
-    pts = np.stack([r * np.cos(tn), r * np.sin(tn)], axis=-1).reshape(-1, 2)
+    directions = np.stack([np.cos(tn), np.sin(tn)], axis=-1)
+    pts = (rn[:, None, None] * directions).reshape(-1, 2)
     vals = np.asarray(f_xy(pts), dtype=float)
-    total = np.tensordot((rw[:, None] * tw[None, :] * r).ravel(), vals, axes=1)
+    weights = rw[:, None] * tw
+    weights *= rn[:, None]  # in place: a grid-sized temporary costs more than the product
+    total = np.tensordot(weights.ravel(), vals, axes=1)
     return float(total) if total.ndim == 0 else total
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shlex
@@ -402,6 +403,24 @@ class TestSolve:
         assert run(*args, "--out-prefix", str(tmp_path / "b")) == 0
         assert (tmp_path / "a.mesh").read_bytes() == (tmp_path / "b.mesh").read_bytes()
         assert (tmp_path / "a.sol").read_bytes() == (tmp_path / "b.sol").read_bytes()
+
+    @pytest.mark.parametrize("args,mesh_sha256,sol_sha256", [
+        (["--jump-eps", "1e-160"],
+         "519ccbefd73546bcac86627146a43f12fecfede38fab814b2010780589fa5676",
+         "1733877ff484934d2fe5cc85c6c1a7910618739c1a4b530268f8e49ef54bc31f"),
+        (["--jump-eps", "0.3", "--refine", "2"],
+         "628f729d6484c8279a95829fa1722aa592bac89c2b18ae9738e3540e5a3b89da",
+         "090245736f2a179a2d0389bc4097b20a9ad02282f52afcc3abe00b5f4f2e87ab"),
+    ])
+    def test_jump_solve_pinned_bytes(self, tmp_path, args, mesh_sha256, sol_sha256):
+        # assembly evaluates the jump field at every rule point, so a branch
+        # rule other than np.hypot(x, y) < eps would show in these bytes
+        prefix = tmp_path / "x"
+        assert run("solve", "--domain", "sector", "--coeff", "jump", *args,
+                   "--out-prefix", str(prefix)) == 0
+        for suffix, digest in ((".mesh", mesh_sha256), (".sol", sol_sha256)):
+            data = prefix.with_suffix(suffix).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
 
     @pytest.mark.parametrize("cells", ["8", "16"])
     def test_refined_graded_annulus_is_valid(self, tmp_path, cells):

@@ -25,6 +25,12 @@ def polar_point(r, theta):
     return np.array([[r * np.cos(theta), r * np.sin(theta)]])
 
 
+def hypot_rule(alpha, eps, pts):
+    """``radial_jump_field(alpha, eps)`` as the branch np.hypot(x, y) < eps picks."""
+    scal = np.where(np.hypot(pts[..., 0], pts[..., 1]) < eps, alpha, 1.0)
+    return scal[..., None, None] * np.eye(2)
+
+
 class TestRadialJumpField:
     def test_branch_values(self):
         f = radial_jump_field(2.0, 0.1)
@@ -45,6 +51,44 @@ class TestRadialJumpField:
     def test_alpha_one_is_identity(self):
         f = radial_jump_field(1.0, 0.2)
         assert lp_distance(f, identity_field(), 2.0, SectorDomain(BETA)) == 0.0
+
+    def test_branch_is_the_hypot_rule_on_and_near_circles(self, rng):
+        eps_all = rng.uniform(0.05, 0.95, 300)
+        squares_differ = 0
+        for eps in eps_all:
+            theta = rng.uniform(0.0, 2.0 * np.pi, 64)
+            r = eps * np.concatenate([np.ones(64), 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 32)])
+            phi = np.concatenate([theta, theta[:32]])
+            pts = np.concatenate([np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1),
+                                  [[eps, 0.0]]])
+            assert np.array_equal(radial_jump_field(3.0, eps).eval(pts),
+                                  hypot_rule(3.0, eps, pts)), eps
+            squares_differ += np.count_nonzero(
+                (pts[:, 0] ** 2 + pts[:, 1] ** 2 < eps * eps)
+                != (np.hypot(pts[:, 0], pts[:, 1]) < eps))
+        # rounding puts on-circle points on both sides, and x^2 + y^2 alone
+        # sorts some of them differently from np.hypot
+        assert squares_differ > 0
+
+    def test_one_point_of_shape_2(self):
+        f = radial_jump_field(3.0, 0.3)
+        for pt in ([0.3, 0.0], [0.1, 0.2], [0.5, 0.5]):
+            a = f.eval(np.array(pt))
+            assert a.shape == (2, 2)
+            assert np.array_equal(a, hypot_rule(3.0, 0.3, np.array(pt)))
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-14])
+    def test_tiny_radius_is_the_hypot_rule(self, rng, eps):
+        theta = rng.uniform(0.0, 2.0 * np.pi, 20_000)
+        r = eps * np.concatenate([np.ones(10_000), 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 10_000)])
+        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        assert np.array_equal(radial_jump_field(0.5, eps).eval(pts), hypot_rule(0.5, eps, pts))
+        if eps == 1e-160:
+            # eps^2 is subnormal: the 1e-14 band around it rounds away, and
+            # the squares alone misclassify points that np.hypot places
+            squares = np.where(pts[:, 0] ** 2 + pts[:, 1] ** 2 < eps * eps, 0.5, 1.0)
+            assert not np.array_equal(squares[:, None, None] * np.eye(2),
+                                      hypot_rule(0.5, eps, pts))
 
     @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (-1.0, 0.1), (2.0, 0.0),
                                            (2.0, 1.0)])
