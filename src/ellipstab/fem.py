@@ -7,8 +7,10 @@ symmetrically so the reduced system stays symmetric positive definite and
 a preconditioned conjugate gradient applies.  The preconditioner is the
 banded Cholesky factor of the reduced matrix when its band, in the mesh's
 own vertex numbering, fits ``BAND_ENTRIES`` stored entries (a ring-by-ring
-sector mesh: CG then stops after one iteration), and Jacobi otherwise (a
-larger uniformly refined mesh, whose numbering is not banded).
+sector mesh: CG then stops after one iteration); else a fast-diagonalization
+solve when the unknowns lie on a polar tensor grid (a uniformly refined
+sector or annulus mesh, whose numbering is not banded: CG then stops after
+about five iterations); and Jacobi otherwise (a refined graph-domain mesh).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
@@ -26,7 +28,9 @@ arrays of rule point values are never built.
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
 them (``assemble`` and the banded preconditioner), not with the module:
 together they would add about 0.3 s and 30 MB to every import of the
-package, and the semi-analytic studies never assemble or solve.
+package, and the semi-analytic studies never assemble or solve.  The
+separable preconditioner needs numpy alone, so a refined solve never
+imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ LOCATE_PAIRS = 1 << 17
 
 # largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
 # taken as the CG preconditioner: a 96 x 64 sector needs 0.39 M, a once
-# refined 24 x 64 one 28.6 M and keeps Jacobi
+# refined 24 x 64 one 28.6 M and takes the separable preconditioner; also
+# the largest dense block, size^2 entries, that one factors for the rings
+# inside its tensor grid (381^2 = 0.15 M on a twice refined 24 x 64 sector)
 BAND_ENTRIES = 1 << 20
 
 # smallest barycentric coordinate of a grouped point kept in its group's
@@ -84,10 +90,6 @@ class SparseSystem:
     @property
     def num_unknowns(self):
         return self.rhs.size
-
-    def symmetry_defect(self):
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,13 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     """Preconditioned conjugate gradients on the reduced system.
 
     The preconditioner is the banded Cholesky factor of the matrix when
-    (bandwidth + 1) * unknowns <= ``BAND_ENTRIES``, and Jacobi otherwise.
-    Stops when ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure
-    with the residual history when the iteration cap is hit (with an empty
-    history when the factorization fails), and ValueError for a cap below 1
+    (bandwidth + 1) * unknowns <= ``BAND_ENTRIES``; else, for a system from
+    a mesh whose free vertices lie on a polar tensor grid, the
+    fast-diagonalization solve of ``_separable_preconditioner``; and Jacobi
+    otherwise (a system without a mesh included).  Stops when
+    ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure with the
+    residual history when the iteration cap is hit (with an empty history
+    when the banded factorization fails), and ValueError for a cap below 1
     or a tolerance that is not finite and positive.
     """
     if max_iter < 1:
@@ -216,6 +221,9 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     if np.any(diag <= 0.0):
         raise ValueError("system diagonal is not positive")
     precondition = _band_preconditioner(K)
+    if precondition is None and system.mesh is not None:
+        precondition = _separable_preconditioner(
+            K, system.mesh.vertices[system.free_vertices])
     if precondition is None:
         inv_diag = 1.0 / diag
 
@@ -278,6 +286,113 @@ def _band_preconditioner(K):
     return precondition
 
 
+def _separable_preconditioner(K, xy):
+    """r -> M^-1 r for a fast-diagonalization approximation M of K, or None
+    when the unknowns, at points ``xy``, are not on a polar tensor grid.
+
+    Unknowns are labelled by ring (radii equal to 1e-9 relative) and by
+    angle within their ring.  The tensor rings are the outermost run of the
+    rings with the most unknowns, n_t; their sorted angles must agree to
+    1e-9, and K may couple two of their unknowns only one ring and one
+    angle apart.  On them M averages K per ring (diagonal D, angular Th,
+    radial R, diagonal-neighbour G) and is diagonalised by the orthonormal
+    sine matrix S of size n_t: angular mode m, with eigenvalue
+    lam_m = 2 cos(m pi / (n_t + 1)) of the angular shift pair, is one
+    tridiagonal system over the rings with diagonal D + Th lam_m and
+    off-diagonal R + G lam_m / 2 (G symmetrised in angle), factored LDL^T
+    for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    The rings inside, such as the coarser ones ``refine_uniform`` leaves at
+    a corner, get their exact block of K by dense Cholesky when it has at
+    most ``BAND_ENTRIES`` entries; M drops the couplings between the two
+    parts (block Jacobi).  A non-positive pivot or a failed Cholesky
+    factorisation also gives None, so M is symmetric positive definite.
+    """
+    n = K.shape[0]
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    by_r = np.argsort(r, kind="stable")
+    rs = r[by_r]
+    ring = np.empty(n, dtype=np.int64)
+    ring[by_r] = np.concatenate([[0], np.cumsum(np.diff(rs) > 1e-9 * rs[1:])])
+    theta = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
+    order = np.lexsort((theta, ring))  # ring-major, by angle within a ring
+    counts = np.bincount(ring)
+    n_t = int(counts.max())
+    short = np.flatnonzero(counts != n_t)
+    first = short[-1] + 1 if short.size else 0
+    if first == counts.size:  # the outermost ring is not a full one
+        return None
+    n_in = int(np.sum(counts[:first]))
+    if n_in * n_in > BAND_ENTRIES:
+        return None
+    inner = order[:n_in]
+    grid = order[n_in:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
+    th = theta[grid]
+    if np.max(np.abs(th - th[-1])) > 1e-9:
+        return None
+
+    couplings = _ring_couplings(K, grid)
+    if couplings is None:
+        return None
+    D, Th, R, G = couplings.T
+    n_r = grid.shape[0]
+
+    m = np.arange(1, n_t + 1)
+    lam = 2.0 * np.cos(m * np.pi / (n_t + 1))
+    S = np.sqrt(2.0 / (n_t + 1)) * np.sin(np.outer(m, m) * np.pi / (n_t + 1))
+    diag = D[:, None] + Th[:, None] * lam
+    off = R[:-1, None] + 0.5 * G[:-1, None] * lam
+    pivots = np.empty_like(diag)
+    pivots[0] = diag[0]
+    ell = np.empty_like(off)
+    for i in range(1, n_r):
+        ell[i - 1] = off[i - 1] / pivots[i - 1]
+        pivots[i] = diag[i] - ell[i - 1] * off[i - 1]
+    if not np.all(pivots > 0.0):
+        return None
+    try:
+        inner_inverse = np.linalg.inv(np.linalg.cholesky(K[inner][:, inner].toarray()))
+    except np.linalg.LinAlgError:
+        return None
+
+    def precondition(res):
+        f = res[grid] @ S
+        for i in range(1, n_r):
+            f[i] -= ell[i - 1] * f[i - 1]
+        f /= pivots
+        for i in range(n_r - 2, -1, -1):
+            f[i] -= ell[i] * f[i + 1]
+        z = np.empty(n)
+        z[grid] = f @ S
+        z[inner] = inner_inverse.T @ (inner_inverse @ res[inner])
+        return z
+    return precondition
+
+
+def _ring_couplings(K, grid):
+    """Per ring of the tensor grid (rings, n_t) of unknowns, K's mean
+    diagonal, angular (angle + 1), radial (ring + 1, same angle) and
+    diagonal-neighbour (ring + 1, angle +- 1) couplings, (rings, 4); None
+    when K couples two grid unknowns more than one ring or angle apart.  K
+    is symmetric, so its upper entries between grid unknowns hold every
+    coupling; the per-entry arrays are freed on return."""
+    n_r, n_t = grid.shape
+    pos = np.full(K.shape[0], -1, dtype=np.int32)  # ring * n_t + angle, or -1
+    pos[grid.ravel()] = np.arange(grid.size)
+    rows = np.repeat(pos, np.diff(K.indptr))
+    cols = pos[K.indices]
+    upper = (rows >= 0) & (cols >= rows)
+    rows, cols, vals = rows[upper], cols[upper], K.data[upper]
+    d_ring = cols // n_t - rows // n_t
+    d_angle = np.abs(cols % n_t - rows % n_t)
+    if np.any(d_ring > 1) or np.any(d_angle > 1):
+        return None
+    # coupling kind 2 d_ring + d_angle, summed per ring over n_t, n_t - 1,
+    # n_t and n_t - 1 pairs
+    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=vals,
+                       minlength=4 * n_r).reshape(n_r, 4)
+    return sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)]
+
+
 def _expand(system, x_free, report):
     mesh = system.mesh
     if mesh is None:
@@ -285,14 +400,6 @@ def _expand(system, x_free, report):
     values = np.zeros(mesh.num_vertices)
     values[system.free_vertices] = x_free
     return FemSolution(mesh, values, report)
-
-
-def interpolate(fn, mesh, zero_dirichlet=True):
-    """Nodal interpolant of a function of position on a mesh."""
-    vals = np.array(fn(mesh.vertices), dtype=float)
-    if zero_dirichlet:
-        vals[mesh.boundary_flags] = 0.0
-    return FemSolution(mesh, vals, (0, 0.0))
 
 
 # -- point location ---------------------------------------------------------
@@ -446,15 +553,6 @@ def evaluate_gradient_many(sol, points):
     inside = idx >= 0
     out[inside] = sol.triangle_gradients()[idx[inside]]
     return out
-
-
-def galerkin_residual(system, sol):
-    """Relative residual ||K x - b|| / ||b|| of a solved system."""
-    x = sol.nodal_values[system.free_vertices]
-    norm_b = float(np.linalg.norm(system.rhs))
-    if norm_b == 0.0:
-        return 0.0
-    return float(np.linalg.norm(system.matrix @ x - system.rhs)) / norm_b
 
 
 def export_solution_text(sol):

@@ -67,9 +67,6 @@ class TriMesh:
     def areas(self):
         return np.abs(self.signed_areas())
 
-    def total_area(self):
-        return float(np.sum(self.areas()))
-
     def p1_gradients(self):
         """Gradients of the three nodal basis functions, shape (M, 3, 2),
         read-only."""
@@ -85,19 +82,6 @@ class TriMesh:
             g.flags.writeable = False
             self._p1_gradients = g
         return self._p1_gradients
-
-    @property
-    def min_angle_deg(self):
-        p = self.corners()
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.sum(u * v, axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.degrees(np.min(angles)))
 
     # -- connectivity ----------------------------------------------------
 

@@ -45,6 +45,47 @@ def annulus_meshes(beta, eps, n_radial, n_angular, aligned=None):
                                    n_angular))
 
 
+def galerkin_residual(system, sol):
+    """Relative residual ||K x - b|| / ||b|| of a solved system."""
+    x = sol.nodal_values[system.free_vertices]
+    norm_b = float(np.linalg.norm(system.rhs))
+    if norm_b == 0.0:
+        return 0.0
+    return float(np.linalg.norm(system.matrix @ x - system.rhs)) / norm_b
+
+
+def interpolate(fn, mesh, zero_dirichlet=True):
+    """Nodal interpolant of a function of position on a mesh."""
+    vals = np.array(fn(mesh.vertices), dtype=float)
+    if zero_dirichlet:
+        vals[mesh.boundary_flags] = 0.0
+    return fem.FemSolution(mesh, vals, (0, 0.0))
+
+
+def symmetry_defect(system):
+    """Largest |K - K^T| entry of a system's matrix."""
+    d = system.matrix - system.matrix.T
+    return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+
+def total_area(mesh):
+    return float(np.sum(mesh.areas()))
+
+
+def min_angle_deg(mesh):
+    """Smallest interior angle of a mesh's triangles, in degrees."""
+    p = mesh.corners()
+    angles = []
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        cosang = np.sum(u * v, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        )
+        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.degrees(np.min(angles)))
+
+
 def smooth_bump_gradient(center, radius, cutoff=1e-3):
     """Gradient of a C-infinity bump supported in the disc around ``center``.
 

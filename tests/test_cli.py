@@ -410,7 +410,7 @@ class TestSolve:
          "1733877ff484934d2fe5cc85c6c1a7910618739c1a4b530268f8e49ef54bc31f"),
         (["--jump-eps", "0.3", "--refine", "2"],
          "628f729d6484c8279a95829fa1722aa592bac89c2b18ae9738e3540e5a3b89da",
-         "090245736f2a179a2d0389bc4097b20a9ad02282f52afcc3abe00b5f4f2e87ab"),
+         "ac47377ecb7800732ebf0d0e1cdf931b3b091a456224f6b319c605d9bcaa57a4"),
     ])
     def test_jump_solve_pinned_bytes(self, tmp_path, args, mesh_sha256, sol_sha256):
         # assembly evaluates the jump field at every rule point, so a branch

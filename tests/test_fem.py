@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_map, identity_failing_at
+from conftest import (affine_map, galerkin_residual, identity_failing_at, interpolate,
+                      symmetry_defect)
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
@@ -24,11 +26,11 @@ from ellipstab.fem import (
     FemSolution,
     SparseSystem,
     _contains,
+    _band_preconditioner,
     _Locator,
+    _separable_preconditioner,
     assemble,
     evaluate_gradient_many,
-    galerkin_residual,
-    interpolate,
     solve_cg,
 )
 from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
@@ -276,7 +278,7 @@ class TestAssemble:
         mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0,
                            aligned_radii=[0.1])
         system = assemble(mesh, radial_jump_field(2.0, 0.1), source=SourceTerm(BETA))
-        assert system.symmetry_defect() <= 1e-12
+        assert symmetry_defect(system) <= 1e-12
 
     def test_positive_definite_witness(self, rng):
         system, _ = solve_limit_problem(8, 8)
@@ -338,7 +340,7 @@ class TestAssembleProperties:
     def test_reduced_matrix_symmetric_positive_definite(self, problem):
         mesh, field = problem
         system = assemble(mesh, field, weight=graded_weight)
-        assert system.symmetry_defect() == 0
+        assert symmetry_defect(system) == 0
         np.linalg.cholesky(system.matrix.toarray())
 
     @settings(max_examples=40, deadline=None)
@@ -351,6 +353,11 @@ class TestAssembleProperties:
         assert pts.shape == shape[:-2] + (6, 2)
         ulp = np.spacing(np.max(np.abs(corners), axis=-2))[..., None, :]
         assert np.all(np.abs(pts - expect) <= 2.0 * ulp)
+
+
+def force_jacobi(monkeypatch):
+    monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
+    monkeypatch.setattr("ellipstab.fem._separable_preconditioner", lambda K, xy: None)
 
 
 class TestSolveCg:
@@ -378,7 +385,7 @@ class TestSolveCg:
         assert np.all(sol.nodal_values[sol.mesh.boundary_flags] == 0.0)
 
     def test_max_iter_failure_carries_history(self, monkeypatch):
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)  # Jacobi
+        force_jacobi(monkeypatch)
         system, _ = solve_limit_problem(8, 8)
         with pytest.raises(ConvergenceFailure) as err:
             solve_cg(system, rel_tol=1e-14, max_iter=3)
@@ -402,24 +409,25 @@ class TestSolveCg:
         iterations, residual = banded.solve_report
         assert iterations <= 2
         assert residual <= 1e-12
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
+        force_jacobi(monkeypatch)
         jacobi = solve_cg(system)
         assert jacobi.solve_report[0] > 100
         scale = np.max(np.abs(jacobi.nodal_values))
         assert np.max(np.abs(banded.nodal_values - jacobi.nodal_values)) <= 1e-9 * scale
 
-    def test_refined_mesh_keeps_jacobi_bit_for_bit(self, monkeypatch):
+    def test_refined_sector_takes_the_separable_path(self, monkeypatch):
         # uniform refinement numbers midpoints after every old vertex, so
-        # the band spans most of the matrix and Jacobi stays
+        # the band spans most of the matrix; the vertices stay on rings
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0,
                                           aligned_radii=[0.2]))
         system = assemble(mesh, radial_jump_field(3.0, 0.2), source=SourceTerm(BETA))
         sol = solve_cg(system)
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
+        assert sol.solve_report[0] <= 10
+        force_jacobi(monkeypatch)
         forced = solve_cg(system)
-        assert sol.solve_report == forced.solve_report
-        assert sol.solve_report[0] > 100
-        assert np.array_equal(sol.nodal_values, forced.nodal_values)
+        assert forced.solve_report[0] > 100
+        scale = np.max(np.abs(forced.nodal_values))
+        assert np.max(np.abs(sol.nodal_values - forced.nodal_values)) <= 1e-9 * scale
 
     def test_unsorted_indices_take_the_full_band(self):
         # each row's columns stored in descending order
@@ -470,6 +478,91 @@ class TestSolveCg:
             errs.append(h1_error_vs_analytic(sol, u0))
         assert errs[1] < 0.6 * errs[0]
         assert errs[2] < 0.6 * errs[1]
+
+
+@pytest.fixture(scope="module")
+def tensor_meshes():
+    """A graded 24 x 64 sector refined twice, whose three innermost rings keep
+    fewer angles (63 + 127 + 191 unknowns), and a graded annulus refined
+    twice, whose rings all have one angle grid; both align r = 0.2."""
+    sector = mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0, aligned_radii=[0.2])
+    annulus = mesh_sector(SectorDomain(BETA, r_inner=0.05), 16, 32, grading=3.0,
+                          aligned_radii=[0.2])
+    for _ in range(2):
+        sector, annulus = refine_uniform(sector), refine_uniform(annulus)
+    return {"sector": sector, "annulus": annulus}
+
+
+def separable_case(mesh, field=None):
+    system = assemble(mesh, field or identity_field(), source=SourceTerm(BETA))
+    return system, mesh.vertices[system.free_vertices]
+
+
+class TestSeparablePreconditioner:
+    @pytest.mark.parametrize("alpha", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("name", ["sector", "annulus"])
+    def test_agrees_with_a_direct_solve(self, tensor_meshes, name, alpha):
+        system, xy = separable_case(tensor_meshes[name], radial_jump_field(alpha, 0.2))
+        K = system.matrix
+        assert _band_preconditioner(K) is None
+        assert _separable_preconditioner(K, xy) is not None
+        sol = solve_cg(system)
+        assert sol.solve_report[0] <= 10
+        exact = spsolve(K.tocsc(), system.rhs)
+        x = sol.nodal_values[system.free_vertices]
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_anisotropic_field_keeps_the_diagonal_neighbours(self, tensor_meshes):
+        # a constant anisotropic field couples each cell's diagonal
+        # neighbours, which M keeps, symmetrised in angle: 20 iterations
+        # measured, 434 without them
+        field = constant_field(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        system, _ = separable_case(tensor_meshes["annulus"], field)
+        sol = solve_cg(system)
+        assert sol.solve_report[0] <= 40
+        exact = spsolve(system.matrix.tocsc(), system.rhs)
+        x = sol.nodal_values[system.free_vertices]
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_refined_graph_domain_takes_jacobi_bit_for_bit(self, monkeypatch):
+        dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
+        mesh = refine_uniform(mesh_graph_domain(dom, 24, 20))
+        system = assemble(mesh, identity_field(), source=lambda p: 1.0 + p[..., 0] * p[..., 1])
+        assert _band_preconditioner(system.matrix) is None
+        assert _separable_preconditioner(system.matrix,
+                                         mesh.vertices[system.free_vertices]) is None
+        sol = solve_cg(system)
+        force_jacobi(monkeypatch)
+        forced = solve_cg(system)
+        assert sol.solve_report == forced.solve_report
+        assert np.array_equal(sol.nodal_values, forced.nodal_values)
+
+    def test_non_positive_mode_pivot_falls_back(self, tensor_meshes):
+        system, xy = separable_case(tensor_meshes["annulus"])
+        K = system.matrix
+        assert _separable_preconditioner(K, xy) is not None
+        # the same pattern and a positive diagonal, but indefinite
+        shifted = (K - sp.diags(0.5 * K.diagonal())).tocsr()
+        assert np.all(shifted.diagonal() > 0.0)
+        assert _separable_preconditioner(shifted, xy) is None
+
+    def test_coupling_beyond_neighbours_falls_back(self, tensor_meshes):
+        system, xy = separable_case(tensor_meshes["annulus"])
+        # two unknowns of the outermost ring, two angles apart
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        outer = np.flatnonzero(r > r.max() * (1.0 - 1e-9))
+        i, _, j = outer[np.argsort(np.arctan2(xy[outer, 1], xy[outer, 0]))[:3]]
+        n = system.num_unknowns
+        far = sp.csr_matrix(([-1e-3, -1e-3], ([i, j], [j, i])), shape=(n, n))
+        assert _separable_preconditioner((system.matrix + far).tocsr(), xy) is None
+
+    def test_inner_block_over_band_entries_falls_back(self, tensor_meshes, monkeypatch):
+        system, xy = separable_case(tensor_meshes["sector"])
+        n_inner = 63 + 127 + 191
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", n_inner**2)
+        assert _separable_preconditioner(system.matrix, xy) is not None
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", n_inner**2 - 1)
+        assert _separable_preconditioner(system.matrix, xy) is None
 
 
 class TestEvaluateGradient:

@@ -5,7 +5,9 @@
 preconditioner of ``fem.solve_cg``) about 7 MB and 40 ms more, and
 ``scipy.sparse.csgraph`` (which pulls in ``scipy.linalg``) about 10 MB and
 60 ms; the semi-analytic studies never assemble or solve, so none of them
-may be imported at module level, nor by a semi-analytic command.
+may be imported at module level, nor by a semi-analytic command.  A
+refined solve takes the separable preconditioner, which leaves out
+``scipy.linalg``.
 """
 
 import os
@@ -40,24 +42,32 @@ def test_import_leaves_out_lazy_scipy_modules():
     assert run_python(code) == []
 
 
-def commands_import_sparse(commands):
-    """Whether running ``commands`` through ``cli.main`` in a fresh
-    interpreter imports scipy.sparse; every command must exit 0."""
+def lazy_imports(commands):
+    """The modules of ``LAZY`` that running ``commands`` through ``cli.main``
+    in a fresh interpreter imports; every command must exit 0."""
     code = ("import contextlib, io, sys\n"
             "from ellipstab import cli\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(list(argv)) == 0, argv\n"
-            "print('scipy.sparse' in sys.modules)\n")
-    return run_python(code)[-1] == "True"
+            f"print(' '.join(m for m in {LAZY!r} if m in sys.modules))\n")
+    return run_python(code)
 
 
 def test_semi_analytic_commands_leave_out_scipy_sparse():
-    assert not commands_import_sparse(SEMI_COMMANDS)
+    assert "scipy.sparse" not in lazy_imports(SEMI_COMMANDS)
 
 
 def test_solve_imports_scipy_sparse(tmp_path):
     # the guard above would pass vacuously if no command imported it
     solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
              "--out-prefix", str(tmp_path / "run"))
-    assert commands_import_sparse((solve,))
+    assert "scipy.sparse" in lazy_imports((solve,))
+
+
+def test_refined_solve_leaves_out_scipy_linalg(tmp_path):
+    # the refined system is too wide for the banded factor and takes the
+    # separable preconditioner, which needs only numpy
+    solve = ("solve", "--domain", "sector", "--coeff", "jump", "--refine", "2",
+             "--out-prefix", str(tmp_path / "run"))
+    assert "scipy.linalg" not in lazy_imports((solve,))

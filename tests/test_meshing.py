@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import min_angle_deg, total_area
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
     TriMesh,
@@ -30,8 +31,8 @@ class TestMeshSector:
         # area of the inscribed chord polygon, O(h^2) below pi/4
         dtheta = np.pi / 4
         chord_area = 0.5 * np.sin(dtheta) * 2
-        assert mesh.total_area() == pytest.approx(chord_area, rel=1e-12)
-        assert abs(mesh.total_area() - dom.area()) <= dom.area() * dtheta**2 / 5
+        assert total_area(mesh) == pytest.approx(chord_area, rel=1e-12)
+        assert abs(total_area(mesh) - dom.area()) <= dom.area() * dtheta**2 / 5
 
     def test_triangle_count_general(self):
         mesh = mesh_sector(SectorDomain(BETA), 5, 7)
@@ -108,7 +109,7 @@ class TestMeshGraphDomain:
         mesh = mesh_graph_domain(dom, 4, 3)
         mesh.validate()
         assert mesh.num_triangles == 2 * 4 * 3
-        assert mesh.total_area() == pytest.approx(1.0, rel=1e-12)
+        assert total_area(mesh) == pytest.approx(1.0, rel=1e-12)
 
     def test_top_row_follows_height(self):
         dom = flat_domain(lambda x: 0.8 + 0.1 * x)
@@ -123,7 +124,7 @@ class TestMeshGraphDomain:
         defects = []
         for n in (8, 16, 32):
             mesh = mesh_graph_domain(dom, n, n)
-            defects.append(abs(mesh.total_area() - dom.area()))
+            defects.append(abs(total_area(mesh) - dom.area()))
         # O(h^2): each halving of h divides the defect by about 4
         assert defects[1] < 0.3 * defects[0]
         assert defects[2] < 0.3 * defects[1]
@@ -146,8 +147,8 @@ class TestRefineUniform:
         dom = SectorDomain(BETA)
         mesh = mesh_sector(dom, 8, 16)
         fine = refine_uniform(mesh)
-        d0 = abs(mesh.total_area() - dom.area())
-        d1 = abs(fine.total_area() - dom.area())
+        d0 = abs(total_area(mesh) - dom.area())
+        d1 = abs(total_area(fine) - dom.area())
         assert d1 < 0.3 * d0  # chord error is O(h^2): halving h quarters it
 
     def test_interface_circle_preserved(self):
@@ -181,7 +182,7 @@ class TestRefineUniform:
         for grading in (1.0, 3.0):
             mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=grading)
             fine = refine_uniform(mesh)
-            assert fine.min_angle_deg >= mesh.min_angle_deg - 1.0
+            assert min_angle_deg(fine) >= min_angle_deg(mesh) - 1.0
 
 
 class TestNeighbors:
@@ -249,7 +250,7 @@ class TestRefineProperties:
         for _ in range(levels):
             fine = refine_uniform(mesh)
             check_refinement(mesh, fine)
-            assert fine.total_area() == pytest.approx(mesh.total_area(), rel=1e-13)
+            assert total_area(fine) == pytest.approx(total_area(mesh), rel=1e-13)
             mesh = fine
 
 
