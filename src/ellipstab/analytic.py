@@ -44,16 +44,20 @@ class SourceTerm:
         return self.value(points)
 
 
-def _power_sum(r, terms, order):
-    """Sum of c * p^order * r^(p - order) over the (c, p) terms; zero for none."""
-    total = np.zeros(r.shape)
+def _power_sums(r, terms):
+    """Sums of c * r^p and of c * p * r^(p - 1) over the (c, p) terms, from
+    one r^p per term; zero for none.  The derivative is NaN at r = 0,
+    without a warning there: the profile alone is wanted at r = 0."""
+    w, dw = np.zeros(r.shape), np.zeros(r.shape)
     for c, p in terms:
-        term = r**p  # scaled in place: one temporary per term
-        term *= c * p**order
-        total += term
-    if order and terms:
-        total /= r  # once: a term c p r^p overflows no sooner than c r^p
-    return total
+        term = r**p
+        w += term * c
+        term *= c * p  # rescaled in place for the derivative
+        dw += term
+    if terms:
+        with np.errstate(invalid="ignore"):
+            dw /= r  # once: a term c p r^p overflows no sooner than c r^p
+    return w, dw
 
 
 @dataclass(frozen=True)
@@ -90,21 +94,21 @@ class SeparableSolution:
         # the number of piece ends at or below r, so r = end starts the next piece
         return sum(r >= end for end in self.breakpoints)
 
-    def _sum(self, r, order):
-        """Sum c * r^p (order 0) or c * p * r^(p-1) (order 1) over r's piece."""
+    def _profile(self, r):
+        """w(r) and w'(r), each term summed over r's piece (``_power_sums``)."""
         r = np.asarray(r, dtype=float)
         piece = self._piece_index(r)
-        out = np.empty(r.shape)
+        w, dw = np.empty(r.shape), np.empty(r.shape)
         for i, (_, terms) in enumerate(self.pieces):
             on = piece == i
-            out[on] = _power_sum(r[on], terms, order)
-        return out
+            w[on], dw[on] = _power_sums(r[on], terms)
+        return w, dw
 
     def radial_profile(self, r):
-        return self._sum(r, 0)
+        return self._profile(r)[0]
 
     def radial_derivative(self, r):
-        return self._sum(r, 1)
+        return self._profile(r)[1]
 
     def value(self, points):
         pts = np.asarray(points, dtype=float)
@@ -113,17 +117,21 @@ class SeparableSolution:
         return self.radial_profile(r) * np.sin(self.angular_wavenumber * theta)
 
     def gradient(self, points):
-        """Cartesian gradient; radial/angular parts recombined from polar form."""
+        """Cartesian gradient, (..., 2) -> (..., 2): the radial part w' sin(k theta)
+        and angular part (k w / r) cos(k theta), from one profile pass, turned
+        by cos theta = x / r and sin theta = y / r; NaN at r = 0."""
         pts = np.asarray(points, dtype=float)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = polar_angle(pts)
-        k = self.angular_wavenumber
-        gr = self.radial_derivative(r) * np.sin(k * theta)
-        gt = (k * self.radial_profile(r) / r) * np.cos(k * theta)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        gx = gr * cos_t - gt * sin_t
-        gy = gr * sin_t + gt * cos_t
-        return np.stack([gx, gy], axis=-1)
+        x, y = pts[..., 0], pts[..., 1]
+        r = np.hypot(x, y)
+        kt = self.angular_wavenumber * polar_angle(pts)
+        w, dw = self._profile(r)
+        gr = dw * np.sin(kt)
+        gt = (self.angular_wavenumber * w / r) * np.cos(kt)
+        cos_t, sin_t = x / r, y / r
+        out = np.empty(pts.shape[:-1] + (2,))
+        out[..., 0] = gr * cos_t - gt * sin_t
+        out[..., 1] = gr * sin_t + gt * cos_t
+        return out
 
     def __call__(self, points):
         return self.value(points)
@@ -235,10 +243,10 @@ def h1_seminorm_separable(sol):
             f"gradient is not square integrable at the corner (q* = {sol.q_star:g})")
     k = sol.angular_wavenumber
     dom = sol.domain
-    w, dw = sol.radial_profile, sol.radial_derivative
 
     def integrand(r):
-        return (dw(r) ** 2 + (k * w(r) / r) ** 2) * r
+        w, dw = sol._profile(r)
+        return (dw**2 + (k * w / r) ** 2) * r
 
     val = integrate_radial(integrand, dom.r_inner, 1.0, sol.breakpoints)
     return float(np.sqrt(0.5 * dom.beta * max(val, 0.0)))

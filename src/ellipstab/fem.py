@@ -302,10 +302,12 @@ def _separable_preconditioner(K, xy):
     off-diagonal R + G lam_m / 2 (G symmetrised in angle), factored LDL^T
     for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     The rings inside, such as the coarser ones ``refine_uniform`` leaves at
-    a corner, get their exact block of K by dense Cholesky when it has at
-    most ``BAND_ENTRIES`` entries; M drops the couplings between the two
-    parts (block Jacobi).  A non-positive pivot or a failed Cholesky
-    factorisation also gives None, so M is symmetric positive definite.
+    a corner, get their exact block of K when it has at most
+    ``BAND_ENTRIES`` entries: its dense Cholesky factor L, ring-major, is
+    inverted ring by ring (``_ring_inverse``), and the block is applied as
+    L^-T L^-1.  M drops the couplings between the two parts (block
+    Jacobi).  A non-positive pivot or a failed Cholesky factorisation also
+    gives None, so M is symmetric positive definite.
     """
     n = K.shape[0]
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -350,7 +352,8 @@ def _separable_preconditioner(K, xy):
     if not np.all(pivots > 0.0):
         return None
     try:
-        inner_inverse = np.linalg.inv(np.linalg.cholesky(K[inner][:, inner].toarray()))
+        inner_inverse = _ring_inverse(np.linalg.cholesky(K[inner][:, inner].toarray()),
+                                      counts[:first])
     except np.linalg.LinAlgError:
         return None
 
@@ -366,6 +369,21 @@ def _separable_preconditioner(K, xy):
         z[inner] = inner_inverse.T @ (inner_inverse @ res[inner])
         return z
     return precondition
+
+
+def _ring_inverse(L, sizes):
+    """The inverse of a lower triangular L whose diagonal blocks have the
+    given ``sizes`` (one per ring), block row by block row: each diagonal
+    block is inverted, and the block row i left of it is
+    -L_ii^-1 (L_i,<i L^-1_<i), from the rows of L^-1 already formed."""
+    inverse = np.zeros_like(L)
+    lo = 0
+    for size in sizes:
+        s = slice(lo, lo + size)
+        inverse[s, s] = np.linalg.inv(L[s, s])
+        inverse[s, :lo] = -inverse[s, s] @ (L[s, :lo] @ inverse[:lo, :lo])
+        lo += size
+    return inverse
 
 
 def _ring_couplings(K, grid):

@@ -518,3 +518,84 @@ class TestResidualCertificate:
                     with mp.workdps(50):
                         ref = [float(_mp_power_sum(terms, x, order)) for x in r]
                     assert evaluate(r) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def two_pass_sum(sol, r, order):
+    """The profile evaluator before the one-pass helper: one pass per
+    order over r's piece, each term c * p^order * r^p, and a derivative sum
+    divided by r once."""
+    r = np.asarray(r, dtype=float)
+    piece = sum(r >= end for end in sol.breakpoints)
+    out = np.empty(r.shape)
+    for i, (_, terms) in enumerate(sol.pieces):
+        on = piece == i
+        x = r[on]
+        total = np.zeros(x.shape)
+        for c, p in terms:
+            term = x**p
+            term *= c * p**order
+            total += term
+        if order and terms:
+            total /= x
+        out[on] = total
+    return out
+
+
+def two_pass_gradient(sol, pts):
+    """grad u from the two profile passes, turned by the trigonometric
+    cos theta and sin theta of the polar angle in [0, 2 pi)."""
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2.0 * np.pi)
+    k = sol.angular_wavenumber
+    gr = two_pass_sum(sol, r, 1) * np.sin(k * theta)
+    gt = k * two_pass_sum(sol, r, 0) / r * np.cos(k * theta)
+    return np.stack([gr * np.cos(theta) - gt * np.sin(theta),
+                     gr * np.sin(theta) + gt * np.cos(theta)], axis=-1)
+
+
+def evaluator_tables():
+    for beta in ANGLES:
+        yield limit_solution(beta)
+        for eps in (1e-14, 0.1, 0.5):
+            yield annulus_solution(beta, eps)
+            yield annulus_solution(beta, eps).extended_by_zero()
+            for alpha in (1e-2, 2.0, 1e2):
+                yield jump_solution(beta, alpha, eps)
+
+
+class TestOnePassEvaluator:
+    def test_profile_keeps_its_bits(self, rng):
+        # random radii, every breakpoint and the outer radius
+        for sol in evaluator_tables():
+            r = np.concatenate([rng.uniform(0.0, 1.0, 500), sol.breakpoints, [1.0]])
+            r = r[r >= sol.domain.r_inner]
+            assert sol.radial_profile(r).tobytes() == two_pass_sum(sol, r, 0).tobytes()
+            assert sol.radial_derivative(r).tobytes() == two_pass_sum(sol, r, 1).tobytes()
+
+    def test_gradient_matches_the_two_pass_polar_form(self, rng):
+        # per radius, within 1e-14 of the largest |grad u| on its circle; the
+        # radii include a breakpoint exactly and 1e-12, the angles 0, beta
+        # and their neighbours
+        for sol in evaluator_tables():
+            beta = sol.domain.beta
+            radii = np.concatenate([rng.uniform(sol.domain.r_inner, 1.0, 20),
+                                    sol.breakpoints, [1e-12, 1.0]])
+            radii = radii[radii >= sol.domain.r_inner]
+            theta = np.concatenate([rng.uniform(0.0, beta, 30),
+                                    [0.0, 1e-12, 1e-6, beta - 1e-6, beta - 1e-12, beta]])
+            pts = radii[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            got = sol.gradient(pts)
+            assert got.shape == pts.shape
+            ref = two_pass_gradient(sol, pts)
+            scale = np.max(np.hypot(ref[..., 0], ref[..., 1]), axis=1)
+            assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-14 * scale)
+
+    def test_gradient_is_nan_at_the_corner(self):
+        sol = jump_solution(BETA, 2.0, 0.1)
+        with np.errstate(invalid="ignore"):
+            g = sol.gradient(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        assert np.all(np.isnan(g[0])) and np.all(np.isfinite(g[1]))
+
+    def test_profile_at_the_corner_is_quiet(self):
+        # pyproject turns RuntimeWarnings into errors
+        assert limit_solution(BETA).radial_profile(np.array([0.0]))[0] == 0.0

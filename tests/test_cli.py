@@ -410,7 +410,7 @@ class TestSolve:
          "1733877ff484934d2fe5cc85c6c1a7910618739c1a4b530268f8e49ef54bc31f"),
         (["--jump-eps", "0.3", "--refine", "2"],
          "628f729d6484c8279a95829fa1722aa592bac89c2b18ae9738e3540e5a3b89da",
-         "ac47377ecb7800732ebf0d0e1cdf931b3b091a456224f6b319c605d9bcaa57a4"),
+         "bda6202c9008722a6b3d4a7c6b710fdc9c8c6ffed3c90e9da43f50891e8228e7"),
     ])
     def test_jump_solve_pinned_bytes(self, tmp_path, args, mesh_sha256, sol_sha256):
         # assembly evaluates the jump field at every rule point, so a branch

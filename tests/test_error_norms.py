@@ -7,6 +7,7 @@ import pytest
 from conftest import annulus_meshes, interpolate
 from ellipstab import quadrature
 from ellipstab.analytic import (
+    SeparableSolution,
     SourceTerm,
     annulus_solution,
     h1_seminorm_separable,
@@ -16,6 +17,7 @@ from ellipstab.analytic import (
 from ellipstab.coefficients import identity_field, radial_jump_field
 from ellipstab.error_norms import (
     DivergentNormError,
+    _corner_cell_errors,
     cross_domain_gradient_error,
     h1_error_vs_analytic,
     lq_gradient_norm,
@@ -82,13 +84,12 @@ class TestH1ErrorVsAnalytic:
         assert fem_path == pytest.approx(semi, rel=0.01)
 
     @pytest.mark.parametrize("b,alpha,r_jump,expected", [
-        (1.1, 1e-2, 0.1, 0.13885197843154082),
-        (1.5, 2.0, 0.2, 0.10254040386491074),
-        (1.9, 1e2, 0.3, 0.12866704536760518),
+        (1.1, 1e-2, 0.1, 0.13885197845479244),
+        (1.5, 2.0, 0.2, 0.10254040402893376),
+        (1.9, 1e2, 0.3, 0.12866704537153031),
     ])
     def test_refined_jump_values_are_pinned(self, b, alpha, r_jump, expected):
-        # the values of the graded subdivision integrator the corner rule
-        # replaced, which gave the same numbers to the last digit or two
+        # the 16 corner cells of each mesh integrated exactly in r
         beta = b * np.pi
         mesh = refine_uniform(mesh_sector(SectorDomain(beta), 12, 16, grading=3.0,
                                           aligned_radii=(r_jump,)))
@@ -119,11 +120,18 @@ class TestH1ErrorVsAnalytic:
             assert h1_error_vs_analytic(sol, exact) == pytest.approx(expected, rel=1e-14, abs=0)
             mesh = refine_uniform(mesh)
 
-    def test_one_gradient_call_per_rule(self):
-        # the six-point rule on the regular cells, then the corner rule on
-        # the 8 cells at the corner, each with one call at all its points
+    @staticmethod
+    def counted_case():
+        """A refined jump solve, whose 8 corner cells lie in the first piece,
+        its exact solution, and two wrappers of that solution that record
+        the size of each gradient call: one a ``SeparableSolution``, one not."""
         exact = jump_solution(BETA, 2.0, 0.2)
         calls = []
+
+        class CountedSeparable(SeparableSolution):
+            def gradient(self, pts):
+                calls.append(len(pts))
+                return super().gradient(pts)
 
         class Counted:
             def gradient(self, pts):
@@ -133,34 +141,68 @@ class TestH1ErrorVsAnalytic:
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0,
                                           aligned_radii=(0.2,)))
         sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
-        assert h1_error_vs_analytic(sol, Counted()) == h1_error_vs_analytic(sol, exact)
-        assert calls == [6 * (mesh.num_triangles - 8), 366 * 8]
+        separable = CountedSeparable(exact.pieces, exact.angular_wavenumber, exact.domain)
+        return sol, exact, separable, Counted(), calls
+
+    def test_one_gradient_call_per_rule(self):
+        # the six-point rule on the regular cells, with one call at all their
+        # points; the 8 corner cells are integrated exactly in r without a
+        # call, or, for an exact solution that is not separable, take the
+        # corner rule with one call at all its points
+        sol, exact, separable, counted, calls = self.counted_case()
+        regular = 6 * (sol.mesh.num_triangles - 8)
+        assert h1_error_vs_analytic(sol, separable) == h1_error_vs_analytic(sol, exact)
+        assert calls == [regular]
+        calls.clear()
+        h1_error_vs_analytic(sol, counted)
+        assert calls == [regular, 366 * 8]
 
     def test_one_gradient_call_per_block(self, block_points):
-        # blocks of 61 regular cells and of one corner cell
+        # blocks of 61 regular cells and of one corner-rule cell
         block_points(366)
-        exact = jump_solution(BETA, 2.0, 0.2)
-        calls = []
-
-        class Counted:
-            def gradient(self, pts):
-                calls.append(len(pts))
-                return exact.gradient(pts)
-
-        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0,
-                                          aligned_radii=(0.2,)))
-        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
-        h1_error_vs_analytic(sol, Counted())
-        full, rest = divmod(mesh.num_triangles - 8, 61)
+        sol, _, separable, counted, calls = self.counted_case()
+        full, rest = divmod(sol.mesh.num_triangles - 8, 61)
+        h1_error_vs_analytic(sol, separable)
+        assert calls == [366] * full + [6 * rest]
+        calls.clear()
+        h1_error_vs_analytic(sol, counted)
         assert calls == [366] * full + [6 * rest] + [366] * 8
+
+    def test_corner_cells_past_the_first_piece_take_the_corner_rule(self):
+        # jump radius 1e-3 inside the first refined ring (r = 1/432): the 8
+        # corner cells reach past it and take the corner rule, as for an
+        # exact solution that is not separable, bit for bit
+        exact = jump_solution(BETA, 2.0, 1e-3)
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
+        radii = np.hypot(*mesh.vertices.T)[mesh.triangles]
+        assert np.min(np.max(radii[np.min(radii, axis=1) == 0.0], axis=1)) > 1e-3
+        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 1e-3), source=SourceTerm(BETA)))
+
+        class Wrapped:
+            gradient = exact.gradient
+
+        assert h1_error_vs_analytic(sol, exact) == h1_error_vs_analytic(sol, Wrapped())
+
+    def test_corner_terms_without_positive_powers_take_the_corner_rule(self):
+        # a corner term r^-k (an annulus table seen from the corner) leaves
+        # the r-integrals of the exact path divergent
+        exact = annulus_solution(BETA, 0.2)
+        corner = SeparableSolution(exact.pieces, exact.angular_wavenumber, SectorDomain(BETA))
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
+        sol = solve_cg(assemble(mesh, identity_field(), source=SourceTerm(BETA)))
+
+        class Wrapped:
+            gradient = corner.gradient
+
+        assert h1_error_vs_analytic(sol, corner) == h1_error_vs_analytic(sol, Wrapped())
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_refined_jump_bits_in_any_block_size(self, block, block_points, refined_jump):
-        # float.hex as the unblocked rules gave it; the 64 corner cells
-        # span 3 blocks, the 50 112 regular ones 37
+        # float.hex as the unblocked rule gave it; the 50 112 regular cells
+        # span 37 blocks, and the 64 corner cells are integrated exactly in r
         block_points(block)
         sol, _, exact = refined_jump
-        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a27b5ea61p-6"
+        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a281cd52fp-6"
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_annulus_bits_in_any_block_size(self, block, block_points):
@@ -184,6 +226,94 @@ class TestH1ErrorVsAnalytic:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
+
+
+def corner_cell(sol, h, side):
+    """The corner cell (0, P, Q), apex angle h, at the first (theta from 0)
+    or last (theta up to beta) angle of the sector, its far corners inside
+    the first piece of ``sol`` at two radii."""
+    reach = min(sol.pieces[0][0], 1.0)
+    t0 = 0.0 if side == "first" else sol.domain.beta - h
+    P = 0.8 * reach * np.array([np.cos(t0), np.sin(t0)])
+    Q = 0.6 * reach * np.array([np.cos(t0 + h), np.sin(t0 + h)])
+    return np.array([[0.0, 0.0], P, Q])
+
+
+def mp_corner_error(sol, cell, g, dps=30, radial=None):
+    """int over the cell of |g - grad u|^2 in mpmath: in polar coordinates
+    about the apex, with the Cartesian gradient terms c r^(p-1) a(theta)
+    integrated in r in closed form, or by ``mp.quad`` when ``radial``."""
+    with mp.workdps(dps):
+        k = mp.mpf(sol.angular_wavenumber)
+        terms = [(mp.mpf(c), mp.mpf(p)) for c, p in sol.pieces[0][1]]
+        (px, py), (qx, qy) = [[mp.mpf(v) for v in pt] for pt in cell[1:]]
+        gx, gy = mp.mpf(g[0]), mp.mpf(g[1])
+        dx, dy = qx - px, qy - py
+        ends = sorted(mp.atan2(y, x) % (2 * mp.pi) for x, y in ((px, py), (qx, qy)))
+
+        def grad_parts(t):
+            # grad(c r^p sin(k t)) = c r^(p-1) a, a = p sin(kt) e_r + k cos(kt) e_t
+            s, c = mp.sin(k * t), mp.cos(k * t)
+            return [(cf, p, p * s * mp.cos(t) - k * c * mp.sin(t),
+                     p * s * mp.sin(t) + k * c * mp.cos(t)) for cf, p in terms]
+
+        def in_r(t):
+            R = (px * dy - py * dx) / (mp.cos(t) * dy - mp.sin(t) * dx)
+            parts = grad_parts(t)
+            if radial:
+                def f(r):
+                    ux = sum(cf * r ** (p - 1) * ax for cf, p, ax, _ in parts)
+                    uy = sum(cf * r ** (p - 1) * ay for cf, p, _, ay in parts)
+                    return ((gx - ux) ** 2 + (gy - uy) ** 2) * r
+                return mp.quad(f, [0, R])
+            total = (gx**2 + gy**2) * R**2 / 2
+            for ci, pi, axi, ayi in parts:
+                total -= 2 * ci * (gx * axi + gy * ayi) * R ** (pi + 1) / (pi + 1)
+                for cj, pj, axj, ayj in parts:
+                    total += ci * cj * (axi * axj + ayi * ayj) * R ** (pi + pj) / (pi + pj)
+            return total
+
+        return mp.quad(in_r, ends)
+
+
+class TestCornerCellsExactInR:
+    G = (0.3, -1.7)
+
+    @staticmethod
+    def value(sol, cell, g):
+        (px, py), (qx, qy) = cell[1:]
+        area = 0.5 * abs(px * qy - py * qx)
+        return _corner_cell_errors(sol, cell[None], np.array([g]), np.array([area]))[0]
+
+    @pytest.mark.parametrize("side", ["first", "last"])
+    @pytest.mark.parametrize("table", ["jump", "limit"])
+    @pytest.mark.parametrize("h", [np.pi / 4, np.pi / 64])
+    @pytest.mark.parametrize("b", [1.1, 1.5, 1.9])
+    def test_against_mpmath(self, b, h, table, side):
+        # the polar angles lie in [0, 2 pi): at beta = 1.9 pi a cell at the
+        # last angle read in (-pi, pi] was 7 % off
+        beta = b * np.pi
+        sol = jump_solution(beta, 1e-2, 0.1) if table == "jump" else limit_solution(beta)
+        cell = corner_cell(sol, h, side)
+        ref = mp_corner_error(sol, cell, self.G)
+        assert self.value(sol, cell, self.G) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+    def test_closed_form_in_r_against_a_radial_quadrature(self):
+        # the reference's closed form in r against mpmath's quadrature in
+        # both variables, on the cell with the steepest corner singularity
+        sol = jump_solution(1.9 * np.pi, 1e-2, 0.1)
+        cell = corner_cell(sol, np.pi / 64, "last")
+        ref = mp_corner_error(sol, cell, self.G)
+        assert float(mp_corner_error(sol, cell, self.G, dps=20, radial=True)) == pytest.approx(
+            float(ref), rel=1e-15, abs=0)
+
+    def test_empty_corner_piece_is_the_constant_gradient(self):
+        # the zero profile of a solution extended by zero into its hole
+        sol = annulus_solution(BETA, 0.2).extended_by_zero()
+        cell = corner_cell(sol, np.pi / 16, "first")
+        (px, py), (qx, qy) = cell[1:]
+        area = 0.5 * abs(px * qy - py * qx)
+        assert self.value(sol, cell, self.G) == (self.G[0] ** 2 + self.G[1] ** 2) * area
 
 
 class TestCrossDomainError:

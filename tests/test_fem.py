@@ -28,6 +28,7 @@ from ellipstab.fem import (
     _contains,
     _band_preconditioner,
     _Locator,
+    _ring_inverse,
     _separable_preconditioner,
     assemble,
     evaluate_gradient_many,
@@ -563,6 +564,22 @@ class TestSeparablePreconditioner:
         assert _separable_preconditioner(system.matrix, xy) is not None
         monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", n_inner**2 - 1)
         assert _separable_preconditioner(system.matrix, xy) is None
+
+    @pytest.mark.parametrize("sizes", [(), (63,), (63, 127, 191)])
+    def test_ring_inverse_is_the_inverse(self, tensor_meshes, sizes):
+        # the Cholesky factor of the refined sector's inner block (its three
+        # rings) and of its leading rings, or an empty one (an annulus)
+        system, xy = separable_case(tensor_meshes["sector"])
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        inner = np.lexsort((np.arctan2(xy[:, 1], xy[:, 0]), r))[:sum(sizes)]
+        L = np.linalg.cholesky(system.matrix[inner][:, inner].toarray())
+        inverse = _ring_inverse(L, sizes)
+        assert inverse.shape == L.shape
+        assert np.array_equal(np.triu(inverse, 1), np.zeros_like(L))
+        if sizes:
+            reference = np.linalg.inv(L)
+            assert np.max(np.abs(inverse - reference)) <= 1e-14 * np.max(np.abs(reference))
+            assert np.max(np.abs(inverse @ L - np.eye(L.shape[0]))) <= 1e-14
 
 
 class TestEvaluateGradient:
