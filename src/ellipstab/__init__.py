@@ -2,6 +2,7 @@
 under coefficient perturbation and bi-Lipschitz domain perturbation."""
 
 from .analytic import (
+    DivergentNormError,
     SeparableSolution,
     SourceTerm,
     annulus_solution,
@@ -21,7 +22,6 @@ from .coefficients import (
     radial_jump_field,
 )
 from .error_norms import (
-    DivergentNormError,
     cross_domain_gradient_error,
     h1_error_vs_analytic,
     lq_gradient_norm,

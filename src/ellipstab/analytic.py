@@ -18,6 +18,12 @@ from .geometry import SectorDomain, polar_angle
 from .quadrature import integrate_radial
 
 
+class DivergentNormError(ArithmeticError):
+    """A gradient norm is infinite: the gradient lies in L^q only for q
+    below ``q_star``, so a corner term c r^p with p <= 0 makes every H1
+    norm diverge."""
+
+
 @dataclass(frozen=True)
 class SourceTerm:
     """Right-hand side ((4*beta^2 - pi^2)/beta^2) * sin(pi*theta/beta)."""
@@ -236,10 +242,10 @@ def h1_seminorm_separable(sol):
     Uses sqrt((beta/2) * int (w'^2 + k^2 w^2/r^2) r dr) on the panels of
     ``quadrature.radial_edges``, aligned to the profile breakpoints.  A
     gradient that is not square integrable (``q_star <= 2``) raises
-    ArithmeticError.
+    DivergentNormError.
     """
     if sol.q_star <= 2.0:
-        raise ArithmeticError(
+        raise DivergentNormError(
             f"gradient is not square integrable at the corner (q* = {sol.q_star:g})")
     k = sol.angular_wavenumber
     dom = sol.domain

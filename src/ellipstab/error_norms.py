@@ -10,88 +10,94 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import SeparableSolution
+from .analytic import DivergentNormError, SeparableSolution
 from .fem import FemSolution, evaluate_gradient_many
 from .geometry import polar_angle
-from .quadrature import (BLOCK_POINTS, TRI6_BARY, TRI6_WEIGHTS, _reference_rule, corner_cut,
-                         corner_rule, gauss_on_panels, integrate_radial, tri6_points)
-
-
-class DivergentNormError(ArithmeticError):
-    """The gradient norm is infinite: q is at or above the threshold q*."""
+from .quadrature import (BLOCK_POINTS, TRI6_WEIGHTS, _reference_rule, corner_cut,
+                         gauss_on_panels, integrate_radial, tri6_points)
 
 
 def h1_error_vs_analytic(sol, exact):
     """L2 norm of grad(u_h) - grad(u_exact) over the solution mesh.
 
-    Regular cells take the six-point rule.  A cell touching the corner
-    r = 0 is integrated exactly in r (``_corner_cell_errors``) when
-    ``exact`` is a ``SeparableSolution`` whose corner terms c r^p all have
-    p > 0 and the cell lies in its first piece; any other corner cell takes
-    ``quadrature.corner_rule``, graded toward that vertex to resolve the
-    r^(k-1) gradient singularity.  Each rule takes its cells in blocks of
-    about ``BLOCK_POINTS`` points, with one ``exact.gradient`` call per
-    block, and writes area * w * |grad u_h - grad u|^2 into one (cells,
-    points) array, summed once: the blocks do not change the result's bits.
+    When ``exact`` is a ``SeparableSolution``, each cell touching the corner
+    r = 0 is integrated exactly in r over every piece of the solution
+    (``_corner_cell_errors``); a corner term c r^p with p <= 0 makes the
+    error infinite, and a mesh with corner cells then raises
+    DivergentNormError.  Every other cell, and every cell for any other
+    exact solution, takes the six-point rule, in blocks of about
+    ``BLOCK_POINTS`` points with one ``exact.gradient`` call per block,
+    which write area * w * |grad u_h - grad u|^2 into one (cells, points)
+    array, summed once: the blocks do not change the result's bits.
     """
     mesh = sol.mesh
     tri_grads = sol.triangle_gradients()
     areas = mesh.areas()
-    tris = mesh.triangles
-
-    on_corner = (np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= 1e-12)[tris]
-    touches = np.any(on_corner, axis=1)
-    regular, corner_tris = np.flatnonzero(~touches), np.flatnonzero(touches)
-    # each corner cell's vertices in order, starting at the apex
-    loc = np.argmax(on_corner[corner_tris], axis=1)
-    apex_first = np.take_along_axis(tris[corner_tris], (loc[:, None] + np.arange(3)) % 3, 1)
-    in_r = np.zeros(corner_tris.size, dtype=bool)
-    if isinstance(exact, SeparableSolution) and all(p > 0.0 for _, p in exact.pieces[0][1]):
-        far = mesh.vertices[apex_first[:, 1:]]
-        in_r = np.max(np.hypot(far[..., 0], far[..., 1]), axis=1) <= exact.pieces[0][0]
-
+    cells = np.arange(mesh.num_triangles)
     total = 0.0
-    for (bary, weights), cells, corners in (
-            ((TRI6_BARY, TRI6_WEIGHTS), regular, mesh.corners()[regular]),
-            (corner_rule(), corner_tris[~in_r], mesh.vertices[apex_first[~in_r]])):
-        terms = np.empty((cells.size, weights.size))
-        step = max(BLOCK_POINTS // weights.size, 1)
-        for lo in range(0, cells.size, step):
-            s = slice(lo, lo + step)
-            pts = np.matmul(bary, corners[s])
-            grad = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-            dx = tri_grads[cells[s], None, 0] - grad[..., 0]
-            dy = tri_grads[cells[s], None, 1] - grad[..., 1]
-            np.multiply(areas[cells[s], None] * weights, dx * dx + dy * dy, out=terms[s])
-        total += float(np.sum(terms))
-    if np.any(in_r):
-        cells = corner_tris[in_r]
-        total += float(np.sum(_corner_cell_errors(
-            exact, mesh.vertices[apex_first[in_r]], tri_grads[cells], areas[cells])))
+    if isinstance(exact, SeparableSolution):
+        tris = mesh.triangles
+        on_corner = (np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= 1e-12)[tris]
+        touches = np.any(on_corner, axis=1)
+        cells, corner_tris = np.flatnonzero(~touches), np.flatnonzero(touches)
+        if corner_tris.size and any(p <= 0.0 for _, p in exact.pieces[0][1]):
+            raise DivergentNormError(
+                "H1 error is infinite: the exact solution has a corner term r^p with p <= 0")
+        # each corner cell's vertices in order, starting at the apex
+        loc = np.argmax(on_corner[corner_tris], axis=1)
+        apex_first = np.take_along_axis(tris[corner_tris], (loc[:, None] + np.arange(3)) % 3, 1)
+        total = float(np.sum(_corner_cell_errors(
+            exact, mesh.vertices[apex_first], tri_grads[corner_tris], areas[corner_tris])))
+
+    corners = mesh.corners()[cells]
+    terms = np.empty((cells.size, TRI6_WEIGHTS.size))
+    step = max(BLOCK_POINTS // TRI6_WEIGHTS.size, 1)
+    for lo in range(0, cells.size, step):
+        s = slice(lo, lo + step)
+        pts = tri6_points(corners[s])
+        grad = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+        dx = tri_grads[cells[s], None, 0] - grad[..., 0]
+        dy = tri_grads[cells[s], None, 1] - grad[..., 1]
+        np.multiply(areas[cells[s], None] * TRI6_WEIGHTS, dx * dx + dy * dy, out=terms[s])
+    total += float(np.sum(terms))
     return float(np.sqrt(max(total, 0.0)))
+
+
+def _power_spans(lo, hi, s):
+    """hi^s - lo^s for each exponent in ``s`` (a new last axis), log(hi / lo)
+    where s = 0, and the divisors s, 1 where s = 0: span / divisor is the
+    integral of r^(s-1) from lo to hi."""
+    span = hi[..., None] ** s - lo[..., None] ** s
+    zero = s == 0.0
+    if np.any(zero):
+        span[..., zero] = np.log(hi / lo)[..., None]
+    return span, np.where(zero, 1.0, s)
 
 
 def _corner_cell_errors(exact, corners, grads, areas):
     """Integral of |g - grad u|^2 over each corner cell, exactly in r.
 
     ``corners`` (m, 3, 2) hold each cell's apex, at the origin, then its far
-    corners P and Q, which lie in the first piece of ``exact``, where
-    u = sum c r^p sin(k theta) with every p > 0; ``grads`` (m, 2) hold g and
-    ``areas`` (m,) the cell areas A.  About the apex the cell is
-    0 <= r <= R(theta) = (n . P) / (n . e_r(theta)), n normal to PQ, for
-    theta between the polar angles of P and Q in [0, 2 pi) (a cell at
-    theta = beta near 2 pi is not split at 0).  The value is
-    |g|^2 A - 2 g . int grad u + int |grad u|^2, where integrating in r gives
+    corners P and Q; ``grads`` (m, 2) hold g and ``areas`` (m,) the cell
+    areas A.  On each piece start <= r < end of ``exact``,
+    u = sum c r^p sin(k theta), with every p > 0 on the first piece.  About
+    the apex the cell is 0 <= r <= R(theta) = (n . P) / (n . e_r(theta)),
+    n normal to PQ, for theta between the polar angles of P and Q in
+    [0, 2 pi) (a cell at theta = beta near 2 pi is not split at 0).  The
+    value is |g|^2 A - 2 g . int grad u + int |grad u|^2, where integrating
+    in r over each piece, from lo = min(start, R) to hi = min(end, R), gives
 
-        int grad u = int e_r sin(k theta) sum c p R^(p+1) / (p+1)
-                         + e_theta k cos(k theta) sum c R^(p+1) / (p+1) dtheta,
+        int grad u = int e_r sin(k theta) sum c p [r^(p+1) / (p+1)]
+                         + e_theta k cos(k theta) sum c [r^(p+1) / (p+1)] dtheta,
         int |grad u|^2 = int sum_ij c_i c_j (p_i p_j sin^2(k theta)
-                         + k^2 cos^2(k theta)) R^(p_i+p_j) / (p_i+p_j) dtheta,
+                         + k^2 cos^2(k theta)) [r^(p_i+p_j) / (p_i+p_j)] dtheta,
 
-    both smooth in theta, which takes a 16-point Gauss rule.
+    [r^s / s] = (hi^s - lo^s) / s, or log(hi / lo) where s = 0, summed over
+    the pieces; the first piece has lo = 0.  A 16-point Gauss rule takes the
+    theta integrals, which are smooth unless PQ crosses a breakpoint circle,
+    where R(theta) = start and they have a kink.
     """
     k = exact.angular_wavenumber
-    c, p = np.array(exact.pieces[0][1], dtype=float).reshape(-1, 2).T
     far = corners[:, 1:]
     t_p, t_q = polar_angle(far).T
     x, w = _reference_rule(16)
@@ -104,17 +110,22 @@ def _corner_cell_errors(exact, corners, grads, areas):
     R = dist[:, None] / (edge[:, 1, None] * cos_t - edge[:, 0, None] * sin_t)
     sin_k, cos_k = np.sin(k * theta), np.cos(k * theta)
 
-    r_p = R[..., None] ** (p + 1.0)
-    radial = sin_k * (r_p @ (c * p / (p + 1.0)))
-    angular = k * cos_k * (r_p @ (c / (p + 1.0)))
+    radial = angular = energy_sin = energy_cos = 0.0
+    for start, (end, terms) in zip((0.0, *exact.breakpoints), exact.pieces):
+        c, p = np.array(terms, dtype=float).reshape(-1, 2).T
+        lo, hi = np.minimum(start, R), np.minimum(end, R)
+        span, s = _power_spans(lo, hi, p + 1.0)
+        radial = radial + span @ (c * p / s)
+        angular = angular + span @ (c / s)
+        span, s = _power_spans(lo, hi, (p[:, None] + p).ravel())
+        cc = np.outer(c, c).ravel() / s
+        energy_sin = energy_sin + span @ (cc * np.outer(p, p).ravel())
+        energy_cos = energy_cos + span @ cc
+    radial = sin_k * radial
+    angular = k * cos_k * angular
     mean_x = np.sum(weights * (radial * cos_t - angular * sin_t), axis=1)
     mean_y = np.sum(weights * (radial * sin_t + angular * cos_t), axis=1)
-
-    pp = p[:, None] + p
-    cc = np.outer(c, c) / pp
-    r_pp = (R[..., None, None] ** pp).reshape(R.shape + (-1,))
-    energy = np.sum(weights * (sin_k**2 * (r_pp @ (cc * np.outer(p, p)).ravel())
-                               + k * k * cos_k**2 * (r_pp @ cc.ravel())), axis=1)
+    energy = np.sum(weights * (sin_k**2 * energy_sin + k * k * cos_k**2 * energy_cos), axis=1)
     g_x, g_y = grads.T
     return (g_x * g_x + g_y * g_y) * areas - 2.0 * (g_x * mean_x + g_y * mean_y) + energy
 

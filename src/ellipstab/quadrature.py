@@ -49,33 +49,6 @@ def tri6_points(corners):
     return np.matmul(TRI6_BARY, corners)
 
 
-# halvings toward the apex; 2^-30 leaves a negligible innermost triangle
-CORNER_LEVELS = 30
-
-
-@functools.lru_cache(maxsize=None)
-def corner_rule():
-    """The six-point rule composed over a triangle graded toward its first vertex.
-
-    ``CORNER_LEVELS`` halvings toward the apex leave rings (trapezoids, two
-    triangles each) and an innermost triangle; each gets the six-point rule
-    weighted by its exact area fraction 4^-j/2, 4^-j/4 or 4^-CORNER_LEVELS.
-    Returns read-only barycentric points (366, 3) relative to (apex, p, q)
-    and weights scaled like ``TRI6_WEIGHTS`` (multiply by area).
-    """
-    s = 0.5 ** np.arange(CORNER_LEVELS + 1)
-    p = np.stack([1.0 - s, s, 0.0 * s], axis=1)  # apex + s (p - apex)
-    q = p[:, [0, 2, 1]]
-    cells = np.stack([p[1:], p[:-1], q[:-1], p[1:], q[:-1], q[1:]], axis=1).reshape(-1, 3, 3)
-    cells = np.append(cells, [[[1.0, 0.0, 0.0], p[-1], q[-1]]], axis=0)
-    share = np.append(np.stack([s[:-1] * s[1:], s[1:] ** 2], axis=1), s[-1] ** 2)
-    points = np.matmul(TRI6_BARY, cells).reshape(-1, 3)
-    weights = np.outer(share, TRI6_WEIGHTS).ravel()
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
 @functools.lru_cache(maxsize=None)
 def _reference_rule(n):
     """The ``n``-point Gauss-Legendre rule on [-1, 1], built once per ``n``.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import annulus_meshes, interpolate
-from ellipstab import quadrature
+from ellipstab import analytic, error_norms, quadrature
 from ellipstab.analytic import (
     SeparableSolution,
     SourceTerm,
@@ -100,7 +100,7 @@ class TestH1ErrorVsAnalytic:
 
     def test_graph_mesh_values_are_pinned(self):
         # acceptance criterion 7's nested graph meshes, whose corner (0, 0)
-        # cells take the corner rule; values of the subdivision integrator
+        # cells take the six-point rule like every other cell
         class Exact:
             def value(self, pts):
                 return np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 0.8)
@@ -114,7 +114,7 @@ class TestH1ErrorVsAnalytic:
         amp = np.pi**2 * (1.0 + 1.0 / 0.8**2)
         mesh = mesh_graph_domain(GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x),
                                                          n_grid=3), 4, 4)
-        for expected in (0.8489641327174807, 0.43716221295091456, 0.2202387053438502):
+        for expected in (0.8489627612249915, 0.43716216502838834, 0.22023870488040756):
             sol = solve_cg(assemble(mesh, identity_field(),
                                     source=lambda p: amp * exact.value(p)), rel_tol=1e-12)
             assert h1_error_vs_analytic(sol, exact) == pytest.approx(expected, rel=1e-14, abs=0)
@@ -146,55 +146,42 @@ class TestH1ErrorVsAnalytic:
 
     def test_one_gradient_call_per_rule(self):
         # the six-point rule on the regular cells, with one call at all their
-        # points; the 8 corner cells are integrated exactly in r without a
-        # call, or, for an exact solution that is not separable, take the
-        # corner rule with one call at all its points
+        # points, and the 8 corner cells integrated exactly in r without a
+        # call; an exact solution that is not separable takes the six-point
+        # rule on every cell, with one call at all their points
         sol, exact, separable, counted, calls = self.counted_case()
-        regular = 6 * (sol.mesh.num_triangles - 8)
+        cells = sol.mesh.num_triangles
         assert h1_error_vs_analytic(sol, separable) == h1_error_vs_analytic(sol, exact)
-        assert calls == [regular]
+        assert calls == [6 * (cells - 8)]
         calls.clear()
         h1_error_vs_analytic(sol, counted)
-        assert calls == [regular, 366 * 8]
+        assert calls == [6 * cells]
 
     def test_one_gradient_call_per_block(self, block_points):
-        # blocks of 61 regular cells and of one corner-rule cell
+        # blocks of 61 cells, over the regular cells or over all of them
         block_points(366)
         sol, _, separable, counted, calls = self.counted_case()
-        full, rest = divmod(sol.mesh.num_triangles - 8, 61)
-        h1_error_vs_analytic(sol, separable)
-        assert calls == [366] * full + [6 * rest]
-        calls.clear()
-        h1_error_vs_analytic(sol, counted)
-        assert calls == [366] * full + [6 * rest] + [366] * 8
+        for exact, cells in ((separable, sol.mesh.num_triangles - 8),
+                             (counted, sol.mesh.num_triangles)):
+            calls.clear()
+            h1_error_vs_analytic(sol, exact)
+            full, rest = divmod(cells, 61)
+            assert calls == [366] * full + [6 * rest]
 
-    def test_corner_cells_past_the_first_piece_take_the_corner_rule(self):
-        # jump radius 1e-3 inside the first refined ring (r = 1/432): the 8
-        # corner cells reach past it and take the corner rule, as for an
-        # exact solution that is not separable, bit for bit
-        exact = jump_solution(BETA, 2.0, 1e-3)
-        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
-        radii = np.hypot(*mesh.vertices.T)[mesh.triangles]
-        assert np.min(np.max(radii[np.min(radii, axis=1) == 0.0], axis=1)) > 1e-3
-        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 1e-3), source=SourceTerm(BETA)))
-
-        class Wrapped:
-            gradient = exact.gradient
-
-        assert h1_error_vs_analytic(sol, exact) == h1_error_vs_analytic(sol, Wrapped())
-
-    def test_corner_terms_without_positive_powers_take_the_corner_rule(self):
-        # a corner term r^-k (an annulus table seen from the corner) leaves
-        # the r-integrals of the exact path divergent
+    def test_corner_terms_without_positive_powers_diverge(self):
+        # a corner term r^-k (an annulus table seen from the corner) makes
+        # the H1 error infinite, as it does the H1 seminorm and every L^q
+        # norm, and all three raise the one error type
         exact = annulus_solution(BETA, 0.2)
         corner = SeparableSolution(exact.pieces, exact.angular_wavenumber, SectorDomain(BETA))
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
         sol = solve_cg(assemble(mesh, identity_field(), source=SourceTerm(BETA)))
-
-        class Wrapped:
-            gradient = corner.gradient
-
-        assert h1_error_vs_analytic(sol, corner) == h1_error_vs_analytic(sol, Wrapped())
+        assert error_norms.DivergentNormError is analytic.DivergentNormError is DivergentNormError
+        for norm in (lambda: h1_error_vs_analytic(sol, corner),
+                     lambda: h1_seminorm_separable(corner),
+                     lambda: lq_gradient_norm(corner, 2.5)):
+            with pytest.raises(DivergentNormError):
+                norm()
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_refined_jump_bits_in_any_block_size(self, block, block_points, refined_jump):
@@ -228,49 +215,73 @@ class TestH1ErrorVsAnalytic:
         assert peak <= 12 * 2**20
 
 
-def corner_cell(sol, h, side):
+def corner_cell(sol, h, side, radii=(0.8, 0.6)):
     """The corner cell (0, P, Q), apex angle h, at the first (theta from 0)
-    or last (theta up to beta) angle of the sector, its far corners inside
-    the first piece of ``sol`` at two radii."""
+    or last (theta up to beta) angle of the sector, its far corners at
+    ``radii`` times the end of the first piece of ``sol`` (at most 1): by
+    default inside that piece."""
     reach = min(sol.pieces[0][0], 1.0)
     t0 = 0.0 if side == "first" else sol.domain.beta - h
-    P = 0.8 * reach * np.array([np.cos(t0), np.sin(t0)])
-    Q = 0.6 * reach * np.array([np.cos(t0 + h), np.sin(t0 + h)])
+    P = radii[0] * reach * np.array([np.cos(t0), np.sin(t0)])
+    Q = radii[1] * reach * np.array([np.cos(t0 + h), np.sin(t0 + h)])
     return np.array([[0.0, 0.0], P, Q])
 
 
 def mp_corner_error(sol, cell, g, dps=30, radial=None):
     """int over the cell of |g - grad u|^2 in mpmath: in polar coordinates
-    about the apex, with the Cartesian gradient terms c r^(p-1) a(theta)
-    integrated in r in closed form, or by ``mp.quad`` when ``radial``."""
+    about the apex, split in theta where the far side crosses a breakpoint
+    circle and in r at each breakpoint, with the Cartesian gradient terms
+    c r^(p-1) a(theta) of each piece integrated in r in closed form, or by
+    ``mp.quad`` when ``radial``."""
     with mp.workdps(dps):
         k = mp.mpf(sol.angular_wavenumber)
-        terms = [(mp.mpf(c), mp.mpf(p)) for c, p in sol.pieces[0][1]]
+        starts = [mp.mpf(0), *(mp.mpf(b) for b in sol.breakpoints)]
+        pieces = [(start, mp.mpf(end), [(mp.mpf(c), mp.mpf(p)) for c, p in terms])
+                  for start, (end, terms) in zip(starts, sol.pieces)]
         (px, py), (qx, qy) = [[mp.mpf(v) for v in pt] for pt in cell[1:]]
         gx, gy = mp.mpf(g[0]), mp.mpf(g[1])
         dx, dy = qx - px, qy - py
-        ends = sorted(mp.atan2(y, x) % (2 * mp.pi) for x, y in ((px, py), (qx, qy)))
+        # P + t (Q - P) meets the circle r = b where t^2 |D|^2 + 2 t P.D + |P|^2 = b^2
+        cuts = [(px, py), (qx, qy)]
+        dd, pd, pp = dx**2 + dy**2, px * dx + py * dy, px**2 + py**2
+        for b in starts[1:]:
+            disc = pd**2 - dd * (pp - b**2)
+            if disc > 0:
+                cuts += [(px + t * dx, py + t * dy)
+                         for t in ((-pd - mp.sqrt(disc)) / dd, (-pd + mp.sqrt(disc)) / dd)
+                         if 0 < t < 1]
+        ends = sorted(mp.atan2(y, x) % (2 * mp.pi) for x, y in cuts)
 
-        def grad_parts(t):
+        def grad_parts(t, terms):
             # grad(c r^p sin(k t)) = c r^(p-1) a, a = p sin(kt) e_r + k cos(kt) e_t
             s, c = mp.sin(k * t), mp.cos(k * t)
             return [(cf, p, p * s * mp.cos(t) - k * c * mp.sin(t),
                      p * s * mp.sin(t) + k * c * mp.cos(t)) for cf, p in terms]
 
+        def span(lo, hi, s):
+            # int r^(s-1) dr from lo to hi
+            return mp.log(hi / lo) if s == 0 else (hi**s - lo**s) / s
+
         def in_r(t):
             R = (px * dy - py * dx) / (mp.cos(t) * dy - mp.sin(t) * dx)
-            parts = grad_parts(t)
-            if radial:
-                def f(r):
-                    ux = sum(cf * r ** (p - 1) * ax for cf, p, ax, _ in parts)
-                    uy = sum(cf * r ** (p - 1) * ay for cf, p, _, ay in parts)
-                    return ((gx - ux) ** 2 + (gy - uy) ** 2) * r
-                return mp.quad(f, [0, R])
-            total = (gx**2 + gy**2) * R**2 / 2
-            for ci, pi, axi, ayi in parts:
-                total -= 2 * ci * (gx * axi + gy * ayi) * R ** (pi + 1) / (pi + 1)
-                for cj, pj, axj, ayj in parts:
-                    total += ci * cj * (axi * axj + ayi * ayj) * R ** (pi + pj) / (pi + pj)
+            total = 0
+            for start, end, terms in pieces:
+                lo, hi = min(start, R), min(end, R)
+                if lo == hi:
+                    continue
+                parts = grad_parts(t, terms)
+                if radial:
+                    def f(r):
+                        ux = sum(cf * r ** (p - 1) * ax for cf, p, ax, _ in parts)
+                        uy = sum(cf * r ** (p - 1) * ay for cf, p, _, ay in parts)
+                        return ((gx - ux) ** 2 + (gy - uy) ** 2) * r
+                    total += mp.quad(f, [lo, hi])
+                    continue
+                total += (gx**2 + gy**2) * span(lo, hi, 2)
+                for ci, pi, axi, ayi in parts:
+                    total -= 2 * ci * (gx * axi + gy * ayi) * span(lo, hi, pi + 1)
+                    for cj, pj, axj, ayj in parts:
+                        total += ci * cj * (axi * axj + ayi * ayj) * span(lo, hi, pi + pj)
             return total
 
         return mp.quad(in_r, ends)
@@ -298,14 +309,63 @@ class TestCornerCellsExactInR:
         ref = mp_corner_error(sol, cell, self.G)
         assert self.value(sol, cell, self.G) == pytest.approx(float(ref), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("b,alpha,side", [(1.1, 2.0, "first"), (1.5, 1e-2, "first"),
+                                              (1.9, 1e2, "last")])
+    def test_breakpoint_circle_inside_the_cell(self, b, alpha, side):
+        # the far side beyond the jump radius, so the r-integrals split at
+        # it in every direction and the theta integrands stay smooth; the
+        # graded corner rule was 5.2e-4, 1.3e-4 and 6.0e-4 off
+        sol = jump_solution(b * np.pi, alpha, 0.1)
+        cell = corner_cell(sol, np.pi / 16, side, radii=(1.6, 1.4))
+        ref = mp_corner_error(sol, cell, self.G)
+        assert self.value(sol, cell, self.G) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+    def test_mesh_corner_cells_past_the_first_piece(self):
+        # jump radius 1e-3 inside the first refined ring (r = 1/432): each of
+        # the 8 corner cells holds the breakpoint circle; the graded corner
+        # rule was 8.7e-4 off their sum
+        exact = jump_solution(BETA, 2.0, 1e-3)
+        mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
+        sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 1e-3), source=SourceTerm(BETA)))
+        grads = sol.triangle_gradients()
+        radii = np.hypot(*mesh.vertices.T)[mesh.triangles]
+        corner = np.flatnonzero(np.min(radii, axis=1) == 0.0)
+        assert corner.size == 8 and np.min(np.max(radii[corner], axis=1)) > 1e-3
+        for t in corner:
+            cell = mesh.vertices[np.roll(mesh.triangles[t], -np.argmin(radii[t]))]
+            g = grads[t]
+            ref = mp_corner_error(exact, cell, g)
+            assert self.value(exact, cell, g) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("b,alpha,h,side,radii,tol,corner_rule_error", [
+        (1.1, 1e-2, np.pi / 16, "first", (1.3, 0.8), 1e-5, 3.3e-3),
+        (1.5, 1e2, np.pi / 16, "last", (0.8, 1.3), 1e-5, 5.0e-3),
+        (1.9, 1e-2, np.pi / 16, "first", (1.3, 0.8), 1e-5, 1.8e-3),
+        (1.5, 2.0, np.pi / 4, "last", (1.05, 1.05), 3e-5, 6.0e-4),
+        (1.9, 1e-2, np.pi / 4, "first", (1.05, 1.05), 3e-5, 1.0e-3),
+    ])
+    def test_breakpoint_circle_crossing_the_far_side(self, b, alpha, h, side, radii, tol,
+                                                     corner_rule_error):
+        # where the far side crosses the jump circle, once or (apex angle
+        # pi/4) twice, the theta integrands have a kink, which the 16-point
+        # rule resolves to 1.5e-6 .. 7e-6 and, over two kinks, 1.5e-5 ..
+        # 1.8e-5; the graded corner rule's relative errors were larger
+        sol = jump_solution(b * np.pi, alpha, 0.1)
+        cell = corner_cell(sol, h, side, radii=radii)
+        ref = float(mp_corner_error(sol, cell, self.G))
+        err = abs(self.value(sol, cell, self.G) - ref) / abs(ref)
+        assert err < min(tol, corner_rule_error)
+
     def test_closed_form_in_r_against_a_radial_quadrature(self):
         # the reference's closed form in r against mpmath's quadrature in
         # both variables, on the cell with the steepest corner singularity
+        # and on one whose far side crosses the jump circle twice
         sol = jump_solution(1.9 * np.pi, 1e-2, 0.1)
-        cell = corner_cell(sol, np.pi / 64, "last")
-        ref = mp_corner_error(sol, cell, self.G)
-        assert float(mp_corner_error(sol, cell, self.G, dps=20, radial=True)) == pytest.approx(
-            float(ref), rel=1e-15, abs=0)
+        for cell in (corner_cell(sol, np.pi / 64, "last"),
+                     corner_cell(sol, np.pi / 4, "first", radii=(1.05, 1.05))):
+            ref = mp_corner_error(sol, cell, self.G)
+            assert float(mp_corner_error(sol, cell, self.G, dps=20, radial=True)) == (
+                pytest.approx(float(ref), rel=1e-15, abs=0))
 
     def test_empty_corner_piece_is_the_constant_gradient(self):
         # the zero profile of a solution extended by zero into its hole

@@ -1,6 +1,3 @@
-import math
-
-import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -59,40 +56,3 @@ def test_polar_points_and_weights_match_the_meshgrid_form():
     assert seen[0].tobytes() == pts.tobytes()
     expect = np.tensordot((rw[:, None] * tw[None, :] * R).ravel(), f(pts), axes=1)
     assert total == float(expect)
-
-
-def test_corner_rule_integrates_quartics():
-    bary, w = quadrature.corner_rule()
-    assert bary.shape == (366, 3) and w.shape == (366,)
-    assert quadrature.corner_rule()[0] is bary
-    with pytest.raises(ValueError):
-        w[0] = 0.0
-    assert w.sum() == pytest.approx(quadrature.TRI6_WEIGHTS.sum(), rel=1e-15, abs=0)
-    # on the triangle (0, 0), (1, 0), (0, 1), apex first, x and y are the
-    # second and third barycentric coordinates, and the area is 1/2
-    x, y = bary[:, 1], bary[:, 2]
-    for a in range(5):
-        for b in range(5 - a):
-            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-            assert 0.5 * np.dot(w, x**a * y**b) == pytest.approx(exact, rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("beta", [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi])
-@pytest.mark.parametrize("h", [np.pi / 64, np.pi / 16, np.pi / 8])
-def test_corner_rule_on_the_corner_singularity(beta, h):
-    # |grad(r^k sin(k theta))|^2 = k^2 r^(2k-2), k = pi/beta, over the corner
-    # triangle (0, 0), (1, 0), (cos h, sin h) is (k/2) int_0^h R(t)^(2k) dt
-    # with R(t) = cos(h/2) / cos(t - h/2) the distance to the far side.  Each
-    # ring of the graded rule is similar to the last, so the six-point
-    # rule's relative error on r^(2k-2) there repeats at every level: the
-    # rule reaches only 2e-7 to 1.4e-5 (worst at beta = 1.9 pi, h = pi/64),
-    # and the tolerance pins that
-    k = np.pi / beta
-    bary, w = quadrature.corner_rule()
-    pts = bary @ np.array([[0.0, 0.0], [1.0, 0.0], [np.cos(h), np.sin(h)]])
-    value = 0.5 * np.sin(h) * np.dot(w, k**2 * np.hypot(pts[:, 0], pts[:, 1]) ** (2 * k - 2))
-    with mp.workdps(30):
-        km, hm = mp.pi / mp.mpf(beta), mp.mpf(h)
-        ref = km / 2 * mp.quad(lambda t: (mp.cos(hm / 2) / mp.cos(t - hm / 2)) ** (2 * km),
-                               [0, hm])
-    assert value == pytest.approx(float(ref), rel=1.5e-5, abs=0)
