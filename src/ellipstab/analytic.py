@@ -68,7 +68,7 @@ def _power_sums(r, terms):
 
 @dataclass(frozen=True)
 class SeparableSolution:
-    """u(r, theta) = w(r) * sin(k * theta) on a sector domain.
+    """u(r, theta) = w(r) * sin(k * theta) on a sector domain, k = pi/beta.
 
     The profile w is a sum of power terms c * r^p on each radial piece:
     ``pieces`` is ((end, ((c, p), ...)), ...) in increasing order of end.
@@ -77,8 +77,11 @@ class SeparableSolution:
     """
 
     pieces: tuple
-    angular_wavenumber: float
     domain: SectorDomain
+
+    @property
+    def angular_wavenumber(self):
+        return np.pi / self.domain.beta
 
     @property
     def breakpoints(self):
@@ -155,7 +158,7 @@ class SeparableSolution:
             for c, p in other.pieces[other._piece_index(start)][1]:
                 coef[p] = coef.get(p, 0.0) - c
             pieces.append((end, tuple((c, p) for p, c in coef.items() if c != 0.0)))
-        return SeparableSolution(tuple(pieces), self.angular_wavenumber, dom)
+        return SeparableSolution(tuple(pieces), dom)
 
     def extended_by_zero(self):
         """Extend an annular solution by zero onto the full sector.
@@ -170,7 +173,7 @@ class SeparableSolution:
         if abs(float(self.radial_profile(np.array([eps]))[0])) > 1e-10:
             raise ValueError("profile does not vanish at the inner radius")
         dom = SectorDomain(self.domain.beta)
-        return SeparableSolution(((eps, ()),) + self.pieces, self.angular_wavenumber, dom)
+        return SeparableSolution(((eps, ()),) + self.pieces, dom)
 
 
 def _check_angle(beta):
@@ -190,7 +193,7 @@ def limit_solution(beta):
     """
     _check_angle(beta)
     k = np.pi / beta
-    return SeparableSolution(((np.inf, ((1.0, k), (-1.0, 2.0))),), k, SectorDomain(beta))
+    return SeparableSolution(((np.inf, ((1.0, k), (-1.0, 2.0))),), SectorDomain(beta))
 
 
 def jump_solution(beta, alpha, eps):
@@ -217,7 +220,7 @@ def jump_solution(beta, alpha, eps):
     d_out = (1.0 - alpha) * (ek - eps**2) / denom
     pieces = ((eps, ((c_in, k), (-1.0 / alpha, 2.0))),
               (np.inf, ((c_out, k), (d_out, -k), (-1.0, 2.0))))
-    return SeparableSolution(pieces, k, SectorDomain(beta))
+    return SeparableSolution(pieces, SectorDomain(beta))
 
 
 def annulus_solution(beta, eps):
@@ -232,7 +235,7 @@ def annulus_solution(beta, eps):
     denom = emk - ek
     c1 = (emk - eps**2) / denom
     c2 = (eps**2 - ek) / denom
-    return SeparableSolution(((np.inf, ((c1, k), (c2, -k), (-1.0, 2.0))),), k,
+    return SeparableSolution(((np.inf, ((c1, k), (c2, -k), (-1.0, 2.0))),),
                              SectorDomain(beta, r_inner=eps))
 
 
@@ -291,11 +294,11 @@ def residual_check(sol, source, field):
     On a piece with conductivity a, -div(a grad(c r^p sin k theta)) =
     -a c (p^2 - k^2) r^(p-2) sin k theta, and f = amplitude * sin k theta
     with amplitude = 4 - k^2.  So the report holds, as relative defects:
-    k against pi/beta of the domain and against the source's wavenumber;
-    per piece, each term with p != 2 against c (p^2 - k^2) = 0 and the
-    p = 2 coefficient against -a c2 (4 - k^2) = amplitude; continuity and
-    flux continuity at each breakpoint; w(1) = 0, w(r_inner) = 0 on an
-    annulus, and no term with p <= 0 on a piece that reaches the corner.
+    k = pi/beta of the domain against the source's wavenumber; per piece,
+    each term with p != 2 against c (p^2 - k^2) = 0 and the p = 2
+    coefficient against -a c2 (4 - k^2) = amplitude; continuity and flux
+    continuity at each breakpoint; w(1) = 0, w(r_inner) = 0 on an annulus,
+    and no term with p <= 0 on a piece that reaches the corner.
     The conductivity of each piece is read at one interior point; a field
     that is not scalar * I there, or whose interface radii are not
     breakpoints of ``sol``, raises ValueError.
@@ -309,8 +312,7 @@ def residual_check(sol, source, field):
     pieces = [(max(lo, dom.r_inner), min(end, 1.0), terms)
               for lo, (end, terms) in zip(starts, sol.pieces)
               if lo < 1.0 and end > dom.r_inner]
-    defects = [("angular wavenumber", _relative([k, -np.pi / dom.beta])),
-               ("source wavenumber", _relative([k, -source.angular_wavenumber]))]
+    defects = [("source wavenumber", _relative([k, -source.angular_wavenumber]))]
     cond = []
     for lo, hi, terms in pieces:
         r = 0.5 * (lo + hi)

@@ -15,8 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from .geometry import SectorDomain
-from .quadrature import BLOCK_POINTS, integrate_polar, integrate_rect
+from .quadrature import integrate_polar, integrate_rect
 
 
 class FieldEvaluationError(ValueError):
@@ -75,27 +76,21 @@ def matrix_positive_part(mat):
 
     Truncates negative eigenvalues to zero while keeping the eigenvectors,
     so the result is positive semidefinite and equals the input whenever
-    the input already is.
+    the input already is.  With eigenvalues lam1 <= lam2 that is A for
+    lam1 >= 0, 0 for lam2 <= 0, and otherwise lam2 times the projector
+    (A - lam1 I) / (lam2 - lam1) onto the eigenvector of lam2, symmetrised.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (2, 2):
         raise ValueError("expected 2x2 matrices")
     if np.max(np.abs(m[..., 0, 1] - m[..., 1, 0])) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise ValueError("matrix is not symmetric")
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     lam1, lam2 = np.moveaxis(sym_eigvals(m), -1, 0)
-    # eigenvector for lam2; degenerate (b = 0, a = c) handled via axis vector
-    ex = np.where(np.abs(b) > 0.0, b, np.where(a >= c, 1.0, 0.0))
-    ey = np.where(np.abs(b) > 0.0, lam2 - a, np.where(a >= c, 0.0, 1.0))
-    norm = np.hypot(ex, ey)
-    ex, ey = ex / norm, ey / norm
-    p1, p2 = np.maximum(lam1, 0.0), np.maximum(lam2, 0.0)
-    out = np.empty_like(m)
-    out[..., 0, 0] = p2 * ex**2 + p1 * ey**2
-    out[..., 0, 1] = (p2 - p1) * ex * ey
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = p2 * ey**2 + p1 * ex**2
-    return out
+    mixed = (lam1 < 0.0) & (lam2 > 0.0)
+    scale = np.where(mixed, lam2 / np.where(mixed, lam2 - lam1, 1.0), lam1 >= 0.0)
+    out = m - np.where(mixed, lam1, 0.0)[..., None, None] * np.eye(2)
+    out[..., 0, 1] = out[..., 1, 0] = 0.5 * (out[..., 0, 1] + out[..., 1, 0])
+    return out * scale[..., None, None]
 
 
 def constant_field(matrix):
@@ -232,8 +227,9 @@ def lp_distance(field_a, field_b, p, domain):
         nonlocal scale
         d = np.empty(pts.shape[:-1] + (2, 2))
         block_max = []
-        for lo in range(0, pts.shape[0], BLOCK_POINTS):
-            block, out = pts[lo:lo + BLOCK_POINTS], d[lo:lo + BLOCK_POINTS]
+        step = quadrature.BLOCK_POINTS
+        for lo in range(0, pts.shape[0], step):
+            block, out = pts[lo:lo + step], d[lo:lo + step]
             try:
                 np.subtract(field_a.eval(block), field_b.eval(block), out=out)
             except FieldEvaluationError as exc:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
 from .analytic import DivergentNormError, SeparableSolution
 from .fem import FemSolution, evaluate_gradient_many
 from .geometry import polar_angle
-from .quadrature import (BLOCK_POINTS, TRI6_WEIGHTS, _reference_rule, corner_cut,
-                         gauss_on_panels, integrate_radial, tri6_points)
+from .quadrature import (TRI6_WEIGHTS, _reference_rule, corner_cut, gauss_on_panels,
+                         integrate_radial, tri6_points)
 
 
 def h1_error_vs_analytic(sol, exact):
@@ -51,7 +52,7 @@ def h1_error_vs_analytic(sol, exact):
 
     corners = mesh.corners()[cells]
     terms = np.empty((cells.size, TRI6_WEIGHTS.size))
-    step = max(BLOCK_POINTS // TRI6_WEIGHTS.size, 1)
+    step = max(quadrature.BLOCK_POINTS // TRI6_WEIGHTS.size, 1)
     for lo in range(0, cells.size, step):
         s = slice(lo, lo + step)
         pts = tri6_points(corners[s])
@@ -93,20 +94,22 @@ def _corner_cell_errors(exact, corners, grads, areas):
                          + k^2 cos^2(k theta)) [r^(p_i+p_j) / (p_i+p_j)] dtheta,
 
     [r^s / s] = (hi^s - lo^s) / s, or log(hi / lo) where s = 0, summed over
-    the pieces; the first piece has lo = 0.  A 16-point Gauss rule takes the
-    theta integrals, which are smooth unless PQ crosses a breakpoint circle,
-    where R(theta) = start and they have a kink.
+    the pieces; the first piece has lo = 0.  The theta integrands have a
+    kink where PQ crosses a breakpoint circle, R(theta) = start, so each
+    cell's theta range is split there (``_theta_parts``), and a 16-point
+    Gauss rule takes each part; the parts of a cell are added before the
+    three terms are formed.
     """
     k = exact.angular_wavenumber
     far = corners[:, 1:]
-    t_p, t_q = polar_angle(far).T
+    cell, t_a, t_b = _theta_parts(far, exact.breakpoints)
     x, w = _reference_rule(16)
-    half = 0.5 * (t_q - t_p)
-    theta = (0.5 * (t_p + t_q))[:, None] + half[:, None] * x
+    half = 0.5 * (t_b - t_a)
+    theta = (0.5 * (t_a + t_b))[:, None] + half[:, None] * x
     weights = np.abs(half)[:, None] * w
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    edge = far[:, 1] - far[:, 0]  # Q - P; n = (edge_y, -edge_x) up to scale
-    dist = edge[:, 1] * far[:, 0, 0] - edge[:, 0] * far[:, 0, 1]
+    edge = (far[:, 1] - far[:, 0])[cell]  # Q - P; n = (edge_y, -edge_x) up to scale
+    dist = edge[:, 1] * far[cell, 0, 0] - edge[:, 0] * far[cell, 0, 1]
     R = dist[:, None] / (edge[:, 1, None] * cos_t - edge[:, 0, None] * sin_t)
     sin_k, cos_k = np.sin(k * theta), np.cos(k * theta)
 
@@ -123,11 +126,43 @@ def _corner_cell_errors(exact, corners, grads, areas):
         energy_cos = energy_cos + span @ cc
     radial = sin_k * radial
     angular = k * cos_k * angular
-    mean_x = np.sum(weights * (radial * cos_t - angular * sin_t), axis=1)
-    mean_y = np.sum(weights * (radial * sin_t + angular * cos_t), axis=1)
-    energy = np.sum(weights * (sin_k**2 * energy_sin + k * k * cos_k**2 * energy_cos), axis=1)
+    m = len(far)
+
+    def per_cell(integrand):
+        parts = np.sum(weights * integrand, axis=1)
+        total = parts[:m]  # each cell's first part, then the further ones added
+        np.add.at(total, cell[m:], parts[m:])
+        return total
+
+    mean_x = per_cell(radial * cos_t - angular * sin_t)
+    mean_y = per_cell(radial * sin_t + angular * cos_t)
+    energy = per_cell(sin_k**2 * energy_sin + k * k * cos_k**2 * energy_cos)
     g_x, g_y = grads.T
     return (g_x * g_x + g_y * g_y) * areas - 2.0 * (g_x * mean_x + g_y * mean_y) + energy
+
+
+def _theta_parts(far, radii):
+    """Each corner cell's range of polar angles, from its far corner P to Q,
+    split where PQ crosses a circle r = b of ``radii``: at the roots t in
+    (0, 1) of |P + t (Q - P)| = b.  Returns (cell, start, end) per part: the
+    first part of every cell in cell order, then the further parts.  A cell
+    that crosses no circle keeps the one part (angle of P, angle of Q)."""
+    t_p, t_q = polar_angle(far).T
+    p, d = far[:, 0], far[:, 1] - far[:, 0]
+    dd, pd, pp = np.sum(d * d, axis=1), np.sum(p * d, axis=1), np.sum(p * p, axis=1)
+    b = np.asarray(radii, dtype=float)
+    disc = (pd * pd)[:, None] - dd[:, None] * (pp[:, None] - b * b)
+    sq = np.sqrt(np.where(disc > 0.0, disc, np.nan))  # NaN: the line misses the circle
+    t = np.concatenate([-pd[:, None] - sq, sq - pd[:, None]], axis=1) / dd[:, None]
+    t = np.sort(np.where((t > 0.0) & (t < 1.0), t, np.nan), axis=1)  # NaN last
+    cuts = polar_angle(p[:, None] + t[..., None] * d[:, None])
+    crossed = ~np.isnan(cuts)
+    ends = np.column_stack([cuts, t_q])
+    ends = np.where(np.isnan(ends), t_q[:, None], ends)
+    more, j = np.nonzero(crossed)
+    return (np.concatenate([np.arange(len(far)), more]),
+            np.concatenate([t_p, cuts[more, j]]),
+            np.concatenate([ends[:, 0], ends[more, j + 1]]))
 
 
 def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):

@@ -45,6 +45,12 @@ DEFAULT_EPS_GRID = tuple(np.geomspace(1e-1, 1e-4, 7))
 GRADING = 3.0
 
 
+def _eps_grid(eps_grid):
+    """A study's eps grid as floats, largest first; ``DEFAULT_EPS_GRID`` for None."""
+    grid = DEFAULT_EPS_GRID if eps_grid is None else eps_grid
+    return tuple(sorted((float(e) for e in grid), reverse=True))
+
+
 def default_window(n):
     """Fit window: drop the two largest (pre-asymptotic) sizes when affordable."""
     return (2, n - 1) if n >= 6 else (0, n - 1)
@@ -187,9 +193,7 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     error and every bound is zero, and the fit is degenerate.
     """
     _check_exponent(beta, q)
-    if eps_grid is None:
-        eps_grid = DEFAULT_EPS_GRID
-    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    eps_grid = _eps_grid(eps_grid)
     u0 = analytic.limit_solution(beta)
     k = np.pi / beta
 
@@ -308,9 +312,7 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
     _check_exponent(beta, q)
     if mode not in ("semi", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
-    if eps_grid is None:
-        eps_grid = DEFAULT_EPS_GRID
-    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    eps_grid = _eps_grid(eps_grid)
     floor = fem_eps_floor(n_radial)
     if mode == "fem" and not eps_grid[-1] >= floor:
         raise ResolutionViolation(
@@ -373,7 +375,7 @@ def composition_inequality_check(beta, eps_grid, q):
     if not 2.0 < q:
         raise ValueError(f"q must exceed 2, got {q:g}")
     # every series below, like the bound check's, runs by decreasing eps
-    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    eps_grid = _eps_grid(eps_grid)
     if not eps_grid:
         raise ValueError("need at least one eps")
     sol = analytic.limit_solution(beta)
@@ -436,7 +438,7 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     """
     if mode not in ("condition_3", "condition_4"):
         raise ValueError(f"unknown mode {mode!r}")
-    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
+    eps_grid = _eps_grid(eps_grid)
     sector = geometry.SectorDomain(beta)
     field0 = field_family(0.0)
     pts = sector.sample_interior(CONDITION_POINTS)

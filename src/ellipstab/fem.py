@@ -40,8 +40,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import quadrature
 from .coefficients import FieldEvaluationError
-from .quadrature import BLOCK_POINTS, TRI6_BARY, TRI6_WEIGHTS, tri6_points
+from .geometry import polar_angle
+from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -126,7 +128,7 @@ def _element_integrals(mesh, field, weight=None, source=None, source_weight=None
     abar = np.empty((mesh.num_triangles, 2, 2))
     be = np.zeros((mesh.num_triangles, 3))
     n_rule = TRI6_WEIGHTS.size
-    step = max(BLOCK_POINTS // n_rule, 1)
+    step = max(quadrature.BLOCK_POINTS // n_rule, 1)
     for lo in range(0, mesh.num_triangles, step):
         s = slice(lo, lo + step)
         pts = tri6_points(corners[s])
@@ -315,7 +317,7 @@ def _separable_preconditioner(K, xy):
     rs = r[by_r]
     ring = np.empty(n, dtype=np.int64)
     ring[by_r] = np.concatenate([[0], np.cumsum(np.diff(rs) > 1e-9 * rs[1:])])
-    theta = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
+    theta = polar_angle(xy)
     order = np.lexsort((theta, ring))  # ring-major, by angle within a ring
     counts = np.bincount(ring)
     n_t = int(counts.max())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipstab import coefficients, error_norms, fem
+from ellipstab import fem, quadrature
 from ellipstab.analytic import SourceTerm, jump_solution
 from ellipstab.coefficients import (CoefficientField, EllipticityBounds, FieldEvaluationError,
                                     identity_field, radial_jump_field)
@@ -128,13 +128,11 @@ def identity_failing_at(point, calls=None):
 
 @pytest.fixture
 def block_points(monkeypatch):
-    """Sets ``quadrature.BLOCK_POINTS`` in every module that evaluates in
-    blocks; None keeps it."""
+    """Sets ``quadrature.BLOCK_POINTS``, which every blocked evaluation
+    reads when it runs; None keeps it."""
     def set_to(n):
-        if n is None:
-            return
-        for mod in (coefficients, fem, error_norms):
-            monkeypatch.setattr(mod, "BLOCK_POINTS", n)
+        if n is not None:
+            monkeypatch.setattr(quadrature, "BLOCK_POINTS", n)
     return set_to
 
 

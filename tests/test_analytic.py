@@ -61,7 +61,7 @@ class TestLimitSolution:
         rep = residual_check(limit_solution(BETA), SourceTerm(BETA), identity_field())
         assert rep.max_residual < 1e-4
         assert [name for name, _ in rep.defects] == [
-            "angular wavenumber", "source wavenumber", "equation on 0 <= r < 1",
+            "source wavenumber", "equation on 0 <= r < 1",
             "outer Dirichlet value", "corner terms"]
 
     def test_gradient_matches_finite_differences(self):
@@ -238,7 +238,7 @@ class TestH1Seminorm:
 
     def test_divergent_profile_detected(self):
         # a constant profile has |grad u| = k/r at the corner, in L^q only for q < 2
-        bad = SeparableSolution(((np.inf, ((1.0, 0.0),)),), K, SectorDomain(BETA))
+        bad = SeparableSolution(((np.inf, ((1.0, 0.0),)),), SectorDomain(BETA))
         assert bad.q_star == 2.0
         with pytest.raises(ArithmeticError):
             h1_seminorm_separable(bad)
@@ -410,7 +410,7 @@ class TestIntegrabilityThreshold:
 
     def test_threshold_decides_square_integrability(self):
         def power(p):
-            return SeparableSolution(((np.inf, ((1.0, p),)),), K, SectorDomain(BETA))
+            return SeparableSolution(((np.inf, ((1.0, p),)),), SectorDomain(BETA))
 
         for p, qs in ((0.0, 2.0), (-1.0 / 3.0, 1.5)):
             assert power(p).q_star == qs
@@ -432,13 +432,13 @@ def _swap_corner_coefficients(sol):
     """The jump table with the r^k coefficients c_in and c_out exchanged."""
     (e_in, ((c_in, k), *inner)), (e_out, ((c_out, _), *outer)) = sol.pieces
     pieces = ((e_in, ((c_out, k), *inner)), (e_out, ((c_in, k), *outer)))
-    return SeparableSolution(pieces, k, sol.domain)
+    return SeparableSolution(pieces, sol.domain)
 
 
 def _drop_c2(sol):
     """The annulus table without its r^(-k) term."""
     ((end, ((c1, k), _, quadratic)),) = sol.pieces
-    return SeparableSolution(((end, ((c1, k), quadratic)),), k, sol.domain)
+    return SeparableSolution(((end, ((c1, k), quadratic)),), sol.domain)
 
 
 # each pairs a table with a field so that exactly one ingredient is wrong

@@ -109,6 +109,26 @@ class TestMatrixPositivePart:
         out = matrix_positive_part(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
+    def test_against_eigh(self, rng):
+        # random, diagonal, equal-eigenvalue and nearly equal-eigenvalue
+        # matrices, with eigenvalues of either sign
+        sym = rng.normal(size=(2000, 2, 2))
+        sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
+        diag = np.zeros((300, 2, 2))
+        diag[:, [0, 1], [0, 1]] = rng.normal(size=(300, 2))
+        turn = rng.uniform(0.0, np.pi, 600)
+        c, s = np.cos(turn), np.sin(turn)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        lam = np.repeat(rng.normal(size=600), 2).reshape(600, 2)
+        lam[300:, 1] *= 1.0 + 1e-9 * rng.normal(size=300)
+        spectral = np.einsum("nij,nj,nkj->nik", rot, lam, rot)
+        mats = np.concatenate([sym, diag, spectral])
+        mats[..., 1, 0] = mats[..., 0, 1]
+        w, v = np.linalg.eigh(mats)
+        expect = np.einsum("nij,nj,nkj->nik", v, np.maximum(w, 0.0), v)
+        scale = np.max(np.abs(mats), axis=(1, 2))
+        assert np.all(np.abs(matrix_positive_part(mats) - expect) <= 1e-14 * scale[:, None, None])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             matrix_positive_part(np.array([[1.0, 0.5], [0.2, 1.0]]))

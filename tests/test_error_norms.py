@@ -141,7 +141,7 @@ class TestH1ErrorVsAnalytic:
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0,
                                           aligned_radii=(0.2,)))
         sol = solve_cg(assemble(mesh, radial_jump_field(2.0, 0.2), source=SourceTerm(BETA)))
-        separable = CountedSeparable(exact.pieces, exact.angular_wavenumber, exact.domain)
+        separable = CountedSeparable(exact.pieces, exact.domain)
         return sol, exact, separable, Counted(), calls
 
     def test_one_gradient_call_per_rule(self):
@@ -173,7 +173,7 @@ class TestH1ErrorVsAnalytic:
         # the H1 error infinite, as it does the H1 seminorm and every L^q
         # norm, and all three raise the one error type
         exact = annulus_solution(BETA, 0.2)
-        corner = SeparableSolution(exact.pieces, exact.angular_wavenumber, SectorDomain(BETA))
+        corner = SeparableSolution(exact.pieces, SectorDomain(BETA))
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0))
         sol = solve_cg(assemble(mesh, identity_field(), source=SourceTerm(BETA)))
         assert error_norms.DivergentNormError is analytic.DivergentNormError is DivergentNormError
@@ -193,7 +193,7 @@ class TestH1ErrorVsAnalytic:
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_annulus_bits_in_any_block_size(self, block, block_points):
-        # no corner cell: the corner rule sums an empty array
+        # no corner cell: the exact corner integration sums an empty array
         block_points(block)
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA, r_inner=0.2), 16, 24,
                                           grading=3.0))
@@ -337,24 +337,22 @@ class TestCornerCellsExactInR:
             ref = mp_corner_error(exact, cell, g)
             assert self.value(exact, cell, g) == pytest.approx(float(ref), rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("b,alpha,h,side,radii,tol,corner_rule_error", [
-        (1.1, 1e-2, np.pi / 16, "first", (1.3, 0.8), 1e-5, 3.3e-3),
-        (1.5, 1e2, np.pi / 16, "last", (0.8, 1.3), 1e-5, 5.0e-3),
-        (1.9, 1e-2, np.pi / 16, "first", (1.3, 0.8), 1e-5, 1.8e-3),
-        (1.5, 2.0, np.pi / 4, "last", (1.05, 1.05), 3e-5, 6.0e-4),
-        (1.9, 1e-2, np.pi / 4, "first", (1.05, 1.05), 3e-5, 1.0e-3),
+    @pytest.mark.parametrize("b,alpha,h,side,radii", [
+        (1.1, 1e-2, np.pi / 16, "first", (1.3, 0.8)),
+        (1.5, 1e2, np.pi / 16, "last", (0.8, 1.3)),
+        (1.9, 1e-2, np.pi / 16, "first", (1.3, 0.8)),
+        (1.5, 2.0, np.pi / 4, "last", (1.05, 1.05)),
+        (1.9, 1e-2, np.pi / 4, "first", (1.05, 1.05)),
     ])
-    def test_breakpoint_circle_crossing_the_far_side(self, b, alpha, h, side, radii, tol,
-                                                     corner_rule_error):
+    def test_breakpoint_circle_crossing_the_far_side(self, b, alpha, h, side, radii):
         # where the far side crosses the jump circle, once or (apex angle
-        # pi/4) twice, the theta integrands have a kink, which the 16-point
-        # rule resolves to 1.5e-6 .. 7e-6 and, over two kinks, 1.5e-5 ..
-        # 1.8e-5; the graded corner rule's relative errors were larger
+        # pi/4) twice, the theta integrands have a kink; split there, each
+        # part is smooth (one 16-point rule over the whole range was 1.5e-6
+        # .. 7e-6 off, and 1.5e-5 .. 1.8e-5 over two kinks)
         sol = jump_solution(b * np.pi, alpha, 0.1)
         cell = corner_cell(sol, h, side, radii=radii)
-        ref = float(mp_corner_error(sol, cell, self.G))
-        err = abs(self.value(sol, cell, self.G) - ref) / abs(ref)
-        assert err < min(tol, corner_rule_error)
+        ref = mp_corner_error(sol, cell, self.G)
+        assert self.value(sol, cell, self.G) == pytest.approx(float(ref), rel=1e-13, abs=0)
 
     def test_closed_form_in_r_against_a_radial_quadrature(self):
         # the reference's closed form in r against mpmath's quadrature in
