@@ -67,7 +67,7 @@ def sym_eigvals(mats):
     m = np.asarray(mats, dtype=float)
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     mean = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    disc = np.hypot(0.5 * (a - c), b)  # no squares to underflow or overflow
     return np.stack([mean - disc, mean + disc], axis=-1)
 
 

@@ -23,7 +23,12 @@ different last bits.  The rule points are formed and evaluated for
 ``BLOCK_POINTS // 6`` elements at a time (``_element_integrals``), into
 per-element arrays that the sums over elements (the matrix, the load, the
 energy) then read whole, so the blocks change no bit and the whole-mesh
-arrays of rule point values are never built.
+arrays of rule point values are never built.  ``assemble`` symmetrises the
+element matrices in place, builds the COO indices as int32 (the dtype
+``scipy.sparse`` picks for them, so it makes no copy) and releases the
+per-element coefficient and load arrays once they are read, so it holds
+fewer full-size temporaries at once; the element terms still meet in the
+same order, and the reduced matrix keeps its bits.
 
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
 them (``assemble`` and the banded preconditioner), not with the module:
@@ -177,19 +182,23 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
         elem = None if exc.index is None else int(exc.index) // TRI6_BARY.shape[0]
         raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
     ke = np.einsum("mix,mxy,mjy->mij", grads, abar, grads, optimize=True)
-    ke = 0.5 * (ke + np.swapaxes(ke, 1, 2))
+    del abar
+    # 0.5 * (ke + ke^T) in place; a diagonal entry keeps its bits
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ke[:, i, j] = ke[:, j, i] = 0.5 * (ke[:, i, j] + ke[:, j, i])
 
     import scipy.sparse as sp
 
-    tri = mesh.triangles
+    n = mesh.num_vertices
+    b = np.bincount(mesh.triangles.ravel(), weights=be.ravel(), minlength=n)
+    del be
+    # the index dtype scipy.sparse picks for this shape, so it takes them uncopied
+    tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                      shape=(mesh.num_vertices, mesh.num_vertices)).tocsr()
-    b = np.bincount(tri.ravel(), weights=be.ravel(), minlength=mesh.num_vertices)
+    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
-    free = ~mesh.boundary_flags
-    free_vertices = np.flatnonzero(free)
+    free_vertices = np.flatnonzero(~mesh.boundary_flags)
     K_ff = K[free_vertices][:, free_vertices].tocsr()
     K_ff.sum_duplicates()
     return SparseSystem(K_ff, b[free_vertices], free_vertices, mesh)

@@ -98,7 +98,7 @@ class TriMesh:
             )
             # one integer per (lo, hi) pair sorts as the pairs do, and
             # far faster than np.unique's row mode
-            lo, hi = np.sort(raw, axis=1).T
+            lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
             keys, inverse, counts = np.unique(
                 lo * self.num_vertices + hi, return_inverse=True, return_counts=True
             )

@@ -111,7 +111,8 @@ class TestMatrixPositivePart:
 
     def test_against_eigh(self, rng):
         # random, diagonal, equal-eigenvalue and nearly equal-eigenvalue
-        # matrices, with eigenvalues of either sign
+        # matrices, with eigenvalues of either sign, at unit scale and at
+        # scales whose squared entries underflow or overflow
         sym = rng.normal(size=(2000, 2, 2))
         sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
         diag = np.zeros((300, 2, 2))
@@ -122,12 +123,15 @@ class TestMatrixPositivePart:
         lam = np.repeat(rng.normal(size=600), 2).reshape(600, 2)
         lam[300:, 1] *= 1.0 + 1e-9 * rng.normal(size=300)
         spectral = np.einsum("nij,nj,nkj->nik", rot, lam, rot)
-        mats = np.concatenate([sym, diag, spectral])
-        mats[..., 1, 0] = mats[..., 0, 1]
-        w, v = np.linalg.eigh(mats)
-        expect = np.einsum("nij,nj,nkj->nik", v, np.maximum(w, 0.0), v)
-        scale = np.max(np.abs(mats), axis=(1, 2))
-        assert np.all(np.abs(matrix_positive_part(mats) - expect) <= 1e-14 * scale[:, None, None])
+        unit = np.concatenate([sym, diag, spectral])
+        unit[..., 1, 0] = unit[..., 0, 1]
+        for size in (1.0, 1e-300, 1e300):
+            mats = size * unit
+            w, v = np.linalg.eigh(mats)
+            expect = np.einsum("nij,nj,nkj->nik", v, np.maximum(w, 0.0), v)
+            scale = np.max(np.abs(mats), axis=(1, 2))
+            error = np.abs(matrix_positive_part(mats) - expect)
+            assert np.all(error <= 1e-14 * scale[:, None, None]), size
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

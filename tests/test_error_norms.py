@@ -202,8 +202,9 @@ class TestH1ErrorVsAnalytic:
         assert err.hex() == "0x1.e9736f8f6ba1ap-5"
 
     def test_memory_peak(self, refined_jump):
-        # 6.1 MB measured (numpy 2.4); evaluating each rule at all its cells
-        # at once peaked at 32.3 MB
+        # 5.2 MB measured (numpy 2.4); copying the cells' corners whole
+        # peaked at 7.5 MB, and evaluating each rule at all its cells at
+        # once at 32.3 MB
         sol, _, exact = refined_jump
         h1_error_vs_analytic(sol, exact)
         tracemalloc.start()
@@ -212,7 +213,7 @@ class TestH1ErrorVsAnalytic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 6.5 * 2**20
 
 
 def corner_cell(sol, h, side, radii=(0.8, 0.6)):
