@@ -30,16 +30,25 @@ per-element coefficient and load arrays once they are read, so it holds
 fewer full-size temporaries at once; the element terms still meet in the
 same order, and the reduced matrix keeps its bits.
 
+The solve sums in orders the code fixes, so its bits do not depend on the
+BLAS thread count: CG's inner products and norms are numpy's pairwise
+sums (``_dot``), not BLAS ``ddot``/``dnrm2``; the separable
+preconditioner's sine transform is numpy's FFT, not a dense product; and
+every exact block, the whole matrix or the separable preconditioner's
+corner rings, is factored by one routine, LAPACK's banded Cholesky
+(``_band_preconditioner``, measured bit-identical at 1 and 2 threads).
+
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
-them (``assemble`` and the banded preconditioner), not with the module:
+them (``assemble`` and ``_band_preconditioner``), not with the module:
 together they would add about 0.3 s and 30 MB to every import of the
-package, and the semi-analytic studies never assemble or solve.  The
-separable preconditioner needs numpy alone, so a refined solve never
-imports ``scipy.linalg``.
+package, and the semi-analytic studies never assemble or solve.  A
+refined sector solve imports ``scipy.linalg`` for its corner block, about
+8 MB and 40-75 ms on top of ``scipy.sparse``, once per process.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,10 +69,10 @@ if TYPE_CHECKING:
 LOCATE_PAIRS = 1 << 17
 
 # largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
-# taken as the CG preconditioner: a 96 x 64 sector needs 0.39 M, a once
-# refined 24 x 64 one 28.6 M and takes the separable preconditioner; also
-# the largest dense block, size^2 entries, that one factors for the rings
-# inside its tensor grid (381^2 = 0.15 M on a twice refined 24 x 64 sector)
+# of the whole matrix or of the separable preconditioner's corner block: a
+# 96 x 64 sector needs 0.39 M, a once refined 24 x 64 one 28.6 M and takes
+# the separable preconditioner, whose corner block needs 0.07 M twice
+# refined (192 * 381) and 0.46 M refined four times from 16 x 16
 BAND_ENTRIES = 1 << 20
 
 # smallest barycentric coordinate of a grouped point kept in its group's
@@ -224,7 +233,7 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     K = system.matrix
     b = system.rhs
     n = b.size
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(_dot(b, b))
     x = np.zeros(n)
     if norm_b == 0.0:
         return _expand(system, x, (0, 0.0))
@@ -243,20 +252,20 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     r = b.copy()
     z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     history = []
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
         Kp = K @ p
-        alpha = rz / float(p @ Kp)
+        alpha = rz / _dot(p, Kp)
         x += alpha * p
         r -= alpha * Kp
-        rel = float(np.linalg.norm(r)) / norm_b
+        rel = math.sqrt(_dot(r, r)) / norm_b
         history.append(rel)
         if rel <= rel_tol:
             break
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     else:
@@ -268,15 +277,22 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     return _expand(system, x, (iterations, history[-1]))
 
 
+def _dot(a, b):
+    """a . b by numpy's pairwise sum, whose order, unlike BLAS ddot's, does
+    not depend on the thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _band_preconditioner(K):
     """r -> K^-1 r through K's banded Cholesky factor, or None when the band
-    needs more than ``BAND_ENTRIES`` entries.  K is a symmetric CSR matrix
-    with a stored diagonal; with sorted indices, the last stored column of
-    row i is its rightmost."""
+    needs more than ``BAND_ENTRIES`` entries; ConvergenceFailure when K is
+    not positive definite.  K is a symmetric CSR matrix with a stored
+    diagonal, or empty (an annulus's corner block); with sorted indices,
+    the last stored column of row i is its rightmost."""
     if not K.has_sorted_indices:
         K = K.sorted_indices()
     n = K.shape[0]
-    bw = int(np.max(K.indices[K.indptr[1:] - 1] - np.arange(n)))
+    bw = int(np.max(K.indices[K.indptr[1:] - 1] - np.arange(n), initial=0))
     if (bw + 1) * n > BAND_ENTRIES:
         return None
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -307,18 +323,17 @@ def _separable_preconditioner(K, xy):
     1e-9, and K may couple two of their unknowns only one ring and one
     angle apart.  On them M averages K per ring (diagonal D, angular Th,
     radial R, diagonal-neighbour G) and is diagonalised by the orthonormal
-    sine matrix S of size n_t: angular mode m, with eigenvalue
-    lam_m = 2 cos(m pi / (n_t + 1)) of the angular shift pair, is one
-    tridiagonal system over the rings with diagonal D + Th lam_m and
+    sine transform of size n_t (``_sine_transform``): angular mode m, with
+    eigenvalue lam_m = 2 cos(m pi / (n_t + 1)) of the angular shift pair,
+    is one tridiagonal system over the rings with diagonal D + Th lam_m and
     off-diagonal R + G lam_m / 2 (G symmetrised in angle), factored LDL^T
     for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     The rings inside, such as the coarser ones ``refine_uniform`` leaves at
-    a corner, get their exact block of K when it has at most
-    ``BAND_ENTRIES`` entries: its dense Cholesky factor L, ring-major, is
-    inverted ring by ring (``_ring_inverse``), and the block is applied as
-    L^-T L^-1.  M drops the couplings between the two parts (block
-    Jacobi).  A non-positive pivot or a failed Cholesky factorisation also
-    gives None, so M is symmetric positive definite.
+    a corner, get their exact block of K, ring-major and so banded, through
+    ``_band_preconditioner`` and its one size rule.  M drops the couplings
+    between the two parts (block Jacobi).  A non-positive pivot, an inner
+    block over ``BAND_ENTRIES`` or one that fails to factor also gives
+    None, so M is symmetric positive definite.
     """
     n = K.shape[0]
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -335,8 +350,6 @@ def _separable_preconditioner(K, xy):
     if first == counts.size:  # the outermost ring is not a full one
         return None
     n_in = int(np.sum(counts[:first]))
-    if n_in * n_in > BAND_ENTRIES:
-        return None
     inner = order[:n_in]
     grid = order[n_in:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
     th = theta[grid]
@@ -349,9 +362,7 @@ def _separable_preconditioner(K, xy):
     D, Th, R, G = couplings.T
     n_r = grid.shape[0]
 
-    m = np.arange(1, n_t + 1)
-    lam = 2.0 * np.cos(m * np.pi / (n_t + 1))
-    S = np.sqrt(2.0 / (n_t + 1)) * np.sin(np.outer(m, m) * np.pi / (n_t + 1))
+    lam = 2.0 * np.cos(np.arange(1, n_t + 1) * np.pi / (n_t + 1))
     diag = D[:, None] + Th[:, None] * lam
     off = R[:-1, None] + 0.5 * G[:-1, None] * lam
     pivots = np.empty_like(diag)
@@ -363,38 +374,35 @@ def _separable_preconditioner(K, xy):
     if not np.all(pivots > 0.0):
         return None
     try:
-        inner_inverse = _ring_inverse(np.linalg.cholesky(K[inner][:, inner].toarray()),
-                                      counts[:first])
-    except np.linalg.LinAlgError:
+        inner_solve = _band_preconditioner(K[inner][:, inner])
+    except ConvergenceFailure:
+        return None
+    if inner_solve is None:
         return None
 
     def precondition(res):
-        f = res[grid] @ S
+        f = _sine_transform(res[grid])
         for i in range(1, n_r):
             f[i] -= ell[i - 1] * f[i - 1]
         f /= pivots
         for i in range(n_r - 2, -1, -1):
             f[i] -= ell[i] * f[i + 1]
         z = np.empty(n)
-        z[grid] = f @ S
-        z[inner] = inner_inverse.T @ (inner_inverse @ res[inner])
+        z[grid] = _sine_transform(f)
+        z[inner] = inner_solve(res[inner])
         return z
     return precondition
 
 
-def _ring_inverse(L, sizes):
-    """The inverse of a lower triangular L whose diagonal blocks have the
-    given ``sizes`` (one per ring), block row by block row: each diagonal
-    block is inverted, and the block row i left of it is
-    -L_ii^-1 (L_i,<i L^-1_<i), from the rows of L^-1 already formed."""
-    inverse = np.zeros_like(L)
-    lo = 0
-    for size in sizes:
-        s = slice(lo, lo + size)
-        inverse[s, s] = np.linalg.inv(L[s, s])
-        inverse[s, :lo] = -inverse[s, s] @ (L[s, :lo] @ inverse[:lo, :lo])
-        lo += size
-    return inverse
+def _sine_transform(x):
+    """The orthonormal DST-I of each row of x, (rows, n), as x @ S with
+    S_jk = sqrt(2 / (n + 1)) sin((j + 1)(k + 1) pi / (n + 1)): minus the
+    imaginary part of the real FFT of the odd extension [0, x, 0, -x
+    reversed], which numpy computes in a fixed order without BLAS."""
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.fft.rfft(odd)[..., 1:n + 1].imag * -np.sqrt(0.5 / (n + 1))
 
 
 def _ring_couplings(K, grid):

@@ -28,8 +28,8 @@ from ellipstab.fem import (
     _contains,
     _band_preconditioner,
     _Locator,
-    _ring_inverse,
     _separable_preconditioner,
+    _sine_transform,
     assemble,
     evaluate_gradient_many,
     solve_cg,
@@ -301,7 +301,7 @@ class TestAssemble:
                                           aligned_radii=[0.3]))
         field = radial_jump_field(1e-2, 0.3)
         sol = solve_cg(assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA)))
-        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e4p+0"
+        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6eap+0"
 
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
@@ -599,28 +599,50 @@ class TestSeparablePreconditioner:
         assert _separable_preconditioner((system.matrix + far).tocsr(), xy) is None
 
     def test_inner_block_over_band_entries_falls_back(self, tensor_meshes, monkeypatch):
+        # the inner block's three rings, ring-major, have bandwidth 191, the
+        # outer ring's size: (bandwidth + 1) * unknowns entries
         system, xy = separable_case(tensor_meshes["sector"])
-        n_inner = 63 + 127 + 191
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", n_inner**2)
+        entries = (191 + 1) * (63 + 127 + 191)
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", entries)
         assert _separable_preconditioner(system.matrix, xy) is not None
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", n_inner**2 - 1)
+        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", entries - 1)
         assert _separable_preconditioner(system.matrix, xy) is None
 
-    @pytest.mark.parametrize("sizes", [(), (63,), (63, 127, 191)])
-    def test_ring_inverse_is_the_inverse(self, tensor_meshes, sizes):
-        # the Cholesky factor of the refined sector's inner block (its three
-        # rings) and of its leading rings, or an empty one (an annulus)
+    def test_indefinite_inner_block_falls_back(self, tensor_meshes):
+        # the tensor rings keep their couplings, so their mode pivots stay
+        # positive; only the diagonal of the three inner rings is lowered
         system, xy = separable_case(tensor_meshes["sector"])
-        r = np.hypot(xy[:, 0], xy[:, 1])
-        inner = np.lexsort((np.arctan2(xy[:, 1], xy[:, 0]), r))[:sum(sizes)]
-        L = np.linalg.cholesky(system.matrix[inner][:, inner].toarray())
-        inverse = _ring_inverse(L, sizes)
-        assert inverse.shape == L.shape
-        assert np.array_equal(np.triu(inverse, 1), np.zeros_like(L))
-        if sizes:
-            reference = np.linalg.inv(L)
-            assert np.max(np.abs(inverse - reference)) <= 1e-14 * np.max(np.abs(reference))
-            assert np.max(np.abs(inverse @ L - np.eye(L.shape[0]))) <= 1e-14
+        K = system.matrix
+        inner = np.argsort(np.hypot(xy[:, 0], xy[:, 1]))[:63 + 127 + 191]
+        lowered = np.zeros(K.shape[0])
+        lowered[inner] = 0.5 * K.diagonal()[inner]
+        shifted = (K - sp.diags(lowered)).tocsr()
+        block = shifted[inner][:, inner].toarray()
+        assert np.all(np.diag(block) > 0.0)
+        assert np.linalg.eigvalsh(block)[0] < 0.0
+        assert _separable_preconditioner(K, xy) is not None
+        assert _separable_preconditioner(shifted, xy) is None
+
+    def test_deep_refinement_takes_the_separable_path(self):
+        # refined four times, the corner keeps 15 rings of 15, 31, ..., 239
+        # unknowns, 1 905 in all: 1905^2 entries as a dense block, over
+        # BAND_ENTRIES, but banded in ring-major order; Jacobi took 977
+        # iterations
+        mesh = mesh_sector(SectorDomain(BETA), 16, 16, grading=3.0)
+        for _ in range(4):
+            mesh = refine_uniform(mesh)
+        system, xy = separable_case(mesh)
+        assert _separable_preconditioner(system.matrix, xy) is not None
+        assert solve_cg(system).solve_report[0] <= 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 255])
+def test_sine_transform_is_the_orthonormal_sine_matrix(n, rng):
+    k = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) * np.pi / (n + 1))
+    x = rng.normal(size=(3, n))
+    reference = x @ S
+    assert np.max(np.abs(_sine_transform(x) - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestEvaluateGradient:

@@ -1,13 +1,11 @@
 """Importing the package leaves out the scipy modules only some calls need.
 
 ``scipy.sparse`` (the stiffness matrix of ``fem.assemble``) costs about
-0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky
-preconditioner of ``fem.solve_cg``) about 7 MB and 40 ms more, and
+0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky factors
+of ``fem.solve_cg``) about 8 MB and 40-75 ms on top of it, and
 ``scipy.sparse.csgraph`` (which pulls in ``scipy.linalg``) about 10 MB and
 60 ms; the semi-analytic studies never assemble or solve, so none of them
-may be imported at module level, nor by a semi-analytic command.  A
-refined solve takes the separable preconditioner, which leaves out
-``scipy.linalg``.
+may be imported at module level, nor by a semi-analytic command.
 """
 
 import os
@@ -55,7 +53,7 @@ def lazy_imports(commands):
 
 
 def test_semi_analytic_commands_leave_out_scipy_sparse():
-    assert "scipy.sparse" not in lazy_imports(SEMI_COMMANDS)
+    assert lazy_imports(SEMI_COMMANDS) == []
 
 
 def test_solve_imports_scipy_sparse(tmp_path):
@@ -63,11 +61,3 @@ def test_solve_imports_scipy_sparse(tmp_path):
     solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
              "--out-prefix", str(tmp_path / "run"))
     assert "scipy.sparse" in lazy_imports((solve,))
-
-
-def test_refined_solve_leaves_out_scipy_linalg(tmp_path):
-    # the refined system is too wide for the banded factor and takes the
-    # separable preconditioner, which needs only numpy
-    solve = ("solve", "--domain", "sector", "--coeff", "jump", "--refine", "2",
-             "--out-prefix", str(tmp_path / "run"))
-    assert "scipy.linalg" not in lazy_imports((solve,))
