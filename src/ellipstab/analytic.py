@@ -43,8 +43,11 @@ class SourceTerm:
         return np.pi / self.beta
 
     def value(self, points):
-        theta = polar_angle(points)
-        return self.amplitude * np.sin(self.angular_wavenumber * theta)
+        values = polar_angle(points)  # a fresh array, turned into the values in place
+        values *= self.angular_wavenumber
+        np.sin(values, out=values)
+        values *= self.amplitude
+        return values
 
     def __call__(self, points):
         return self.value(points)

@@ -4,13 +4,13 @@ The assembled form is  Q(u, v) = int a_ij u_xi v_xj g dx  with an optional
 positive density g (defaults to 1), and the load is  int f * sw * v dx with
 an optional source weight sw.  Dirichlet rows and columns are eliminated
 symmetrically so the reduced system stays symmetric positive definite and
-a preconditioned conjugate gradient applies.  The preconditioner is the
-banded Cholesky factor of the reduced matrix when its band, in the mesh's
-own vertex numbering, fits ``BAND_ENTRIES`` stored entries (a ring-by-ring
-sector mesh: CG then stops after one iteration); else a fast-diagonalization
-solve when the unknowns lie on a polar tensor grid (a uniformly refined
-sector or annulus mesh, whose numbering is not banded: CG then stops after
-about five iterations); and Jacobi otherwise (a refined graph-domain mesh).
+a preconditioned conjugate gradient applies.  The preconditioner is a
+fast-diagonalization solve when the unknowns lie on a polar tensor grid (a
+sector or annulus mesh; with a radial coefficient field, CG stops after one
+iteration unrefined, where the solve inverts the matrix up to rounding, and
+after about five uniformly refined, where the corner's coarser rings take a
+banded Cholesky block), and Jacobi otherwise (a graph-domain mesh, or a
+system without a mesh).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
@@ -34,16 +34,18 @@ The solve sums in orders the code fixes, so its bits do not depend on the
 BLAS thread count: CG's inner products and norms are numpy's pairwise
 sums (``_dot``), not BLAS ``ddot``/``dnrm2``; the separable
 preconditioner's sine transform is numpy's FFT, not a dense product; and
-every exact block, the whole matrix or the separable preconditioner's
-corner rings, is factored by one routine, LAPACK's banded Cholesky
-(``_band_preconditioner``, measured bit-identical at 1 and 2 threads).
+its one exact block, the corner rings of a refined mesh, is factored by
+LAPACK's banded Cholesky (``_band_preconditioner``, measured bit-identical
+at 1 and 2 threads).
 
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
 them (``assemble`` and ``_band_preconditioner``), not with the module:
 together they would add about 0.3 s and 30 MB to every import of the
-package, and the semi-analytic studies never assemble or solve.  A
-refined sector solve imports ``scipy.linalg`` for its corner block, about
-8 MB and 40-75 ms on top of ``scipy.sparse``, once per process.
+package, and the semi-analytic studies never assemble or solve.  An
+unrefined sector or annulus has no corner block, so the FEM domain study
+never imports ``scipy.linalg``; a refined sector solve imports it for its
+corner block, about 8 MB and 40-75 ms on top of ``scipy.sparse``, once per
+process.
 """
 
 from __future__ import annotations
@@ -69,10 +71,9 @@ if TYPE_CHECKING:
 LOCATE_PAIRS = 1 << 17
 
 # largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
-# of the whole matrix or of the separable preconditioner's corner block: a
-# 96 x 64 sector needs 0.39 M, a once refined 24 x 64 one 28.6 M and takes
-# the separable preconditioner, whose corner block needs 0.07 M twice
-# refined (192 * 381) and 0.46 M refined four times from 16 x 16
+# of the separable preconditioner's corner block, ring-major: a 24 x 64
+# sector needs 0.07 M twice refined (192 * 381), a 16 x 16 one 0.46 M
+# refined four times; an unrefined mesh has no corner block
 BAND_ENTRIES = 1 << 20
 
 # smallest barycentric coordinate of a grouped point kept in its group's
@@ -216,15 +217,13 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
 def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     """Preconditioned conjugate gradients on the reduced system.
 
-    The preconditioner is the banded Cholesky factor of the matrix when
-    (bandwidth + 1) * unknowns <= ``BAND_ENTRIES``; else, for a system from
-    a mesh whose free vertices lie on a polar tensor grid, the
-    fast-diagonalization solve of ``_separable_preconditioner``; and Jacobi
-    otherwise (a system without a mesh included).  Stops when
-    ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure with the
-    residual history when the iteration cap is hit (with an empty history
-    when the banded factorization fails), and ValueError for a cap below 1
-    or a tolerance that is not finite and positive.
+    The preconditioner is the fast-diagonalization solve of
+    ``_separable_preconditioner`` for a system from a mesh whose free
+    vertices lie on a polar tensor grid, and Jacobi otherwise (a system
+    without a mesh included).  Stops when ||b - K x|| <= rel_tol * ||b||;
+    raises ConvergenceFailure with the residual history when the iteration
+    cap is hit, and ValueError for a cap below 1 or a tolerance that is not
+    finite and positive.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -240,8 +239,8 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     diag = K.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("system diagonal is not positive")
-    precondition = _band_preconditioner(K)
-    if precondition is None and system.mesh is not None:
+    precondition = None
+    if system.mesh is not None:
         precondition = _separable_preconditioner(
             K, system.mesh.vertices[system.free_vertices])
     if precondition is None:
@@ -285,10 +284,11 @@ def _dot(a, b):
 
 def _band_preconditioner(K):
     """r -> K^-1 r through K's banded Cholesky factor, or None when the band
-    needs more than ``BAND_ENTRIES`` entries; ConvergenceFailure when K is
-    not positive definite.  K is a symmetric CSR matrix with a stored
-    diagonal, or empty (an annulus's corner block); with sorted indices,
-    the last stored column of row i is its rightmost."""
+    needs more than ``BAND_ENTRIES`` entries; ConvergenceFailure with an
+    empty history when K is not positive definite.  K is a symmetric CSR
+    matrix with a stored diagonal, the corner block of
+    ``_separable_preconditioner``; with sorted indices, the last stored
+    column of row i is its rightmost."""
     if not K.has_sorted_indices:
         K = K.sorted_indices()
     n = K.shape[0]
@@ -330,10 +330,10 @@ def _separable_preconditioner(K, xy):
     for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     The rings inside, such as the coarser ones ``refine_uniform`` leaves at
     a corner, get their exact block of K, ring-major and so banded, through
-    ``_band_preconditioner`` and its one size rule.  M drops the couplings
-    between the two parts (block Jacobi).  A non-positive pivot, an inner
-    block over ``BAND_ENTRIES`` or one that fails to factor also gives
-    None, so M is symmetric positive definite.
+    ``_band_preconditioner`` and its one size rule; an unrefined mesh has
+    none.  M drops the couplings between the two parts (block Jacobi).  A
+    non-positive pivot, an inner block over ``BAND_ENTRIES`` or one that
+    fails to factor also gives None, so M is symmetric positive definite.
     """
     n = K.shape[0]
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -373,12 +373,14 @@ def _separable_preconditioner(K, xy):
         pivots[i] = diag[i] - ell[i - 1] * off[i - 1]
     if not np.all(pivots > 0.0):
         return None
-    try:
-        inner_solve = _band_preconditioner(K[inner][:, inner])
-    except ConvergenceFailure:
-        return None
-    if inner_solve is None:
-        return None
+    inner_solve = None
+    if n_in:  # an unrefined mesh has no corner block to factor
+        try:
+            inner_solve = _band_preconditioner(K[inner][:, inner])
+        except ConvergenceFailure:
+            return None
+        if inner_solve is None:
+            return None
 
     def precondition(res):
         f = _sine_transform(res[grid])
@@ -389,7 +391,8 @@ def _separable_preconditioner(K, xy):
             f[i] -= ell[i] * f[i + 1]
         z = np.empty(n)
         z[grid] = _sine_transform(f)
-        z[inner] = inner_solve(res[inner])
+        if inner_solve is not None:
+            z[inner] = inner_solve(res[inner])
         return z
     return precondition
 
@@ -504,7 +507,7 @@ class _Locator:
         rest = groups[:, 1:]
         # a first point outside the mesh (-1) reads the last frame; the
         # mask drops its group
-        l1, l2 = _barycentric(self.frames[first][:, None], rest)
+        l1, l2 = _barycentric(np.take(self.frames, first, axis=0)[:, None], rest)
         kept = ((first >= 0)[:, None] & (l1 > GROUP_MARGIN) & (l2 > GROUP_MARGIN)
                 & (l1 + l2 < 1.0 - GROUP_MARGIN))
         result = np.repeat(first[:, None], groups.shape[1], axis=1)
@@ -539,7 +542,8 @@ class _Locator:
         p_rep = np.repeat(np.arange(pts.shape[0]), cnt)
         flat = np.arange(total) + np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
         t_cand = self.pair_tris[flat]
-        inside = _contains(self.frames[t_cand], pts[p_rep], tol)
+        inside = _contains(np.take(self.frames, t_cand, axis=0),
+                           np.take(pts, p_rep, axis=0), tol)
         # pairs are ordered by (point, ascending triangle); first hit wins
         hit_p = p_rep[inside]
         hit_t = t_cand[inside]

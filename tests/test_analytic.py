@@ -16,8 +16,9 @@ from ellipstab.analytic import (
 )
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
 from ellipstab.experiments import composition_inequality_check
-from ellipstab.geometry import SectorDomain
-from ellipstab.quadrature import integrate_radial
+from ellipstab.geometry import TWO_PI, SectorDomain
+from ellipstab.meshing import mesh_sector, refine_uniform
+from ellipstab.quadrature import integrate_radial, tri6_points
 
 BETA = 1.5 * np.pi
 K = np.pi / BETA
@@ -219,8 +220,6 @@ class TestH1Seminorm:
         # independent oracle: triangle quadrature of |grad u|^2 on a fine mesh
         from ellipstab.error_norms import h1_error_vs_analytic
         from ellipstab.fem import FemSolution
-        from ellipstab.meshing import mesh_sector
-        from ellipstab.geometry import SectorDomain
 
         mesh = mesh_sector(SectorDomain(BETA), 96, 96, grading=3.0)
         zero = FemSolution(mesh, np.zeros(mesh.num_vertices), (0, 0.0))
@@ -599,3 +598,18 @@ class TestOnePassEvaluator:
     def test_profile_at_the_corner_is_quiet(self):
         # pyproject turns RuntimeWarnings into errors
         assert limit_solution(BETA).radial_profile(np.array([0.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("beta", [1.1 * np.pi, 1.5 * np.pi, 1.9 * np.pi])
+def test_source_term_keeps_the_bits_of_the_product_formula(beta, refine):
+    mesh = mesh_sector(SectorDomain(beta), 12, 16, grading=3.0, aligned_radii=[0.2])
+    if refine:
+        mesh = refine_uniform(mesh)
+    pts = tri6_points(mesh.corners()).reshape(-1, 2)
+    source = SourceTerm(beta)
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    assert np.array_equal(source.value(pts),
+                          source.amplitude * np.sin(source.angular_wavenumber * theta))
+    assert np.array_equal(source.value(pts[7]), source.value(pts[7:8])[0])

@@ -398,7 +398,6 @@ class TestAssembleProperties:
 
 
 def force_jacobi(monkeypatch):
-    monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", 0)
     monkeypatch.setattr("ellipstab.fem._separable_preconditioner", lambda K, xy: None)
 
 
@@ -433,29 +432,31 @@ class TestSolveCg:
             solve_cg(system, rel_tol=1e-14, max_iter=3)
         assert len(err.value.residual_history) == 3
 
-    def test_max_iter_failure_carries_history_banded(self):
-        # each iteration with the exact factor cuts the residual by about
-        # rounding (1e-15), so three cannot reach 1e-300
+    def test_max_iter_failure_carries_history_separable(self, no_band_factor):
+        # on an unrefined sector the separable preconditioner is K's inverse
+        # up to rounding, so each iteration cuts the residual by about
+        # rounding, and three cannot reach 1e-300
         system, _ = solve_limit_problem(8, 8)
         with pytest.raises(ConvergenceFailure) as err:
             solve_cg(system, rel_tol=1e-300, max_iter=3)
         assert len(err.value.residual_history) == 3
 
-    def test_ring_numbered_sector_solves_in_one_banded_step(self, monkeypatch):
+    def test_ring_numbered_sector_solves_in_one_separable_step(self, monkeypatch,
+                                                               no_band_factor):
         # the domain study's mesh: 96 x 64, grading 3, circles at eps and 2 eps
         sector = SectorDomain(BETA)
         radii = graded_radii(sector, 96, 3.0, aligned_radii=(1e-3, 2e-3))
         mesh = mesh_sector_from_radii(sector, radii, 64)
         system = assemble(mesh, identity_field(), source=SourceTerm(BETA))
-        banded = solve_cg(system)
-        iterations, residual = banded.solve_report
-        assert iterations <= 2
+        separable = solve_cg(system)
+        iterations, residual = separable.solve_report
+        assert iterations == 1
         assert residual <= 1e-12
         force_jacobi(monkeypatch)
         jacobi = solve_cg(system)
         assert jacobi.solve_report[0] > 100
         scale = np.max(np.abs(jacobi.nodal_values))
-        assert np.max(np.abs(banded.nodal_values - jacobi.nodal_values)) <= 1e-9 * scale
+        assert np.max(np.abs(separable.nodal_values - jacobi.nodal_values)) <= 1e-9 * scale
 
     def test_refined_sector_takes_the_separable_path(self, monkeypatch):
         # uniform refinement numbers midpoints after every old vertex, so
@@ -472,23 +473,41 @@ class TestSolveCg:
         assert np.max(np.abs(sol.nodal_values - forced.nodal_values)) <= 1e-9 * scale
 
     def test_unsorted_indices_take_the_full_band(self):
-        # each row's columns stored in descending order
+        # each row's columns stored in descending order; a band read from
+        # the unsorted rows would be 0 and the factor that of the diagonal
         data = np.array([-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -1.0])
         indices = np.array([1, 0, 2, 1, 0, 2, 1])
         K = sp.csr_matrix((data, indices, np.array([0, 2, 5, 7])), shape=(3, 3))
         assert not K.has_sorted_indices
-        system = SparseSystem(K, np.ones(3), np.arange(3), mesh=None)
-        sol = solve_cg(system, rel_tol=1e-14)
-        assert sol.solve_report[0] == 1
-        assert np.allclose(sol.nodal_values, [1.5, 2.0, 1.5], atol=1e-12)
+        precondition = _band_preconditioner(K)
+        assert np.allclose(precondition(np.ones(3)), [1.5, 2.0, 1.5], atol=1e-12)
 
     def test_indefinite_band_is_convergence_failure(self):
         # positive diagonal, negative eigenvalue: the factorization fails
         K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        system = SparseSystem(K, np.ones(2), np.arange(2), mesh=None)
         with pytest.raises(ConvergenceFailure, match="Cholesky") as err:
-            solve_cg(system)
+            _band_preconditioner(K)
         assert err.value.residual_history == ()
+
+    def test_system_without_a_mesh_takes_jacobi(self, no_band_factor):
+        K = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        sol = solve_cg(SparseSystem(K, np.ones(2), np.arange(2), mesh=None), rel_tol=1e-14)
+        assert sol.solve_report[0] == 2
+        assert np.allclose(sol.nodal_values, [2.0 / 11.0, 3.0 / 11.0], atol=1e-14)
+
+    def test_graph_domain_takes_jacobi(self, no_band_factor):
+        # height 0.85, identity field, unit source: no polar grid, so Jacobi;
+        # 166 iterations measured, where the banded factor of the whole
+        # matrix, tried first before, solved it in one
+        dom = GraphDomain.from_height(lambda x: 0.85 + 0.0 * x, n_grid=2)
+        system = assemble(mesh_graph_domain(dom, 64, 64), identity_field(),
+                          source=lambda p: np.ones(p.shape[:-1]))
+        # the name imported here is the unpatched routine
+        previous = _band_preconditioner(system.matrix)(system.rhs)
+        sol = solve_cg(system)
+        assert sol.solve_report[0] <= 200
+        x = sol.nodal_values[system.free_vertices]
+        assert np.max(np.abs(x - previous)) <= 1e-9 * np.max(np.abs(previous))
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_cap_below_one_is_rejected(self, max_iter):
@@ -546,7 +565,6 @@ class TestSeparablePreconditioner:
     def test_agrees_with_a_direct_solve(self, tensor_meshes, name, alpha):
         system, xy = separable_case(tensor_meshes[name], radial_jump_field(alpha, 0.2))
         K = system.matrix
-        assert _band_preconditioner(K) is None
         assert _separable_preconditioner(K, xy) is not None
         sol = solve_cg(system)
         assert sol.solve_report[0] <= 10
@@ -570,7 +588,6 @@ class TestSeparablePreconditioner:
         dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
         mesh = refine_uniform(mesh_graph_domain(dom, 24, 20))
         system = assemble(mesh, identity_field(), source=lambda p: 1.0 + p[..., 0] * p[..., 1])
-        assert _band_preconditioner(system.matrix) is None
         assert _separable_preconditioner(system.matrix,
                                          mesh.vertices[system.free_vertices]) is None
         sol = solve_cg(system)

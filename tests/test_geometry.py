@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import affine_map
-from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
-from ellipstab.quadrature import halton
+from ellipstab.geometry import TWO_PI, GraphDomain, SectorDomain, polar_angle, radial_shift_map
+from ellipstab.meshing import mesh_graph_domain, mesh_sector, refine_uniform
+from ellipstab.quadrature import halton, tri6_points
 
 BETA = 1.5 * np.pi
 
@@ -152,3 +153,35 @@ class TestAffineMap:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             affine_map([[1.0, 2.0], [0.5, 1.0]])
+
+
+def polar_angle_reference(points):
+    theta = np.arctan2(points[..., 1], points[..., 0])
+    return np.where(theta < 0.0, theta + TWO_PI, theta)
+
+
+def rule_points(kind):
+    """The six-point rule points of a sector, a refined sector or a graph
+    mesh, (M * 6, 2); a graph mesh shifted by -0.5 in x and y so its angles
+    span every quadrant."""
+    if kind == "graph":
+        mesh = mesh_graph_domain(GraphDomain.from_height(lambda x: 0.6 + 0.3 * x), 9, 7)
+        return tri6_points(mesh.corners()).reshape(-1, 2) - 0.5
+    mesh = mesh_sector(SectorDomain(1.5 * np.pi), 12, 16, grading=3.0, aligned_radii=[0.2])
+    if kind == "refined":
+        mesh = refine_uniform(mesh)
+    return tri6_points(mesh.corners()).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("kind", ["sector", "refined", "graph"])
+def test_polar_angle_keeps_the_bits_of_the_where_formula(kind):
+    pts = rule_points(kind)
+    assert np.array_equal(polar_angle(pts), polar_angle_reference(pts))
+
+
+@pytest.mark.parametrize("point", [[1.0, -1.0], [-1.0, 0.5], [0.0, 0.0], [2.0, -0.0]])
+def test_polar_angle_of_one_point(point):
+    theta = polar_angle(point)
+    assert np.shape(theta) == ()
+    assert np.array_equal(theta, polar_angle_reference(np.array(point)))
+    assert 0.0 <= theta < TWO_PI

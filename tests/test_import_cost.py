@@ -1,11 +1,13 @@
 """Importing the package leaves out the scipy modules only some calls need.
 
 ``scipy.sparse`` (the stiffness matrix of ``fem.assemble``) costs about
-0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky factors
-of ``fem.solve_cg``) about 8 MB and 40-75 ms on top of it, and
-``scipy.sparse.csgraph`` (which pulls in ``scipy.linalg``) about 10 MB and
-60 ms; the semi-analytic studies never assemble or solve, so none of them
-may be imported at module level, nor by a semi-analytic command.
+0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky factor of
+a refined mesh's corner block in ``fem.solve_cg``) about 8 MB and 40-75 ms
+on top of it, and ``scipy.sparse.csgraph`` (which pulls in
+``scipy.linalg``) about 10 MB and 60 ms.  The semi-analytic studies never
+assemble or solve, so none of them may be imported at module level, nor by
+a semi-analytic command; the FEM domain study solves on unrefined meshes,
+which have no corner block, so it may import ``scipy.sparse`` alone.
 """
 
 import os
@@ -61,3 +63,16 @@ def test_solve_imports_scipy_sparse(tmp_path):
     solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
              "--out-prefix", str(tmp_path / "run"))
     assert "scipy.sparse" in lazy_imports((solve,))
+
+
+def test_fem_domain_study_leaves_out_scipy_linalg():
+    study = ("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
+             "--eps-min", "1e-2")
+    assert lazy_imports((study,)) == ["scipy.sparse"]
+
+
+def test_refined_solve_imports_scipy_linalg(tmp_path):
+    # the guard above would pass vacuously if no command imported it
+    solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
+             "--refine", "1", "--out-prefix", str(tmp_path / "run"))
+    assert "scipy.linalg" in lazy_imports((solve,))

@@ -93,6 +93,37 @@ class TestMeshSector:
             mesh_sector(SectorDomain(BETA), 4, 1)
 
 
+def geometry_meshes():
+    """A graded sector with an aligned circle, that sector refined, and a
+    graph-domain mesh."""
+    sector = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.2])
+    graph = mesh_graph_domain(flat_domain(lambda x: 0.6 + 0.3 * x**2), 9, 7)
+    return {"sector": sector, "refined": refine_uniform(sector), "graph": graph}
+
+
+def corners_reference(mesh):
+    return mesh.vertices[mesh.triangles]
+
+
+def signed_areas_reference(mesh):
+    p = corners_reference(mesh)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def p1_gradients_reference(mesh):
+    p = corners_reference(mesh)
+    det = 2.0 * signed_areas_reference(mesh)
+    g = np.empty((mesh.num_triangles, 3, 2))
+    for i in range(3):
+        a = p[:, (i + 1) % 3]
+        b = p[:, (i + 2) % 3]
+        g[:, i, 0] = (a[:, 1] - b[:, 1]) / det
+        g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+    return g
+
+
 class TestCachedGeometry:
     @pytest.mark.parametrize("name", ["corners", "signed_areas", "p1_gradients"])
     def test_gathered_once_and_read_only(self, name):
@@ -101,6 +132,17 @@ class TestCachedGeometry:
         assert getattr(mesh, name)() is first
         with pytest.raises(ValueError):
             first[0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["sector", "refined", "graph"])
+    @pytest.mark.parametrize("name,reference", [
+        ("corners", corners_reference),
+        ("signed_areas", signed_areas_reference),
+        ("p1_gradients", p1_gradients_reference),
+    ])
+    def test_bits_of_the_fancy_indexed_formulas(self, kind, name, reference):
+        # the gathers and the per-coordinate sums keep every bit
+        mesh = geometry_meshes()[kind]
+        assert np.array_equal(getattr(mesh, name)(), reference(mesh))
 
 
 class TestMeshGraphDomain:
