@@ -121,6 +121,7 @@ def radial_jump_field(alpha, eps):
     band of 1e-14 around eps^2, x^2 + y^2 decides, since there it agrees
     with ``np.hypot``.  Inside the band ``np.hypot`` decides, and it decides
     every point when eps^2 is not a normal double (eps below about 1.5e-154).
+    Each point's matrix is then taken from a two-row table, outer and inner.
     """
     alpha = float(alpha)
     eps = float(eps)
@@ -202,7 +203,8 @@ def pullback_field(field, bilip):
 
 
 def lp_distance(field_a, field_b, p, domain):
-    """Entrywise-sup L^p distance, finite p >= 1, between two fields over a sector.
+    """Entrywise-sup L^p distance, finite p >= 1, between two fields over a sector;
+    an infinite or NaN p is a ValueError.
 
     The integral uses polar quadrature with radial breakpoints at both
     fields' interface radii.  The entries are divided by the largest sampled

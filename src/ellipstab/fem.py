@@ -8,7 +8,7 @@ a preconditioned conjugate gradient applies.  The preconditioner is a
 fast-diagonalization solve when the unknowns lie on a polar tensor grid (a
 sector or annulus mesh; with a radial coefficient field, CG stops after one
 iteration unrefined, where the solve inverts the matrix up to rounding, and
-after about five uniformly refined, where the corner's coarser rings take a
+after a few uniformly refined, where the corner's coarser rings take a
 banded Cholesky block), and Jacobi otherwise (a graph-domain mesh, or a
 system without a mesh).
 
@@ -39,13 +39,11 @@ LAPACK's banded Cholesky (``_band_preconditioner``, measured bit-identical
 at 1 and 2 threads).
 
 ``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
-them (``assemble`` and ``_band_preconditioner``), not with the module:
-together they would add about 0.3 s and 30 MB to every import of the
-package, and the semi-analytic studies never assemble or solve.  An
-unrefined sector or annulus has no corner block, so the FEM domain study
-never imports ``scipy.linalg``; a refined sector solve imports it for its
-corner block, about 8 MB and 40-75 ms on top of ``scipy.sparse``, once per
-process.
+them (``assemble`` and ``_band_preconditioner``), not with the module: the
+semi-analytic studies never assemble or solve, and an unrefined sector or
+annulus has no corner block to factor, so the FEM domain study needs
+``scipy.sparse`` alone.  ``tests/test_import_cost.py`` guards this and
+states what each import costs.
 """
 
 from __future__ import annotations
@@ -570,12 +568,6 @@ def _contains(frames, pts, tol):
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
-def _locator(mesh):
-    if mesh._locator is None:
-        mesh._locator = _Locator(mesh)
-    return mesh._locator
-
-
 def evaluate_gradient_many(sol, points):
     """Gradient of ``sol`` at each point, the zero vector outside its mesh.
 
@@ -583,13 +575,15 @@ def evaluate_gradient_many(sol, points):
     (N, 2).  Points grouped (G, n, 2), such as the rule points of G cells,
     give (G, n, 2): each group's first point is located, and the others are
     first tested in its triangle (``_Locator.locate_groups``).  Both forms
-    give the same gradient per point.
+    give the same gradient per point.  Each call builds its own locator;
+    the mesh keeps none.
     """
     pts = np.asarray(points, dtype=float)
+    locator = _Locator(sol.mesh)
     if pts.ndim == 3:
-        idx = _locator(sol.mesh).locate_groups(pts)
+        idx = locator.locate_groups(pts)
     else:
-        idx = _locator(sol.mesh).locate_many(pts.reshape(-1, 2))
+        idx = locator.locate_many(pts.reshape(-1, 2))
     out = np.zeros(idx.shape + (2,))
     inside = idx >= 0
     out[inside] = sol.triangle_gradients()[idx[inside]]

@@ -6,8 +6,8 @@ never straddles a coefficient discontinuity.  Curved arcs are approximated
 by chords.  Uniform refinement splits sector edges at their polar
 midpoints, so node circles, interface circles included, stay exact and
 refined vertices lie on the parent's polar grid.  A mesh keeps only its
-arrays and its domain; corner coordinates, signed areas, connectivity and
-point location are derived from the triangles when first needed.
+arrays and its domain; corner coordinates, signed areas, P1 gradients and
+connectivity are derived from the triangles when first needed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class TriMesh:
 
     ``domain`` is the meshed domain (None for a bare triangulation).
     Immutable after construction; derived structures (the corner
-    coordinates, the signed areas, the P1 gradients, the edge numbering and
-    the point locator) are built lazily and cached.
+    coordinates, the signed areas, the P1 gradients and the edge numbering)
+    are built lazily and cached.
     """
 
     def __init__(self, vertices, triangles, boundary_flags, domain=None):
@@ -35,7 +35,6 @@ class TriMesh:
         self._signed_areas = None
         self._p1_gradients = None
         self._edge_cache = None
-        self._locator = None
 
     # -- basic quantities ------------------------------------------------
 

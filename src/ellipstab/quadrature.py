@@ -38,7 +38,8 @@ TRI6_WEIGHTS = np.array(
 
 
 # points evaluated at once by the blocked integrands (``lp_distance``,
-# assembly, the H1 error against an exact solution): one block's arrays of
+# assembly, the H1 error against an exact solution), each reading it when it
+# runs, and no result bit depends on it: one block's arrays of
 # (2, 2) values take 256 KB each and stay in cache.  Of 2^11 ... 2^16 and
 # 2^20 (whole arrays), 2^13 was fastest on all three
 BLOCK_POINTS = 1 << 13
