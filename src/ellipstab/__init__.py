@@ -39,6 +39,7 @@ from .experiments import (
 )
 from .fem import (
     ConvergenceFailure,
+    EdgeMatrix,
     FemSolution,
     SparseSystem,
     assemble,
@@ -60,6 +61,7 @@ __all__ = [
     "CoefficientField",
     "ConvergenceFailure",
     "DivergentNormError",
+    "EdgeMatrix",
     "EllipticityBounds",
     "FemSolution",
     "GraphDomain",

@@ -272,8 +272,12 @@ def _annulus_system(sys0, mesh_eps):
     are the sector's last ones.  The sector's cells inside r < eps touch only
     vertices with r <= eps, which are Dirichlet on ``mesh_eps``, so the
     annulus system is the trailing principal block over ``mesh_eps``'s free
-    vertices, to the bit: each of its entries sums the same element terms
-    in the same order.  Raises ValueError when the meshes are not so related.
+    vertices, to the bit: ``fem.assemble`` sums each diagonal and edge entry
+    over its elements in element order, and the block's entries have the
+    same elements in the same order, since ``mesh_eps``'s triangles are the
+    sector's last ones; its edges, ascending in (lo, hi) on both meshes,
+    keep their order under the shift by k.  Raises ValueError when the
+    meshes are not so related.
     """
     mesh0 = sys0.mesh
     offset = mesh0.num_vertices - mesh_eps.num_vertices
@@ -285,7 +289,8 @@ def _annulus_system(sys0, mesh_eps):
             and np.array_equal(mesh0.triangles[first_triangle:], mesh_eps.triangles + offset)
             and np.array_equal(sys0.free_vertices[k:], free + offset)):
         raise ValueError("annulus mesh is not the outer part of the sector mesh")
-    return fem.SparseSystem(sys0.matrix[k:, k:], sys0.rhs[k:], free, mesh_eps)
+    trailing = np.arange(k, sys0.num_unknowns)
+    return fem.SparseSystem(sys0.matrix.block(trailing), sys0.rhs[k:], free, mesh_eps)
 
 
 def fem_eps_floor(n_radial):

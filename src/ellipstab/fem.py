@@ -23,12 +23,19 @@ different last bits.  The rule points are formed and evaluated for
 ``BLOCK_POINTS // 6`` elements at a time (``_element_integrals``), into
 per-element arrays that the sums over elements (the matrix, the load, the
 energy) then read whole, so the blocks change no bit and the whole-mesh
-arrays of rule point values are never built.  ``assemble`` symmetrises the
-element matrices in place, builds the COO indices as int32 (the dtype
-``scipy.sparse`` picks for them, so it makes no copy) and releases the
-per-element coefficient and load arrays once they are read, so it holds
-fewer full-size temporaries at once; the element terms still meet in the
-same order, and the reduced matrix keeps its bits.
+arrays of rule point values are never built.
+
+The reduced matrix is an ``EdgeMatrix``: the diagonal over the free
+vertices and one value per mesh edge between two free vertices, which is
+every entry a P1 stiffness matrix can hold.  Each part is one
+``np.bincount`` over the elements' terms in element order, so a diagonal
+entry is ((0 + t_1) + t_2) + ... over the elements at its vertex in
+ascending element index, and an edge entry the same over its one or two
+elements, each term the element's symmetrised 0.5 (k_ij + k_ji).  The
+edges are numbered (``_edge_numbering``) before the element arrays are
+formed, so their sort's temporaries are freed by then.  ``EdgeMatrix @ x``
+sums in an order it documents too, so CG's iterates depend on no library's
+storage order.
 
 The solve sums in orders the code fixes, so its bits do not depend on the
 BLAS thread count: CG's inner products and norms are numpy's pairwise
@@ -36,21 +43,20 @@ sums (``_dot``), not BLAS ``ddot``/``dnrm2``; the separable
 preconditioner's sine transform is numpy's FFT, not a dense product; and
 its one exact block, the corner rings of a refined mesh, is factored by
 LAPACK's banded Cholesky (``_band_preconditioner``, measured bit-identical
-at 1 and 2 threads).
+at 1 and 2 threads), its band storage written from the block's edge list.
 
-``scipy.sparse`` and ``scipy.linalg`` are imported by the calls that need
-them (``assemble`` and ``_band_preconditioner``), not with the module: the
-semi-analytic studies never assemble or solve, and an unrefined sector or
-annulus has no corner block to factor, so the FEM domain study needs
-``scipy.sparse`` alone.  ``tests/test_import_cost.py`` guards this and
-states what each import costs.
+``scipy.linalg`` is imported by ``_band_preconditioner``, the one call that
+needs it, not with the module: the semi-analytic studies never assemble or
+solve, and an unrefined sector or annulus has no corner block to factor,
+so the FEM domain study imports no scipy module.
+``tests/test_import_cost.py`` guards this and states what each import
+costs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,9 +65,6 @@ from .coefficients import FieldEvaluationError
 from .geometry import polar_angle
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 # (point, candidate triangle) pairs tested at once by the bucket locator,
 # about 140 bytes of temporaries each (18 MB a chunk); on a graded 96 x 64
 # sector, 2^16 and 2^17 located fastest (70-73 ms, 92 ms at 2^20), and each
@@ -69,10 +72,15 @@ if TYPE_CHECKING:
 LOCATE_PAIRS = 1 << 17
 
 # largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
-# of the separable preconditioner's corner block, ring-major: a 24 x 64
-# sector needs 0.07 M twice refined (192 * 381), a 16 x 16 one 0.46 M
-# refined four times; an unrefined mesh has no corner block
+# of the separable preconditioner's corner block, ring-major, whose
+# bandwidth is the largest hi - lo of its edges: a 24 x 64 sector needs
+# 0.07 M twice refined (192 * 381), a 16 x 16 one 0.46 M refined four
+# times; an unrefined mesh has no corner block
 BAND_ENTRIES = 1 << 20
+
+# local vertices joined by each element's local edge e, the one opposite
+# local vertex e
+_EDGE_ENDS = np.array([[1, 2, 0], [2, 0, 1]])
 
 # smallest barycentric coordinate of a grouped point kept in its group's
 # triangle without a bucket search: it then lies GROUP_MARGIN of that
@@ -94,10 +102,53 @@ class ConvergenceFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SparseSystem:
-    """Reduced SPD system on the free (non-Dirichlet) unknowns."""
+class EdgeMatrix:
+    """A symmetric n x n matrix held as its diagonal and one value per
+    coupled pair: entries (lo[e], hi[e]) and (hi[e], lo[e]) are values[e],
+    with lo[e] < hi[e] and no pair twice; every other entry is zero.
 
-    matrix: sp.csr_matrix
+    ``K @ x`` sums row i as (diag[i] x[i] + sum_{e: lo[e] = i} values[e]
+    x[hi[e]]) + sum_{e: hi[e] = i} values[e] x[lo[e]], each inner sum from
+    0 in edge order (``np.bincount``).
+    """
+
+    diag: np.ndarray  # (n,)
+    lo: np.ndarray  # (E,) int
+    hi: np.ndarray  # (E,) int
+    values: np.ndarray  # (E,)
+
+    @property
+    def nnz(self):
+        """Stored entries of the same matrix in a general sparse format."""
+        return self.diag.size + 2 * self.values.size
+
+    def __matmul__(self, x):
+        n = self.diag.size
+        y = self.diag * x
+        y += np.bincount(self.lo, weights=self.values * x[self.hi], minlength=n)
+        y += np.bincount(self.hi, weights=self.values * x[self.lo], minlength=n)
+        return y
+
+    def block(self, keep):
+        """The principal block over the distinct indices ``keep``, in their
+        order: its index i is this matrix's keep[i].  Its edges keep their
+        order in this matrix, so with ascending ``keep`` every row of the
+        block sums as that row does here."""
+        pos = np.full(self.diag.size, -1)
+        pos[keep] = np.arange(len(keep))
+        a, b = pos[self.lo], pos[self.hi]
+        inside = (a >= 0) & (b >= 0)
+        a, b = a[inside], b[inside]
+        return EdgeMatrix(self.diag[keep], np.minimum(a, b), np.maximum(a, b),
+                          self.values[inside])
+
+
+@dataclass(frozen=True)
+class SparseSystem:
+    """Reduced SPD system on the free (non-Dirichlet) unknowns: unknown i is
+    vertex free_vertices[i], in ascending vertex order."""
+
+    matrix: EdgeMatrix
     rhs: np.ndarray
     free_vertices: np.ndarray  # unknown index -> vertex
     mesh: object
@@ -183,6 +234,9 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
     degree-4 six-point triangle rule; interfaces are assumed mesh-aligned
     so integrands are smooth per element.
     """
+    # the edges first, so np.unique's temporaries are gone before the
+    # element arrays exist
+    lo, hi, edge_of = _edge_numbering(mesh.triangles, mesh.num_vertices)
     grads = mesh.p1_gradients()
     try:
         abar, be = _element_integrals(mesh, field, weight, source, source_weight)
@@ -191,25 +245,39 @@ def assemble(mesh, field, weight=None, source=None, source_weight=None):
         raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
     ke = np.einsum("mix,mxy,mjy->mij", grads, abar, grads, optimize=True)
     del abar
-    # 0.5 * (ke + ke^T) in place; a diagonal entry keeps its bits
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        ke[:, i, j] = ke[:, j, i] = 0.5 * (ke[:, i, j] + ke[:, j, i])
-
-    import scipy.sparse as sp
-
     n = mesh.num_vertices
-    b = np.bincount(mesh.triangles.ravel(), weights=be.ravel(), minlength=n)
+    tri = mesh.triangles.ravel()
+    b = np.bincount(tri, weights=be.ravel(), minlength=n)
     del be
-    # the index dtype scipy.sparse picks for this shape, so it takes them uncopied
-    tri = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    diag = np.bincount(tri, weights=np.diagonal(ke, axis1=1, axis2=2).ravel(), minlength=n)
+    i, j = _EDGE_ENDS
+    off = 0.5 * (ke[:, i, j] + ke[:, j, i])
+    del ke
+    coupled = np.bincount(edge_of, weights=off.ravel(), minlength=lo.size)
 
-    free_vertices = np.flatnonzero(~mesh.boundary_flags)
-    K_ff = K[free_vertices][:, free_vertices].tocsr()
-    K_ff.sum_duplicates()
-    return SparseSystem(K_ff, b[free_vertices], free_vertices, mesh)
+    free = ~mesh.boundary_flags
+    free_vertices = np.flatnonzero(free)
+    unknown = np.cumsum(free) - 1  # vertex -> unknown, ascending like vertices
+    keep = free[lo] & free[hi]
+    matrix = EdgeMatrix(diag[free_vertices], unknown[lo[keep]], unknown[hi[keep]],
+                        coupled[keep])
+    return SparseSystem(matrix, b[free_vertices], free_vertices, mesh)
+
+
+def _edge_numbering(triangles, n):
+    """The mesh's edges, ascending in (lo, hi) (arrays lo, hi), and the edge
+    index of each element's local edges (M * 3, element-major); local edge e
+    joins local vertices ``_EDGE_ENDS[:, e]``.
+
+    Numbered here rather than by ``TriMesh._edges``, whose counts and
+    triangle map assembly does not need: one np.unique of a key per
+    (lo, hi) pair, which sorts as the pairs do.
+    """
+    a, b = triangles[:, _EDGE_ENDS[0]], triangles[:, _EDGE_ENDS[1]]
+    keys, edge_of = np.unique((np.minimum(a, b) * n + np.maximum(a, b)).ravel(),
+                              return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, edge_of
 
 
 def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
@@ -234,7 +302,7 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     x = np.zeros(n)
     if norm_b == 0.0:
         return _expand(system, x, (0, 0.0))
-    diag = K.diagonal()
+    diag = K.diag
     if np.any(diag <= 0.0):
         raise ValueError("system diagonal is not positive")
     precondition = None
@@ -283,24 +351,18 @@ def _dot(a, b):
 def _band_preconditioner(K):
     """r -> K^-1 r through K's banded Cholesky factor, or None when the band
     needs more than ``BAND_ENTRIES`` entries; ConvergenceFailure with an
-    empty history when K is not positive definite.  K is a symmetric CSR
-    matrix with a stored diagonal, the corner block of
-    ``_separable_preconditioner``; with sorted indices, the last stored
-    column of row i is its rightmost."""
-    if not K.has_sorted_indices:
-        K = K.sorted_indices()
-    n = K.shape[0]
-    bw = int(np.max(K.indices[K.indptr[1:] - 1] - np.arange(n), initial=0))
+    empty history when K is not positive definite.  K is an EdgeMatrix, the
+    corner block of ``_separable_preconditioner``."""
+    n = K.diag.size
+    bw = int(np.max(K.hi - K.lo, initial=0))
     if (bw + 1) * n > BAND_ENTRIES:
         return None
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
     # upper band storage, ab[bw + i - j, j] = K[i, j] for i <= j
-    rows = np.repeat(np.arange(n), np.diff(K.indptr))
-    upper = K.indices >= rows
-    cols = K.indices[upper]
     ab = np.zeros((bw + 1, n), order="F")
-    ab[bw + rows[upper] - cols, cols] = K.data[upper]
+    ab[bw] = K.diag
+    ab[bw + K.lo - K.hi, K.hi] = K.values
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
@@ -333,7 +395,7 @@ def _separable_preconditioner(K, xy):
     non-positive pivot, an inner block over ``BAND_ENTRIES`` or one that
     fails to factor also gives None, so M is symmetric positive definite.
     """
-    n = K.shape[0]
+    n = K.diag.size
     r = np.hypot(xy[:, 0], xy[:, 1])
     by_r = np.argsort(r, kind="stable")
     rs = r[by_r]
@@ -374,7 +436,7 @@ def _separable_preconditioner(K, xy):
     inner_solve = None
     if n_in:  # an unrefined mesh has no corner block to factor
         try:
-            inner_solve = _band_preconditioner(K[inner][:, inner])
+            inner_solve = _band_preconditioner(K.block(inner))
         except ConvergenceFailure:
             return None
         if inner_solve is None:
@@ -410,24 +472,21 @@ def _ring_couplings(K, grid):
     """Per ring of the tensor grid (rings, n_t) of unknowns, K's mean
     diagonal, angular (angle + 1), radial (ring + 1, same angle) and
     diagonal-neighbour (ring + 1, angle +- 1) couplings, (rings, 4); None
-    when K couples two grid unknowns more than one ring or angle apart.  K
-    is symmetric, so its upper entries between grid unknowns hold every
-    coupling; the per-entry arrays are freed on return."""
+    when K couples two grid unknowns more than one ring or angle apart.
+    Each of K's edges between grid unknowns is one coupling; the grid's
+    block of K is freed on return."""
     n_r, n_t = grid.shape
-    pos = np.full(K.shape[0], -1, dtype=np.int32)  # ring * n_t + angle, or -1
-    pos[grid.ravel()] = np.arange(grid.size)
-    rows = np.repeat(pos, np.diff(K.indptr))
-    cols = pos[K.indices]
-    upper = (rows >= 0) & (cols >= rows)
-    rows, cols, vals = rows[upper], cols[upper], K.data[upper]
+    on_grid = K.block(grid.ravel())  # index ring * n_t + angle
+    rows, cols = on_grid.lo, on_grid.hi
     d_ring = cols // n_t - rows // n_t
     d_angle = np.abs(cols % n_t - rows % n_t)
     if np.any(d_ring > 1) or np.any(d_angle > 1):
         return None
-    # coupling kind 2 d_ring + d_angle, summed per ring over n_t, n_t - 1,
-    # n_t and n_t - 1 pairs
-    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=vals,
+    # coupling kind 2 d_ring + d_angle (1 to 3; 0 is the diagonal), summed
+    # per ring over n_t, n_t - 1, n_t and n_t - 1 pairs
+    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=on_grid.values,
                        minlength=4 * n_r).reshape(n_r, 4)
+    sums[:, 0] = np.sum(on_grid.diag.reshape(n_r, n_t), axis=1)
     return sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ellipstab import fem, quadrature
 from ellipstab.analytic import SourceTerm, jump_solution
@@ -62,9 +63,37 @@ def interpolate(fn, mesh, zero_dirichlet=True):
     return fem.FemSolution(mesh, vals, (0, 0.0))
 
 
+def to_csr(matrix):
+    """An ``fem.EdgeMatrix`` as a scipy CSR matrix with sorted indices, for
+    tests that need scipy's matrix API (toarray, spsolve, sums)."""
+    n = matrix.diag.size
+    idx = np.arange(n)
+    rows = np.concatenate([idx, matrix.lo, matrix.hi])
+    cols = np.concatenate([idx, matrix.hi, matrix.lo])
+    data = np.concatenate([matrix.diag, matrix.values, matrix.values])
+    csr = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    csr.sort_indices()
+    return csr
+
+
+def edge_matrix(a):
+    """An ``fem.EdgeMatrix`` from a symmetric matrix, dense or scipy sparse:
+    its diagonal and its nonzero upper entries, ascending in (row, col)."""
+    upper = sp.triu(sp.csr_matrix(a), k=1).tocsr()
+    upper.sort_indices()
+    upper.eliminate_zeros()
+    rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
+    return fem.EdgeMatrix(sp.csr_matrix(a).diagonal(), rows, upper.indices.astype(np.int64),
+                          upper.data)
+
+
 def symmetry_defect(system):
-    """Largest |K - K^T| entry of a system's matrix."""
-    d = system.matrix - system.matrix.T
+    """Largest |K - K^T| entry of a system's matrix, which must be a valid
+    edge list: lo < hi and no pair twice."""
+    K = system.matrix
+    assert np.all(K.lo < K.hi)
+    assert np.unique(K.lo * K.diag.size + K.hi).size == K.lo.size
+    d = to_csr(K) - to_csr(K).T
     return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
 

@@ -189,7 +189,7 @@ class TestH1ErrorVsAnalytic:
         # span 37 blocks, and the 64 corner cells are integrated exactly in r
         block_points(block)
         sol, _, exact = refined_jump
-        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a281cd52dp-6"
+        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a281cd52fp-6"
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_annulus_bits_in_any_block_size(self, block, block_points):
@@ -199,7 +199,7 @@ class TestH1ErrorVsAnalytic:
                                           grading=3.0))
         sol = solve_cg(assemble(mesh, identity_field(), source=SourceTerm(BETA)))
         err = h1_error_vs_analytic(sol, annulus_solution(BETA, 0.2))
-        assert err.hex() == "0x1.e9736f8f6ba19p-5"
+        assert err.hex() == "0x1.e9736f8f6ba1ap-5"
 
     def test_memory_peak(self, refined_jump):
         # 5.2 MB measured (numpy 2.4); copying the cells' corners whole

@@ -290,7 +290,7 @@ class TestDomainRateStudy:
 
 
 def assert_same_system(a, b):
-    for attr in ("data", "indices", "indptr"):
+    for attr in ("diag", "lo", "hi", "values"):
         assert getattr(a.matrix, attr).dtype == getattr(b.matrix, attr).dtype
         assert getattr(a.matrix, attr).tobytes() == getattr(b.matrix, attr).tobytes()
     assert a.rhs.tobytes() == b.rhs.tobytes()

@@ -9,8 +9,8 @@ from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (affine_map, galerkin_residual, identity_failing_at, interpolate,
-                      symmetry_defect)
+from conftest import (affine_map, edge_matrix, galerkin_residual, identity_failing_at,
+                      interpolate, symmetry_defect, to_csr)
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
@@ -27,6 +27,7 @@ from ellipstab.fem import (
     SparseSystem,
     _contains,
     _band_preconditioner,
+    _element_integrals,
     _Locator,
     _separable_preconditioner,
     _sine_transform,
@@ -151,45 +152,87 @@ def assembly_case(name):
                     source_weight=source_density)
 
 
-# SHA-256 of the assembled arrays' bytes, as the einsum-based assembly wrote
-# them (x86-64, numpy 2.4, scipy 1.17); the fixed-order rule sums keep them
+def summed_in_element_order(mesh, field, weight=None):
+    """The reduced matrix's diagonal and edge values by a plain loop that
+    adds each element's terms, formed as ``assemble`` forms them, to its
+    vertices and edges in element order, each sum from 0.0; edges
+    ascending in (lo, hi) in the unknowns' numbering."""
+    abar, _ = _element_integrals(mesh, field, weight)
+    g = mesh.p1_gradients()
+    ke = np.einsum("mix,mxy,mjy->mij", g, abar, g, optimize=True)
+    diag = [0.0] * mesh.num_vertices
+    coupled = {}
+    for m, tri in enumerate(mesh.triangles.tolist()):
+        for i in range(3):
+            diag[tri[i]] += float(ke[m, i, i])
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
+            term = float(0.5 * (ke[m, i, j] + ke[m, j, i]))
+            coupled[key] = coupled.get(key, 0.0) + term
+    free = ~mesh.boundary_flags
+    unknown = np.cumsum(free) - 1
+    pairs = sorted((unknown[a], unknown[b], v) for (a, b), v in coupled.items()
+                   if free[a] and free[b])
+    return np.array(diag)[free], np.array([v for _, _, v in pairs])
+
+
+def contract_case(name):
+    """Mesh, field and weight of a summation-contract check."""
+    if name == "graded_sector":
+        mesh = mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0, aligned_radii=[0.01, 0.02])
+        return mesh, identity_field(), None
+    if name == "refined_jump_sector":
+        mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
+        return refine_uniform(refine_uniform(mesh)), radial_jump_field(2.0, 0.3), None
+    assert name == "weighted_graph"
+    dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
+    return mesh_graph_domain(dom, 40, 24), radial_jump_field(0.1, 0.4), graded_weight
+
+
+# SHA-256 of the assembled arrays' bytes (x86-64, numpy 2.4), as the
+# edge-list assembly writes them: each diagonal and edge entry summed over
+# its elements in element order
 ASSEMBLY_DIGESTS = {
     "graded_sector": {
-        "data": "cd8b3351a1d2cdd2477989c1686667dc7eb7b68ddd1717e8f13385cd5a61164e",
-        "indices": "d524bb3a204a86acd36d35418c154c820a129cdca1c7b066e818c26323a32aa9",
-        "indptr": "949edf57ed60be91e623a7441b4c99029b7571871a403f5386c757e25767b139",
+        "diag": "fbffd2ffd2764e46644353120868bb722db8465ca078e1d04bcdbe16424ca078",
+        "lo": "886d0fe9b241b9635d279d09a5ab7fce828efcbb3dba70a5218aad85e5b50b81",
+        "hi": "4e9c5fa4b0c25a9e816855c45045a6d97c78eb1b5fb51b4da088cc5e64c6cac1",
+        "values": "0bbd50c096b961a37bff8b6cecb246e196f65a06199d38e626880600b724c755",
         "rhs": "35a008ea8437521996f484e39988a3d7d7d4df6713edc3a66751c531de19b3e9",
     },
     "jump_weighted": {
-        "data": "fcf2bb810fbbb2738698fe9bf89112928432cd111edc252a67269dbb631b02d5",
-        "indices": "6df210a062ff9e06b1d3963ef9a752cc0debdc1194715db6e5c248dd746843a4",
-        "indptr": "dc409a041689459e2b395849cd0b21b13f8e6e01620b884323705072b40bb19c",
+        "diag": "2010c3bb210edd1001c2ac7c8014030bff16961abf41029e90b3f0d77dce35e0",
+        "lo": "44582242ef93dcfb5810bbd9de9670b138b17738f4da23bbe1a21bf4a9785e5d",
+        "hi": "c1705f808b7aae061261ece21ef91272d76286d5a4fb293e3206aebe08c59ec7",
+        "values": "43241b52deee4083cea6f259aaa099fc9e0a1e4d51cf1f085a43cdd78bf348fb",
         "rhs": "aaebfbcf3d75b11ad8f14fe43d5b6eb43cea620af439e4dcd333593761778a2b",
     },
     "refined_graph": {
-        "data": "6af968faa76ce0d6f8725b50578008e938f679c989d207aaec8c8bf59ce8b0fe",
-        "indices": "94d2a53d49ee7f1d549e7592489f36a00fcea30367a656330b1c80b719d32fe5",
-        "indptr": "b88c03a835f923c2e6a459f3b0b0f55f568beeae2934474869489dbb7f93d0f8",
+        "diag": "f9a001e9d18f5b7525fd94f119c795dd651f5f1441ba8f9be4fcdb3e396ced0a",
+        "lo": "c682efa81a5a8a06a547d4868bfbaef4b50e44cf98905bc6ec481d069e159096",
+        "hi": "988aacf0881e2bbedce3656ec429338f4dabecef7ef7c530899e27c186043678",
+        "values": "d658e5f49244207ba4927e4be632f8075433f2fc928854a177445f4f4d6b258a",
         "rhs": "45b13c0b260e5300c0dce3d6556924e3ec692f5211026cd69c0cc16979ce9d2a",
     },
-    # as the assembly with full-size symmetrised copies and int64 COO
-    # indices wrote them; the in-place assembly keeps them
     "refined_jump": {
-        "data": "92ed51a309a30c1f1fc132735bfde8f6995a27a50d6a174ed6f1fafe0bdebb95",
-        "indices": "202aa03b3c559f919133c5a489a88ef5f58afcb8c7a7b15da3df6c3553afff05",
-        "indptr": "2351f64023c1b1b360faee7358e79ab1282f6f839975594e499838cb9ae05345",
+        "diag": "6c5ee34b6d3c5d2620515bc4e6582bad09217f1c70867cc08eb21c4c5ba87e73",
+        "lo": "cba12cf5f714bfdd156cafe5a52026abd2d0eea31f03e534d3ef1a2ab9be3f19",
+        "hi": "c02ae2034312bd164377c8c01c77a67d418df63e4302f9e6b9140234754b173a",
+        "values": "dc66db007b7df6cb45be39a58a960857aff01bff1880218a830d33e824c73e8d",
         "rhs": "3265a3b6be45aa6150380e1fec6a4f1befaef1bc44645309ee0eac7788b56ec1",
     },
     "domain_sector": {
-        "data": "2fc502eeafa39d4bf0276c2a77802ce6ea3f011e77beffba86ad7382f7fc1e7b",
-        "indices": "8e4b82fb15de511d2c7c48b784adf0ee2f2da88716bf21c80fe4a7658bde1bdc",
-        "indptr": "00e13e4c119990bf568d305de4c044225fece69ecdd350f0df0d8b86ec5a6058",
+        "diag": "80f03960db54ee002c796eb083b6f39028723117e2731414237f15c1f61c6b88",
+        "lo": "0b44f9c6f69a6547f963ec5e7489c125664b450a0a91724840111f302c311547",
+        "hi": "0e42761b00f4b3af85842aeddc7c496ffaba66b42708c597981a0397b0b1201d",
+        "values": "51f2f5a899636c3badf388500ee00e244ef250d8f0d27ebd430cdc668ee59925",
         "rhs": "696e6dec630ced6d555a095ae51e9aade212e401e5027434aae3f468f7beca77",
     },
     "weighted_graph": {
-        "data": "8f4a149f610cd0ba5228416e02a55ccd4dce7a09e8fd427fb98efddedfb45850",
-        "indices": "6d3d7c4b43a99f612319db222cc0bd43455cd2967a3bc15165574f8b4b69d923",
-        "indptr": "7f5a3783e83c718eaceb72e09607428a69cb656c96c43bbb27d887f365d87103",
+        "diag": "f70f9da25efabcfdb1c528d05f6c853747fcbdc4242f8febb5dea9a46fd4278b",
+        "lo": "1395133e72238ed9c75c6694e00dd4de3ede9257b0bcaf169f06908c7c4c9efc",
+        "hi": "3fca3fdd350fb6d4557d9b3920fcce36452cb914f015b84e4f5a26c9eed0a60e",
+        "values": "7e26d8e47778fdcbd670bb52f5a9714b5558f37b11254cbbd4256ce9bcf27797",
         "rhs": "62fce32aae670157b97dca155045b5a3c9e58f51d0e398abdf964eac7d29427d",
     },
 }
@@ -198,7 +241,7 @@ BLOCKED_CASES = ["graded_sector", "jump_weighted", "refined_graph"]
 
 def system_arrays(system):
     m = system.matrix
-    return {"data": m.data, "indices": m.indices, "indptr": m.indptr, "rhs": system.rhs}
+    return {"diag": m.diag, "lo": m.lo, "hi": m.hi, "values": m.values, "rhs": system.rhs}
 
 
 class TestAssemble:
@@ -208,7 +251,8 @@ class TestAssemble:
         digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
         assert digests == ASSEMBLY_DIGESTS[name]
         assert {k: v.dtype for k, v in arrays.items()} == {
-            "data": np.float64, "indices": np.int32, "indptr": np.int32, "rhs": np.float64}
+            "diag": np.float64, "lo": np.int64, "hi": np.int64, "values": np.float64,
+            "rhs": np.float64}
 
     @pytest.mark.parametrize("block", [6, 7, 366, 367, 1 << 20])
     @pytest.mark.parametrize("name", BLOCKED_CASES)
@@ -217,6 +261,34 @@ class TestAssemble:
         arrays = system_arrays(assembly_case(name))
         digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
         assert digests == ASSEMBLY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["graded_sector", "refined_jump_sector", "weighted_graph"])
+    def test_entries_are_summed_in_element_order(self, name):
+        mesh, field, weight = contract_case(name)
+        K = assemble(mesh, field, weight=weight).matrix
+        diag, values = summed_in_element_order(mesh, field, weight)
+        assert K.diag.tobytes() == diag.tobytes()
+        assert K.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("name", ["graded_sector", "weighted_graph"])
+    def test_product_sums_each_row_in_edge_order(self, name, rng):
+        mesh, field, weight = contract_case(name)
+        K = assemble(mesh, field, weight=weight).matrix
+        x = rng.normal(size=K.diag.size)
+        upper = [0.0] * x.size
+        lower = [0.0] * x.size
+        for lo, hi, v in zip(K.lo.tolist(), K.hi.tolist(), K.values.tolist()):
+            upper[lo] += v * float(x[hi])
+            lower[hi] += v * float(x[lo])
+        expect = [(float(d * xi) + u) + w for d, xi, u, w in zip(K.diag, x, upper, lower)]
+        assert (K @ x).tobytes() == np.array(expect).tobytes()
+
+    def test_block_is_the_principal_submatrix(self, rng):
+        K = assemble(*contract_case("weighted_graph")[:2]).matrix
+        keep = rng.permutation(K.diag.size)[:K.diag.size // 2]
+        block = K.block(keep)
+        assert np.all(block.lo < block.hi)
+        assert np.array_equal(to_csr(block).toarray(), to_csr(K)[keep][:, keep].toarray())
 
     def test_field_error_names_its_element_in_the_mesh(self):
         # 3 800 triangles, three blocks; the bad rule point is in the last
@@ -237,9 +309,9 @@ class TestAssemble:
         assert err.value.index == 6 * elem + 4
 
     def test_memory_peak(self, refined_jump):
-        # 14.9 MB measured (numpy 2.4, scipy 1.17); with full-size
-        # symmetrised copies and int64 COO indices 23.7 MB, and evaluating
-        # all rule points at once 31.0 MB
+        # 10.7 MB measured (numpy 2.4); with scipy's COO -> CSR matrix
+        # 14.9 MB, with full-size symmetrised copies and int64 COO indices
+        # too 23.7 MB, and evaluating all rule points at once 31.0 MB
         sol, field, _ = refined_jump
         source = SourceTerm(1.5 * np.pi)
         assemble(sol.mesh, field, source=source)
@@ -249,7 +321,7 @@ class TestAssemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19 * 2**20
+        assert peak <= 13 * 2**20
 
     def test_no_weight_is_a_weight_of_ones(self):
         mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
@@ -272,7 +344,7 @@ class TestAssemble:
         K, touched, b = loop_assembly(mesh, field, graded_weight, SourceTerm(BETA))
         free = system.free_vertices
         K_ff = K[np.ix_(free, free)]
-        A = system.matrix
+        A = to_csr(system.matrix)
         assert np.max(np.abs(A.toarray() - K_ff)) <= 1e-14 * np.max(np.abs(K_ff))
         pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
         assert np.array_equal(pattern.toarray() == 1.0, touched[np.ix_(free, free)])
@@ -301,19 +373,19 @@ class TestAssemble:
                                           aligned_radii=[0.3]))
         field = radial_jump_field(1e-2, 0.3)
         sol = solve_cg(assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA)))
-        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6eap+0"
+        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e0p+0"
 
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
         system = assemble(single_element_mesh(), identity_field())
-        K = system.matrix.toarray()
+        K = to_csr(system.matrix).toarray()
         expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         assert np.allclose(K, expect, atol=1e-14)
 
     def test_linearity_in_coefficient(self):
         mesh = mesh_sector(SectorDomain(BETA), 4, 6)
-        k1 = assemble(mesh, identity_field()).matrix
-        k2 = assemble(mesh, constant_field(2.0 * np.eye(2))).matrix
+        k1 = to_csr(assemble(mesh, identity_field()).matrix)
+        k2 = to_csr(assemble(mesh, constant_field(2.0 * np.eye(2))).matrix)
         assert abs(k2 - 2.0 * k1).max() < 1e-13
 
     def test_symmetry_exact(self):
@@ -344,17 +416,15 @@ class TestAssemble:
         for weight in (None, graded_weight):
             a = assemble(mesh, ident, weight=weight, source=SourceTerm(BETA))
             b = assemble(mesh, copied, weight=weight, source=SourceTerm(BETA))
-            for attr in ("data", "indices", "indptr"):
-                assert (getattr(a.matrix, attr).tobytes()
-                        == getattr(b.matrix, attr).tobytes())
-            assert a.rhs.tobytes() == b.rhs.tobytes()
+            for k, v in system_arrays(a).items():
+                assert v.tobytes() == system_arrays(b)[k].tobytes(), k
 
     def test_deterministic(self):
         mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0)
         s1 = assemble(mesh, identity_field(), source=SourceTerm(BETA))
         s2 = assemble(mesh, identity_field(), source=SourceTerm(BETA))
-        assert np.array_equal(s1.matrix.data, s2.matrix.data)
-        assert np.array_equal(s1.rhs, s2.rhs)
+        for k, v in system_arrays(s1).items():
+            assert np.array_equal(v, system_arrays(s2)[k]), k
         x1 = solve_cg(s1).nodal_values
         x2 = solve_cg(s2).nodal_values
         assert np.array_equal(x1, x2)
@@ -383,7 +453,7 @@ class TestAssembleProperties:
         mesh, field = problem
         system = assemble(mesh, field, weight=graded_weight)
         assert symmetry_defect(system) == 0
-        np.linalg.cholesky(system.matrix.toarray())
+        np.linalg.cholesky(to_csr(system.matrix).toarray())
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(7, 3, 2), (5, 2, 3, 2)]),
@@ -410,9 +480,9 @@ class TestSolveCg:
         assert np.all(sol.nodal_values == 0.0)
 
     def test_small_tridiagonal(self):
-        K = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
-                                    [-1.0, 2.0, -1.0],
-                                    [0.0, -1.0, 2.0]]))
+        K = edge_matrix(np.array([[2.0, -1.0, 0.0],
+                                  [-1.0, 2.0, -1.0],
+                                  [0.0, -1.0, 2.0]]))
         system = SparseSystem(K, np.ones(3), np.arange(3), mesh=None)
         sol = solve_cg(system, rel_tol=1e-14)
         assert np.allclose(sol.nodal_values, [1.5, 2.0, 1.5], atol=1e-12)
@@ -472,25 +542,15 @@ class TestSolveCg:
         scale = np.max(np.abs(forced.nodal_values))
         assert np.max(np.abs(sol.nodal_values - forced.nodal_values)) <= 1e-9 * scale
 
-    def test_unsorted_indices_take_the_full_band(self):
-        # each row's columns stored in descending order; a band read from
-        # the unsorted rows would be 0 and the factor that of the diagonal
-        data = np.array([-1.0, 2.0, -1.0, 2.0, -1.0, 2.0, -1.0])
-        indices = np.array([1, 0, 2, 1, 0, 2, 1])
-        K = sp.csr_matrix((data, indices, np.array([0, 2, 5, 7])), shape=(3, 3))
-        assert not K.has_sorted_indices
-        precondition = _band_preconditioner(K)
-        assert np.allclose(precondition(np.ones(3)), [1.5, 2.0, 1.5], atol=1e-12)
-
     def test_indefinite_band_is_convergence_failure(self):
         # positive diagonal, negative eigenvalue: the factorization fails
-        K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        K = edge_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ConvergenceFailure, match="Cholesky") as err:
             _band_preconditioner(K)
         assert err.value.residual_history == ()
 
     def test_system_without_a_mesh_takes_jacobi(self, no_band_factor):
-        K = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        K = edge_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         sol = solve_cg(SparseSystem(K, np.ones(2), np.arange(2), mesh=None), rel_tol=1e-14)
         assert sol.solve_report[0] == 2
         assert np.allclose(sol.nodal_values, [2.0 / 11.0, 3.0 / 11.0], atol=1e-14)
@@ -568,7 +628,7 @@ class TestSeparablePreconditioner:
         assert _separable_preconditioner(K, xy) is not None
         sol = solve_cg(system)
         assert sol.solve_report[0] <= 10
-        exact = spsolve(K.tocsc(), system.rhs)
+        exact = spsolve(to_csr(K).tocsc(), system.rhs)
         x = sol.nodal_values[system.free_vertices]
         assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
 
@@ -580,7 +640,7 @@ class TestSeparablePreconditioner:
         system, _ = separable_case(tensor_meshes["annulus"], field)
         sol = solve_cg(system)
         assert sol.solve_report[0] <= 40
-        exact = spsolve(system.matrix.tocsc(), system.rhs)
+        exact = spsolve(to_csr(system.matrix).tocsc(), system.rhs)
         x = sol.nodal_values[system.free_vertices]
         assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
 
@@ -601,8 +661,8 @@ class TestSeparablePreconditioner:
         K = system.matrix
         assert _separable_preconditioner(K, xy) is not None
         # the same pattern and a positive diagonal, but indefinite
-        shifted = (K - sp.diags(0.5 * K.diagonal())).tocsr()
-        assert np.all(shifted.diagonal() > 0.0)
+        shifted = dataclasses.replace(K, diag=0.5 * K.diag)
+        assert np.all(shifted.diag > 0.0)
         assert _separable_preconditioner(shifted, xy) is None
 
     def test_coupling_beyond_neighbours_falls_back(self, tensor_meshes):
@@ -613,7 +673,7 @@ class TestSeparablePreconditioner:
         i, _, j = outer[np.argsort(np.arctan2(xy[outer, 1], xy[outer, 0]))[:3]]
         n = system.num_unknowns
         far = sp.csr_matrix(([-1e-3, -1e-3], ([i, j], [j, i])), shape=(n, n))
-        assert _separable_preconditioner((system.matrix + far).tocsr(), xy) is None
+        assert _separable_preconditioner(edge_matrix(to_csr(system.matrix) + far), xy) is None
 
     def test_inner_block_over_band_entries_falls_back(self, tensor_meshes, monkeypatch):
         # the inner block's three rings, ring-major, have bandwidth 191, the
@@ -631,10 +691,10 @@ class TestSeparablePreconditioner:
         system, xy = separable_case(tensor_meshes["sector"])
         K = system.matrix
         inner = np.argsort(np.hypot(xy[:, 0], xy[:, 1]))[:63 + 127 + 191]
-        lowered = np.zeros(K.shape[0])
-        lowered[inner] = 0.5 * K.diagonal()[inner]
-        shifted = (K - sp.diags(lowered)).tocsr()
-        block = shifted[inner][:, inner].toarray()
+        lowered = np.zeros(K.diag.size)
+        lowered[inner] = 0.5 * K.diag[inner]
+        shifted = dataclasses.replace(K, diag=K.diag - lowered)
+        block = to_csr(shifted.block(inner)).toarray()
         assert np.all(np.diag(block) > 0.0)
         assert np.linalg.eigvalsh(block)[0] < 0.0
         assert _separable_preconditioner(K, xy) is not None

@@ -1,13 +1,16 @@
 """Importing the package leaves out the scipy modules only some calls need.
 
-``scipy.sparse`` (the stiffness matrix of ``fem.assemble``) costs about
-0.23 s and 20 MB to import, ``scipy.linalg`` (the banded Cholesky factor of
-a refined mesh's corner block in ``fem.solve_cg``) about 8 MB and 40-75 ms
-on top of it, and ``scipy.sparse.csgraph`` (which pulls in
-``scipy.linalg``) about 10 MB and 60 ms.  The semi-analytic studies never
-assemble or solve, so none of them may be imported at module level, nor by
-a semi-analytic command; the FEM domain study solves on unrefined meshes,
-which have no corner block, so it may import ``scipy.sparse`` alone.
+Measured after ``import ellipstab, ellipstab.cli`` in a fresh interpreter
+(medians of 7, numpy 2.4, scipy 1.17, one BLAS thread, 2-CPU x86-64):
+``scipy.sparse`` costs about 0.13 s and 21 MB to import, ``scipy.linalg``
+(the banded Cholesky factor of a refined mesh's corner block in
+``fem.solve_cg``) about 0.19 s and 27 MB alone, and ``scipy.sparse.csgraph``
+(which pulls in ``scipy.linalg``) about 0.22 s and 32 MB.  The package uses
+``scipy.linalg`` alone: ``fem`` keeps its stiffness matrix as an edge list
+of its own.  The semi-analytic studies never assemble or solve, and the
+FEM domain study and an unrefined solve factor no corner block, so none of
+these modules may be imported at module level, nor by those commands; a
+refined solve imports ``scipy.linalg`` alone.
 """
 
 import os
@@ -54,25 +57,26 @@ def lazy_imports(commands):
     return run_python(code)
 
 
+def solve_command(tmp_path, refine):
+    return ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
+            "--refine", str(refine), "--out-prefix", str(tmp_path / "run"))
+
+
 def test_semi_analytic_commands_leave_out_scipy_sparse():
     assert lazy_imports(SEMI_COMMANDS) == []
 
 
-def test_solve_imports_scipy_sparse(tmp_path):
-    # the guard above would pass vacuously if no command imported it
-    solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
-             "--out-prefix", str(tmp_path / "run"))
-    assert "scipy.sparse" in lazy_imports((solve,))
+def test_unrefined_solve_leaves_out_lazy_modules(tmp_path):
+    assert lazy_imports((solve_command(tmp_path, 0),)) == []
 
 
 def test_fem_domain_study_leaves_out_scipy_linalg():
     study = ("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
              "--eps-min", "1e-2")
-    assert lazy_imports((study,)) == ["scipy.sparse"]
+    assert lazy_imports((study,)) == []
 
 
 def test_refined_solve_imports_scipy_linalg(tmp_path):
-    # the guard above would pass vacuously if no command imported it
-    solve = ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
-             "--refine", "1", "--out-prefix", str(tmp_path / "run"))
-    assert "scipy.linalg" in lazy_imports((solve,))
+    # the guards above would pass vacuously if no command imported a module
+    # of LAZY
+    assert lazy_imports((solve_command(tmp_path, 1),)) == ["scipy.linalg"]
