@@ -365,7 +365,7 @@ def composition_inequality_check(beta, eps_grid, q):
     in closed form, so each norm is one radial integral:
 
         ||u o phi - u||_L2^2 = (beta/2) int_0^{2 eps} (w(s(r)) - w(r))^2 r dr,
-        ||u||_Lq^q = A_q int_0^1 |w|^q r dr,
+        ||u||_Lq^q = A_q int_0^1 |w|^q r dr   (``_limit_lq_norm``),
         A_q = int_0^beta |sin(k theta)|^q dtheta
             = (beta/sqrt(pi)) Gamma((q+1)/2) / Gamma(q/2+1).
 
@@ -387,10 +387,7 @@ def composition_inequality_check(beta, eps_grid, q):
     maps = [geometry.radial_shift_map(eps, beta) for eps in eps_grid]
     w = sol.radial_profile
 
-    a_q = beta / np.sqrt(np.pi) * math.exp(
-        math.lgamma((q + 1.0) / 2.0) - math.lgamma(q / 2.0 + 1.0))
-    f_norm_q = (a_q * quadrature.integrate_radial(
-        lambda r: np.abs(w(r)) ** q * r, 0.0, 1.0, sol.breakpoints)) ** (1.0 / q)
+    f_norm_q = _limit_lq_norm(sol, q)
 
     lhs, rhs = [], []
     exponent = (q - 2.0) / (2.0 * q)
@@ -410,6 +407,24 @@ def composition_inequality_check(beta, eps_grid, q):
     check.extras["jac_dev_lq"] = dev
     check.extras["jac_dev_ratio"] = tuple(d / e**exponent for d, e in zip(dev, e_sets))
     return check
+
+
+def _limit_lq_norm(sol, q):
+    """||u||_Lq of the limit solution u = (r^k - r^2) sin(k theta), whose
+    table must be the one piece (1, k), (-1, 2).
+
+    t = r^(2 - k) turns int_0^1 w^q r dr into B((k q + 2)/(2 - k), q + 1)
+    / (2 - k); the norm is exp((log A_q + log B - log(2 - k)) / q) by
+    ``math.lgamma``, so neither w^q nor A_q underflows at large q.
+    """
+    k, beta = sol.angular_wavenumber, sol.domain.beta
+    if len(sol.pieces) != 1 or sol.pieces[0][1] != ((1.0, k), (-1.0, 2.0)):
+        raise ValueError(f"not the limit solution's table: {sol.pieces!r}")
+    a, b = (k * q + 2.0) / (2.0 - k), q + 1.0
+    log_a_q = (math.log(beta) - 0.5 * math.log(math.pi) + math.lgamma((q + 1.0) / 2.0)
+               - math.lgamma(q / 2.0 + 1.0))
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.exp((log_a_q + log_beta - math.log(2.0 - k)) / q)
 
 
 # -- qualitative convergence (no rate claimed) ---------------------------------

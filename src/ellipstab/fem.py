@@ -8,9 +8,9 @@ a preconditioned conjugate gradient applies.  The preconditioner is a
 fast-diagonalization solve when the unknowns lie on a polar tensor grid (a
 sector or annulus mesh; with a radial coefficient field, CG stops after one
 iteration unrefined, where the solve inverts the matrix up to rounding, and
-after a few uniformly refined, where the corner's coarser rings take a
-banded Cholesky block), and Jacobi otherwise (a graph-domain mesh, or a
-system without a mesh).
+after a few uniformly refined, where the corner's coarser rings join it by
+block Gauss-Seidel), and Jacobi otherwise (a graph-domain mesh, or a system
+without a mesh).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
@@ -41,22 +41,16 @@ The solve sums in orders the code fixes, so its bits do not depend on the
 BLAS thread count: CG's inner products and norms are numpy's pairwise
 sums (``_dot``), not BLAS ``ddot``/``dnrm2``; the separable
 preconditioner's sine transform is numpy's FFT, not a dense product; and
-its one exact block, the corner rings of a refined mesh, is factored by
-LAPACK's banded Cholesky (``_band_preconditioner``, measured bit-identical
-at 1 and 2 threads), its band storage written from the block's edge list.
-
-``scipy.linalg`` is imported by ``_band_preconditioner``, the one call that
-needs it, not with the module: the semi-analytic studies never assemble or
-solve, and an unrefined sector or annulus has no corner block to factor,
-so the FEM domain study imports no scipy module.
-``tests/test_import_cost.py`` guards this and states what each import
-costs.
+its tridiagonal factors, of the tensor grid's modes and of each corner
+ring, are one elementwise recurrence (``_ldl``).  The package imports
+numpy alone; ``tests/test_import_cost.py`` guards this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,13 +64,6 @@ from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 # sector, 2^16 and 2^17 located fastest (70-73 ms, 92 ms at 2^20), and each
 # doubling raised the peak memory
 LOCATE_PAIRS = 1 << 17
-
-# largest banded Cholesky factor, (bandwidth + 1) * unknowns entries (8 MB),
-# of the separable preconditioner's corner block, ring-major, whose
-# bandwidth is the largest hi - lo of its edges: a 24 x 64 sector needs
-# 0.07 M twice refined (192 * 381), a 16 x 16 one 0.46 M refined four
-# times; an unrefined mesh has no corner block
-BAND_ENTRIES = 1 << 20
 
 # local vertices joined by each element's local edge e, the one opposite
 # local vertex e
@@ -283,10 +270,11 @@ def _edge_numbering(triangles, n):
 def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     """Preconditioned conjugate gradients on the reduced system.
 
-    The preconditioner is the fast-diagonalization solve of
-    ``_separable_preconditioner`` for a system from a mesh whose free
-    vertices lie on a polar tensor grid, and Jacobi otherwise (a system
-    without a mesh included).  Stops when ||b - K x|| <= rel_tol * ||b||;
+    The preconditioner is ``_separable_preconditioner``'s sweep, a
+    fast-diagonalization solve on a polar tensor grid and exact tridiagonal
+    solves on the coarser rings inside it, for a system from a mesh whose
+    free vertices lie on such rings, and Jacobi otherwise (a system without
+    a mesh included).  Stops when ||b - K x|| <= rel_tol * ||b||;
     raises ConvergenceFailure with the residual history when the iteration
     cap is hit, and ValueError for a cap below 1 or a tolerance that is not
     finite and positive.
@@ -348,52 +336,33 @@ def _dot(a, b):
     return float(np.add.reduce(a * b))
 
 
-def _band_preconditioner(K):
-    """r -> K^-1 r through K's banded Cholesky factor, or None when the band
-    needs more than ``BAND_ENTRIES`` entries; ConvergenceFailure with an
-    empty history when K is not positive definite.  K is an EdgeMatrix, the
-    corner block of ``_separable_preconditioner``."""
-    n = K.diag.size
-    bw = int(np.max(K.hi - K.lo, initial=0))
-    if (bw + 1) * n > BAND_ENTRIES:
-        return None
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-
-    # upper band storage, ab[bw + i - j, j] = K[i, j] for i <= j
-    ab = np.zeros((bw + 1, n), order="F")
-    ab[bw] = K.diag
-    ab[bw + K.lo - K.hi, K.hi] = K.values
-    try:
-        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"banded Cholesky factorization failed: {exc}") from exc
-
-    def precondition(r):
-        return cho_solve_banded((factor, False), r, check_finite=False)
-    return precondition
-
-
 def _separable_preconditioner(K, xy):
-    """r -> M^-1 r for a fast-diagonalization approximation M of K, or None
-    when the unknowns, at points ``xy``, are not on a polar tensor grid.
+    """r -> M^-1 r for a block symmetric Gauss-Seidel approximation M of K,
+    or None when the unknowns, at points ``xy``, are not on a polar grid.
 
     Unknowns are labelled by ring (radii equal to 1e-9 relative) and by
     angle within their ring.  The tensor rings are the outermost run of the
     rings with the most unknowns, n_t; their sorted angles must agree to
     1e-9, and K may couple two of their unknowns only one ring and one
-    angle apart.  On them M averages K per ring (diagonal D, angular Th,
-    radial R, diagonal-neighbour G) and is diagonalised by the orthonormal
-    sine transform of size n_t (``_sine_transform``): angular mode m, with
-    eigenvalue lam_m = 2 cos(m pi / (n_t + 1)) of the angular shift pair,
-    is one tridiagonal system over the rings with diagonal D + Th lam_m and
-    off-diagonal R + G lam_m / 2 (G symmetrised in angle), factored LDL^T
-    for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-    The rings inside, such as the coarser ones ``refine_uniform`` leaves at
-    a corner, get their exact block of K, ring-major and so banded, through
-    ``_band_preconditioner`` and its one size rule; an unrefined mesh has
-    none.  M drops the couplings between the two parts (block Jacobi).  A
-    non-positive pivot, an inner block over ``BAND_ENTRIES`` or one that
-    fails to factor also gives None, so M is symmetric positive definite.
+    angle apart.  On them the block solve averages K per ring (diagonal D,
+    angular Th, radial R, diagonal-neighbour G) and is diagonalised by the
+    orthonormal sine transform of size n_t (``_sine_transform``): angular
+    mode m, with eigenvalue lam_m = 2 cos(m pi / (n_t + 1)) of the angular
+    shift pair, is one tridiagonal system over the rings with diagonal
+    D + Th lam_m and off-diagonal R + G lam_m / 2 (G symmetrised in angle),
+    factored for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964).  Each ring inside, such as the coarser ones ``refine_uniform``
+    leaves at a corner (an unrefined mesh has none), is its own block: K
+    couples its unknowns only to angular neighbours, so its exact block is
+    tridiagonal in angle order, factored by the same ``_ldl``.
+
+    M = (D~ + L) D~^-1 (D~ + U) over the blocks [ring 0, ..., grid], with D~
+    the block solves and L, U K's couplings between blocks: one forward
+    sweep over every block, then one back over the rings (the grid's would
+    repeat its forward solve).  A non-positive pivot, or a ring edge that
+    does not join angular neighbours, gives None, so M is symmetric
+    positive definite.  The sweep sums by ``np.bincount``, the FFT and
+    elementwise arithmetic, with no BLAS call.
     """
     n = K.diag.size
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -409,9 +378,8 @@ def _separable_preconditioner(K, xy):
     first = short[-1] + 1 if short.size else 0
     if first == counts.size:  # the outermost ring is not a full one
         return None
-    n_in = int(np.sum(counts[:first]))
-    inner = order[:n_in]
-    grid = order[n_in:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    grid = order[bounds[first]:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
     th = theta[grid]
     if np.max(np.abs(th - th[-1])) > 1e-9:
         return None
@@ -420,41 +388,66 @@ def _separable_preconditioner(K, xy):
     if couplings is None:
         return None
     D, Th, R, G = couplings.T
-    n_r = grid.shape[0]
-
     lam = 2.0 * np.cos(np.arange(1, n_t + 1) * np.pi / (n_t + 1))
-    diag = D[:, None] + Th[:, None] * lam
-    off = R[:-1, None] + 0.5 * G[:-1, None] * lam
+    grid_factor = _ldl(D[:, None] + Th[:, None] * lam,
+                       R[:-1, None] + 0.5 * G[:-1, None] * lam)
+    if grid_factor is None:
+        return None
+
+    def grid_solve(f):
+        return _sine_transform(_ldl_solve(grid_factor, _sine_transform(f)))
+
+    steps = []
+    for j in range(first):
+        idx = order[bounds[j]:bounds[j + 1]]
+        B = K.block(idx)
+        if np.any(B.hi - B.lo != 1):
+            return None
+        off = np.zeros(idx.size - 1)
+        off[B.lo] = B.values
+        factor = _ldl(B.diag, off)
+        if factor is None:
+            return None
+        steps.append((idx, partial(_ldl_solve, factor)))
+    steps.append((grid, grid_solve))
+    block = np.minimum(ring, first)
+    cross = block[K.lo] != block[K.hi]
+    between = EdgeMatrix(np.zeros(n), K.lo[cross], K.hi[cross], K.values[cross])
+
+    def precondition(res):
+        z = np.zeros(n)
+        for idx, solve in steps + steps[-2::-1]:
+            z[idx] = solve((res - between @ z)[idx])
+        return z
+    return precondition
+
+
+def _ldl(diag, off):
+    """The LDL^T factor (pivots, ell) of symmetric tridiagonal matrices along
+    axis 0, with diagonal ``diag`` (n, ...) and off-diagonal ``off``
+    (n - 1, ...), or None unless every pivot is positive."""
     pivots = np.empty_like(diag)
     pivots[0] = diag[0]
     ell = np.empty_like(off)
-    for i in range(1, n_r):
+    for i in range(1, diag.shape[0]):
         ell[i - 1] = off[i - 1] / pivots[i - 1]
         pivots[i] = diag[i] - ell[i - 1] * off[i - 1]
     if not np.all(pivots > 0.0):
         return None
-    inner_solve = None
-    if n_in:  # an unrefined mesh has no corner block to factor
-        try:
-            inner_solve = _band_preconditioner(K.block(inner))
-        except ConvergenceFailure:
-            return None
-        if inner_solve is None:
-            return None
+    return pivots, ell
 
-    def precondition(res):
-        f = _sine_transform(res[grid])
-        for i in range(1, n_r):
-            f[i] -= ell[i - 1] * f[i - 1]
-        f /= pivots
-        for i in range(n_r - 2, -1, -1):
-            f[i] -= ell[i] * f[i + 1]
-        z = np.empty(n)
-        z[grid] = _sine_transform(f)
-        if inner_solve is not None:
-            z[inner] = inner_solve(res[inner])
-        return z
-    return precondition
+
+def _ldl_solve(factor, f):
+    """The solution of the systems ``_ldl`` factored for right-hand sides f
+    (n, ...), written over f."""
+    pivots, ell = factor
+    n = pivots.shape[0]
+    for i in range(1, n):
+        f[i] -= ell[i - 1] * f[i - 1]
+    f /= pivots
+    for i in range(n - 2, -1, -1):
+        f[i] -= ell[i] * f[i + 1]
+    return f
 
 
 def _sine_transform(x):

@@ -156,16 +156,6 @@ def identity_failing_at(point, calls=None):
 
 
 @pytest.fixture
-def no_band_factor(monkeypatch):
-    """Fails the test when ``fem._band_preconditioner`` is called: an
-    unrefined sector or annulus has no corner block to factor."""
-    def no_band(K):
-        raise AssertionError("the banded factor was called")
-
-    monkeypatch.setattr(fem, "_band_preconditioner", no_band)
-
-
-@pytest.fixture
 def block_points(monkeypatch):
     """Sets ``quadrature.BLOCK_POINTS``, which every blocked evaluation
     reads when it runs; None keeps it."""

@@ -15,7 +15,7 @@ from ellipstab.analytic import (
     residual_check,
 )
 from ellipstab.coefficients import constant_field, identity_field, radial_jump_field
-from ellipstab.experiments import composition_inequality_check
+from ellipstab.experiments import _limit_lq_norm, composition_inequality_check
 from ellipstab.geometry import TWO_PI, SectorDomain
 from ellipstab.meshing import mesh_sector, refine_uniform
 from ellipstab.quadrature import integrate_radial, tri6_points
@@ -362,6 +362,33 @@ class TestClosedFormAccuracy:
             rad = mp.quad(lambda r: (r**k - r**2) ** q_mp * r, [0, 1])
             ref = (ang * rad) ** (1 / q_mp)
         assert check.hypothesis_params[1] == pytest.approx(float(ref), rel=rel, abs=0.0)
+
+
+    @pytest.mark.parametrize("b", [1.05, 1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("q", [2.2, 3.0, 400.0, 580.0, 1e3])
+    def test_limit_lq_norm_in_closed_form(self, b, q):
+        # ||u0||_Lq^q = A_q B((k q + 2)/(2 - k), q + 1)/(2 - k) at 40 digits;
+        # at q = 2.2 the radial rule was 5e-11 off, and from q ~ 560 w^q
+        # underflowed; at small q the beta form is checked by quadrature
+        beta = b * np.pi
+        norm = _limit_lq_norm(limit_solution(beta), q)
+        with mp.workdps(40):
+            B, Q = mp.mpf(beta), mp.mpf(q)
+            k = mp.pi / B
+            a_q = B / mp.sqrt(mp.pi) * mp.gamma((Q + 1) / 2) / mp.gamma(Q / 2 + 1)
+            rad = mp.beta((k * Q + 2) / (2 - k), Q + 1) / (2 - k)
+            if q <= 3.0:
+                quad = mp.quad(lambda r: (r**k - r**2) ** Q * r, [0, 1])
+                assert abs(quad / rad - 1) <= mp.mpf(10) ** -30
+            ref = (a_q * rad) ** (1 / Q)
+        assert norm == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    def test_limit_lq_norm_needs_the_limit_table(self):
+        jump = jump_solution(BETA, 2.0, 0.3)
+        scaled = SeparableSolution(((np.inf, ((2.0, K), (-1.0, 2.0))),), SectorDomain(BETA))
+        for sol in (jump, scaled):
+            with pytest.raises(ValueError, match="limit solution's table"):
+                _limit_lq_norm(sol, 3.0)
 
 
 # err^2 / eps^(2 pi / beta) tends to pi ((1 - alpha) / (1 + alpha))^2 for the

@@ -84,19 +84,20 @@ class TestH1ErrorVsAnalytic:
         assert fem_path == pytest.approx(semi, rel=0.01)
 
     @pytest.mark.parametrize("b,alpha,r_jump,expected", [
-        (1.1, 1e-2, 0.1, 0.13885197845479244),
-        (1.5, 2.0, 0.2, 0.10254040402893376),
-        (1.9, 1e2, 0.3, 0.12866704537153031),
+        (1.1, 1e-2, 0.1, float.fromhex("0x1.1c5e6d1395f9bp-3")),
+        (1.5, 2.0, 0.2, float.fromhex("0x1.a401681d2a95bp-4")),
+        (1.9, 1e2, 0.3, float.fromhex("0x1.0782967f8ca35p-3")),
     ])
     def test_refined_jump_values_are_pinned(self, b, alpha, r_jump, expected):
-        # the 16 corner cells of each mesh integrated exactly in r
+        # float.hex, exact; the 16 corner cells of each mesh integrated
+        # exactly in r
         beta = b * np.pi
         mesh = refine_uniform(mesh_sector(SectorDomain(beta), 12, 16, grading=3.0,
                                           aligned_radii=(r_jump,)))
         sol = solve_cg(assemble(mesh, radial_jump_field(alpha, r_jump),
                                 source=SourceTerm(beta)))
         err = h1_error_vs_analytic(sol, jump_solution(beta, alpha, r_jump))
-        assert err == pytest.approx(expected, rel=1e-14, abs=0)
+        assert err.hex() == expected.hex()
 
     def test_graph_mesh_values_are_pinned(self):
         # acceptance criterion 7's nested graph meshes, whose corner (0, 0)
@@ -189,7 +190,7 @@ class TestH1ErrorVsAnalytic:
         # span 37 blocks, and the 64 corner cells are integrated exactly in r
         block_points(block)
         sol, _, exact = refined_jump
-        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a281cd52fp-6"
+        assert h1_error_vs_analytic(sol, exact).hex() == "0x1.71c2a281cd525p-6"
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
     def test_annulus_bits_in_any_block_size(self, block, block_points):

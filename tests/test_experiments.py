@@ -343,10 +343,10 @@ class TestAnnulusSystem:
             experiments._annulus_system(sys0, mesh_eps)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-2])
-    def test_each_solve_takes_one_separable_step(self, eps, monkeypatch, no_band_factor):
+    def test_each_solve_takes_one_separable_step(self, eps, monkeypatch):
         # the separable preconditioner applies to the sliced matrix as to the
         # assembled one, so both solves stop after one CG iteration; neither
-        # mesh has a corner block, so nothing is factored
+        # mesh has a corner ring
         reports = []
         solve_cg = fem.solve_cg
 

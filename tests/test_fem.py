@@ -26,8 +26,9 @@ from ellipstab.fem import (
     FemSolution,
     SparseSystem,
     _contains,
-    _band_preconditioner,
     _element_integrals,
+    _ldl,
+    _ldl_solve,
     _Locator,
     _separable_preconditioner,
     _sine_transform,
@@ -35,7 +36,7 @@ from ellipstab.fem import (
     evaluate_gradient_many,
     solve_cg,
 )
-from ellipstab.geometry import GraphDomain, SectorDomain, radial_shift_map
+from ellipstab.geometry import GraphDomain, SectorDomain, polar_angle, radial_shift_map
 from ellipstab.meshing import (
     TriMesh,
     graded_radii,
@@ -373,7 +374,7 @@ class TestAssemble:
                                           aligned_radii=[0.3]))
         field = radial_jump_field(1e-2, 0.3)
         sol = solve_cg(assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA)))
-        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e0p+0"
+        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e3p+0"
 
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
@@ -502,7 +503,7 @@ class TestSolveCg:
             solve_cg(system, rel_tol=1e-14, max_iter=3)
         assert len(err.value.residual_history) == 3
 
-    def test_max_iter_failure_carries_history_separable(self, no_band_factor):
+    def test_max_iter_failure_carries_history_separable(self):
         # on an unrefined sector the separable preconditioner is K's inverse
         # up to rounding, so each iteration cuts the residual by about
         # rounding, and three cannot reach 1e-300
@@ -511,8 +512,7 @@ class TestSolveCg:
             solve_cg(system, rel_tol=1e-300, max_iter=3)
         assert len(err.value.residual_history) == 3
 
-    def test_ring_numbered_sector_solves_in_one_separable_step(self, monkeypatch,
-                                                               no_band_factor):
+    def test_ring_numbered_sector_solves_in_one_separable_step(self, monkeypatch):
         # the domain study's mesh: 96 x 64, grading 3, circles at eps and 2 eps
         sector = SectorDomain(BETA)
         radii = graded_radii(sector, 96, 3.0, aligned_radii=(1e-3, 2e-3))
@@ -542,32 +542,24 @@ class TestSolveCg:
         scale = np.max(np.abs(forced.nodal_values))
         assert np.max(np.abs(sol.nodal_values - forced.nodal_values)) <= 1e-9 * scale
 
-    def test_indefinite_band_is_convergence_failure(self):
-        # positive diagonal, negative eigenvalue: the factorization fails
-        K = edge_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ConvergenceFailure, match="Cholesky") as err:
-            _band_preconditioner(K)
-        assert err.value.residual_history == ()
-
-    def test_system_without_a_mesh_takes_jacobi(self, no_band_factor):
+    def test_system_without_a_mesh_takes_jacobi(self):
         K = edge_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         sol = solve_cg(SparseSystem(K, np.ones(2), np.arange(2), mesh=None), rel_tol=1e-14)
         assert sol.solve_report[0] == 2
         assert np.allclose(sol.nodal_values, [2.0 / 11.0, 3.0 / 11.0], atol=1e-14)
 
-    def test_graph_domain_takes_jacobi(self, no_band_factor):
+    def test_graph_domain_takes_jacobi(self):
         # height 0.85, identity field, unit source: no polar grid, so Jacobi;
         # 166 iterations measured, where the banded factor of the whole
         # matrix, tried first before, solved it in one
         dom = GraphDomain.from_height(lambda x: 0.85 + 0.0 * x, n_grid=2)
         system = assemble(mesh_graph_domain(dom, 64, 64), identity_field(),
                           source=lambda p: np.ones(p.shape[:-1]))
-        # the name imported here is the unpatched routine
-        previous = _band_preconditioner(system.matrix)(system.rhs)
+        direct = np.linalg.solve(to_csr(system.matrix).toarray(), system.rhs)
         sol = solve_cg(system)
         assert sol.solve_report[0] <= 200
         x = sol.nodal_values[system.free_vertices]
-        assert np.max(np.abs(x - previous)) <= 1e-9 * np.max(np.abs(previous))
+        assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_iteration_cap_below_one_is_rejected(self, max_iter):
@@ -675,15 +667,19 @@ class TestSeparablePreconditioner:
         far = sp.csr_matrix(([-1e-3, -1e-3], ([i, j], [j, i])), shape=(n, n))
         assert _separable_preconditioner(edge_matrix(to_csr(system.matrix) + far), xy) is None
 
-    def test_inner_block_over_band_entries_falls_back(self, tensor_meshes, monkeypatch):
-        # the inner block's three rings, ring-major, have bandwidth 191, the
-        # outer ring's size: (bandwidth + 1) * unknowns entries
+    def test_non_positive_ring_pivot_falls_back(self, tensor_meshes):
+        # positive diagonal, negative eigenvalue: the pivots are 1 and -3
+        assert _ldl(np.array([1.0, 1.0]), np.array([2.0])) is None
+        # the second ring's first unknown (in angle order) so light that
+        # the next pivot of its block is negative; the diagonal stays positive
         system, xy = separable_case(tensor_meshes["sector"])
-        entries = (191 + 1) * (63 + 127 + 191)
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", entries)
-        assert _separable_preconditioner(system.matrix, xy) is not None
-        monkeypatch.setattr("ellipstab.fem.BAND_ENTRIES", entries - 1)
-        assert _separable_preconditioner(system.matrix, xy) is None
+        K = system.matrix
+        ring = np.argsort(np.hypot(xy[:, 0], xy[:, 1]))[63:63 + 127]
+        light = ring[np.argmin(polar_angle(xy[ring]))]
+        diag = K.diag.copy()
+        diag[light] *= 1e-12
+        assert _separable_preconditioner(K, xy) is not None
+        assert _separable_preconditioner(dataclasses.replace(K, diag=diag), xy) is None
 
     def test_indefinite_inner_block_falls_back(self, tensor_meshes):
         # the tensor rings keep their couplings, so their mode pivots stay
@@ -711,6 +707,49 @@ class TestSeparablePreconditioner:
         system, xy = separable_case(mesh)
         assert _separable_preconditioner(system.matrix, xy) is not None
         assert solve_cg(system).solve_report[0] <= 20
+
+    def test_preconditioner_is_symmetric(self, tensor_meshes, rng):
+        # <M^-1 a, b> = <a, M^-1 b> to rounding: the forward and backward
+        # sweeps over the rings, the tensor grid solved once between them
+        system, xy = separable_case(tensor_meshes["sector"], radial_jump_field(1e2, 0.2))
+        precondition = _separable_preconditioner(system.matrix, xy)
+        a, b = rng.normal(size=(2, system.num_unknowns))
+        left, right = precondition(a) @ b, a @ precondition(b)
+        assert left == pytest.approx(right, rel=1e-13, abs=0.0)
+
+    def test_unrefined_mesh_has_no_ring_block(self, monkeypatch):
+        # one factor, of the tensor grid's modes (rings, angles), and none of a
+        # corner ring (1-D), which a refined sector adds per inner ring
+        factored = []
+
+        def recording(diag, off):
+            factored.append(diag.ndim)
+            return _ldl(diag, off)
+
+        monkeypatch.setattr("ellipstab.fem._ldl", recording)
+        for mesh, dims in ((mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0), [2]),
+                           (refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8)), [2, 1])):
+            factored.clear()
+            system, xy = separable_case(mesh)
+            assert _separable_preconditioner(system.matrix, xy) is not None
+            assert factored == dims
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (9,), (9, 4), (5, 3, 2)])
+def test_ldl_solves_tridiagonal_systems(shape, rng):
+    # diagonally dominant, so every pivot is positive; along axis 0, each
+    # trailing index one system
+    n = shape[0]
+    off = rng.uniform(-1.0, 1.0, size=(n - 1,) + shape[1:])
+    diag = 2.5 + rng.uniform(size=shape)
+    f = rng.normal(size=shape)
+    x = _ldl_solve(_ldl(diag, off), f.copy())
+    systems = int(np.prod(shape[1:]))
+    flat = [a.reshape(a.shape[0], systems) for a in (diag, off, f, x)]
+    for j in range(systems):
+        d, o, rhs, got = (a[:, j] for a in flat)
+        exact = np.linalg.solve(np.diag(d) + np.diag(o, 1) + np.diag(o, -1), rhs)
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 255])

@@ -1,16 +1,14 @@
-"""Importing the package leaves out the scipy modules only some calls need.
+"""The package imports numpy alone: no command imports a scipy module.
 
 Measured after ``import ellipstab, ellipstab.cli`` in a fresh interpreter
 (medians of 7, numpy 2.4, scipy 1.17, one BLAS thread, 2-CPU x86-64):
-``scipy.sparse`` costs about 0.13 s and 21 MB to import, ``scipy.linalg``
-(the banded Cholesky factor of a refined mesh's corner block in
-``fem.solve_cg``) about 0.19 s and 27 MB alone, and ``scipy.sparse.csgraph``
-(which pulls in ``scipy.linalg``) about 0.22 s and 32 MB.  The package uses
-``scipy.linalg`` alone: ``fem`` keeps its stiffness matrix as an edge list
-of its own.  The semi-analytic studies never assemble or solve, and the
-FEM domain study and an unrefined solve factor no corner block, so none of
-these modules may be imported at module level, nor by those commands; a
-refined solve imports ``scipy.linalg`` alone.
+``scipy.sparse`` costs about 0.17 s and 19 MB to import, ``scipy.linalg``
+about 0.22 s and 26 MB, and ``scipy.sparse.csgraph`` (which pulls in
+``scipy.linalg``) about 0.25 s and 30 MB.  ``fem`` keeps its stiffness
+matrix as an edge list of its own and factors its tridiagonal blocks
+itself, so neither importing the package nor running the semi-analytic
+studies, the FEM domain study or a solve, unrefined or refined, may
+import any of these modules.  The tests use scipy as a reference.
 """
 
 import os
@@ -45,10 +43,12 @@ def test_import_leaves_out_lazy_scipy_modules():
     assert run_python(code) == []
 
 
-def lazy_imports(commands):
-    """The modules of ``LAZY`` that running ``commands`` through ``cli.main``
-    in a fresh interpreter imports; every command must exit 0."""
-    code = ("import contextlib, io, sys\n"
+def lazy_imports(commands, prelude=""):
+    """The modules of ``LAZY`` that running ``prelude`` and then ``commands``
+    through ``cli.main`` in a fresh interpreter imports; every command must
+    exit 0."""
+    code = (f"{prelude}\n"
+            "import contextlib, io, sys\n"
             "from ellipstab import cli\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -59,7 +59,7 @@ def lazy_imports(commands):
 
 def solve_command(tmp_path, refine):
     return ("solve", "--domain", "sector", "--n-radial", "4", "--n-angular", "4",
-            "--refine", str(refine), "--out-prefix", str(tmp_path / "run"))
+            "--refine", str(refine), "--out-prefix", str(tmp_path / f"run{refine}"))
 
 
 def test_semi_analytic_commands_leave_out_scipy_sparse():
@@ -76,7 +76,12 @@ def test_fem_domain_study_leaves_out_scipy_linalg():
     assert lazy_imports((study,)) == []
 
 
-def test_refined_solve_imports_scipy_linalg(tmp_path):
-    # the guards above would pass vacuously if no command imported a module
-    # of LAZY
-    assert lazy_imports((solve_command(tmp_path, 1),)) == ["scipy.linalg"]
+def test_refined_solve_leaves_out_lazy_modules(tmp_path):
+    # the corner rings of a refined sector are factored without scipy
+    assert lazy_imports((solve_command(tmp_path, 1),)) == []
+
+
+def test_lazy_imports_sees_an_explicit_import(tmp_path):
+    # the guards above would pass vacuously if ``lazy_imports`` saw nothing
+    assert lazy_imports((solve_command(tmp_path, 1),),
+                        prelude="import scipy.linalg") == ["scipy.linalg"]
