@@ -12,7 +12,7 @@ import numpy as np
 
 from . import quadrature
 from .analytic import DivergentNormError, SeparableSolution
-from .fem import FemSolution, evaluate_gradient_many
+from .fem import evaluate_gradient_many
 from .geometry import polar_angle
 from .quadrature import (TRI6_WEIGHTS, _reference_rule, corner_cut, gauss_on_panels,
                          integrate_radial, tri6_points)
@@ -193,21 +193,16 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
 
 
 def lq_gradient_norm(sol, q):
-    """L^q norm of the gradient, q > 2.
+    """L^q norm of a separable solution's gradient, q > 2.
 
-    For a discrete solution the piecewise-constant gradient integrates
-    exactly.  A separable solution's gradient lies in L^q exactly for
-    q < ``sol.q_star``; at or above it DivergentNormError is raised.  Below
-    it, |grad u|^q is summed over an angular Gauss rule at the radial nodes.
-    Near the corner that sum f(r) behaves like r^(s-1), s = 2 - 2q/q*, so
-    the sliver (0, cut) the radial rule drops adds exactly cut * f(cut) / s.
+    The gradient lies in L^q exactly for q < ``sol.q_star``; at or above
+    it DivergentNormError is raised.  Below it, |grad u|^q is summed over
+    an angular Gauss rule at the radial nodes.  Near the corner that sum
+    f(r) behaves like r^(s-1), s = 2 - 2q/q*, so the sliver (0, cut) the
+    radial rule drops adds exactly cut * f(cut) / s.
     """
     if q <= 2.0:
         raise ValueError("exponent must exceed 2")
-    if isinstance(sol, FemSolution):
-        g = sol.triangle_gradients()
-        mag = np.sqrt(np.sum(g**2, axis=1))
-        return float(np.sum(sol.mesh.areas() * mag**q) ** (1.0 / q))
     if q >= sol.q_star:
         raise DivergentNormError(
             f"L^{q:g} gradient norm is infinite: the gradient lies in L^q "

@@ -129,7 +129,7 @@ class BoundCheck:
         return float(np.max(self.ratios))
 
 
-def bound_check(eps, lhs, rhs, q, m_const, window=None):
+def bound_check(eps, lhs, rhs, q, m_const):
     eps = tuple(float(e) for e in eps)
     lhs = tuple(float(v) for v in lhs)
     rhs = tuple(float(v) for v in rhs)
@@ -139,9 +139,7 @@ def bound_check(eps, lhs, rhs, q, m_const, window=None):
     rhs = tuple(rhs[i] for i in order)
     ratios = tuple(l / r if r > 0.0 else (0.0 if l <= 0.0 else float("inf"))
                    for l, r in zip(lhs, rhs))
-    if window is None:
-        window = default_window(len(eps))
-    i0, i1 = window
+    i0, i1 = default_window(len(eps))
     w = ratios[i0:i1 + 1]
     non_increasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(w[:-1], w[1:]))
     positive = [v for v in w if v > 0.0]

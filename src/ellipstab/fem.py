@@ -1,25 +1,26 @@
-"""P1 Galerkin discretization of weighted elliptic forms, with a CG solver.
+"""P1 Galerkin discretization of elliptic forms, with a CG solver.
 
-The assembled form is  Q(u, v) = int a_ij u_xi v_xj g dx  with an optional
-positive density g (defaults to 1), and the load is  int f * sw * v dx with
-an optional source weight sw.  Dirichlet rows and columns are eliminated
-symmetrically so the reduced system stays symmetric positive definite and
-a preconditioned conjugate gradient applies.  The preconditioner is a
-fast-diagonalization solve when the unknowns lie on a polar tensor grid (a
-sector or annulus mesh; with a radial coefficient field, CG stops after one
-iteration unrefined, where the solve inverts the matrix up to rounding, and
-after a few uniformly refined, where the corner's coarser rings join it by
-block Gauss-Seidel), and Jacobi otherwise (a graph-domain mesh, or a system
-without a mesh).
+The assembled form is  Q(u, v) = int a_ij u_xi v_xj dx  and the load is
+int f v dx.  A weighted form, such as a problem on phi(Omega) moved back to
+Omega with coefficient |det Dphi| Dphi^-1 (A o phi) Dphi^-T and load
+(f o phi) |det Dphi|, is stated through its field and its source.
+Dirichlet rows and columns are eliminated symmetrically so the reduced
+system stays symmetric positive definite and a preconditioned conjugate
+gradient applies.  The preconditioner is a fast-diagonalization solve when
+the unknowns lie on a polar tensor grid (a sector or annulus mesh; with a
+radial coefficient field, CG stops after one iteration unrefined, where the
+solve inverts the matrix up to rounding, and after a few uniformly
+refined, where the corner's coarser rings join it by block Gauss-Seidel),
+and Jacobi otherwise (a graph-domain mesh).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
-is summed in fixed point order as sum_q (w_q g(x_q)) a(x_q), one array
-product per point (``_rule_sum``), not by ``np.einsum``.  Einsum's
-three-operand form runs a slow generic loop, and its two-operand form picks
-a vectorised inner loop by the operands' strides: a read-only broadcast
-coefficient view (a constant field) and a writable copy of it then sum to
-different last bits.  The rule points are formed and evaluated for
+is summed in fixed point order as sum_q w_q a(x_q), one array product
+per point (``_rule_sum``), not by ``np.einsum``.  Einsum's three-operand
+form runs a slow generic loop, and its two-operand form picks a vectorised
+inner loop by the operands' strides: a read-only broadcast coefficient
+view (a constant field) and a writable copy of it then sum to different
+last bits.  The rule points are formed and evaluated for
 ``BLOCK_POINTS // 6`` elements at a time (``_element_integrals``), into
 per-element arrays that the sums over elements (the matrix, the load, the
 energy) then read whole, so the blocks change no bit and the whole-mesh
@@ -132,8 +133,9 @@ class EdgeMatrix:
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Reduced SPD system on the free (non-Dirichlet) unknowns: unknown i is
-    vertex free_vertices[i], in ascending vertex order."""
+    """Reduced SPD system on the free (non-Dirichlet) unknowns of ``mesh``,
+    which is required: unknown i is vertex free_vertices[i], in ascending
+    vertex order."""
 
     matrix: EdgeMatrix
     rhs: np.ndarray
@@ -158,16 +160,16 @@ class FemSolution:
         vals = self.nodal_values[self.mesh.triangles]
         return np.einsum("mi,mix->mx", vals, g)
 
-    def energy(self, field, weight=None):
-        """int a grad u . grad u g dx over the mesh, by the assembly rule."""
-        abar, _ = _element_integrals(self.mesh, field, weight)
+    def energy(self, field):
+        """int a grad u . grad u dx over the mesh, by the assembly rule."""
+        abar, _ = _element_integrals(self.mesh, field)
         grads = self.triangle_gradients()
         return float(np.einsum("mx,mxy,my->", grads, abar, grads))
 
 
-def _element_integrals(mesh, field, weight=None, source=None, source_weight=None):
-    """Per element, area * sum_q w_q g(x_q) a(x_q), (M, 2, 2), and the load
-    area * sum_q w_q f(x_q) sw(x_q) B_q, (M, 3), zero without a source.
+def _element_integrals(mesh, field, source=None):
+    """Per element, area * sum_q w_q a(x_q), (M, 2, 2), and the load
+    area * sum_q w_q f(x_q) B_q, (M, 3), zero without a source.
 
     P1 gradients are constant per element, so the rule acts on a alone.  The
     rule points are formed and evaluated for ``BLOCK_POINTS // 6`` elements
@@ -185,12 +187,9 @@ def _element_integrals(mesh, field, weight=None, source=None, source_weight=None
         pts = tri6_points(corners[s])
         try:
             a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-            w = TRI6_WEIGHTS[None] if weight is None else TRI6_WEIGHTS * _eval_scalar(weight, pts)
-            np.multiply(_rule_sum(w, a), areas[s, None, None], out=abar[s])
+            np.multiply(_rule_sum(TRI6_WEIGHTS[None], a), areas[s, None, None], out=abar[s])
             if source is not None:
                 f = _eval_scalar(source, pts)
-                if source_weight is not None:
-                    f = f * _eval_scalar(source_weight, pts)
                 np.multiply(_rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None]), areas[s, None],
                             out=be[s])
         except FieldEvaluationError as exc:
@@ -212,21 +211,21 @@ def _eval_scalar(fn, pts):
     return np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
 
 
-def assemble(mesh, field, weight=None, source=None, source_weight=None):
-    """Assemble the weighted stiffness matrix and load vector.
+def assemble(mesh, field, source=None):
+    """Assemble the stiffness matrix and load vector.
 
-    ``field`` is a CoefficientField; ``weight`` (density g) and
-    ``source_weight`` are optional scalar functions of position; ``source``
-    is one too (a SourceTerm, say), or None for a zero load.  Uses the
-    degree-4 six-point triangle rule; interfaces are assumed mesh-aligned
-    so integrands are smooth per element.
+    ``field`` is a CoefficientField, and a weighted form's density belongs
+    in it; ``source`` is a scalar function of position (a SourceTerm, say),
+    or None for a zero load.  Uses the degree-4 six-point triangle rule;
+    interfaces are assumed mesh-aligned so integrands are smooth per
+    element.
     """
     # the edges first, so np.unique's temporaries are gone before the
     # element arrays exist
     lo, hi, edge_of = _edge_numbering(mesh.triangles, mesh.num_vertices)
     grads = mesh.p1_gradients()
     try:
-        abar, be = _element_integrals(mesh, field, weight, source, source_weight)
+        abar, be = _element_integrals(mesh, field, source)
     except FieldEvaluationError as exc:
         elem = None if exc.index is None else int(exc.index) // TRI6_BARY.shape[0]
         raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
@@ -273,11 +272,10 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     The preconditioner is ``_separable_preconditioner``'s sweep, a
     fast-diagonalization solve on a polar tensor grid and exact tridiagonal
     solves on the coarser rings inside it, for a system from a mesh whose
-    free vertices lie on such rings, and Jacobi otherwise (a system without
-    a mesh included).  Stops when ||b - K x|| <= rel_tol * ||b||;
-    raises ConvergenceFailure with the residual history when the iteration
-    cap is hit, and ValueError for a cap below 1 or a tolerance that is not
-    finite and positive.
+    free vertices lie on such rings, and Jacobi otherwise.  Stops when
+    ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure with the
+    residual history when the iteration cap is hit, and ValueError for a
+    cap below 1 or a tolerance that is not finite and positive.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -293,10 +291,7 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
     diag = K.diag
     if np.any(diag <= 0.0):
         raise ValueError("system diagonal is not positive")
-    precondition = None
-    if system.mesh is not None:
-        precondition = _separable_preconditioner(
-            K, system.mesh.vertices[system.free_vertices])
+    precondition = _separable_preconditioner(K, system.mesh.vertices[system.free_vertices])
     if precondition is None:
         inv_diag = 1.0 / diag
 
@@ -485,8 +480,6 @@ def _ring_couplings(K, grid):
 
 def _expand(system, x_free, report):
     mesh = system.mesh
-    if mesh is None:
-        return FemSolution(None, x_free, report)
     values = np.zeros(mesh.num_vertices)
     values[system.free_vertices] = x_free
     return FemSolution(mesh, values, report)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,6 +46,18 @@ def annulus_meshes(beta, eps, n_radial, n_angular, aligned=None):
     return (mesh_sector_from_radii(SectorDomain(beta), radii, n_angular),
             mesh_sector_from_radii(SectorDomain(beta, r_inner=eps), eps_radii[eps_radii >= eps],
                                    n_angular))
+
+
+def weighted(field, g):
+    """The field g a: each matrix of ``field`` times the scalar function g of
+    position, with ``field``'s interface radii.  A weighted form is
+    assembled as this field; its ellipticity certificate is ``field``'s,
+    which assembly does not read."""
+    def ev(points):
+        pts = np.asarray(points, dtype=float)
+        return np.asarray(g(pts), dtype=float)[..., None, None] * field.eval(pts)
+
+    return dataclasses.replace(field, eval=ev)
 
 
 def galerkin_residual(system, sol):

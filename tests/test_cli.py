@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import math
 import os
 import re
 import shlex
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellipstab import cli, experiments, fem, meshing
 from ellipstab.geometry import SectorDomain
@@ -370,6 +375,68 @@ class TestRateStudy:
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def documented_rate_studies(draw):
+    """A semi-mode ``rate-study`` inside README's input limits: any study,
+    beta in (pi, 2 pi), eps log-uniform from ``cli.EPS_MIN`` to below the
+    study's --eps-max limit, 4-9 points, q in (2, 1e3] and alpha
+    log-uniform in [1e-3, 1e3]."""
+    study = draw(st.sampled_from(sorted(cli.STUDY_FLAGS)))
+    beta = draw(st.floats(np.pi, 2.0 * np.pi, exclude_min=True, exclude_max=True))
+    limit = 0.5 if study in ("domain", "wwww") else 1.0
+    lowest = math.log10(cli.EPS_MIN)
+    top = draw(st.floats(lowest, math.log10(limit), exclude_min=True, exclude_max=True))
+    eps_max = 10.0 ** top
+    eps_min = max(10.0 ** draw(st.floats(lowest, top, exclude_max=True)), cli.EPS_MIN)
+    assume(eps_min < eps_max < limit)
+    return {"study": study, "beta": beta, "alpha": 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "q": draw(st.floats(2.0, 1e3, exclude_min=True)), "eps_min": eps_min,
+            "eps_max": eps_max, "points": draw(st.integers(4, 9))}
+
+
+VANISH = "degenerate study: all errors vanish (no rate to fit)\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(documented_rate_studies())
+def test_documented_rate_study_box(case):
+    # every run in the box writes a finite CSV, or refuses as README states
+    argv = ["rate-study", "--mode", "semi", "--study", case["study"],
+            "--points", str(case["points"])]
+    for name in ("beta", "alpha", "q", "eps_min", "eps_max"):
+        argv += [f"--{name.replace('_', '-')}", repr(case[name])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    if code == 0:
+        rows = out.getvalue().splitlines()[2:-1]
+        assert len(rows) == case["points"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        assert err == ""
+    elif code == 3:
+        # q at or above q*: qualitative reads no q
+        assert case["study"] != "qualitative"
+        assert case["q"] >= experiments.q_star(case["beta"])
+        assert err.startswith("hypothesis violation: ")
+    else:
+        assert code == 1 and err.count("\n") == 1
+        if err.startswith("error: condition_3 fails: "):
+            # every eps beyond the disc, of radius 0.5, off which it is checked
+            assert case["study"] == "qualitative" and case["eps_min"] > 0.5
+        elif err == "error: duplicate eps values\n":
+            # limits a few ulps apart: the grid rounds to repeated values
+            grid = np.geomspace(case["eps_max"], case["eps_min"], case["points"])
+            assert np.unique(grid).size < case["points"]
+        elif case["study"] == "coeff":
+            assert (err, case["alpha"]) == (VANISH, 1.0)
+        else:
+            # alpha this near 1: FEM errors that round to 0, at the smallest
+            # eps or at every eps
+            assert err in ("error: errors must be positive for a log-log fit\n", VANISH)
+            assert case["study"] == "qualitative" and abs(math.log(case["alpha"])) <= 1e-3
 
 
 class TestSolve:

@@ -533,13 +533,6 @@ class TestGroupedLocation:
 
 
 class TestLqGradientNorm:
-    def test_linear_function_closed_form(self):
-        dom = GraphDomain.from_height(lambda x: 0.8 * np.ones_like(x))
-        mesh = mesh_graph_domain(dom, 8, 8)
-        sol = FemSolution(mesh, mesh.vertices[:, 0], (0, 0.0))
-        q = 3.0
-        assert lq_gradient_norm(sol, q) == pytest.approx(0.8 ** (1.0 / q), rel=1e-12)
-
     def test_below_threshold_converges(self):
         # |grad u|^2 = a sin^2 + b cos^2 with a = w'^2, b = (k w / r)^2, so
         # ||grad u||_4^4 = (beta/8) int (3a^2 + 2ab + 3b^2) r dr

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (affine_map, edge_matrix, galerkin_residual, identity_failing_at,
-                      interpolate, symmetry_defect, to_csr)
+                      interpolate, symmetry_defect, to_csr, weighted)
 from ellipstab.analytic import SourceTerm, annulus_solution, jump_solution, limit_solution
 from ellipstab.coefficients import (
     constant_field,
@@ -24,7 +24,6 @@ from ellipstab.fem import (
     AssemblyError,
     ConvergenceFailure,
     FemSolution,
-    SparseSystem,
     _contains,
     _element_integrals,
     _ldl,
@@ -75,7 +74,7 @@ def contains_reference(corners, pts, tol):
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
-def loop_assembly(mesh, field, weight, source):
+def loop_assembly(mesh, field, source):
     """Full stiffness matrix, its sparsity pattern and the load vector, by a
     plain loop over elements and rule points (the reference for ``assemble``)."""
     n = mesh.num_vertices
@@ -95,11 +94,11 @@ def loop_assembly(mesh, field, weight, source):
         be = np.zeros(3)
         for q in range(6):
             x = pts[q:q + 1]
-            a, g, f = field.eval(x)[0], weight(x)[0], source.value(x)[0]
+            a, f = field.eval(x)[0], source.value(x)[0]
             for i in range(3):
                 be[i] += TRI6_WEIGHTS[q] * f * TRI6_BARY[q, i]
                 for j in range(3):
-                    ke[i, j] += TRI6_WEIGHTS[q] * g * (grads[i] @ a @ grads[j])
+                    ke[i, j] += TRI6_WEIGHTS[q] * (grads[i] @ a @ grads[j])
         ke *= area
         be *= area
         for i in range(3):
@@ -120,6 +119,11 @@ def source_density(pts):
     return 2.0 + np.sin(3.0 * pts[..., 0]) * pts[..., 1]
 
 
+def times_density(source):
+    """The load f sw of a source f and ``source_density`` sw."""
+    return lambda pts: source(pts) * source_density(pts)
+
+
 def assembly_case(name):
     if name == "graded_sector":
         mesh = mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0,
@@ -127,8 +131,8 @@ def assembly_case(name):
         return assemble(mesh, identity_field(), source=SourceTerm(BETA))
     if name == "jump_weighted":
         mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
-        return assemble(mesh, radial_jump_field(1e-2, 0.3), weight=graded_weight,
-                        source=SourceTerm(BETA), source_weight=source_density)
+        return assemble(mesh, weighted(radial_jump_field(1e-2, 0.3), graded_weight),
+                        source=times_density(SourceTerm(BETA)))
     if name == "refined_graph":
         dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
         mesh = refine_uniform(mesh_graph_domain(dom, 6, 5))
@@ -148,17 +152,17 @@ def assembly_case(name):
         return assemble(mesh, identity_field(), source=SourceTerm(beta))
     assert name == "weighted_graph"
     dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
-    return assemble(mesh_graph_domain(dom, 40, 24), radial_jump_field(0.1, 0.4),
-                    weight=graded_weight, source=lambda p: 1.0 + p[..., 0] * p[..., 1],
-                    source_weight=source_density)
+    return assemble(mesh_graph_domain(dom, 40, 24),
+                    weighted(radial_jump_field(0.1, 0.4), graded_weight),
+                    source=times_density(lambda p: 1.0 + p[..., 0] * p[..., 1]))
 
 
-def summed_in_element_order(mesh, field, weight=None):
+def summed_in_element_order(mesh, field):
     """The reduced matrix's diagonal and edge values by a plain loop that
     adds each element's terms, formed as ``assemble`` forms them, to its
     vertices and edges in element order, each sum from 0.0; edges
     ascending in (lo, hi) in the unknowns' numbering."""
-    abar, _ = _element_integrals(mesh, field, weight)
+    abar, _ = _element_integrals(mesh, field)
     g = mesh.p1_gradients()
     ke = np.einsum("mix,mxy,mjy->mij", g, abar, g, optimize=True)
     diag = [0.0] * mesh.num_vertices
@@ -178,21 +182,22 @@ def summed_in_element_order(mesh, field, weight=None):
 
 
 def contract_case(name):
-    """Mesh, field and weight of a summation-contract check."""
+    """Mesh and field of a summation-contract check."""
     if name == "graded_sector":
         mesh = mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0, aligned_radii=[0.01, 0.02])
-        return mesh, identity_field(), None
+        return mesh, identity_field()
     if name == "refined_jump_sector":
         mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
-        return refine_uniform(refine_uniform(mesh)), radial_jump_field(2.0, 0.3), None
+        return refine_uniform(refine_uniform(mesh)), radial_jump_field(2.0, 0.3)
     assert name == "weighted_graph"
     dom = GraphDomain.from_height(lambda x: 0.6 + 0.3 * x**2, n_grid=9)
-    return mesh_graph_domain(dom, 40, 24), radial_jump_field(0.1, 0.4), graded_weight
+    return mesh_graph_domain(dom, 40, 24), weighted(radial_jump_field(0.1, 0.4), graded_weight)
 
 
 # SHA-256 of the assembled arrays' bytes (x86-64, numpy 2.4), as the
 # edge-list assembly writes them: each diagonal and edge entry summed over
-# its elements in element order
+# its elements in element order; a weighted case assembles the field g a
+# (``weighted``) with the load f sw
 ASSEMBLY_DIGESTS = {
     "graded_sector": {
         "diag": "fbffd2ffd2764e46644353120868bb722db8465ca078e1d04bcdbe16424ca078",
@@ -202,10 +207,10 @@ ASSEMBLY_DIGESTS = {
         "rhs": "35a008ea8437521996f484e39988a3d7d7d4df6713edc3a66751c531de19b3e9",
     },
     "jump_weighted": {
-        "diag": "2010c3bb210edd1001c2ac7c8014030bff16961abf41029e90b3f0d77dce35e0",
+        "diag": "8238e6d09b3c0e9a2d860aa7f32114689a7334d5138054eccdd02d6ee3d7d5ed",
         "lo": "44582242ef93dcfb5810bbd9de9670b138b17738f4da23bbe1a21bf4a9785e5d",
         "hi": "c1705f808b7aae061261ece21ef91272d76286d5a4fb293e3206aebe08c59ec7",
-        "values": "43241b52deee4083cea6f259aaa099fc9e0a1e4d51cf1f085a43cdd78bf348fb",
+        "values": "703ae9210c7c85098251e79efc90ec360fd5bbdd22e6da358e877a2fc4c77f98",
         "rhs": "aaebfbcf3d75b11ad8f14fe43d5b6eb43cea620af439e4dcd333593761778a2b",
     },
     "refined_graph": {
@@ -230,10 +235,10 @@ ASSEMBLY_DIGESTS = {
         "rhs": "696e6dec630ced6d555a095ae51e9aade212e401e5027434aae3f468f7beca77",
     },
     "weighted_graph": {
-        "diag": "f70f9da25efabcfdb1c528d05f6c853747fcbdc4242f8febb5dea9a46fd4278b",
+        "diag": "1ff1be7fc19a1ef3191e52475ec86cd1b3259080acdcaf5739522a759867e59b",
         "lo": "1395133e72238ed9c75c6694e00dd4de3ede9257b0bcaf169f06908c7c4c9efc",
         "hi": "3fca3fdd350fb6d4557d9b3920fcce36452cb914f015b84e4f5a26c9eed0a60e",
-        "values": "7e26d8e47778fdcbd670bb52f5a9714b5558f37b11254cbbd4256ce9bcf27797",
+        "values": "1799febe13723bc3409e9a22a69bac18b4b318fb8522270c3f7f2877ae1257e4",
         "rhs": "62fce32aae670157b97dca155045b5a3c9e58f51d0e398abdf964eac7d29427d",
     },
 }
@@ -265,16 +270,15 @@ class TestAssemble:
 
     @pytest.mark.parametrize("name", ["graded_sector", "refined_jump_sector", "weighted_graph"])
     def test_entries_are_summed_in_element_order(self, name):
-        mesh, field, weight = contract_case(name)
-        K = assemble(mesh, field, weight=weight).matrix
-        diag, values = summed_in_element_order(mesh, field, weight)
+        mesh, field = contract_case(name)
+        K = assemble(mesh, field).matrix
+        diag, values = summed_in_element_order(mesh, field)
         assert K.diag.tobytes() == diag.tobytes()
         assert K.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("name", ["graded_sector", "weighted_graph"])
     def test_product_sums_each_row_in_edge_order(self, name, rng):
-        mesh, field, weight = contract_case(name)
-        K = assemble(mesh, field, weight=weight).matrix
+        K = assemble(*contract_case(name)).matrix
         x = rng.normal(size=K.diag.size)
         upper = [0.0] * x.size
         lower = [0.0] * x.size
@@ -285,7 +289,7 @@ class TestAssemble:
         assert (K @ x).tobytes() == np.array(expect).tobytes()
 
     def test_block_is_the_principal_submatrix(self, rng):
-        K = assemble(*contract_case("weighted_graph")[:2]).matrix
+        K = assemble(*contract_case("weighted_graph")).matrix
         keep = rng.permutation(K.diag.size)[:K.diag.size // 2]
         block = K.block(keep)
         assert np.all(block.lo < block.hi)
@@ -324,25 +328,12 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak <= 13 * 2**20
 
-    def test_no_weight_is_a_weight_of_ones(self):
-        mesh = mesh_sector(SectorDomain(BETA), 12, 16, grading=3.0, aligned_radii=[0.3])
-        field = radial_jump_field(1e-2, 0.3)
-
-        def ones(pts):
-            return np.ones(np.asarray(pts).shape[:-1])
-
-        plain = assemble(mesh, field, source=SourceTerm(BETA))
-        weighted = assemble(mesh, field, weight=ones, source=SourceTerm(BETA),
-                            source_weight=ones)
-        for k, v in system_arrays(plain).items():
-            assert v.tobytes() == system_arrays(weighted)[k].tobytes(), k
-
     def test_matches_loop_reference(self):
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
                                           aligned_radii=[0.3]))
-        field = radial_jump_field(1e-2, 0.3)
-        system = assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA))
-        K, touched, b = loop_assembly(mesh, field, graded_weight, SourceTerm(BETA))
+        field = weighted(radial_jump_field(1e-2, 0.3), graded_weight)
+        system = assemble(mesh, field, source=SourceTerm(BETA))
+        K, touched, b = loop_assembly(mesh, field, SourceTerm(BETA))
         free = system.free_vertices
         K_ff = K[np.ix_(free, free)]
         A = to_csr(system.matrix)
@@ -352,18 +343,18 @@ class TestAssemble:
         assert np.array_equal(system.rhs, b[free])
         # the reference reads SourceTerm.value; assembly calls the SourceTerm
         # itself, and a plain function of position loads the same bits
-        plain = assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA).value)
+        plain = assemble(mesh, field, source=SourceTerm(BETA).value)
         assert np.array_equal(plain.rhs, system.rhs)
 
     def test_energy_is_the_quadratic_form(self, rng):
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 4, 6, grading=3.0,
                                           aligned_radii=[0.3]))
-        field = radial_jump_field(1e-2, 0.3)
-        system = assemble(mesh, field, weight=graded_weight)
+        field = weighted(radial_jump_field(1e-2, 0.3), graded_weight)
+        system = assemble(mesh, field)
         x = rng.normal(size=system.num_unknowns)
         values = np.zeros(mesh.num_vertices)
         values[system.free_vertices] = x
-        energy = FemSolution(mesh, values, (0, 0.0)).energy(field, weight=graded_weight)
+        energy = FemSolution(mesh, values, (0, 0.0)).energy(field)
         assert energy == pytest.approx(x @ (system.matrix @ x), rel=1e-14)
 
     @pytest.mark.parametrize("block", [None, 6, 7, 366, 367, 1 << 20])
@@ -372,9 +363,9 @@ class TestAssemble:
         block_points(block)
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 24, 16, grading=3.0,
                                           aligned_radii=[0.3]))
-        field = radial_jump_field(1e-2, 0.3)
-        sol = solve_cg(assemble(mesh, field, weight=graded_weight, source=SourceTerm(BETA)))
-        assert sol.energy(field, weight=graded_weight).hex() == "0x1.bacf61ef4f6e3p+0"
+        field = weighted(radial_jump_field(1e-2, 0.3), graded_weight)
+        sol = solve_cg(assemble(mesh, field, source=SourceTerm(BETA)))
+        assert sol.energy(field).hex() == "0x1.bacf61ef4f6dep+0"
 
     def test_reference_element_stiffness(self):
         # hand-integrated P1 stiffness on the unit right triangle
@@ -414,11 +405,10 @@ class TestAssemble:
         assert not ident.eval(np.zeros((3, 2))).flags.writeable
         copied = dataclasses.replace(ident, eval=lambda pts: ident.eval(pts).copy())
         mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0)
-        for weight in (None, graded_weight):
-            a = assemble(mesh, ident, weight=weight, source=SourceTerm(BETA))
-            b = assemble(mesh, copied, weight=weight, source=SourceTerm(BETA))
-            for k, v in system_arrays(a).items():
-                assert v.tobytes() == system_arrays(b)[k].tobytes(), k
+        a = assemble(mesh, ident, source=SourceTerm(BETA))
+        b = assemble(mesh, copied, source=SourceTerm(BETA))
+        for k, v in system_arrays(a).items():
+            assert v.tobytes() == system_arrays(b)[k].tobytes(), k
 
     def test_deterministic(self):
         mesh = mesh_sector(SectorDomain(BETA), 8, 8, grading=3.0)
@@ -452,7 +442,7 @@ class TestAssembleProperties:
     @given(jump_problems())
     def test_reduced_matrix_symmetric_positive_definite(self, problem):
         mesh, field = problem
-        system = assemble(mesh, field, weight=graded_weight)
+        system = assemble(mesh, weighted(field, graded_weight))
         assert symmetry_defect(system) == 0
         np.linalg.cholesky(to_csr(system.matrix).toarray())
 
@@ -481,12 +471,22 @@ class TestSolveCg:
         assert np.all(sol.nodal_values == 0.0)
 
     def test_small_tridiagonal(self):
-        K = edge_matrix(np.array([[2.0, -1.0, 0.0],
-                                  [-1.0, 2.0, -1.0],
-                                  [0.0, -1.0, 2.0]]))
-        system = SparseSystem(K, np.ones(3), np.arange(3), mesh=None)
+        # the three interior vertices of a 4 x 2 grid of unit squares, each
+        # cut by the same diagonal: the five-point stencil, tridiagonal with
+        # 4 on the diagonal and -1 beside it; on no polar grid, so Jacobi
+        x, y = np.meshgrid(np.arange(5.0), np.arange(3.0), indexing="ij")
+        cells = [(3 * i + j, 3 * i + j + 3, 3 * i + j + 4, 3 * i + j + 1)
+                 for i in range(4) for j in range(2)]
+        mesh = TriMesh(np.column_stack([x.ravel(), y.ravel()]),
+                       [t for a, b, c, d in cells for t in ((a, b, c), (a, c, d))],
+                       (x.ravel() % 4 == 0) | (y.ravel() % 2 == 0))
+        system = dataclasses.replace(assemble(mesh, identity_field()), rhs=np.ones(3))
+        K = to_csr(system.matrix).toarray()
+        assert np.allclose(K, [[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]],
+                           rtol=0.0, atol=1e-14)
         sol = solve_cg(system, rel_tol=1e-14)
-        assert np.allclose(sol.nodal_values, [1.5, 2.0, 1.5], atol=1e-12)
+        assert np.allclose(sol.nodal_values[system.free_vertices], [5 / 14, 3 / 7, 5 / 14],
+                           atol=1e-12)
 
     def test_galerkin_residual_bound(self):
         system, sol = solve_limit_problem(12, 12)
@@ -530,7 +530,9 @@ class TestSolveCg:
 
     def test_refined_sector_takes_the_separable_path(self, monkeypatch):
         # uniform refinement numbers midpoints after every old vertex, so
-        # the band spans most of the matrix; the vertices stay on rings
+        # the unknowns are not in ring order; the vertices stay on rings,
+        # which the sweep labels by radius and angle: the corner's coarser
+        # rings as tridiagonal blocks, the rest as the tensor grid
         mesh = refine_uniform(mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0,
                                           aligned_radii=[0.2]))
         system = assemble(mesh, radial_jump_field(3.0, 0.2), source=SourceTerm(BETA))
@@ -542,16 +544,10 @@ class TestSolveCg:
         scale = np.max(np.abs(forced.nodal_values))
         assert np.max(np.abs(sol.nodal_values - forced.nodal_values)) <= 1e-9 * scale
 
-    def test_system_without_a_mesh_takes_jacobi(self):
-        K = edge_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        sol = solve_cg(SparseSystem(K, np.ones(2), np.arange(2), mesh=None), rel_tol=1e-14)
-        assert sol.solve_report[0] == 2
-        assert np.allclose(sol.nodal_values, [2.0 / 11.0, 3.0 / 11.0], atol=1e-14)
-
     def test_graph_domain_takes_jacobi(self):
-        # height 0.85, identity field, unit source: no polar grid, so Jacobi;
-        # 166 iterations measured, where the banded factor of the whole
-        # matrix, tried first before, solved it in one
+        # height 0.85, identity field, unit source: the vertices lie on no
+        # polar grid, so there are no rings to sweep and CG takes Jacobi;
+        # 166 iterations measured
         dom = GraphDomain.from_height(lambda x: 0.85 + 0.0 * x, n_grid=2)
         system = assemble(mesh_graph_domain(dom, 64, 64), identity_field(),
                           source=lambda p: np.ones(p.shape[:-1]))
@@ -698,9 +694,9 @@ class TestSeparablePreconditioner:
 
     def test_deep_refinement_takes_the_separable_path(self):
         # refined four times, the corner keeps 15 rings of 15, 31, ..., 239
-        # unknowns, 1 905 in all: 1905^2 entries as a dense block, over
-        # BAND_ENTRIES, but banded in ring-major order; Jacobi took 977
-        # iterations
+        # unknowns, 1 905 in all, each its own tridiagonal block, swept
+        # forward and back around the tensor grid's solve; 17 iterations
+        # measured, where Jacobi took 977
         mesh = mesh_sector(SectorDomain(BETA), 16, 16, grading=3.0)
         for _ in range(4):
             mesh = refine_uniform(mesh)
@@ -883,15 +879,14 @@ class TestPullbackEquivalence:
         sys_tgt = assemble(mesh_tgt, field, source=f)
         sol_tgt = solve_cg(sys_tgt, rel_tol=1e-12)
 
-        a = pullback_field(field, amap)
-        g = amap.density
-        sys_src = assemble(mesh_src, a, weight=g,
-                           source=lambda pts: f(amap.forward(pts)), source_weight=g)
+        a = weighted(pullback_field(field, amap), amap.density)
+        sys_src = assemble(mesh_src, a,
+                           source=lambda pts: f(amap.forward(pts)) * amap.density(pts))
         sol_src = solve_cg(sys_src, rel_tol=1e-12)
 
         assert np.max(np.abs(sol_src.nodal_values - sol_tgt.nodal_values)) < 1e-10
         e_tgt = sol_tgt.energy(field)
-        e_src = sol_src.energy(a, weight=g)
+        e_src = sol_src.energy(a)
         assert e_src == pytest.approx(e_tgt, abs=1e-10)
 
     def test_radial_map_energy_band(self):
@@ -910,12 +905,10 @@ class TestPullbackEquivalence:
 
         mesh_src = mesh_sector(SectorDomain(beta), 48, 48, grading=2.0,
                                aligned_radii=[2 * eps])
-        a = pullback_field(identity_field(), rmap)
+        a = weighted(pullback_field(identity_field(), rmap), rmap.density)
         sol_src = solve_cg(assemble(
-            mesh_src, a, weight=rmap.density,
-            source=lambda pts: src.value(rmap.forward(pts)),
-            source_weight=rmap.density))
-        e_src = sol_src.energy(a, weight=rmap.density)
+            mesh_src, a, source=lambda pts: src.value(rmap.forward(pts)) * rmap.density(pts)))
+        e_src = sol_src.energy(a)
         assert e_src == pytest.approx(e_tgt, rel=0.05)
 
 

@@ -174,6 +174,13 @@ def test_verify_pass_threshold(capsys, monkeypatch):
         assert run(capsys, "verify-analytic", "--example", "limit")[0] == code
 
 
+def test_condition_3_disc_radius(capsys):
+    # at the radius no eps lies beyond the disc; the example above it refuses
+    radius = stated(r"`--study qualitative` run has `--eps-min` above (\S+):")
+    assert run(capsys, "rate-study", "--study", "qualitative", "--eps-min", radius,
+               "--eps-max", "0.9", "--points", "4")[0] == 0
+
+
 def test_fem_agreement_threshold(capsys, monkeypatch):
     limit = float(stated(r"more than (\d+) % off the semi-analytic")) / 100.0
 
@@ -289,7 +296,13 @@ CONTRACT_NUMBERS = {
     "1e-14": "test_eps_min_limit_is_its_owner",
     "1.1302806713e-06": "test_fem_eps_floor_is_its_owner",
     "0.1": "test_graph_margin_is_its_owner (and eps=0.1 of the example outputs)",
-    "0.5": "test_shift_map_eps_limit",
+    "0.5": "test_shift_map_eps_limit and test_condition_3_disc_radius",
+    "0.6": "test_study_example_output",
+    "0.9": "test_study_example_output",
+    "1.000e+00": "test_study_example_output",
+    "0.9999769744141629": "test_study_example_output",
+    "1e-3": "test_study_example_output",
+    "0.0010000000000000002": "test_study_example_output",
     "1e-4": "test_verify_pass_threshold",
     "10 %": "test_fem_agreement_threshold",
     "9.02782781742e-17": "test_verify_example_output",
