@@ -162,6 +162,10 @@ def _cmd_rate_study(parser, args):
     if not 0.0 < args.eps_min < args.eps_max < 1.0:
         parser.error("need 0 < --eps-min < --eps-max < 1")
     _check_at_least(parser, "--eps-min", args.eps_min, EPS_MIN)
+    grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
+    if len(set(grid)) < args.points:
+        parser.error(f"--eps-min and --eps-max are too close: the {args.points}-point "
+                     f"eps grid repeats a value")
     if not 2.0 < args.q < np.inf:
         parser.error(f"--q must be a finite number above 2, got {args.q:g}")
     if args.study in ("coeff", "qualitative"):
@@ -174,7 +178,6 @@ def _cmd_rate_study(parser, args):
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
     if args.out != "-":
         _check_out_path(parser, "--out", args.out)
-    grid = tuple(np.geomspace(args.eps_max, args.eps_min, args.points))
     # the qualitative study's third column is the condition-3 statistic, not a bound
     header = ("eps,error,condition_3_deviation,ratio" if args.study == "qualitative"
               else "eps,error,bound,ratio")

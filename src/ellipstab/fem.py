@@ -10,8 +10,8 @@ gradient applies.  The preconditioner is a fast-diagonalization solve when
 the unknowns lie on a polar tensor grid (a sector or annulus mesh; with a
 radial coefficient field, CG stops after one iteration unrefined, where the
 solve inverts the matrix up to rounding, and after a few uniformly
-refined, where the corner's coarser rings join it by block Gauss-Seidel),
-and Jacobi otherwise (a graph-domain mesh).
+refined, where the corner's coarser rings, even and odd, join it as two
+blocks by block Gauss-Seidel), and Jacobi otherwise (a graph-domain mesh).
 
 Assembly accumulates per-element contributions in a fixed element order,
 so repeated runs are bit-identical.  Within an element, the six-point rule
@@ -42,8 +42,8 @@ The solve sums in orders the code fixes, so its bits do not depend on the
 BLAS thread count: CG's inner products and norms are numpy's pairwise
 sums (``_dot``), not BLAS ``ddot``/``dnrm2``; the separable
 preconditioner's sine transform is numpy's FFT, not a dense product; and
-its tridiagonal factors, of the tensor grid's modes and of each corner
-ring, are one elementwise recurrence (``_ldl``).  The package imports
+its tridiagonal factors, of the tensor grid's modes and of the corner
+rings, are one elementwise recurrence (``_ldl``).  The package imports
 numpy alone; ``tests/test_import_cost.py`` guards this.
 """
 
@@ -271,8 +271,9 @@ def solve_cg(system, rel_tol=1e-10, max_iter=50_000):
 
     The preconditioner is ``_separable_preconditioner``'s sweep, a
     fast-diagonalization solve on a polar tensor grid and exact tridiagonal
-    solves on the coarser rings inside it, for a system from a mesh whose
-    free vertices lie on such rings, and Jacobi otherwise.  Stops when
+    solves on the coarser rings inside it (even and odd, one block each),
+    for a system from a mesh whose free vertices lie on such rings, and
+    Jacobi otherwise.  Stops when
     ||b - K x|| <= rel_tol * ||b||; raises ConvergenceFailure with the
     residual history when the iteration cap is hit, and ValueError for a
     cap below 1 or a tolerance that is not finite and positive.
@@ -346,18 +347,19 @@ def _separable_preconditioner(K, xy):
     shift pair, is one tridiagonal system over the rings with diagonal
     D + Th lam_m and off-diagonal R + G lam_m / 2 (G symmetrised in angle),
     factored for all modes at once (Lynch, Rice & Thomas, Numer. Math. 6,
-    1964).  Each ring inside, such as the coarser ones ``refine_uniform``
-    leaves at a corner (an unrefined mesh has none), is its own block: K
-    couples its unknowns only to angular neighbours, so its exact block is
-    tridiagonal in angle order, factored by the same ``_ldl``.
+    1964).  The rings inside, such as the coarser ones ``refine_uniform``
+    leaves at a corner (an unrefined mesh has none), form two blocks, the
+    even rings and the odd ones: inside either, K may couple only angular
+    neighbours of one ring, so it is exactly tridiagonal in (ring, angle)
+    order, and one ``_ldl`` over every corner unknown factors both.
 
-    M = (D~ + L) D~^-1 (D~ + U) over the blocks [ring 0, ..., grid], with D~
-    the block solves and L, U K's couplings between blocks: one forward
-    sweep over every block, then one back over the rings (the grid's would
-    repeat its forward solve).  A non-positive pivot, or a ring edge that
-    does not join angular neighbours, gives None, so M is symmetric
-    positive definite.  The sweep sums by ``np.bincount``, the FFT and
-    elementwise arithmetic, with no BLAS call.
+    M = (D~ + L) D~^-1 (D~ + U) over the blocks [even, odd, grid], with D~
+    the block solves and L, U K's couplings between blocks: the sweep
+    [even, odd, grid, odd, even], empty blocks dropped, at any depth.  A
+    non-positive pivot, or an edge inside a block that joins no such
+    neighbours, gives None, so M is symmetric positive definite.  The sweep
+    sums by ``np.bincount``, the FFT and elementwise arithmetic, with no
+    BLAS call.
     """
     n = K.diag.size
     r = np.hypot(xy[:, 0], xy[:, 1])
@@ -365,24 +367,45 @@ def _separable_preconditioner(K, xy):
     rs = r[by_r]
     ring = np.empty(n, dtype=np.int64)
     ring[by_r] = np.concatenate([[0], np.cumsum(np.diff(rs) > 1e-9 * rs[1:])])
-    theta = polar_angle(xy)
-    order = np.lexsort((theta, ring))  # ring-major, by angle within a ring
     counts = np.bincount(ring)
     n_t = int(counts.max())
     short = np.flatnonzero(counts != n_t)
     first = short[-1] + 1 if short.size else 0
     if first == counts.size:  # the outermost ring is not a full one
         return None
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    grid = order[bounds[first]:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
+    # even corner rings, odd ones, grid; bytes, which the edges gather fastest
+    block = np.where(ring < first, ring & 1, 2).astype(np.int8)
+    theta = polar_angle(xy)
+    order = np.lexsort((theta, ring, block))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    c_even, g0 = np.cumsum(np.bincount(block, minlength=3))[:2]
+    grid = order[g0:].reshape(-1, n_t)  # unknown at (tensor ring, angle)
     th = theta[grid]
     if np.max(np.abs(th - th[-1])) > 1e-9:
         return None
 
-    couplings = _ring_couplings(K, grid)
-    if couplings is None:
+    # every edge once: along a corner ring, inside the grid, or between blocks
+    a, b = pos[K.lo], pos[K.hi]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    kind = block[K.lo]
+    cross = kind != block[K.hi]
+    along = ~cross & (kind < 2)
+    if np.any(hi[along] - lo[along] != 1) or np.any(ring[K.lo[along]] != ring[K.hi[along]]):
         return None
-    D, Th, R, G = couplings.T
+    inside = ~cross & (kind == 2)
+    rows, cols = lo[inside] - g0, hi[inside] - g0  # index ring * n_t + angle
+    d_ring = cols // n_t - rows // n_t
+    d_angle = np.abs(cols % n_t - rows % n_t)
+    if np.any(d_ring > 1) or np.any(d_angle > 1):
+        return None
+    # per tensor ring, the mean coupling of kind 2 d_ring + d_angle (1 to 3;
+    # 0 is the diagonal), over n_t, n_t - 1, n_t and n_t - 1 pairs
+    n_r = grid.shape[0]
+    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=K.values[inside],
+                       minlength=4 * n_r).reshape(n_r, 4)
+    sums[:, 0] = np.sum(K.diag[grid], axis=1)
+    D, Th, R, G = (sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)]).T
     lam = 2.0 * np.cos(np.arange(1, n_t + 1) * np.pi / (n_t + 1))
     grid_factor = _ldl(D[:, None] + Th[:, None] * lam,
                        R[:-1, None] + 0.5 * G[:-1, None] * lam)
@@ -392,26 +415,24 @@ def _separable_preconditioner(K, xy):
     def grid_solve(f):
         return _sine_transform(_ldl_solve(grid_factor, _sine_transform(f)))
 
-    steps = []
-    for j in range(first):
-        idx = order[bounds[j]:bounds[j + 1]]
-        B = K.block(idx)
-        if np.any(B.hi - B.lo != 1):
-            return None
-        off = np.zeros(idx.size - 1)
-        off[B.lo] = B.values
-        factor = _ldl(B.diag, off)
+    sweep = [(grid, grid_solve)]
+    if g0:
+        off = np.zeros(g0 - 1)
+        off[lo[along]] = K.values[along]
+        factor = _ldl(K.diag[order[:g0]], off)
         if factor is None:
             return None
-        steps.append((idx, partial(_ldl_solve, factor)))
-    steps.append((grid, grid_solve))
-    block = np.minimum(ring, first)
-    cross = block[K.lo] != block[K.hi]
+        pivots, ell = factor
+        even = (order[:c_even], partial(_ldl_solve, (pivots[:c_even], ell[:c_even - 1])))
+        odd = (order[c_even:g0], partial(_ldl_solve, (pivots[c_even:], ell[c_even:])))
+        sweep = [s for s in (even, odd, *sweep, odd, even) if s[0].size]
     between = EdgeMatrix(np.zeros(n), K.lo[cross], K.hi[cross], K.values[cross])
 
     def precondition(res):
+        (idx, solve), *rest = sweep
         z = np.zeros(n)
-        for idx, solve in steps + steps[-2::-1]:
+        z[idx] = solve(res[idx])
+        for idx, solve in rest:
             z[idx] = solve((res - between @ z)[idx])
         return z
     return precondition
@@ -454,28 +475,6 @@ def _sine_transform(x):
     zero = np.zeros(x.shape[:-1] + (1,))
     odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
     return np.fft.rfft(odd)[..., 1:n + 1].imag * -np.sqrt(0.5 / (n + 1))
-
-
-def _ring_couplings(K, grid):
-    """Per ring of the tensor grid (rings, n_t) of unknowns, K's mean
-    diagonal, angular (angle + 1), radial (ring + 1, same angle) and
-    diagonal-neighbour (ring + 1, angle +- 1) couplings, (rings, 4); None
-    when K couples two grid unknowns more than one ring or angle apart.
-    Each of K's edges between grid unknowns is one coupling; the grid's
-    block of K is freed on return."""
-    n_r, n_t = grid.shape
-    on_grid = K.block(grid.ravel())  # index ring * n_t + angle
-    rows, cols = on_grid.lo, on_grid.hi
-    d_ring = cols // n_t - rows // n_t
-    d_angle = np.abs(cols % n_t - rows % n_t)
-    if np.any(d_ring > 1) or np.any(d_angle > 1):
-        return None
-    # coupling kind 2 d_ring + d_angle (1 to 3; 0 is the diagonal), summed
-    # per ring over n_t, n_t - 1, n_t and n_t - 1 pairs
-    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=on_grid.values,
-                       minlength=4 * n_r).reshape(n_r, 4)
-    sums[:, 0] = np.sum(on_grid.diag.reshape(n_r, n_t), axis=1)
-    return sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)]
 
 
 def _expand(system, x_free, report):

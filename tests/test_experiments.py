@@ -364,6 +364,16 @@ class TestAnnulusSystem:
             assert iterations == 1
             assert residual <= 1e-10
 
+    @pytest.mark.parametrize("beta_over_pi,eps,pinned", [
+        (1.5, 1e-3, "0x1.22690b17e4d9bp-6"),
+        (1.1, 1e-2, "0x1.b6c2680b417c0p-6"),
+    ])
+    def test_pinned_bits(self, beta_over_pi, eps, pinned):
+        # the fem_domain error at the study's mesh size, whose two solves
+        # each take the separable preconditioner's grid solve alone
+        error = experiments._fem_annulus_error(beta_over_pi * np.pi, eps, 96, 64)
+        assert error.hex() == pinned
+
 
 class TestCompositionInequality:
     def test_radial_family_bounded(self):

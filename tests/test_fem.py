@@ -593,13 +593,18 @@ class TestSolveCg:
 def tensor_meshes():
     """A graded 24 x 64 sector refined twice, whose three innermost rings keep
     fewer angles (63 + 127 + 191 unknowns), and a graded annulus refined
-    twice, whose rings all have one angle grid; both align r = 0.2."""
+    twice, whose rings all have one angle grid; both align r = 0.2.  "deep"
+    is a graded 16 x 16 sector refined four times, whose corner keeps 15
+    rings of 15, 31, ..., 239 unknowns, 1 905 in all."""
     sector = mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0, aligned_radii=[0.2])
     annulus = mesh_sector(SectorDomain(BETA, r_inner=0.05), 16, 32, grading=3.0,
                           aligned_radii=[0.2])
+    deep = mesh_sector(SectorDomain(BETA), 16, 16, grading=3.0)
     for _ in range(2):
         sector, annulus = refine_uniform(sector), refine_uniform(annulus)
-    return {"sector": sector, "annulus": annulus}
+    for _ in range(4):
+        deep = refine_uniform(deep)
+    return {"sector": sector, "annulus": annulus, "deep": deep}
 
 
 def separable_case(mesh, field=None):
@@ -663,6 +668,18 @@ class TestSeparablePreconditioner:
         far = sp.csr_matrix(([-1e-3, -1e-3], ([i, j], [j, i])), shape=(n, n))
         assert _separable_preconditioner(edge_matrix(to_csr(system.matrix) + far), xy) is None
 
+    def test_coupling_across_two_corner_rings_falls_back(self, tensor_meshes):
+        # rings 0 and 2 lie in one block, the even corner rings, where K may
+        # couple only angular neighbours of one ring: the coupling does not
+        # pass as one between blocks
+        system, xy = separable_case(tensor_meshes["sector"])
+        by_r = np.argsort(np.hypot(xy[:, 0], xy[:, 1]))
+        i, j = by_r[0], by_r[63 + 127]
+        n = system.num_unknowns
+        far = sp.csr_matrix(([-1e-3, -1e-3], ([i, j], [j, i])), shape=(n, n))
+        assert _separable_preconditioner(system.matrix, xy) is not None
+        assert _separable_preconditioner(edge_matrix(to_csr(system.matrix) + far), xy) is None
+
     def test_non_positive_ring_pivot_falls_back(self, tensor_meshes):
         # positive diagonal, negative eigenvalue: the pivots are 1 and -3
         assert _ldl(np.array([1.0, 1.0]), np.array([2.0])) is None
@@ -692,30 +709,28 @@ class TestSeparablePreconditioner:
         assert _separable_preconditioner(K, xy) is not None
         assert _separable_preconditioner(shifted, xy) is None
 
-    def test_deep_refinement_takes_the_separable_path(self):
-        # refined four times, the corner keeps 15 rings of 15, 31, ..., 239
-        # unknowns, 1 905 in all, each its own tridiagonal block, swept
-        # forward and back around the tensor grid's solve; 17 iterations
-        # measured, where Jacobi took 977
-        mesh = mesh_sector(SectorDomain(BETA), 16, 16, grading=3.0)
-        for _ in range(4):
-            mesh = refine_uniform(mesh)
-        system, xy = separable_case(mesh)
+    def test_deep_refinement_takes_the_separable_path(self, tensor_meshes):
+        # the 15 corner rings form two tridiagonal blocks, the even rings and
+        # the odd ones, swept forward and back around the tensor grid's
+        # solve; 18 iterations measured, where Jacobi took 977
+        system, xy = separable_case(tensor_meshes["deep"])
         assert _separable_preconditioner(system.matrix, xy) is not None
         assert solve_cg(system).solve_report[0] <= 20
 
-    def test_preconditioner_is_symmetric(self, tensor_meshes, rng):
+    @pytest.mark.parametrize("name", ["sector", "deep"])
+    def test_preconditioner_is_symmetric(self, tensor_meshes, name, rng):
         # <M^-1 a, b> = <a, M^-1 b> to rounding: the forward and backward
-        # sweeps over the rings, the tensor grid solved once between them
-        system, xy = separable_case(tensor_meshes["sector"], radial_jump_field(1e2, 0.2))
+        # sweeps over the corner blocks, the tensor grid solved once between
+        # them
+        system, xy = separable_case(tensor_meshes[name], radial_jump_field(1e2, 0.2))
         precondition = _separable_preconditioner(system.matrix, xy)
         a, b = rng.normal(size=(2, system.num_unknowns))
         left, right = precondition(a) @ b, a @ precondition(b)
         assert left == pytest.approx(right, rel=1e-13, abs=0.0)
 
-    def test_unrefined_mesh_has_no_ring_block(self, monkeypatch):
-        # one factor, of the tensor grid's modes (rings, angles), and none of a
-        # corner ring (1-D), which a refined sector adds per inner ring
+    def test_unrefined_mesh_has_no_ring_block(self, tensor_meshes, monkeypatch):
+        # one factor, of the tensor grid's modes (rings, angles), and none of
+        # the corner rings (1-D), which a refined sector adds once at any depth
         factored = []
 
         def recording(diag, off):
@@ -724,7 +739,8 @@ class TestSeparablePreconditioner:
 
         monkeypatch.setattr("ellipstab.fem._ldl", recording)
         for mesh, dims in ((mesh_sector(SectorDomain(BETA), 24, 64, grading=3.0), [2]),
-                           (refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8)), [2, 1])):
+                           (refine_uniform(mesh_sector(SectorDomain(BETA), 6, 8)), [2, 1]),
+                           (tensor_meshes["deep"], [2, 1])):
             factored.clear()
             system, xy = separable_case(mesh)
             assert _separable_preconditioner(system.matrix, xy) is not None

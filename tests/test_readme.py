@@ -14,6 +14,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ellipstab import analytic, cli, experiments, fem, geometry
@@ -257,6 +258,15 @@ def test_grading_limit(capsys, tmp_path):
                "--out-prefix", prefix)[0] == 0
 
 
+def test_repeated_eps_grid_limit(capsys):
+    flags = shlex.split(stated(r"are distinct: `(--[^`]+)` is refused\.", LIMITS))
+    code, _, err = run(capsys, "rate-study", *flags)
+    assert code == 2 and "the 7-point eps grid repeats a value" in err
+    # the ends are one ulp apart
+    eps = {f: float(flags[flags.index(f) + 1]) for f in ("--eps-min", "--eps-max")}
+    assert eps["--eps-max"] == np.nextafter(eps["--eps-min"], 1.0)
+
+
 def test_points_limit(capsys):
     n = int(stated(r"`rate-study --points` is at least (\d+),", LIMITS))
     assert run(capsys, "rate-study", "--study", "coeff", "--points", str(n - 1))[0] == 2
@@ -301,8 +311,8 @@ CONTRACT_NUMBERS = {
     "0.9": "test_study_example_output",
     "1.000e+00": "test_study_example_output",
     "0.9999769744141629": "test_study_example_output",
-    "1e-3": "test_study_example_output",
-    "0.0010000000000000002": "test_study_example_output",
+    "1e-3": "test_repeated_eps_grid_limit",
+    "0.0010000000000000002": "test_repeated_eps_grid_limit",
     "1e-4": "test_verify_pass_threshold",
     "10 %": "test_fem_agreement_threshold",
     "9.02782781742e-17": "test_verify_example_output",
