@@ -61,10 +61,14 @@ from .geometry import polar_angle
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
-# about 140 bytes of temporaries each (18 MB a chunk); on a graded 96 x 64
-# sector, 2^16 and 2^17 located fastest (70-73 ms, 92 ms at 2^20), and each
-# doubling raised the peak memory
-LOCATE_PAIRS = 1 << 17
+# about 140 bytes of temporaries each (4.6 MB a chunk).  On fem_domain's
+# beta = 1.5 pi, eps = 1e-3 annulus mesh (11 264 triangles) queried at the
+# sector mesh's grouped rule points (12 480 cells, 72 632 pairs for their
+# first points), 2^13 to 2^15 located fastest (7.5-7.8 ms grouped, 26-28 ms
+# for all 74 880 points ungrouped) with a 6.7 MB peak in
+# evaluate_gradient_many; 2^16 to 2^20 took 9-10 and 42-45 ms and peaked
+# at 10.5-11.4 MB
+LOCATE_PAIRS = 1 << 15
 
 # local vertices joined by each element's local edge e, the one opposite
 # local vertex e
@@ -441,13 +445,19 @@ def _separable_preconditioner(K, xy):
 def _ldl(diag, off):
     """The LDL^T factor (pivots, ell) of symmetric tridiagonal matrices along
     axis 0, with diagonal ``diag`` (n, ...) and off-diagonal ``off``
-    (n - 1, ...), or None unless every pivot is positive."""
-    pivots = np.empty_like(diag)
-    pivots[0] = diag[0]
-    ell = np.empty_like(off)
-    for i in range(1, diag.shape[0]):
+    (n - 1, ...), or None unless every pivot is positive.
+
+    A single chain (1-D, the corner rings) steps on Python floats, about
+    twice as fast as on numpy scalars and rounded alike; the grid's modes
+    step a row at a time."""
+    if diag.ndim == 1:
+        pivots, ell, off = diag.tolist(), off.tolist(), off.tolist()
+    else:
+        pivots, ell = diag.copy(), np.empty_like(off)
+    for i in range(1, len(pivots)):
         ell[i - 1] = off[i - 1] / pivots[i - 1]
-        pivots[i] = diag[i] - ell[i - 1] * off[i - 1]
+        pivots[i] -= ell[i - 1] * off[i - 1]
+    pivots, ell = np.asarray(pivots, dtype=float), np.asarray(ell, dtype=float)
     if not np.all(pivots > 0.0):
         return None
     return pivots, ell
@@ -455,14 +465,21 @@ def _ldl(diag, off):
 
 def _ldl_solve(factor, f):
     """The solution of the systems ``_ldl`` factored for right-hand sides f
-    (n, ...), written over f."""
+    (n, ...), written over f; a single chain on Python floats, as there."""
     pivots, ell = factor
+    chain = f.ndim == 1
+    x, ell = (f.tolist(), ell.tolist()) if chain else (f, ell)
     n = pivots.shape[0]
     for i in range(1, n):
-        f[i] -= ell[i - 1] * f[i - 1]
-    f /= pivots
+        x[i] -= ell[i - 1] * x[i - 1]
+    if chain:
+        x = [a / p for a, p in zip(x, pivots.tolist())]
+    else:
+        x /= pivots
     for i in range(n - 2, -1, -1):
-        f[i] -= ell[i] * f[i + 1]
+        x[i] -= ell[i] * x[i + 1]
+    if chain:
+        f[:] = x
     return f
 
 
@@ -515,23 +532,35 @@ class _Locator:
         q = np.arange(1, n_cells) / n_cells
         self.edges = [np.unique(np.quantile(centroids[:, a], q)) for a in (0, 1)]
         self.n_y = self.edges[1].size + 1
-        tlo = corners.min(axis=1)
-        thi = corners.max(axis=1)
-        i0 = self._cell_idx(tlo[:, 0], 0)
-        i1 = self._cell_idx(thi[:, 0], 0)
-        j0 = self._cell_idx(tlo[:, 1], 1)
-        j1 = self._cell_idx(thi[:, 1], 1)
-        # one (cell, triangle) pair per bucket a triangle's box overlaps
+        n_total = (self.edges[0].size + 1) * self.n_y
+        # each triangle's bucket box [i0, i1] x [j0, j1], from its corners'
+        # extremes taken pairwise (a reduction over the length-3 axis is
+        # several times slower).  Triangle and bucket indices are int32:
+        # n_total <= (2 sqrt(M))^2 = 4 M, under 2^31 for any mesh below 2^29
+        # (5.4 * 10^8) triangles, whose frames alone would take 30 GB;
+        # positions in the pair arrays, which can exceed both, stay int64.
+        c0, c1, c2 = corners[:, 0], corners[:, 1], corners[:, 2]
+        tlo = np.minimum(np.minimum(c0, c1), c2)
+        thi = np.maximum(np.maximum(c0, c1), c2)
+        i0, i1 = (self._cell_idx(t[:, 0], 0).astype(np.int32) for t in (tlo, thi))
+        j0, j1 = (self._cell_idx(t[:, 1], 1).astype(np.int32) for t in (tlo, thi))
+        del tlo, thi
+        # one (cell, triangle) pair per bucket a triangle's box overlaps, in
+        # ascending triangle order
         nj = j1 - j0 + 1
         cnt = (i1 - i0 + 1) * nj
-        tris = np.repeat(np.arange(mesh.num_triangles), cnt)
+        tris = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), cnt)
         k = np.arange(tris.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        cells = (i0[tris] + k // nj[tris]) * self.n_y + j0[tris] + k % nj[tris]
-        order = np.lexsort((tris, cells))
-        self.pair_cells = cells[order]
+        di, dj = np.divmod(k.astype(np.int32), nj[tris])
+        del k
+        cells = (i0[tris] + di) * self.n_y + j0[tris] + dj
+        del di, dj
+        # a stable sort by cell keeps each bucket's triangles ascending
+        order = np.argsort(cells, kind="stable")
         self.pair_tris = tris[order]
-        n_total = (self.edges[0].size + 1) * self.n_y
-        self.ptr = np.searchsorted(self.pair_cells, np.arange(n_total + 1))
+        del tris, order
+        self.ptr = np.zeros(n_total + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=n_total), out=self.ptr[1:])
 
     def _cell_idx(self, coords, axis):
         return np.searchsorted(self.edges[axis], coords, side="right")

@@ -7,7 +7,10 @@ every metric name must be one that ``BENCHMARK.json`` declares.  A record's
 ``claim`` is null or names one end-to-end metric of one declared workload
 whose summary holds it; the pairs must then carry the claim: the change
 better in at least nine of every ten pairs, and its median better than the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range.  No record may
+show a regression: on every workload, each end-to-end metric's change
+median is no worse than its parent median by more than that metric's
+``bound`` in ``BENCHMARK.json``, a fraction of the parent median.
 """
 
 import json
@@ -19,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
-END_TO_END = {m["name"] for m in SPEC["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -61,7 +64,7 @@ def test_claim_is_a_measured_end_to_end_gain(path):
         return
     assert set(claim) == {"metric", "workload"}, claim
     metric, workload = claim["metric"], claim["workload"]
-    assert metric in END_TO_END, claim
+    assert metric in BOUND, claim
     assert workload in WORKLOADS, claim
     w = bench["workloads"][workload]
     s = w["summary"][metric]
@@ -69,3 +72,15 @@ def test_claim_is_a_measured_end_to_end_gain(path):
     sign = 1 if BETTER[metric] == "higher" else -1
     q1, q3 = s["parent"]["quartiles"]
     assert sign * (s["change"]["median"] - s["parent"]["median"]) > q3 - q1, claim
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_no_end_to_end_metric_regresses(path):
+    bench = json.loads(path.read_text())
+    for name, w in bench["workloads"].items():
+        for metric, s in w["summary"].items():
+            if metric not in BOUND:
+                continue
+            parent, change = s["parent"]["median"], s["change"]["median"]
+            sign = 1 if BETTER[metric] == "higher" else -1
+            assert sign * (change - parent) >= -BOUND[metric] * abs(parent), (name, metric)
