@@ -172,7 +172,7 @@ def _cmd_rate_study(parser, args):
         _check_alpha(parser, args.alpha)
     if args.mode == "fem" and args.study in ("coeff", "wwww"):
         parser.error(f"--mode fem is not available for --study {args.study} "
-                     f"(only --study domain has a FEM path)")
+                     f"(only --study domain has a semi-analytic and a FEM mode)")
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
@@ -196,12 +196,12 @@ def _cmd_rate_study(parser, args):
     try:
         # overflow and invalid values surface as non-finite cells, reported below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows, fit = _run_study(args, grid)
+            rows, fit, (agreement, flagged) = _run_study(args, grid)
     except experiments.HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except experiments.ResolutionViolation as exc:
-        parser.error(f"--eps-min is too small for --mode fem: {exc}")
+        parser.error(f"--eps-min is too small for the FEM mesh: {exc}")
     except fem.ConvergenceFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
@@ -219,13 +219,20 @@ def _cmd_rate_study(parser, args):
     if bad:
         print(f"error: non-finite {bad}; no CSV written", file=sys.stderr)
         return 1
+    if flagged:
+        i = flagged[0]
+        print(f"error: FEM error {agreement[i]:.1%} off the semi-analytic error at "
+              f"eps={_fmt(rows[i][0])}; no CSV written", file=sys.stderr)
+        return 1
 
     _write(args.out, _csv_lines(cmdline, header, rows, fit))
     return 0
 
 
 def _run_study(args, grid):
-    """The CSV rows and the rate fit of the study ``args`` asks for."""
+    """The CSV rows, the rate fit, and the (agreement, flagged) pair of
+    ``experiments.fem_agreement`` (empty without FEM errors) of the study
+    ``args`` asks for."""
     if args.study == "qualitative":
         table = experiments.qualitative_convergence_study(
             _jump_family(args.alpha), grid, "condition_3", args.beta,
@@ -233,21 +240,24 @@ def _run_study(args, grid):
         first = table.rows[0][1]
         rows = [(eps, err, stat, err / first if first > 0 else 0.0)
                 for eps, err, stat in table.rows]
-        return rows, experiments.fit_loglog([(eps, err) for eps, err, _ in table.rows])
+        u0 = analytic.limit_solution(args.beta)
+        exact = [experiments.semi_jump_error(args.beta, args.alpha, eps, u0)
+                 for eps, _, _ in table.rows]
+        return (rows, experiments.fit_loglog([(eps, err) for eps, err, _ in table.rows]),
+                experiments.fem_agreement(table.errors, exact))
+    checked = ((), ())
     if args.study == "coeff":
         study = experiments.coefficient_rate_study(args.beta, args.alpha, grid, q=args.q)
         check, fit = study.bound, study.rate
     elif args.study == "domain":
         study = experiments.domain_rate_study(args.beta, grid, q=args.q, mode=args.mode)
         check, fit = study.bound, study.rate
-        if study.flagged:
-            i = study.flagged[0]
-            raise ValueError(f"FEM error {study.agreement[i]:.1%} off the semi-analytic "
-                             f"error at eps={_fmt(check.eps[i])}; no CSV written")
+        checked = (study.agreement, study.flagged)
     else:
         check = experiments.composition_inequality_check(args.beta, grid, args.q)
         fit = experiments.fit_loglog(list(zip(check.eps, check.lhs_series)))
-    return list(zip(check.eps, check.lhs_series, check.rhs_series, check.ratios)), fit
+    rows = list(zip(check.eps, check.lhs_series, check.rhs_series, check.ratios))
+    return rows, fit, checked
 
 
 def _non_finite(columns, rows, fit):

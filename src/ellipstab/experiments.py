@@ -6,12 +6,19 @@ measured error to a theoretical majorant over a geometric grid of
 perturbation sizes.  A ratio series that is non-increasing or stable over
 the asymptotic window certifies the bound with its observed constant; a
 growing ratio refutes the tested exponent.
+
+The two FEM studies, the domain study's "fem" mode and the qualitative
+study, share one mesh rule (``_fem_radii``), one floor (``fem_eps_floor``)
+and one 10 % agreement rule with the closed forms (``fem_agreement``).  The
+qualitative study solves for the difference u_eps - u_0 in one solve
+(``_fem_difference_error``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +50,12 @@ class ConditionViolation(ValueError):
 DEFAULT_EPS_GRID = tuple(np.geomspace(1e-1, 1e-4, 7))
 # radial grading exponent mu of the studies' FEM meshes, nodes at (i/n)^mu
 GRADING = 3.0
+# the FEM studies' default mesh: graded rings and angular intervals
+N_RADIAL = 96
+N_ANGULAR = 64
+# largest relative deviation of a FEM error from its closed form that a FEM
+# study leaves unflagged
+AGREEMENT_TOL = 0.10
 
 
 def _eps_grid(eps_grid):
@@ -195,10 +208,7 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     u0 = analytic.limit_solution(beta)
     k = np.pi / beta
 
-    errors = []
-    for eps in eps_grid:
-        diff = analytic.jump_solution(beta, alpha, eps).difference(u0)
-        errors.append(analytic.h1_seminorm_separable(diff))
+    errors = [semi_jump_error(beta, alpha, eps, u0) for eps in eps_grid]
     samples = tuple(zip(eps_grid, errors))
 
     # the squared contrast ratio stays in [0, 1) for every finite alpha > 0
@@ -228,7 +238,24 @@ class DomainStudy:
     bound: BoundCheck
     mode: str
     agreement: tuple = ()  # relative fem vs semi difference per grid point
-    flagged: tuple = ()  # grid indices where the disagreement exceeds 10%
+    flagged: tuple = ()  # grid indices where it is not within AGREEMENT_TOL
+
+
+def semi_jump_error(beta, alpha, eps, u0):
+    """H1 seminorm distance of the jump solution from the limit solution
+    ``u0``, in closed form (1D radial quadrature of the profile difference)."""
+    return analytic.h1_seminorm_separable(
+        analytic.jump_solution(beta, alpha, eps).difference(u0))
+
+
+def fem_agreement(errors, exact):
+    """The relative deviation |error - exact| / exact of each FEM error from
+    its closed form, and the indices where it is not within AGREEMENT_TOL; a
+    NaN deviation (0 / 0, inf / inf) is not."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        agreement = np.abs(np.subtract(errors, exact)) / np.asarray(exact, dtype=float)
+    flagged = np.flatnonzero(~(agreement <= AGREEMENT_TOL))
+    return tuple(agreement.tolist()), tuple(flagged.tolist())
 
 
 def _semi_annulus_error(beta, eps, u0):
@@ -240,16 +267,14 @@ def _fem_annulus_error(beta, eps, n_radial, n_angular):
     """H1 seminorm distance of the FEM annulus solution, extended by zero,
     from the FEM sector solution.
 
-    The sector mesh ``mesh0`` is graded (``GRADING``) with node circles at
-    eps and 2 eps; the annulus mesh ``mesh_eps`` is ``mesh0`` without its
-    rings r < eps.  Only ``mesh0``'s system is assembled: the annulus system
+    The sector mesh ``mesh0`` has the radii ``_fem_radii``; the annulus mesh
+    ``mesh_eps`` is ``mesh0`` without its rings r < eps.  Only ``mesh0``'s system is assembled: the annulus system
     is its trailing block (``_annulus_system``).  The error is integrated
     over ``mesh0``'s cells, locating the rule points in ``mesh_eps``.
     """
     sector = geometry.SectorDomain(beta)
     annulus = geometry.SectorDomain(beta, r_inner=eps)
-    aligned = (eps, 2.0 * eps)
-    radii = meshing.graded_radii(sector, n_radial, GRADING, aligned_radii=aligned)
+    radii = _fem_radii(sector, eps, n_radial)
     mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
     mesh_eps = meshing.mesh_sector_from_radii(annulus, radii[radii >= eps], n_angular)
     sys0 = fem.assemble(mesh0, coefficients.identity_field(),
@@ -291,15 +316,35 @@ def _annulus_system(sys0, mesh_eps):
     return fem.SparseSystem(sys0.matrix.block(trailing), sys0.rhs[k:], free, mesh_eps)
 
 
+def _fem_radii(sector, eps, n_radial, interface_radii=()):
+    """The radial nodes of a FEM study's mesh at ``eps``: ``n_radial`` rings
+    graded by ``GRADING``, with node circles at eps, at 2 eps when it is
+    below 1 (where the radial shift map stops moving points), and at the
+    ``interface_radii`` inside (0, 1)."""
+    aligned = (eps, 2.0 * eps) if 2.0 * eps < 1.0 else (eps,)
+    aligned += tuple(r for r in interface_radii if 0.0 < r < 1.0)
+    return meshing.graded_radii(sector, n_radial, GRADING, aligned_radii=aligned)
+
+
 def fem_eps_floor(n_radial):
-    """Smallest eps the FEM domain study resolves: its mesh's innermost graded
+    """Smallest eps the FEM studies resolve: their mesh's innermost graded
     radius (1/n_radial)^GRADING, below which the cells out to that radius are
     stretched far past the grading and the FEM error drifts off."""
     return (1.0 / n_radial) ** GRADING
 
 
+def _check_resolved(eps_grid, n_radial):
+    """Raise ResolutionViolation when the smallest eps of ``eps_grid`` (sorted
+    largest first) is below ``fem_eps_floor(n_radial)``."""
+    floor = fem_eps_floor(n_radial)
+    if not eps_grid[-1] >= floor:
+        raise ResolutionViolation(
+            f"eps {eps_grid[-1]:g} is below {floor:.12g}, the innermost graded "
+            f"radius (1/{n_radial})^{GRADING:g} of the FEM mesh")
+
+
 def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
-                      rhs_eps_exponent=None, n_radial=96, n_angular=64):
+                      rhs_eps_exponent=None, n_radial=N_RADIAL, n_angular=N_ANGULAR):
     """Error decay of the annular-sector family against the hole size.
 
     The bound check compares the error over the full sector (perturbed
@@ -310,25 +355,22 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
     sharpness of the original exponent is exhibited.  ``mode`` is "semi"
     (semi-analytic errors) or "fem" (FEM errors, checked against them); a
     "fem" grid reaching below ``fem_eps_floor(n_radial)`` raises
-    ResolutionViolation before any work.
+    ResolutionViolation before any work, and ``flagged`` lists the grid
+    points whose FEM error is off the semi-analytic one (``fem_agreement``).
     """
     _check_exponent(beta, q)
     if mode not in ("semi", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
     eps_grid = _eps_grid(eps_grid)
-    floor = fem_eps_floor(n_radial)
-    if mode == "fem" and not eps_grid[-1] >= floor:
-        raise ResolutionViolation(
-            f"eps {eps_grid[-1]:g} is below {floor:.12g}, the innermost graded "
-            f"radius (1/{n_radial})^{GRADING:g} of the FEM mesh")
+    if mode == "fem":
+        _check_resolved(eps_grid, n_radial)
     u0 = analytic.limit_solution(beta)
 
     semi = tuple(_semi_annulus_error(beta, eps, u0) for eps in eps_grid)
     if mode == "fem":
         errors = tuple(_fem_annulus_error(beta, eps, n_radial, n_angular)
                        for eps in eps_grid)
-        agreement = tuple(abs(f - s) / s for f, s in zip(errors, semi))
-        flagged = tuple(i for i, a in enumerate(agreement) if a > 0.10)
+        agreement, flagged = fem_agreement(errors, semi)
     else:
         errors = semi
         agreement = ()
@@ -434,7 +476,6 @@ CONDITION_POINTS = 4000
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    mode: str
     rows: tuple  # (eps, fem error, condition statistic)
     monotone: bool
 
@@ -444,19 +485,26 @@ class ConvergenceTable:
 
 
 def qualitative_convergence_study(field_family, eps_grid, mode, beta,
-                                  exclusion_radius=0.5, n_radial=24,
-                                  n_angular=24):
+                                  exclusion_radius=0.5, n_radial=N_RADIAL,
+                                  n_angular=N_ANGULAR):
     """Tabulate FEM errors for a coefficient family under one of two conditions.
 
     ``mode`` is "condition_3" (uniform convergence off a compact set, here
     the closed disc of ``exclusion_radius``) or "condition_4" (positive
-    part of the deficit tends to zero uniformly).  The chosen condition is
-    verified by sampling before any solve; only a monotone trend toward
-    zero is asserted for the errors, no rate.
+    part of the deficit tends to zero uniformly).  A grid reaching below
+    ``fem_eps_floor(n_radial)`` raises ResolutionViolation, and then the
+    chosen condition is verified by sampling, both before any solve; only a
+    monotone trend toward zero is asserted for the errors, no rate.
+
+    Each eps has the domain study's mesh (``_fem_radii``, aligned also at
+    the interface radii of ``field_family(eps)`` and ``field_family(0)``),
+    and its error is ||grad(u_eps - u_0)||, solved for the difference
+    (``_fem_difference_error``).
     """
     if mode not in ("condition_3", "condition_4"):
         raise ValueError(f"unknown mode {mode!r}")
     eps_grid = _eps_grid(eps_grid)
+    _check_resolved(eps_grid, n_radial)
     sector = geometry.SectorDomain(beta)
     field0 = field_family(0.0)
     pts = sector.sample_interior(CONDITION_POINTS)
@@ -486,13 +534,38 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     rows = []
     for (eps, (stat, _)) in zip(eps_grid, stats):
         f_eps = field_family(eps)
-        aligned = tuple(r for r in f_eps.interface_radii if 0.0 < r < 1.0)
-        mesh = meshing.mesh_sector(sector, n_radial, n_angular, GRADING, aligned)
-        sol_eps = fem.solve_cg(fem.assemble(mesh, f_eps, source=src))
-        sol_0 = fem.solve_cg(fem.assemble(mesh, field0, source=src))
-        d = sol_eps.triangle_gradients() - sol_0.triangle_gradients()
-        err = float(np.sqrt(np.sum(mesh.areas() * np.sum(d**2, axis=1))))
-        rows.append((eps, err, stat))
+        radii = _fem_radii(sector, eps, n_radial,
+                           (*f_eps.interface_radii, *field0.interface_radii))
+        mesh = meshing.mesh_sector_from_radii(sector, radii, n_angular)
+        rows.append((eps, _fem_difference_error(mesh, field0, f_eps, src), stat))
     errors = [r[1] for r in rows]
     monotone = all(b <= a * 1.05 + 1e-14 for a, b in zip(errors[:-1], errors[1:]))
-    return ConvergenceTable(mode, tuple(rows), monotone)
+    return ConvergenceTable(tuple(rows), monotone)
+
+
+def _fem_difference_error(mesh, field0, field_eps, source):
+    """||grad(u_eps - u_0)||_L2 over ``mesh`` for the FEM solutions with the
+    fields ``field_eps`` and ``field0`` and one ``source``.
+
+    d = u_eps - u_0 solves K_eps d = (K_0 - K_eps) u_0.  K_0 - K_eps is
+    ``fem.assemble`` of the pointwise difference a_0 - a_eps (assembly is
+    linear in the field and reads only its ``eval``; the difference has no
+    ellipticity certificate), and u_0 is zero on the Dirichlet vertices, so
+    the load is that matrix times u_0's free values.  Its rounding is then
+    relative to a_0 - a_eps, so d keeps its digits as the fields merge,
+    where the difference of two solves, or f - K_eps u_0 with u_0's CG
+    residual, is noise.
+    """
+    sys0 = fem.assemble(mesh, field0, source=source)
+    u0 = fem.solve_cg(sys0).nodal_values[sys0.free_vertices]
+    del sys0
+    gap = SimpleNamespace(eval=lambda pts: field0.eval(pts) - field_eps.eval(pts))
+    load = fem.assemble(mesh, gap).matrix @ u0
+    sys_eps = fem.assemble(mesh, field_eps)
+    # the load, O(|a_0 - a_eps|), is scaled exactly from 2^e to 2^(e - e // 2),
+    # so CG's squared norms and the scaled solution stay finite and normal
+    shift = math.frexp(float(np.max(np.abs(load), initial=0.0)))[1] // 2
+    d = fem.solve_cg(fem.SparseSystem(sys_eps.matrix, np.ldexp(load, -shift),
+                                      sys_eps.free_vertices, mesh))
+    grads = np.ldexp(d.triangle_gradients(), shift)
+    return float(np.sqrt(np.sum(mesh.areas() * np.sum(grads**2, axis=1))))

@@ -219,10 +219,12 @@ def assemble(mesh, field, source=None):
     """Assemble the stiffness matrix and load vector.
 
     ``field`` is a CoefficientField, and a weighted form's density belongs
-    in it; ``source`` is a scalar function of position (a SourceTerm, say),
-    or None for a zero load.  Uses the degree-4 six-point triangle rule;
-    interfaces are assumed mesh-aligned so integrands are smooth per
-    element.
+    in it; assembly reads only its ``eval`` and is linear in it, so any
+    object with an ``eval`` will do, such as the difference of two fields
+    (whose matrix is then not definite in general).  ``source`` is a scalar
+    function of position (a SourceTerm, say), or None for a zero load.
+    Uses the degree-4 six-point triangle rule; interfaces are assumed
+    mesh-aligned so integrands are smooth per element.
     """
     # the edges first, so np.unique's temporaries are gone before the
     # element arrays exist

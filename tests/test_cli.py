@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellipstab import cli, experiments, fem, meshing
+from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
 from ellipstab.geometry import SectorDomain
 from ellipstab.meshing import TriMesh
 
@@ -262,7 +263,7 @@ class TestRateStudy:
         assert run("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
                    "--eps-min", eps_min, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert (f"--eps-min is too small for --mode fem: eps {float(eps_min):g} is below "
+        assert (f"--eps-min is too small for the FEM mesh: eps {float(eps_min):g} is below "
                 f"1.1302806713e-06, the innermost graded radius (1/96)^3 of the FEM mesh"
                 in err)
         assert not out.exists()
@@ -288,6 +289,21 @@ class TestRateStudy:
         assert capsys.readouterr().err == (
             f"error: non-finite {column} inf at eps=0.1; no CSV written\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ["1e300", "1e-300"])
+    def test_qualitative_extreme_alpha(self, alpha, tmp_path, capsys):
+        # the difference load is O(|1 - alpha|): exit 0 with every row
+        # within 10% of the closed form, or exit 1 with one line and no CSV
+        out = tmp_path / "x.csv"
+        code = run("rate-study", "--study", "qualitative", "--points", "4",
+                   "--eps-min", "1e-3", "--alpha", alpha, "--out", str(out))
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.count("\n") == 1 and not out.exists()
+            return
+        assert (code, err) == (0, "")
+        assert_rows_match_jump_closed_form(out.read_text(), 1.5 * np.pi, float(alpha))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e100", "1e160", "1e300"])
@@ -399,6 +415,16 @@ def documented_rate_studies(draw):
 VANISH = "degenerate study: all errors vanish (no rate to fit)\n"
 
 
+def assert_rows_match_jump_closed_form(csv, beta, alpha):
+    """Every row of a qualitative CSV is within 10% of the jump family's
+    closed-form error."""
+    u0 = limit_solution(beta)
+    for row in csv.splitlines()[2:-1]:
+        eps, err = (float(v) for v in row.split(",")[:2])
+        exact = h1_seminorm_separable(jump_solution(beta, alpha, eps).difference(u0))
+        assert abs(err - exact) <= 0.10 * exact, (eps, err, exact)
+
+
 @settings(max_examples=200, deadline=None)
 @given(documented_rate_studies())
 def test_documented_rate_study_box(case):
@@ -411,17 +437,25 @@ def test_documented_rate_study_box(case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     err = err.getvalue()
-    # limits a few ulps apart round the grid to repeated values: a usage
-    # error, refused before any work
+    # limits a few ulps apart round the grid to repeated values, and a
+    # qualitative grid below the FEM mesh's floor is unresolved: usage
+    # errors, refused before any work
     grid = np.geomspace(case["eps_max"], case["eps_min"], case["points"])
-    assert (code == 2) == (np.unique(grid).size < case["points"])
+    repeats = np.unique(grid).size < case["points"]
+    unresolved = (case["study"] == "qualitative"
+                  and case["eps_min"] < experiments.fem_eps_floor(96))
+    assert (code == 2) == (repeats or unresolved)
     if code == 2:
-        assert err.endswith("eps grid repeats a value\n") and out.getvalue() == ""
+        assert out.getvalue() == ""
+        assert err.endswith("eps grid repeats a value\n") if repeats else (
+            "--eps-min is too small for the FEM mesh: " in err)
     elif code == 0:
         rows = out.getvalue().splitlines()[2:-1]
         assert len(rows) == case["points"]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
         assert err == ""
+        if case["study"] == "qualitative":
+            assert_rows_match_jump_closed_form(out.getvalue(), case["beta"], case["alpha"])
     elif code == 3:
         # q at or above q*: qualitative reads no q
         assert case["study"] != "qualitative"
@@ -432,13 +466,16 @@ def test_documented_rate_study_box(case):
         if err.startswith("error: condition_3 fails: "):
             # every eps beyond the disc, of radius 0.5, off which it is checked
             assert case["study"] == "qualitative" and case["eps_min"] > 0.5
-        elif case["study"] == "coeff":
-            assert (err, case["alpha"]) == (VANISH, 1.0)
+        elif err.startswith("error: FEM error "):
+            # a FEM error more than 10% off the closed form, at the eps named
+            match = re.fullmatch(r"error: FEM error (\S+)% off the semi-analytic error "
+                                 r"at eps=(\S+); no CSV written\n", err)
+            assert case["study"] == "qualitative" and float(match[1]) > 10.0
+            assert float(match[2]) in [float(cli._fmt(e)) for e in grid]
         else:
-            # alpha this near 1: FEM errors that round to 0, at the smallest
-            # eps or at every eps
-            assert err in ("error: errors must be positive for a log-log fit\n", VANISH)
-            assert case["study"] == "qualitative" and abs(math.log(case["alpha"])) <= 1e-3
+            # no jump at all: every error vanishes
+            assert case["study"] in ("coeff", "qualitative")
+            assert (err, case["alpha"]) == (VANISH, 1.0)
 
 
 class TestSolve:

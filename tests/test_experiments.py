@@ -457,6 +457,49 @@ class TestQualitativeConvergence:
             if alpha != 2.0:  # the 1/2 contrast is too close to 2 to tell apart
                 assert err != pytest.approx(closed_form(1.0 / alpha, eps), rel=0.05)
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_error_is_linear_in_the_contrast_near_one(self, delta):
+        # the error is |1 - alpha| times a smooth function of alpha, so
+        # error / |1 - alpha| on either side of 1 agrees to O(delta); the
+        # float 1 - alpha is exact here, and the difference of two solves
+        # misses by 3.6e-5 at delta = 1e-8
+        def scaled_error(alpha):
+            family = lambda e: radial_jump_field(alpha, e) if e > 0 else identity_field()
+            table = qualitative_convergence_study(family, (1e-3,), "condition_3", 4.0)
+            return table.errors[0] / abs(1.0 - alpha)
+
+        below, above = scaled_error(1.0 - delta), scaled_error(1.0 + delta)
+        assert abs(below / above - 1.0) <= 10.0 * delta
+
+    def test_difference_solve_stops_on_a_finite_residual(self, monkeypatch):
+        # the load is O(|1 - alpha|); unscaled, ||b||^2 overflows and CG's
+        # relative residual reads 0 after any first step
+        alpha = 1e300
+        reports = []
+        solve = fem.solve_cg
+
+        def recording(system, *args, **kwargs):
+            sol = solve(system, *args, **kwargs)
+            reports.append(sol.solve_report)
+            return sol
+
+        monkeypatch.setattr(fem, "solve_cg", recording)
+        family = lambda e: radial_jump_field(alpha, e) if e > 0 else identity_field()
+        table = qualitative_convergence_study(family, (1e-3,), "condition_3", BETA)
+        assert len(reports) == 2  # u_0, then the difference
+        assert all(0.0 < residual <= 1e-10 for _, residual in reports)
+        exact = h1_seminorm_separable(jump_solution(BETA, alpha, 1e-3).difference(
+            limit_solution(BETA)))
+        assert table.errors[0] == pytest.approx(exact, rel=0.01)
+
+    def test_grid_below_the_mesh_floor_is_refused(self, monkeypatch):
+        # the domain study's floor, checked before the condition or any solve
+        monkeypatch.setattr(experiments, "_fem_difference_error", None)
+        family = lambda e: radial_jump_field(2.0, e) if e > 0 else identity_field()
+        with pytest.raises(ResolutionViolation, match=r"eps 0\.0009 is below 0\.001, "):
+            qualitative_convergence_study(family, (0.1, 9e-4), "condition_3", BETA,
+                                          n_radial=10, n_angular=6)
+
     def test_condition_3_violated_without_compact_set(self):
         family = lambda e: radial_jump_field(2.0, 0.8) if e > 0 else identity_field()
         with pytest.raises(ConditionViolation) as err:

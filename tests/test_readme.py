@@ -183,7 +183,9 @@ def test_condition_3_disc_radius(capsys):
 
 
 def test_fem_agreement_threshold(capsys, monkeypatch):
+    # both FEM studies flag their rows by experiments.fem_agreement
     limit = float(stated(r"more than (\d+) % off the semi-analytic")) / 100.0
+    assert experiments.AGREEMENT_TOL == limit
 
     def run_off_by(share):
         def fem_error(beta, eps, n_radial, n_angular):
@@ -213,15 +215,16 @@ def test_eps_min_limit_is_its_owner(capsys):
 
 
 def test_fem_eps_floor_is_its_owner(capsys):
-    limit, n_radial = stated(
-        r"`rate-study --mode fem --eps-min` is at least (\S+) "
-        r"\(`experiments\.fem_eps_floor\((\d+)\)`\)", LIMITS)
-    n_default = inspect.signature(experiments.domain_rate_study).parameters["n_radial"]
-    assert int(n_radial) == n_default.default
+    limit, n_radial, refused = stated(
+        r"`rate-study --eps-min` of a FEM study, [^\n]* is at least (\S+) "
+        r"\(`experiments\.fem_eps_floor\((\d+)\)`\)[^\n]*: `(--[^`]+)` is refused\.", LIMITS)
+    for study in (experiments.domain_rate_study, experiments.qualitative_convergence_study):
+        assert int(n_radial) == inspect.signature(study).parameters["n_radial"].default
     assert limit == f"{experiments.fem_eps_floor(int(n_radial)):.11g}"
-    code, _, err = run(capsys, "rate-study", "--study", "domain", "--mode", "fem",
-                       "--eps-min", "1e-7")
-    assert code == 2 and f"below {limit}," in err
+    for argv in (("--study", "domain", "--mode", "fem", "--eps-min", "1e-7"),
+                 shlex.split(refused)):
+        code, out, err = run(capsys, "rate-study", *argv)
+        assert (code, out) == (2, "") and f"below {limit}," in err
 
 
 def test_graph_margin_is_its_owner(capsys, tmp_path):
@@ -310,7 +313,8 @@ CONTRACT_NUMBERS = {
     "0.6": "test_study_example_output",
     "0.9": "test_study_example_output",
     "1.000e+00": "test_study_example_output",
-    "0.9999769744141629": "test_study_example_output",
+    "0.9999769744141629": "test_fem_eps_floor_is_its_owner and test_study_example_output",
+    "14.2": "test_study_example_output",
     "1e-3": "test_repeated_eps_grid_limit",
     "0.0010000000000000002": "test_repeated_eps_grid_limit",
     "1e-4": "test_verify_pass_threshold",
