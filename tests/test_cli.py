@@ -305,6 +305,18 @@ class TestRateStudy:
         assert (code, err) == (0, "")
         assert_rows_match_jump_closed_form(out.read_text(), 1.5 * np.pi, float(alpha))
 
+    def test_qualitative_nan_residual_exits_4_at_once(self, tmp_path, capsys):
+        # at alpha = 1e308 CG's first residual is NaN, which never passes
+        # the tolerance test: the solve stops there instead of running all
+        # 50 000 iterations, with exit 4, one line and no CSV
+        out = tmp_path / "x.csv"
+        assert run("rate-study", "--study", "qualitative", "--alpha", "1e308",
+                   "--eps-min", "1e-3", "--points", "4", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "is not finite at iteration 1" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e100", "1e160", "1e300"])
     def test_extreme_alpha_bound_is_finite(self, alpha, tmp_path):

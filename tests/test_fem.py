@@ -512,6 +512,17 @@ class TestSolveCg:
             solve_cg(system, rel_tol=1e-300, max_iter=3)
         assert len(err.value.residual_history) == 3
 
+    def test_non_finite_residual_stops_at_once(self):
+        # NaN never passes rel <= rel_tol: the first non-finite residual
+        # ends the solve instead of running all max_iter iterations
+        system, _ = solve_limit_problem(8, 8)
+        rhs = system.rhs.copy()
+        rhs[3] = np.nan
+        with pytest.raises(ConvergenceFailure, match="not finite") as err:
+            solve_cg(dataclasses.replace(system, rhs=rhs))
+        assert len(err.value.residual_history) == 1
+        assert np.isnan(err.value.residual_history[0])
+
     def test_ring_numbered_sector_solves_in_one_separable_step(self, monkeypatch):
         # the domain study's mesh: 96 x 64, grading 3, circles at eps and 2 eps
         sector = SectorDomain(BETA)
@@ -773,6 +784,15 @@ def test_sine_transform_is_the_orthonormal_sine_matrix(n, rng):
     assert np.max(np.abs(_sine_transform(x) - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+def domain_meshes(eps):
+    """fem_domain's meshes at beta = 1.5 pi: the 96 x 64 sector mesh and
+    the annulus mesh of its rings at r >= eps, circles at eps and 2 eps."""
+    radii = graded_radii(SectorDomain(BETA), 96, 3.0, aligned_radii=(eps, 2.0 * eps))
+    mesh0 = mesh_sector_from_radii(SectorDomain(BETA), radii, 64)
+    mesh_eps = mesh_sector_from_radii(SectorDomain(BETA, r_inner=eps), radii[radii >= eps], 64)
+    return mesh0, mesh_eps
+
+
 class TestEvaluateGradient:
     def test_reproduces_linear_functions(self):
         mesh = mesh_sector(SectorDomain(BETA), 6, 6)
@@ -858,14 +878,11 @@ class TestEvaluateGradient:
     def test_memory_peak(self):
         # fem_domain's beta = 1.5 pi, eps = 1e-3 point: the annulus mesh
         # (11 264 triangles) queried at the sector mesh's grouped rule
-        # points.  6.7 MB measured (numpy 2.4); 13.9 MB with int64 pair
-        # arrays sorted by np.lexsort, the pair cells kept and 2^17 pairs
-        # per chunk
-        eps = 1e-3
-        radii = graded_radii(SectorDomain(BETA), 96, 3.0, aligned_radii=(eps, 2.0 * eps))
-        mesh0 = mesh_sector_from_radii(SectorDomain(BETA), radii, 64)
-        mesh_eps = mesh_sector_from_radii(SectorDomain(BETA, r_inner=eps), radii[radii >= eps],
-                                          64)
+        # points.  6.59 MB measured (numpy 2.4); 6.65 MB with the int32
+        # cells merge-sorted and the gradients scattered into a zero array
+        # by mask, 13.9 MB with int64 pair arrays sorted by np.lexsort, the
+        # pair cells kept and 2^17 pairs per chunk
+        mesh0, mesh_eps = domain_meshes(1e-3)
         sol = FemSolution(mesh_eps, np.ones(mesh_eps.num_vertices), (0, 0.0))
         pts = tri6_points(mesh0.corners())
         evaluate_gradient_many(sol, pts)
@@ -876,6 +893,54 @@ class TestEvaluateGradient:
         finally:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
+
+    @pytest.mark.parametrize("refine,radix_passes", [(0, 1), (1, 2)])
+    def test_pairs_in_stable_cell_order(self, refine, radix_passes):
+        # fem_domain's beta = 1.5 pi, eps = 1e-3 annulus mesh has 44 944
+        # buckets, sorted in one 16-bit radix pass; refined once, 179 776,
+        # sorted by the low and then the high 16 bits.  Either way the
+        # pairs must be in the order of a stable sort by cell
+        mesh = domain_meshes(1e-3)[1]
+        for _ in range(refine):
+            mesh = refine_uniform(mesh)
+        loc = _Locator(mesh)
+        n_total = loc.ptr.size - 1
+        assert (n_total > 2**16) == (radix_passes == 2)
+        # the reference pairs: one per bucket of each triangle's box, cell
+        # by divmod of its offset within the triangle
+        corners = mesh.corners()
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        i0, i1 = loc._cell_idx(lo[:, 0], 0), loc._cell_idx(hi[:, 0], 0)
+        j0, j1 = loc._cell_idx(lo[:, 1], 1), loc._cell_idx(hi[:, 1], 1)
+        nj = j1 - j0 + 1
+        cnt = (i1 - i0 + 1) * nj
+        tris = np.repeat(np.arange(mesh.num_triangles), cnt)
+        di, dj = np.divmod(np.arange(tris.size) - np.repeat(np.cumsum(cnt) - cnt, cnt),
+                           nj[tris])
+        cells = (i0[tris] + di) * loc.n_y + j0[tris] + dj
+        assert np.array_equal(loc.pair_tris, tris[np.argsort(cells, kind="stable")])
+        assert np.array_equal(loc.ptr, np.concatenate(
+            [[0], np.cumsum(np.bincount(cells, minlength=n_total))]))
+
+    def test_outside_points_read_zero_bits(self):
+        # -1 reads an appended zero row; the bytes equal those of a zero
+        # array with the inside points' gradients scattered in
+        mesh = mesh_sector(SectorDomain(BETA, r_inner=0.05), 8, 10, grading=3.0)
+        rng = np.random.default_rng(7)
+        sol = FemSolution(mesh, rng.standard_normal(mesh.num_vertices), (0, 0.0))
+        # rule points of a larger sector: some in the hole, the missing
+        # quadrant and past the arc
+        groups = tri6_points(1.1 * mesh_sector(SectorDomain(1.7 * np.pi), 6, 8).corners())
+        loc = _Locator(mesh)
+        for pts in (groups, groups.reshape(-1, 2)):
+            got = evaluate_gradient_many(sol, pts)
+            idx = loc.locate_groups(pts) if pts.ndim == 3 else loc.locate_many(pts)
+            assert np.any(idx < 0) and np.any(idx >= 0)
+            expected = np.zeros(idx.shape + (2,))
+            inside = idx >= 0
+            expected[inside] = sol.triangle_gradients()[idx[inside]]
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_refined_mesh_locator(self):
         # a refined sector mesh goes through the same bucket locator
