@@ -17,7 +17,7 @@ qualitative study solves for the difference u_eps - u_0 in one solve
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,7 +135,6 @@ class BoundCheck:
     hypothesis_params: tuple
     verdict: str
     window: tuple
-    extras: dict = field(default_factory=dict)
 
     @property
     def ratio_max(self):
@@ -188,8 +187,8 @@ class CoefficientStudy:
     rate: RateFit
     bound: BoundCheck
     lower_bound_ratios: tuple  # error^2 / eps^(2 pi / beta), per grid point
-    lower_bound_constant: float  # pi (1-alpha)^2 / (2 beta (1+alpha)^2)
-    grad_norm_q: float
+    # pi (1-alpha)^2 / (2 beta (1+alpha)^2); the ratios tend to 2 beta times it
+    lower_bound_constant: float
 
 
 def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
@@ -200,8 +199,9 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     The bound check compares the error with
     ||grad u0||_{L^q} * ||a_eps - 1||_{L^p}, p = 2q/(q-2), and the squared
     error divided by eps^(2 pi / beta) is reported against the sharpness
-    constant pi (1-alpha)^2 / (2 beta (1+alpha)^2).  At alpha = 1 every
-    error and every bound is zero, and the fit is degenerate.
+    constant pi (1-alpha)^2 / (2 beta (1+alpha)^2); those ratios tend to
+    pi ((1-alpha)/(1+alpha))^2, 2 beta times that constant.  At alpha = 1
+    every error and every bound is zero, and the fit is degenerate.
     """
     _check_exponent(beta, q)
     eps_grid = _eps_grid(eps_grid)
@@ -225,8 +225,7 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
     bound = bound_check(eps_grid, errors, rhs, q, grad_norm)
     lower_ratios = tuple(err**2 / eps ** (2.0 * k)
                          for eps, err in zip(eps_grid, errors))
-    return CoefficientStudy(rate, bound, lower_ratios, float(lower_const),
-                            float(grad_norm))
+    return CoefficientStudy(rate, bound, lower_ratios, float(lower_const))
 
 
 # -- domain perturbation study ------------------------------------------------
@@ -236,7 +235,6 @@ def coefficient_rate_study(beta, alpha, eps_grid=None, q=4.0):
 class DomainStudy:
     rate: RateFit
     bound: BoundCheck
-    mode: str
     agreement: tuple = ()  # relative fem vs semi difference per grid point
     flagged: tuple = ()  # grid indices where it is not within AGREEMENT_TOL
 
@@ -263,20 +261,22 @@ def _semi_annulus_error(beta, eps, u0):
     return analytic.h1_seminorm_separable(ue.difference(u0))
 
 
-def _fem_annulus_error(beta, eps, n_radial, n_angular):
+def _fem_annulus_error(beta, eps):
     """H1 seminorm distance of the FEM annulus solution, extended by zero,
     from the FEM sector solution.
 
-    The sector mesh ``mesh0`` has the radii ``_fem_radii``; the annulus mesh
-    ``mesh_eps`` is ``mesh0`` without its rings r < eps.  Only ``mesh0``'s system is assembled: the annulus system
-    is its trailing block (``_annulus_system``).  The error is integrated
-    over ``mesh0``'s cells, locating the rule points in ``mesh_eps``.
+    The sector mesh ``mesh0`` has the radii ``_fem_radii`` and ``N_ANGULAR``
+    angular intervals; the annulus mesh ``mesh_eps`` is ``mesh0`` without
+    its rings r < eps.  Only ``mesh0``'s system is assembled: the annulus
+    system is its trailing block (``_annulus_system``).  The error is
+    integrated over ``mesh0``'s cells, locating the rule points in
+    ``mesh_eps``.
     """
     sector = geometry.SectorDomain(beta)
     annulus = geometry.SectorDomain(beta, r_inner=eps)
-    radii = _fem_radii(sector, eps, n_radial)
-    mesh0 = meshing.mesh_sector_from_radii(sector, radii, n_angular)
-    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii[radii >= eps], n_angular)
+    radii = _fem_radii(sector, eps)
+    mesh0 = meshing.mesh_sector_from_radii(sector, radii, N_ANGULAR)
+    mesh_eps = meshing.mesh_sector_from_radii(annulus, radii[radii >= eps], N_ANGULAR)
     sys0 = fem.assemble(mesh0, coefficients.identity_field(),
                         source=analytic.SourceTerm(beta))
     sol0 = fem.solve_cg(sys0)
@@ -316,14 +316,14 @@ def _annulus_system(sys0, mesh_eps):
     return fem.SparseSystem(sys0.matrix.block(trailing), sys0.rhs[k:], free, mesh_eps)
 
 
-def _fem_radii(sector, eps, n_radial, interface_radii=()):
-    """The radial nodes of a FEM study's mesh at ``eps``: ``n_radial`` rings
+def _fem_radii(sector, eps, interface_radii=()):
+    """The radial nodes of a FEM study's mesh at ``eps``: ``N_RADIAL`` rings
     graded by ``GRADING``, with node circles at eps, at 2 eps when it is
     below 1 (where the radial shift map stops moving points), and at the
     ``interface_radii`` inside (0, 1)."""
     aligned = (eps, 2.0 * eps) if 2.0 * eps < 1.0 else (eps,)
     aligned += tuple(r for r in interface_radii if 0.0 < r < 1.0)
-    return meshing.graded_radii(sector, n_radial, GRADING, aligned_radii=aligned)
+    return meshing.graded_radii(sector, N_RADIAL, GRADING, aligned_radii=aligned)
 
 
 def fem_eps_floor(n_radial):
@@ -333,43 +333,43 @@ def fem_eps_floor(n_radial):
     return (1.0 / n_radial) ** GRADING
 
 
-def _check_resolved(eps_grid, n_radial):
+def _check_resolved(eps_grid):
     """Raise ResolutionViolation when the smallest eps of ``eps_grid`` (sorted
-    largest first) is below ``fem_eps_floor(n_radial)``."""
-    floor = fem_eps_floor(n_radial)
+    largest first) is below ``fem_eps_floor(N_RADIAL)``."""
+    floor = fem_eps_floor(N_RADIAL)
     if not eps_grid[-1] >= floor:
         raise ResolutionViolation(
             f"eps {eps_grid[-1]:g} is below {floor:.12g}, the innermost graded "
-            f"radius (1/{n_radial})^{GRADING:g} of the FEM mesh")
+            f"radius (1/{N_RADIAL})^{GRADING:g} of the FEM mesh")
 
 
-def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
-                      rhs_eps_exponent=None, n_radial=N_RADIAL, n_angular=N_ANGULAR):
+def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi"):
     """Error decay of the annular-sector family against the hole size.
 
     The bound check compares the error over the full sector (perturbed
     gradient extended by zero) with |E|^((q-2)/(2q)), where
-    |E| = 2*beta*eps^2 is the measure moved by the radial shift map.
-    ``rhs_eps_exponent`` overrides the eps-exponent (q-2)/q of that
-    majorant; a larger exponent makes the ratio diverge, which is how the
-    sharpness of the original exponent is exhibited.  ``mode`` is "semi"
-    (semi-analytic errors) or "fem" (FEM errors, checked against them); a
-    "fem" grid reaching below ``fem_eps_floor(n_radial)`` raises
-    ResolutionViolation before any work, and ``flagged`` lists the grid
-    points whose FEM error is off the semi-analytic one (``fem_agreement``).
+    |E| = 2*beta*eps^2 is the measure moved by the radial shift map.  A
+    majorant with a larger eps-exponent than (q-2)/q, checked by
+    ``bound_check`` on ``bound.eps`` and ``bound.lhs_series``, gives a
+    diverging ratio, which exhibits the exponent's sharpness.
+
+    ``mode`` is "semi" (semi-analytic errors) or "fem" (FEM errors on the
+    ``N_RADIAL`` x ``N_ANGULAR`` mesh, checked against them); a "fem" grid
+    reaching below ``fem_eps_floor(N_RADIAL)`` raises ResolutionViolation
+    before any work, and ``flagged`` lists the grid points whose FEM error
+    is off the semi-analytic one (``fem_agreement``).
     """
     _check_exponent(beta, q)
     if mode not in ("semi", "fem"):
         raise ValueError(f"unknown mode {mode!r}")
     eps_grid = _eps_grid(eps_grid)
     if mode == "fem":
-        _check_resolved(eps_grid, n_radial)
+        _check_resolved(eps_grid)
     u0 = analytic.limit_solution(beta)
 
     semi = tuple(_semi_annulus_error(beta, eps, u0) for eps in eps_grid)
     if mode == "fem":
-        errors = tuple(_fem_annulus_error(beta, eps, n_radial, n_angular)
-                       for eps in eps_grid)
+        errors = tuple(_fem_annulus_error(beta, eps) for eps in eps_grid)
         agreement, flagged = fem_agreement(errors, semi)
     else:
         errors = semi
@@ -380,16 +380,11 @@ def domain_rate_study(beta, eps_grid=None, q=4.0, mode="semi",
     rate = fit_loglog(samples)
 
     exponent_rhs = (q - 2.0) / (2.0 * q)
-    rhs = []
-    for eps in eps_grid:
-        e_measure = geometry.radial_shift_map(eps, beta).e_set_measure
-        if rhs_eps_exponent is None:
-            rhs.append(e_measure**exponent_rhs)
-        else:
-            rhs.append((2.0 * beta) ** exponent_rhs * eps**rhs_eps_exponent)
+    rhs = [geometry.radial_shift_map(eps, beta).e_set_measure ** exponent_rhs
+           for eps in eps_grid]
     lip = geometry.radial_shift_map(eps_grid[0], beta).lip_constant
     bound = bound_check(eps_grid, errors, rhs, q, lip)
-    return DomainStudy(rate, bound, mode, agreement, flagged)
+    return DomainStudy(rate, bound, agreement, flagged)
 
 
 # -- composition inequality ----------------------------------------------------
@@ -409,13 +404,7 @@ def composition_inequality_check(beta, eps_grid, q):
         A_q = int_0^beta |sin(k theta)|^q dtheta
             = (beta/sqrt(pi)) Gamma((q+1)/2) / Gamma(q/2+1).
 
-    ``extras`` tracks ||(Dphi)^{-1} - I||_Lq against the same majorant.  In
-    the polar frame that matrix is diag(1/s' - 1, r/s - 1) = diag(1, r/s - 1)
-    on r < 2 eps, with |r/s - 1| <= 1, and zero beyond, so its spectral norm
-    is the indicator of the moved set and the deviation is |E|^(1/q).  It is
-    the bounded one: the forward angular stretch s(r)/r blows up at the
-    corner, so the forward deviation is not in L^q for q > 2.  The constant
-    is reported, never assumed to be 1.
+    The constant is reported, never assumed to be 1.
     """
     if not 2.0 < q:
         raise ValueError(f"q must exceed 2, got {q:g}")
@@ -441,12 +430,7 @@ def composition_inequality_check(beta, eps_grid, q):
             comp_sq, 0.0, 2.0 * eps)))
         rhs.append(f_norm_q * mp.e_set_measure**exponent)
 
-    check = bound_check(eps_grid, lhs, rhs, q, f_norm_q)
-    e_sets = [mp.e_set_measure for mp in maps]
-    dev = tuple(e ** (1.0 / q) for e in e_sets)
-    check.extras["jac_dev_lq"] = dev
-    check.extras["jac_dev_ratio"] = tuple(d / e**exponent for d, e in zip(dev, e_sets))
-    return check
+    return bound_check(eps_grid, lhs, rhs, q, f_norm_q)
 
 
 def _limit_lq_norm(sol, q):
@@ -485,14 +469,13 @@ class ConvergenceTable:
 
 
 def qualitative_convergence_study(field_family, eps_grid, mode, beta,
-                                  exclusion_radius=0.5, n_radial=N_RADIAL,
-                                  n_angular=N_ANGULAR):
+                                  exclusion_radius=0.5):
     """Tabulate FEM errors for a coefficient family under one of two conditions.
 
     ``mode`` is "condition_3" (uniform convergence off a compact set, here
     the closed disc of ``exclusion_radius``) or "condition_4" (positive
     part of the deficit tends to zero uniformly).  A grid reaching below
-    ``fem_eps_floor(n_radial)`` raises ResolutionViolation, and then the
+    ``fem_eps_floor(N_RADIAL)`` raises ResolutionViolation, and then the
     chosen condition is verified by sampling, both before any solve; only a
     monotone trend toward zero is asserted for the errors, no rate.
 
@@ -504,7 +487,7 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     if mode not in ("condition_3", "condition_4"):
         raise ValueError(f"unknown mode {mode!r}")
     eps_grid = _eps_grid(eps_grid)
-    _check_resolved(eps_grid, n_radial)
+    _check_resolved(eps_grid)
     sector = geometry.SectorDomain(beta)
     field0 = field_family(0.0)
     pts = sector.sample_interior(CONDITION_POINTS)
@@ -534,9 +517,8 @@ def qualitative_convergence_study(field_family, eps_grid, mode, beta,
     rows = []
     for (eps, (stat, _)) in zip(eps_grid, stats):
         f_eps = field_family(eps)
-        radii = _fem_radii(sector, eps, n_radial,
-                           (*f_eps.interface_radii, *field0.interface_radii))
-        mesh = meshing.mesh_sector_from_radii(sector, radii, n_angular)
+        radii = _fem_radii(sector, eps, (*f_eps.interface_radii, *field0.interface_radii))
+        mesh = meshing.mesh_sector_from_radii(sector, radii, N_ANGULAR)
         rows.append((eps, _fem_difference_error(mesh, field0, f_eps, src), stat))
     errors = [r[1] for r in rows]
     monotone = all(b <= a * 1.05 + 1e-14 for a, b in zip(errors[:-1], errors[1:]))

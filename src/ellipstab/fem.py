@@ -412,12 +412,16 @@ def _separable_preconditioner(K, xy):
     if np.any(d_ring > 1) or np.any(d_angle > 1):
         return None
     # per tensor ring, the mean coupling of kind 2 d_ring + d_angle (1 to 3;
-    # 0 is the diagonal), over n_t, n_t - 1, n_t and n_t - 1 pairs
+    # 0 is the diagonal), over n_t, n_t - 1, n_t and n_t - 1 pairs; the sums
+    # run scaled exactly by 2^-e, the largest diagonal entry's exponent, so a
+    # ring of entries near the float maximum sums without overflow
     n_r = grid.shape[0]
-    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle, weights=K.values[inside],
+    e = math.frexp(float(np.max(K.diag)))[1]
+    sums = np.bincount(4 * (rows // n_t) + 2 * d_ring + d_angle,
+                       weights=np.ldexp(K.values[inside], -e),
                        minlength=4 * n_r).reshape(n_r, 4)
-    sums[:, 0] = np.sum(K.diag[grid], axis=1)
-    D, Th, R, G = (sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)]).T
+    sums[:, 0] = np.sum(np.ldexp(K.diag[grid], -e), axis=1)
+    D, Th, R, G = np.ldexp(sums / [n_t, max(n_t - 1, 1), n_t, max(n_t - 1, 1)], e).T
     lam = 2.0 * np.cos(np.arange(1, n_t + 1) * np.pi / (n_t + 1))
     grid_factor = _ldl(D[:, None] + Th[:, None] * lam,
                        R[:-1, None] + 0.5 * G[:-1, None] * lam)

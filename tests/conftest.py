@@ -8,6 +8,7 @@ from ellipstab import fem, quadrature
 from ellipstab.analytic import SourceTerm, jump_solution
 from ellipstab.coefficients import (CoefficientField, EllipticityBounds, FieldEvaluationError,
                                     identity_field, radial_jump_field)
+from ellipstab.experiments import bound_check
 from ellipstab.geometry import BiLipschitzMap, SectorDomain
 from ellipstab.meshing import graded_radii, mesh_sector, mesh_sector_from_radii, refine_uniform
 
@@ -46,6 +47,16 @@ def annulus_meshes(beta, eps, n_radial, n_angular, aligned=None):
     return (mesh_sector_from_radii(SectorDomain(beta), radii, n_angular),
             mesh_sector_from_radii(SectorDomain(beta, r_inner=eps), eps_radii[eps_radii >= eps],
                                    n_angular))
+
+
+def raised_majorant_check(study, beta, eps_exponent):
+    """``bound_check`` of a domain study's errors against its majorant with
+    the eps-exponent (q-2)/q raised to ``eps_exponent``:
+    (2 beta)^((q-2)/(2q)) eps^eps_exponent, with the study's q and constant."""
+    bound = study.bound
+    q, m_const = bound.hypothesis_params
+    rhs = [(2.0 * beta) ** ((q - 2.0) / (2.0 * q)) * eps**eps_exponent for eps in bound.eps]
+    return bound_check(bound.eps, bound.lhs_series, rhs, q, m_const)
 
 
 def weighted(field, g):

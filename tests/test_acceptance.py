@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ellipstab as es
-from conftest import affine_map, galerkin_residual, smooth_bump_gradient
+from conftest import affine_map, galerkin_residual, raised_majorant_check, smooth_bump_gradient
 from ellipstab.coefficients import pullback_energy_gap, sym_eigvals
 from ellipstab.error_norms import DivergentNormError
 from ellipstab.fem import assemble, solve_cg
@@ -83,27 +83,26 @@ def test_criterion_3_domain_sharpness_rate():
         for q in (3.0, 4.0, 5.0):
             check = es.domain_rate_study(BETA, q=q).bound
             assert check.verdict == "bounded"
-        flipped = es.domain_rate_study(BETA, q=5.0,
-                                       rhs_eps_exponent=2.0 / 3.0 + 0.1)
-        assert flipped.bound.verdict == "violated"
+        flipped = raised_majorant_check(es.domain_rate_study(BETA, q=5.0), BETA,
+                                        2.0 / 3.0 + 0.1)
+        assert flipped.verdict == "violated"
 
 
 def test_criterion_4_fem_end_to_end():
     with _Criterion(4, "FEM-mode domain study", 120.0):
-        n_radial, n_angular = 64, 48
         grid = tuple(np.geomspace(1e-1, 10 ** -2.5, 4))
-        study = es.domain_rate_study(BETA, grid, q=5.0, mode="fem",
-                                     n_radial=n_radial, n_angular=n_angular)
+        study = es.domain_rate_study(BETA, grid, q=5.0, mode="fem")
         assert study.flagged == ()  # fem and semi-analytic agree within 10%
         assert max(study.agreement) <= 0.10
         assert 0.60 <= study.rate.exponent <= 0.73
         # the largest mesh in the sweep stays within the unknown budget
+        from ellipstab.experiments import N_ANGULAR, N_RADIAL
         from ellipstab.meshing import graded_radii, mesh_sector_from_radii
 
         eps = grid[-1]
         sector = es.SectorDomain(BETA)
-        radii = graded_radii(sector, n_radial, 3.0, aligned_radii=(eps, 2 * eps))
-        mesh = mesh_sector_from_radii(sector, radii, n_angular)
+        radii = graded_radii(sector, N_RADIAL, 3.0, aligned_radii=(eps, 2 * eps))
+        mesh = mesh_sector_from_radii(sector, radii, N_ANGULAR)
         system = assemble(mesh, es.identity_field(), source=es.SourceTerm(BETA))
         assert system.num_unknowns <= 50_000
 

@@ -400,7 +400,7 @@ class TestCrossDomainError:
         eps = 0.05
         from ellipstab.experiments import _fem_annulus_error
 
-        fem_err = _fem_annulus_error(BETA, eps, 64, 48)
+        fem_err = _fem_annulus_error(BETA, eps)
         ua = annulus_solution(BETA, eps).extended_by_zero()
         semi = h1_seminorm_separable(ua.difference(limit_solution(BETA)))
         assert fem_err == pytest.approx(semi, rel=0.02)
@@ -433,8 +433,8 @@ class TestCrossDomainError:
         monkeypatch.setattr(error_norms, "evaluate_gradient_many", counting)
         for eps in (1e-3, 1e-2):
             calls.clear()
-            _fem_annulus_error(BETA, eps, 24, 16)
-            mesh0, _ = annulus_meshes(BETA, eps, 24, 16)
+            _fem_annulus_error(BETA, eps)
+            mesh0, _ = annulus_meshes(BETA, eps, 96, 64)
             assert calls == [(eps, 6 * mesh0.num_triangles)]
 
     def test_triangle_inequality(self, rng):
@@ -527,7 +527,7 @@ class TestGroupedLocation:
             return locate_many(self, points, tol)
 
         monkeypatch.setattr(_Locator, "locate_many", counting)
-        _fem_annulus_error(BETA, eps, 96, 64)
+        _fem_annulus_error(BETA, eps)
         mesh0, _ = annulus_meshes(BETA, eps, 96, 64)
         assert sum(searched) <= 0.4 * 6 * mesh0.num_triangles
 

@@ -9,7 +9,6 @@ its prose is one of those.
 
 import argparse
 import importlib
-import inspect
 import re
 import shlex
 from pathlib import Path
@@ -188,7 +187,7 @@ def test_fem_agreement_threshold(capsys, monkeypatch):
     assert experiments.AGREEMENT_TOL == limit
 
     def run_off_by(share):
-        def fem_error(beta, eps, n_radial, n_angular):
+        def fem_error(beta, eps):
             semi = experiments._semi_annulus_error(beta, eps, analytic.limit_solution(beta))
             return semi * (1.0 + share)
         monkeypatch.setattr(experiments, "_fem_annulus_error", fem_error)
@@ -218,8 +217,7 @@ def test_fem_eps_floor_is_its_owner(capsys):
     limit, n_radial, refused = stated(
         r"`rate-study --eps-min` of a FEM study, [^\n]* is at least (\S+) "
         r"\(`experiments\.fem_eps_floor\((\d+)\)`\)[^\n]*: `(--[^`]+)` is refused\.", LIMITS)
-    for study in (experiments.domain_rate_study, experiments.qualitative_convergence_study):
-        assert int(n_radial) == inspect.signature(study).parameters["n_radial"].default
+    assert int(n_radial) == experiments.N_RADIAL
     assert limit == f"{experiments.fem_eps_floor(int(n_radial)):.11g}"
     for argv in (("--study", "domain", "--mode", "fem", "--eps-min", "1e-7"),
                  shlex.split(refused)):
