@@ -174,9 +174,11 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
     solution whose mesh is ``quad_mesh`` itself takes its own cell's
     gradient at each of the cell's rule points, which lie inside that cell;
     any other solution's gradients are looked up by point location in its
-    mesh, the six points of a cell as one group: where the meshes align,
-    the points after a cell's first are kept in its first point's triangle
-    without a search.  A quadrature mesh covering the union of both
+    mesh, the six points of a cell as one group: where the meshes align and
+    number their cells alike, a cell's points are kept without a search in
+    the triangle guessed from the first point of its run of cells
+    (``fem.GUESS_RUN``), and elsewhere the points after a cell's first in
+    that point's triangle.  A quadrature mesh covering the union of both
     solution meshes whose cells align with both makes the
     piecewise-constant integrand exact per cell.
     """

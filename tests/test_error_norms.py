@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -23,6 +24,7 @@ from ellipstab.error_norms import (
     lq_gradient_norm,
 )
 from ellipstab.fem import (
+    GUESS_RUN,
     FemSolution,
     _Locator,
     assemble,
@@ -465,12 +467,24 @@ class TestCrossDomainError:
 
 
 def grouped_case(kind, eps, refine):
-    """(solution mesh, quadrature cell corners) of a grouped location case."""
-    if kind == "domain":
+    """(solution mesh, quadrature cell corners) of a grouped location case.
+
+    The domain study's cells, "domain", also come reversed, shuffled (no
+    guess from a run's anchor holds) and "straddling": from GUESS_RUN / 2
+    cells before the hole's end, so the first run's anchor lies in the hole
+    and its other cells mostly do not."""
+    if kind in ("domain", "reversed", "shuffled", "straddling"):
         mesh0, mesh_eps = annulus_meshes(BETA, eps, 96, 64)
         if refine:
             mesh0, mesh_eps = refine_uniform(mesh0), refine_uniform(mesh_eps)
-        return mesh_eps, mesh0.corners()
+        corners = mesh0.corners()
+        hole = mesh0.num_triangles - mesh_eps.num_triangles
+        return mesh_eps, {
+            "domain": corners,
+            "reversed": corners[::-1],
+            "shuffled": corners[np.random.default_rng(5).permutation(len(corners))],
+            "straddling": corners[hole - GUESS_RUN // 2:],
+        }[kind]
     if kind == "coarse-over-fine":
         fine = mesh_sector(SectorDomain(BETA), 96, 96, grading=3.0)
         return fine, mesh_sector(SectorDomain(BETA), 24, 24, grading=3.0).corners()
@@ -481,14 +495,17 @@ def grouped_case(kind, eps, refine):
 class TestGroupedLocation:
     @pytest.mark.parametrize("kind, eps, refine", [
         ("domain", 1e-4, False), ("domain", 1e-2, False), ("domain", 1e-4, True),
-        ("domain", 1e-2, True), ("coarse-over-fine", None, False), ("graph", None, False)])
+        ("domain", 1e-2, True), ("coarse-over-fine", None, False), ("graph", None, False),
+        ("reversed", 1e-3, False), ("shuffled", 1e-3, False), ("straddling", 1e-3, False)])
     def test_grouped_equals_flat(self, kind, eps, refine, rng):
         mesh, corners = grouped_case(kind, eps, refine)
         groups = quadrature.tri6_points(corners)
         flat = groups.reshape(-1, 2)
         locator = _Locator(mesh)
-        assert np.array_equal(locator.locate_groups(groups).ravel(),
-                              locator.locate_many(flat))
+        found = locator.locate_groups(groups)
+        assert np.array_equal(found.ravel(), locator.locate_many(flat))
+        if kind == "straddling":
+            assert found[0, 0] == -1 and np.all(found[GUESS_RUN // 2:GUESS_RUN] >= 0)
         sol = FemSolution(mesh, rng.normal(size=mesh.num_vertices), (0, 0.0))
         grouped = evaluate_gradient_many(sol, groups)
         assert grouped.shape == groups.shape
@@ -515,8 +532,10 @@ class TestGroupedLocation:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
     def test_domain_study_searches_few_points(self, eps, monkeypatch):
-        # where the meshes align a cell's other rule points stay in its first
-        # point's triangle, so most rule points skip the bucket search
+        # the sector mesh's cells after its hole are the annulus mesh's
+        # triangles in the same order, and the hole holds whole runs of
+        # GUESS_RUN cells: one point is searched per run (the anchor), and
+        # the six rule points of each hole cell, which lie in no triangle
         from ellipstab.experiments import _fem_annulus_error
 
         searched = []
@@ -528,8 +547,10 @@ class TestGroupedLocation:
 
         monkeypatch.setattr(_Locator, "locate_many", counting)
         _fem_annulus_error(BETA, eps)
-        mesh0, _ = annulus_meshes(BETA, eps, 96, 64)
-        assert sum(searched) <= 0.4 * 6 * mesh0.num_triangles
+        mesh0, mesh_eps = annulus_meshes(BETA, eps, 96, 64)
+        hole = mesh0.num_triangles - mesh_eps.num_triangles
+        assert hole % GUESS_RUN == 0
+        assert sum(searched) == 6 * hole + math.ceil(mesh0.num_triangles / GUESS_RUN)
 
 
 class TestLqGradientNorm:

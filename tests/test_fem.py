@@ -878,10 +878,13 @@ class TestEvaluateGradient:
     def test_memory_peak(self):
         # fem_domain's beta = 1.5 pi, eps = 1e-3 point: the annulus mesh
         # (11 264 triangles) queried at the sector mesh's grouped rule
-        # points.  6.59 MB measured (numpy 2.4); 6.65 MB with the int32
-        # cells merge-sorted and the gradients scattered into a zero array
-        # by mask, 13.9 MB with int64 pair arrays sorted by np.lexsort, the
-        # pair cells kept and 2^17 pairs per chunk
+        # points.  3.90 MB measured (numpy 2.4, 2^20 bytes to the MB), with
+        # sqrt(M) buckets per axis and runs of groups guessed; 6.59 MB with
+        # 2 sqrt(M) buckets per axis and every group's first point located,
+        # 6.65 MB with the int32 cells merge-sorted and the gradients
+        # scattered into a zero array by mask, 13.9 MB with int64 pair
+        # arrays sorted by np.lexsort, the pair cells kept and 2^17 pairs
+        # per chunk
         mesh0, mesh_eps = domain_meshes(1e-3)
         sol = FemSolution(mesh_eps, np.ones(mesh_eps.num_vertices), (0, 0.0))
         pts = tri6_points(mesh0.corners())
@@ -894,12 +897,13 @@ class TestEvaluateGradient:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
 
-    @pytest.mark.parametrize("refine,radix_passes", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("refine,radix_passes", [(0, 1), (2, 2)])
     def test_pairs_in_stable_cell_order(self, refine, radix_passes):
-        # fem_domain's beta = 1.5 pi, eps = 1e-3 annulus mesh has 44 944
-        # buckets, sorted in one 16-bit radix pass; refined once, 179 776,
-        # sorted by the low and then the high 16 bits.  Either way the
-        # pairs must be in the order of a stable sort by cell
+        # fem_domain's beta = 1.5 pi, eps = 1e-3 annulus mesh has 11 236
+        # buckets, sorted in one 16-bit radix pass; refined twice, 179 776,
+        # sorted by the low and then the high 16 bits (refined once, 44 944
+        # take one pass).  Either way the pairs must be in the order of a
+        # stable sort by cell
         mesh = domain_meshes(1e-3)[1]
         for _ in range(refine):
             mesh = refine_uniform(mesh)
