@@ -177,10 +177,9 @@ def cross_domain_gradient_error(sol_a, sol_b, quad_mesh):
     mesh, the six points of a cell as one group: where the meshes align and
     number their cells alike, a cell's points are kept without a search in
     the triangle guessed from the first point of its run of cells
-    (``fem.GUESS_RUN``), and elsewhere the points after a cell's first in
-    that point's triangle.  A quadrature mesh covering the union of both
-    solution meshes whose cells align with both makes the
-    piecewise-constant integrand exact per cell.
+    (``fem.GUESS_RUN``), and elsewhere each point is located.  A
+    quadrature mesh covering the union of both solution meshes whose cells
+    align with both makes the piecewise-constant integrand exact per cell.
     """
     pts = tri6_points(quad_mesh.corners())
 

@@ -62,13 +62,14 @@ from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
 # about 140 bytes of temporaries each (2.3 MB a chunk).  On fem_domain's
-# beta = 1.5 pi annulus meshes at eps = 1e-4, 1e-3 and 1e-2 (9 856 to
-# 11 904 triangles) queried at the sector mesh's rule points (12 480
-# cells), 2^13 and 2^14 located about equally fast: 3.9-5.1 ms grouped,
-# 11.7-17.9 ms with the cells shuffled (no guess holds) and 21.7-33.6 ms
-# for all 74 880 points ungrouped, against 4.1-6.1, 16.3-23.5 and
-# 44.6-89.6 ms at 2^15; ungrouped, evaluate_gradient_many peaked at 5.0,
-# 6.1 and 8.3 MB at 2^13, 2^14 and 2^15 (12.2 MB at 2^16)
+# beta = 1.5 pi, eps = 1e-3 annulus mesh (11 264 triangles) queried at the
+# sector mesh's rule points (12 480 cells, 74 880 points), grouped
+# location took about 3 ms at 2^13 to 2^16, and 2^13 and 2^14 were the
+# fastest otherwise: 33-43 ms with the cells shuffled (no guess holds, so
+# every point is searched) and 27-35 ms for all points ungrouped, against
+# 44-78 and 35-67 ms at 2^15 and 76-112 and 73-74 ms at 2^16; ungrouped,
+# evaluate_gradient_many peaked at 5.0, 6.1, 8.3 and 12.2 MB at 2^13 to
+# 2^16
 LOCATE_PAIRS = 1 << 14
 
 # local vertices joined by each element's local edge e, the one opposite
@@ -76,10 +77,9 @@ LOCATE_PAIRS = 1 << 14
 _EDGE_ENDS = np.array([[1, 2, 0], [2, 0, 1]])
 
 # smallest barycentric coordinate of a grouped point kept without a bucket
-# search in its group's guessed triangle, or in the triangle of its group's
-# first point: it then lies GROUP_MARGIN of that triangle's heights inside
-# it, which another triangle's 1e-12 containment band reaches only if that
-# triangle is over 1000 times taller
+# search in its group's guessed triangle: it then lies GROUP_MARGIN of that
+# triangle's heights inside it, which another triangle's 1e-12 containment
+# band reaches only if that triangle is over 1000 times taller
 GROUP_MARGIN = 1e-9
 
 # groups per run in grouped location (``_Locator.locate_groups``): one
@@ -529,24 +529,24 @@ class _Locator:
     centroids along each axis, so every row and column of buckets holds
     about as many centroids, and buckets shrink where triangles do (at a
     graded corner).  They decide which triangles a point is tested against,
-    never which one is located: every triangle containing a point overlaps
-    its bucket.  Candidate triangles per bucket are stored in ascending
-    index order and the first containing triangle wins, so location is
-    deterministic with the lowest triangle index breaking ties on shared
-    edges.
+    but not which one is located for a point in or on a triangle, since the
+    triangle's bounding box overlaps that point's bucket; a point in the
+    1e-12 containment band just outside a box can fall in a bucket the box
+    does not overlap.  Candidate triangles per bucket are stored in
+    ascending index order and the first containing triangle wins, so
+    location is deterministic with the lowest triangle index breaking ties
+    on shared edges.
     """
 
     def __init__(self, mesh):
-        # corner k of every triangle as rows x, y (2, M): elementwise
-        # arithmetic on whole rows, several times faster than on (M, 2)
-        # columns and rounded alike
-        c0, c1, c2 = np.ascontiguousarray(mesh.corners().transpose(1, 2, 0))
+        corners = mesh.corners()
+        c0, c1, c2 = corners[:, 0], corners[:, 1], corners[:, 2]
         # containment frame per triangle, one row (v0, d1, d2, det) with
         # d1 = v1 - v0, d2 = v2 - v0 and det = d1 x d2
         d1 = c1 - c0
         d2 = c2 - c0
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        self.frames = np.column_stack([*c0, *d1, *d2, det])
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self.frames = np.column_stack([c0, d1, d2, det])
         # the bits of corners.mean(axis=1) at a quarter of its cost
         centroids = (c0 + c1 + c2) / 3.0
         # sqrt(M) buckets per axis, at evenly spaced ranks of the sorted
@@ -555,7 +555,7 @@ class _Locator:
         # buckets build faster
         n_cells = max(int(np.sqrt(mesh.num_triangles)), 1)
         ranks = np.arange(1, n_cells) * mesh.num_triangles // n_cells
-        self.edges = [np.unique(np.sort(centroids[a])[ranks]) for a in (0, 1)]
+        self.edges = [np.unique(np.sort(centroids[:, a])[ranks]) for a in (0, 1)]
         self.n_y = self.edges[1].size + 1
         n_total = (self.edges[0].size + 1) * self.n_y
         # each triangle's bucket box [i0, i1] x [j0, j1], from its corners'
@@ -566,8 +566,8 @@ class _Locator:
         # positions in the pair arrays, which can exceed both, stay int64.
         tlo = np.minimum(np.minimum(c0, c1), c2)
         thi = np.maximum(np.maximum(c0, c1), c2)
-        i0, i1 = (self._cell_idx(t[0], 0).astype(np.int32) for t in (tlo, thi))
-        j0, j1 = (self._cell_idx(t[1], 1).astype(np.int32) for t in (tlo, thi))
+        i0, i1 = (self._cell_idx(t[:, 0], 0).astype(np.int32) for t in (tlo, thi))
+        j0, j1 = (self._cell_idx(t[:, 1], 1).astype(np.int32) for t in (tlo, thi))
         del tlo, thi
         # one (cell, triangle) pair per bucket a triangle's box overlaps, in
         # ascending triangle order.  Pair k of triangle t, k < cnt_t, is
@@ -608,44 +608,21 @@ class _Locator:
         wherever the groups are the rule points of cells numbered like the
         triangles.  An anchor outside the mesh guesses nothing.  A group
         whose points all lie ``GROUP_MARGIN`` inside its guess is kept there
-        whole, and every other group goes through ``_locate_by_first``.
+        whole, and every point of every other group is located.
         """
-        n_groups = groups.shape[0]
+        n_groups, n = groups.shape[:2]
         anchor = self.locate_many(groups[::GUESS_RUN, 0])
         guess = np.repeat(anchor, GUESS_RUN)[:n_groups] + np.arange(n_groups) % GUESS_RUN
         np.minimum(guess, self.frames.shape[0] - 1, out=guess)
+        # an anchor outside the mesh (-1) guesses -1 (the last frame) to
+        # GUESS_RUN - 2; the mask drops its run
         kept = np.repeat(anchor >= 0, GUESS_RUN)[:n_groups]
-        kept &= np.all(self._well_inside(guess, groups), axis=1)
-        result = np.repeat(guess[:, None], groups.shape[1], axis=1)
-        result[~kept] = self._locate_by_first(groups[~kept])
+        l1, l2 = _barycentric(np.take(self.frames, guess, axis=0)[:, None], groups)
+        kept &= np.all((l1 > GROUP_MARGIN) & (l2 > GROUP_MARGIN)
+                       & (l1 + l2 < 1.0 - GROUP_MARGIN), axis=1)
+        result = np.repeat(guess[:, None], n, axis=1)
+        result[~kept] = self.locate_many(groups[~kept]).reshape(-1, n)
         return result
-
-    def _locate_by_first(self, groups):
-        """``locate_groups`` without guesses: each group's first point is
-        located, and the group's other points are kept in its triangle when
-        they lie ``GROUP_MARGIN`` inside it; every other point is located
-        too."""
-        first = self.locate_many(groups[:, 0])
-        rest = groups[:, 1:]
-        kept = (first >= 0)[:, None] & self._well_inside(first, rest)
-        result = np.repeat(first[:, None], groups.shape[1], axis=1)
-        result[:, 1:][~kept] = self.locate_many(rest[~kept])
-        return result
-
-    def _well_inside(self, tris, groups):
-        """Whether each point of groups (G, n, 2) has all its barycentric
-        coordinates in triangle tris[g] above ``GROUP_MARGIN``, so that no
-        other triangle contains it.  Index -1 reads the last frame, so the
-        caller masks it.  Tested ``quadrature.BLOCK_POINTS`` points at a
-        time, whose temporaries stay in cache: about twice as fast as all
-        at once."""
-        inside = np.empty(groups.shape[:2], dtype=bool)
-        step = max(quadrature.BLOCK_POINTS // max(groups.shape[1], 1), 1)
-        for lo in range(0, groups.shape[0], step):
-            s = slice(lo, lo + step)
-            l1, l2 = _barycentric(np.take(self.frames, tris[s], axis=0)[:, None], groups[s])
-            inside[s] = (l1 > GROUP_MARGIN) & (l2 > GROUP_MARGIN) & (l1 + l2 < 1.0 - GROUP_MARGIN)
-        return inside
 
     def locate_many(self, points, tol=1e-12):
         """Triangle index per point, -1 when outside the mesh.
@@ -708,9 +685,9 @@ def evaluate_gradient_many(sol, points):
 
     Points (N, 2), or any shape that flattens to rows of 2, give rows
     (N, 2).  Points grouped (G, n, 2), such as the rule points of G cells,
-    give (G, n, 2): a run of groups is kept whole in the triangles guessed
-    from its first point, where they hold, and otherwise each group's first
-    point is located and the others are first tested in its triangle
+    give (G, n, 2): a run of groups is kept in the triangles guessed from
+    its first point, each group whole where all its points lie well inside
+    its guess, and the points of every other group are located
     (``_Locator.locate_groups``).  Both forms give the same gradient per
     point.  Each call builds its own locator; the mesh keeps none.
     """

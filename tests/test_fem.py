@@ -878,13 +878,14 @@ class TestEvaluateGradient:
     def test_memory_peak(self):
         # fem_domain's beta = 1.5 pi, eps = 1e-3 point: the annulus mesh
         # (11 264 triangles) queried at the sector mesh's grouped rule
-        # points.  3.90 MB measured (numpy 2.4, 2^20 bytes to the MB), with
-        # sqrt(M) buckets per axis and runs of groups guessed; 6.59 MB with
-        # 2 sqrt(M) buckets per axis and every group's first point located,
-        # 6.65 MB with the int32 cells merge-sorted and the gradients
-        # scattered into a zero array by mask, 13.9 MB with int64 pair
-        # arrays sorted by np.lexsort, the pair cells kept and 2^17 pairs
-        # per chunk
+        # points.  5.11 MB measured (numpy 2.4, 2^20 bytes to the MB), with
+        # sqrt(M) buckets per axis and runs of groups guessed (3.97 MB with
+        # the guesses tested in blocks of quadrature.BLOCK_POINTS points,
+        # left out as no faster end to end); 6.59 MB with 2 sqrt(M) buckets
+        # per axis and every group's first point located, 6.65 MB with the
+        # int32 cells merge-sorted and the gradients scattered into a zero
+        # array by mask, 13.9 MB with int64 pair arrays sorted by
+        # np.lexsort, the pair cells kept and 2^17 pairs per chunk
         mesh0, mesh_eps = domain_meshes(1e-3)
         sol = FemSolution(mesh_eps, np.ones(mesh_eps.num_vertices), (0, 0.0))
         pts = tri6_points(mesh0.corners())
