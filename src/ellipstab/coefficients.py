@@ -23,17 +23,6 @@ from .quadrature import integrate_polar, integrate_rect
 class FieldEvaluationError(ValueError):
     """Raised when a field cannot be evaluated at a point (e.g. singular Jacobian)."""
 
-    def __init__(self, message, point=None, index=None):
-        super().__init__(message)
-        self.point = point
-        self.index = index
-
-    def shifted(self, offset):
-        """The same error with its point index counted from ``offset`` points
-        earlier, for a field evaluated on a block of points starting there."""
-        index = None if self.index is None else self.index + offset
-        return FieldEvaluationError(str(self), self.point, index)
-
 
 @dataclass(frozen=True)
 class EllipticityBounds:
@@ -164,12 +153,8 @@ def _inv_2x2(J, points):
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     bad = np.abs(det) < 1e-14
     if np.any(bad):
-        idx = int(np.argmax(bad.ravel()))
-        pt = np.asarray(points, dtype=float).reshape(-1, 2)[idx]
-        raise FieldEvaluationError(
-            f"singular Jacobian at point ({pt[0]:.6g}, {pt[1]:.6g})",
-            point=tuple(pt), index=idx,
-        )
+        pt = np.asarray(points, dtype=float).reshape(-1, 2)[np.argmax(bad.ravel())]
+        raise FieldEvaluationError(f"singular Jacobian at point ({pt[0]:.6g}, {pt[1]:.6g})")
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
     inv[..., 0, 1] = -J[..., 0, 1]
@@ -232,10 +217,7 @@ def lp_distance(field_a, field_b, p, domain):
         step = quadrature.BLOCK_POINTS
         for lo in range(0, pts.shape[0], step):
             block, out = pts[lo:lo + step], d[lo:lo + step]
-            try:
-                np.subtract(field_a.eval(block), field_b.eval(block), out=out)
-            except FieldEvaluationError as exc:
-                raise exc.shifted(lo) from exc
+            np.subtract(field_a.eval(block), field_b.eval(block), out=out)
             np.abs(out, out=out)
             block_max.append(np.max(out))
         scale = float(np.max(block_max))  # a NaN propagates

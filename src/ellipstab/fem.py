@@ -56,7 +56,6 @@ from functools import partial
 import numpy as np
 
 from . import quadrature
-from .coefficients import FieldEvaluationError
 from .geometry import polar_angle
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
@@ -85,12 +84,6 @@ GROUP_MARGIN = 1e-9
 # groups per run in grouped location (``_Locator.locate_groups``): one
 # bucket search per run, for its first group's first point
 GUESS_RUN = 32
-
-
-class AssemblyError(RuntimeError):
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
 
 
 class ConvergenceFailure(RuntimeError):
@@ -184,26 +177,21 @@ def _element_integrals(mesh, field, source=None):
     P1 gradients are constant per element, so the rule acts on a alone.  The
     rule points are formed and evaluated for ``BLOCK_POINTS // 6`` elements
     at a time; every value is per element, so the blocks do not change its
-    bits.  A FieldEvaluationError carries its point's index in the mesh's
-    whole (M, 6) array of rule points.
+    bits.
     """
     corners, areas = mesh.corners(), mesh.areas()
     abar = np.empty((mesh.num_triangles, 2, 2))
     be = np.zeros((mesh.num_triangles, 3))
-    n_rule = TRI6_WEIGHTS.size
-    step = max(quadrature.BLOCK_POINTS // n_rule, 1)
+    step = max(quadrature.BLOCK_POINTS // TRI6_WEIGHTS.size, 1)
     for lo in range(0, mesh.num_triangles, step):
         s = slice(lo, lo + step)
         pts = tri6_points(corners[s])
-        try:
-            a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-            np.multiply(_rule_sum(TRI6_WEIGHTS[None], a), areas[s, None, None], out=abar[s])
-            if source is not None:
-                f = _eval_scalar(source, pts)
-                np.multiply(_rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None]), areas[s, None],
-                            out=be[s])
-        except FieldEvaluationError as exc:
-            raise exc.shifted(lo * n_rule) from exc
+        a = field.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
+        np.multiply(_rule_sum(TRI6_WEIGHTS[None], a), areas[s, None, None], out=abar[s])
+        if source is not None:
+            f = _eval_scalar(source, pts)
+            np.multiply(_rule_sum(TRI6_WEIGHTS * f, TRI6_BARY[None]), areas[s, None],
+                        out=be[s])
     return abar, be
 
 
@@ -236,11 +224,7 @@ def assemble(mesh, field, source=None):
     # element arrays exist
     lo, hi, edge_of = _edge_numbering(mesh.triangles, mesh.num_vertices)
     grads = mesh.p1_gradients()
-    try:
-        abar, be = _element_integrals(mesh, field, source)
-    except FieldEvaluationError as exc:
-        elem = None if exc.index is None else int(exc.index) // TRI6_BARY.shape[0]
-        raise AssemblyError(f"element {elem}: {exc}", element=elem) from exc
+    abar, be = _element_integrals(mesh, field, source)
     ke = np.einsum("mix,mxy,mjy->mij", grads, abar, grads, optimize=True)
     del abar
     n = mesh.num_vertices

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ellipstab import cli, experiments, fem, meshing
 from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
+from ellipstab.coefficients import CoefficientField, EllipticityBounds, FieldEvaluationError
 from ellipstab.geometry import SectorDomain
 from ellipstab.meshing import TriMesh
 
@@ -277,6 +278,21 @@ class TestRateStudy:
         assert run("rate-study", "--study", "domain", "--mode", "fem", "--beta", repr(beta),
                    "--points", "4", "--eps-min", "1.1302806713e-06", "--out", str(out)) == 0
         assert out.read_text().splitlines()[-2].startswith("1.1302806713e-06,")
+
+    def test_fem_field_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a field that cannot be evaluated fails the FEM solve's assembly;
+        # its FieldEvaluationError reaches the CLI as the ValueError it is
+        def failing_identity():
+            def ev(pts):
+                raise FieldEvaluationError("singular Jacobian at point (0, 0)")
+            return CoefficientField(ev, EllipticityBounds(1.0, 1.0))
+
+        monkeypatch.setattr(experiments.coefficients, "identity_field", failing_identity)
+        out = tmp_path / "fem.csv"
+        assert run("rate-study", "--study", "domain", "--mode", "fem", "--points", "4",
+                   "--eps-min", "3.2e-3", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: singular Jacobian at point (0, 0)\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha,column", [("1e-300", "error")])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import annulus_meshes, raised_majorant_check
+from conftest import (
+    FEM_ORDER_BOUNDS,
+    FEM_ORDER_CLEAN,
+    FEM_ORDER_MESHES,
+    FEM_ORDER_UNCLEAN,
+    annulus_meshes,
+    raised_majorant_check,
+)
 from ellipstab import experiments, fem
 from ellipstab.analytic import (
     SourceTerm,
@@ -200,9 +207,8 @@ class TestCoefficientRateStudy:
             assert rhs == pytest.approx(expect, rel=1e-9)
 
     def test_inadmissible_q(self):
-        with pytest.raises(HypothesisViolation) as err:
+        with pytest.raises(HypothesisViolation, match=r"only for q < 6$"):
             coefficient_rate_study(BETA, 2.0, q=7.0)
-        assert err.value.q_star == pytest.approx(6.0)
 
     def test_vanishing_family_is_degenerate(self):
         eps = np.geomspace(1e-1, 1e-3, 5)
@@ -272,7 +278,8 @@ class TestDomainRateStudy:
         monkeypatch.setattr(experiments, "_semi_annulus_error", None)
         fem_mesh(10, 6)
         assert experiments.fem_eps_floor(10) == pytest.approx(1e-3, rel=1e-15)
-        with pytest.raises(ResolutionViolation, match=r"eps 0\.0009 is below 0\.001, .*\(1/10\)\^3"):
+        with pytest.raises(ResolutionViolation,
+                           match=r"eps 0\.0009 is below 0\.001, .*\(1/10\)\^3"):
             domain_rate_study(BETA, (1e-1, 1e-2, 9e-4, 1e-3), q=4.0, mode="fem")
 
     def test_unknown_mode(self):
@@ -395,6 +402,27 @@ class TestAnnulusSystem:
         # each take the separable preconditioner's grid solve alone
         error = experiments._fem_annulus_error(beta_over_pi * np.pi, eps)
         assert error.hex() == pinned
+
+
+class TestFemConvergenceOrder:
+    @pytest.mark.parametrize("beta_over_pi,eps", list(FEM_ORDER_CLEAN) + [
+        pytest.param(*point, marks=pytest.mark.xfail(
+            strict=True, reason=f"no convergence order: {measured}"))
+        for point, measured in FEM_ORDER_UNCLEAN.items()])
+    def test_gap_to_the_closed_form_converges(self, beta_over_pi, eps, fem_mesh):
+        # the relative gap (FEM - semi) / semi of the fem_domain error keeps
+        # its sign under joint refinement and shrinks at an order within the
+        # bounds: 1.33-2.13 was measured at the clean points
+        beta = beta_over_pi * np.pi
+        semi = experiments._semi_annulus_error(beta, eps, limit_solution(beta))
+        gaps = []
+        for n_radial, n_angular in FEM_ORDER_MESHES:
+            fem_mesh(n_radial, n_angular)
+            gaps.append((experiments._fem_annulus_error(beta, eps) - semi) / semi)
+        assert np.all(np.sign(gaps) == np.sign(gaps[0]))
+        orders = np.log2(np.abs(gaps[:-1]) / np.abs(gaps[1:]))
+        low, high = FEM_ORDER_BOUNDS
+        assert np.all((low <= orders) & (orders <= high)), orders
 
 
 class TestCompositionInequality:
@@ -523,11 +551,10 @@ class TestQualitativeConvergence:
 
     def test_condition_3_violated_without_compact_set(self):
         family = lambda e: radial_jump_field(2.0, 0.8) if e > 0 else identity_field()
-        with pytest.raises(ConditionViolation) as err:
+        with pytest.raises(ConditionViolation, match="condition_3 fails"):
             qualitative_convergence_study(
                 family, np.geomspace(0.4, 0.05, 4), "condition_3", BETA,
                 exclusion_radius=0.5)
-        assert err.value.point is not None
 
     def test_condition_4_scaled_identity(self):
         # A_eps = (1 + eps) I: the deficit (A_0 - A_eps)_+ vanishes and the

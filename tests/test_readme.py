@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FEM_ORDER_BOUNDS, FEM_ORDER_CLEAN, FEM_ORDER_MESHES, FEM_ORDER_UNCLEAN
 from ellipstab import analytic, cli, experiments, fem, geometry
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,6 +200,37 @@ def test_fem_agreement_threshold(capsys, monkeypatch):
     assert code == 1 and "off the semi-analytic error at eps=0.1;" in err
 
 
+def test_fem_gap_on_the_shipped_mesh():
+    # the gap range is measured here; the orders are checked in
+    # test_experiments.py from the conftest table this compares with
+    flat = " ".join(PROSE.split())
+    n_radial, n_angular, low, high, betas, eps_grid, meshes, order_low, order_high, unclean = (
+        stated(r"`experiments\.N_RADIAL` = (\d+) rings by `experiments\.N_ANGULAR` = (\d+) "
+               r"angular intervals, puts the FEM error of `--study domain --mode fem` "
+               r"within (\S+) to (\S+), relative, of the semi-analytic one at "
+               r"beta = (.+?) pi and eps = (.+?), well inside the 10 % rule\. "
+               r"Refined in both directions at once \(([^)]+)\), that gap keeps its sign "
+               r"and shrinks at an order between (\S+) and (\S+) at each of these points "
+               r"except (.+?) \(`tests/test_experiments\.py::TestFemConvergenceOrder`\)",
+               flat))
+    assert (int(n_radial), int(n_angular)) == (experiments.N_RADIAL, experiments.N_ANGULAR)
+    assert tuple(tuple(int(n) for n in m.split(" x ")) for m in meshes.split(", ")) == (
+        FEM_ORDER_MESHES)
+    assert (float(order_low), float(order_high)) == FEM_ORDER_BOUNDS
+    listed = [(float(b), float(e)) for b, e in re.findall(r"\((\S+) pi, (\S+)\)", unclean)]
+    assert listed == list(FEM_ORDER_UNCLEAN)
+    points = [(float(b), float(e)) for b in re.split(r", | and ", betas)
+              for e in re.split(r", | and ", eps_grid)]
+    assert sorted(points) == sorted(FEM_ORDER_CLEAN + tuple(FEM_ORDER_UNCLEAN))
+    gaps = []
+    for beta_over_pi, eps in points:
+        beta = beta_over_pi * np.pi
+        semi = experiments._semi_annulus_error(beta, eps, analytic.limit_solution(beta))
+        gaps.append(abs(experiments._fem_annulus_error(beta, eps) - semi) / semi)
+    assert (f"{min(gaps):.1e}", f"{max(gaps):.1e}") == (
+        f"{float(low):.1e}", f"{float(high):.1e}")
+
+
 # -- input limits ------------------------------------------------------------
 
 
@@ -248,6 +280,20 @@ def test_mesh_size_limits(capsys, tmp_path):
         code, _, err = run(capsys, *argv, str(n - 1))
         assert code == 2 and f"{flag} must be at least {n}" in err
         assert run(capsys, *argv, str(n))[0] == 0
+
+
+def test_unrefined_mesh_refusals(capsys, tmp_path):
+    bullet = stated(r"(`solve --refine` is nonnegative, [^\n]*)", LIMITS)
+    assert "the unrefined one of `--refine 0` too" in bullet
+    refusals = re.findall(r"`solve (--[^`]+)` and `solve (--[^`]+)` \(`([^`]+)`\)", bullet)
+    assert len(refusals) == 2
+    for *flags, invariant in refusals:
+        for argv in flags:
+            code, out, err = run(capsys, "solve", *shlex.split(argv),
+                                 "--out-prefix", str(tmp_path / "x"))
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: the mesh after --refine 0 is invalid: {invariant}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_grading_limit(capsys, tmp_path):
@@ -313,12 +359,23 @@ CONTRACT_NUMBERS = {
     "1.000e+00": "test_study_example_output",
     "0.9999769744141629": "test_fem_eps_floor_is_its_owner and test_study_example_output",
     "14.2": "test_study_example_output",
-    "1e-3": "test_repeated_eps_grid_limit",
+    "1e-3": "test_repeated_eps_grid_limit and test_fem_gap_on_the_shipped_mesh",
     "0.0010000000000000002": "test_repeated_eps_grid_limit",
-    "1e-4": "test_verify_pass_threshold",
+    "1e-4": "test_verify_pass_threshold and test_fem_gap_on_the_shipped_mesh",
     "10 %": "test_fem_agreement_threshold",
     "9.02782781742e-17": "test_verify_example_output",
-    "1e-300": "test_study_example_output",
+    "1e-300": "test_study_example_output and test_unrefined_mesh_refusals",
+    "1e6": "test_unrefined_mesh_refusals",
+    "0.999999999": "test_unrefined_mesh_refusals",
+    "0.9999999999999": "test_unrefined_mesh_refusals",
+    "9.0e-5": "test_fem_gap_on_the_shipped_mesh",
+    "1.0e-2": "test_fem_gap_on_the_shipped_mesh",
+    "1.1": "test_fem_gap_on_the_shipped_mesh",
+    "1.5": "test_fem_gap_on_the_shipped_mesh",
+    "1.9": "test_fem_gap_on_the_shipped_mesh",
+    "1e-2": "test_fem_gap_on_the_shipped_mesh",
+    "1.2": "test_fem_gap_on_the_shipped_mesh",
+    "2.5": "test_fem_gap_on_the_shipped_mesh",
 }
 
 

@@ -1,10 +1,12 @@
-"""Source layout rules that hold for every module of the package."""
+"""Source layout rules that hold for every module of the package and
+every test file."""
 
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ellipstab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ellipstab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 MAX_LINE = 100
 
 
