@@ -21,6 +21,9 @@ from . import analytic, coefficients, experiments, fem, geometry, meshing
 BETA_DEFAULT = 1.5 * np.pi
 # smallest eps at which the semi-analytic errors are tested against closed forms
 EPS_MIN = 1e-14
+# smallest annulus hole of solve: from about 1e-293 down, the P1 gradients or
+# element matrices of --n-angular 2 at beta near 2 pi overflow
+ANNULUS_EPS_MIN = 1e-280
 # the rate-study flags (beyond --beta and the eps grid) each study reads, and
 # so echoes in its CSV's `# cmd:` line
 STUDY_FLAGS = {"coeff": ("alpha", "q"), "domain": ("q", "mode"), "wwww": ("q",),
@@ -288,8 +291,8 @@ def _cmd_solve(parser, args):
     _check_out_path(parser, "--out-prefix", args.out_prefix, (".mesh", ".sol"))
     r_inner = 0.0
     if args.domain == "annulus":
-        if not 0.0 < args.eps < 1.0:
-            parser.error("--eps must lie in (0, 1) for an annulus")
+        if not ANNULUS_EPS_MIN <= args.eps < 1.0:
+            parser.error(f"--eps must lie in [{ANNULUS_EPS_MIN:g}, 1) for an annulus")
         r_inner = args.eps
     if args.coeff == "jump":
         _check_alpha(parser, args.alpha)
@@ -320,12 +323,12 @@ def _cmd_solve(parser, args):
         def source(pts):
             return np.ones(np.asarray(pts).shape[:-1])
 
-    for _ in range(args.refine):
-        mesh = meshing.refine_uniform(mesh)
-    try:
-        mesh.validate()
-    except ValueError as exc:
-        parser.error(f"the mesh after --refine {args.refine} is invalid: {exc}")
+    for level in range(args.refine + 1):  # refine_uniform needs a valid mesh
+        mesh = meshing.refine_uniform(mesh) if level else mesh
+        try:
+            mesh.validate()
+        except ValueError as exc:
+            parser.error(f"the mesh after --refine {level} is invalid: {exc}")
     field = (coefficients.identity_field() if args.coeff == "identity"
              else coefficients.radial_jump_field(args.alpha, args.jump_eps))
     system = fem.assemble(mesh, field, source=source)

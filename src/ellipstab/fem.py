@@ -57,6 +57,7 @@ import numpy as np
 
 from . import quadrature
 from .geometry import polar_angle
+from .meshing import _format_rows
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
@@ -687,10 +688,5 @@ def evaluate_gradient_many(sol, points):
 
 
 def export_solution_text(sol):
-    """ASCII export: one `sol vertex_index value` line per vertex, formatted
-    in one pass over the interleaved (index, value) pairs."""
-    values = sol.nodal_values.tolist()
-    pairs = [None] * (2 * len(values))
-    pairs[0::2] = range(len(values))
-    pairs[1::2] = values
-    return ("sol %d %.17g\n" * len(values)) % tuple(pairs)
+    """ASCII export: one `sol vertex_index value` line per vertex (``_format_rows``)."""
+    return _format_rows("sol %d %.17g\n", (np.arange(sol.nodal_values.size), sol.nodal_values))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ellipstab import fem, quadrature
+from ellipstab import fem, meshing, quadrature
 from ellipstab.analytic import SourceTerm, jump_solution
 from ellipstab.coefficients import (CoefficientField, EllipticityBounds, FieldEvaluationError,
                                     identity_field, radial_jump_field)
@@ -200,6 +200,24 @@ def block_points(monkeypatch):
         if n is not None:
             monkeypatch.setattr(quadrature, "BLOCK_POINTS", n)
     return set_to
+
+
+@pytest.fixture
+def export_rows(monkeypatch):
+    """Sets ``meshing.EXPORT_ROWS``, the rows per chunk that both text
+    exports read when they run."""
+    def set_to(n):
+        monkeypatch.setattr(meshing, "EXPORT_ROWS", n)
+    return set_to
+
+
+def export_values(rng, n):
+    """n floats over the whole double range, led by signed zeros,
+    subnormals, huge magnitudes and a repeating fraction."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [-0.0, 0.0, 5e-324, -2.2e-310, 1e17, -1e17, 1 / 3]
+    values[:len(special)] = special[:n]
+    return values
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ellipstab import cli, experiments, fem, meshing
 from ellipstab.analytic import h1_seminorm_separable, jump_solution, limit_solution
 from ellipstab.coefficients import CoefficientField, EllipticityBounds, FieldEvaluationError
-from ellipstab.geometry import SectorDomain
+from ellipstab.geometry import MARGIN, GraphDomain, SectorDomain
 from ellipstab.meshing import TriMesh
 
 BETA = f"{1.5 * np.pi:.9f}"
@@ -504,6 +504,83 @@ def test_documented_rate_study_box(case):
             # no jump at all: every error vanishes
             assert case["study"] in ("coeff", "qualitative")
             assert (err, case["alpha"]) == (VANISH, 1.0)
+
+
+@st.composite
+def documented_solves(draw):
+    """A ``solve`` inside README's input limits, and a maker of its domain:
+    --refine 0-2; beta in (pi, 2 pi), --n-radial/--n-angular 2-24,
+    --grading 1-6 and an annulus eps in [1e-280, 1) on a sector; --nx/--ny 2-24
+    and the heights at both ends in (0.1, 1] on a graph; either coefficient,
+    with alpha log-uniform in [1e-3, 1e3] and --jump-eps in (r_inner, 1)."""
+    domain = draw(st.sampled_from(["sector", "annulus", "graph"]))
+    argv = ["solve", "--domain", domain, "--refine", str(draw(st.integers(0, 2)))]
+    r_inner = 0.0
+    if domain == "graph":
+        nx, ny = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+        lo = draw(st.floats(MARGIN, 1.0, exclude_min=True))
+        slope = draw(st.floats(MARGIN, 1.0, exclude_min=True)) - lo
+        assume(MARGIN < lo + slope <= 1.0)
+        # README: a negative slope in exponent form is passed after "="
+        argv += ["--nx", str(nx), "--ny", str(ny), "--graph-height", repr(lo),
+                 f"--graph-slope={slope!r}"]
+
+        def make_domain():
+            return GraphDomain.from_height(lambda x: lo + slope * x, n_grid=nx + 1)
+    else:
+        beta = draw(st.floats(np.pi, 2.0 * np.pi, exclude_min=True, exclude_max=True))
+        if domain == "annulus":
+            r_inner = draw(st.floats(cli.ANNULUS_EPS_MIN, 1.0, exclude_max=True))
+            argv += ["--eps", repr(r_inner)]
+        argv += ["--beta", repr(beta), "--n-radial", str(draw(st.integers(2, 24))),
+                 "--n-angular", str(draw(st.integers(2, 24))),
+                 "--grading", repr(draw(st.floats(1.0, 6.0)))]
+
+        def make_domain():
+            return SectorDomain(beta, r_inner=r_inner)
+    # no --jump-eps lies between the largest eps below 1 and 1
+    if draw(st.booleans()) and np.nextafter(r_inner, 1.0) < 1.0:
+        argv += ["--coeff", "jump", "--alpha", repr(10.0 ** draw(st.floats(-3.0, 3.0))),
+                 "--jump-eps", repr(draw(st.floats(r_inner, 1.0, exclude_min=True,
+                                                   exclude_max=True)))]
+    return argv, make_domain
+
+
+# the messages of TriMesh.validate(), which README's --refine limit names
+INVARIANTS = (r"triangle \d+ has non-positive area", "mesh is not edge-manifold",
+              r"mesh has unused \(hanging\) vertices",
+              "boundary vertex not flagged Dirichlet", "interior vertex flagged Dirichlet",
+              "boundary edge with unflagged endpoint")
+
+
+@settings(max_examples=300, deadline=None)
+@given(documented_solves())
+def test_documented_solve_box(tmp_path_factory, case):
+    # every run in the box writes a valid mesh and a finite solution, or
+    # refuses as README states, or reports a solver failure; a numpy
+    # warning fails it, as pyproject's filterwarnings make RuntimeWarning an
+    # error
+    argv, make_domain = case
+    prefix = tmp_path_factory.mktemp("solve") / "x"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out-prefix", str(prefix)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        mesh = read_mesh(prefix, make_domain())
+        assert mesh.validate()
+        sol = np.array([line.split()[2] for line in
+                        prefix.with_suffix(".sol").read_text().splitlines()], dtype=float)
+        assert sol.size == mesh.num_vertices and np.all(np.isfinite(sol))
+        assert np.all(sol[mesh.boundary_flags] == 0.0)
+        assert float(out.split()[-1]) <= 1e-10
+    elif code == 2:
+        assert out == "" and not any(prefix.parent.iterdir())
+        assert re.search(r"error: the mesh after --refine \d is invalid: "
+                         rf"({'|'.join(INVARIANTS)})\n\Z", err), err
+    else:
+        assert code == 4 and err.startswith("solver failure: ")
 
 
 class TestSolve:

@@ -296,6 +296,38 @@ def test_unrefined_mesh_refusals(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_annulus_eps_floor_is_its_owner(capsys, tmp_path):
+    limit, refused = stated(r"`solve --domain annulus` in \[(\S+), 1\) "
+                            r"\(`cli\.ANNULUS_EPS_MIN`\)[^\n]*`solve (--[^`]+)` is refused\.",
+                            LIMITS)
+    assert float(limit) == cli.ANNULUS_EPS_MIN
+    prefix = str(tmp_path / "x")
+    code, out, err = run(capsys, "solve", *shlex.split(refused), "--out-prefix", prefix)
+    assert (code, out) == (2, "") and f"[{limit}, 1)" in err
+    # the floor itself runs on the coarsest mesh at the widest angle
+    assert run(capsys, "solve", "--domain", "annulus", "--eps", limit, "--n-angular", "2",
+               "--beta", repr(float(np.nextafter(2 * np.pi, 0.0))), "--out-prefix", prefix)[0] == 0
+
+
+def test_first_invalid_level_is_named(capsys, tmp_path):
+    argv, message = stated(r"names the first invalid level: `solve (--[^`]+)` is refused "
+                           r"with `([^`]+)`", LIMITS)
+    assert "--refine 1" in argv
+    code, out, err = run(capsys, "solve", *shlex.split(argv),
+                         "--out-prefix", str(tmp_path / "x"))
+    assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_exponent_slope(capsys, tmp_path):
+    refused, reason, runs = stated(r"argparse reads `solve (--[^`]+)` as a missing value "
+                                   r"\(`([^`]+)`\), and `(--[^`]+)` runs\.", LIMITS)
+    prefix = str(tmp_path / "x")
+    code, _, err = run(capsys, "solve", *shlex.split(refused), "--out-prefix", prefix)
+    assert code == 2 and f"argument --graph-slope: {reason}" in err
+    assert run(capsys, "solve", "--domain", "graph", runs, "--out-prefix", prefix)[0] == 0
+
+
 def test_grading_limit(capsys, tmp_path):
     limit = float(stated(r"`solve --grading` is at least (\S+)\.", LIMITS))
     prefix = str(tmp_path / "x")
@@ -366,6 +398,10 @@ CONTRACT_NUMBERS = {
     "9.02782781742e-17": "test_verify_example_output",
     "1e-300": "test_study_example_output and test_unrefined_mesh_refusals",
     "1e6": "test_unrefined_mesh_refusals",
+    "1e-280": "test_annulus_eps_floor_is_its_owner",
+    "1e-281": "test_annulus_eps_floor_is_its_owner",
+    "5e-324": "test_first_invalid_level_is_named",
+    "1e-5": "test_negative_exponent_slope",
     "0.999999999": "test_unrefined_mesh_refusals",
     "0.9999999999999": "test_unrefined_mesh_refusals",
     "9.0e-5": "test_fem_gap_on_the_shipped_mesh",
