@@ -13,6 +13,7 @@ import functools
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -21,9 +22,6 @@ from . import analytic, coefficients, experiments, fem, geometry, meshing
 BETA_DEFAULT = 1.5 * np.pi
 # smallest eps at which the semi-analytic errors are tested against closed forms
 EPS_MIN = 1e-14
-# smallest annulus hole of solve: from about 1e-293 down, the P1 gradients or
-# element matrices of --n-angular 2 at beta near 2 pi overflow
-ANNULUS_EPS_MIN = 1e-280
 # the rate-study flags (beyond --beta and the eps grid) each study reads, and
 # so echoes in its CSV's `# cmd:` line
 STUDY_FLAGS = {"coeff": ("alpha", "q"), "domain": ("q", "mode"), "wwww": ("q",),
@@ -158,7 +156,8 @@ def _write(out, text):
             fh.write(text)
 
 
-def _cmd_rate_study(parser, args):
+def _check_rate_study(parser, args):
+    """Refuse a rate study outside the input limits; return its eps grid."""
     _check_angle(parser, args.beta)
     if args.points < 4:
         parser.error("--points must be at least 4 (the rate fit needs 4 samples)")
@@ -179,12 +178,25 @@ def _cmd_rate_study(parser, args):
     if args.study in ("domain", "wwww") and args.eps_max >= 0.5:
         parser.error(f"--eps-max must be below 0.5 for --study {args.study} "
                      f"(the radial shift map needs eps < 1/2), got {args.eps_max:g}")
+    return grid
+
+
+def _cmd_rate_study(parser, args):
+    grid = _check_rate_study(parser, args)
+    reads = STUDY_FLAGS[args.study]
+    # the CSV echoes each value it reads to 12 digits (_fmt), and a value that
+    # rounds across a limit (--eps-max 0.9999999999999994 echoes as 1) would
+    # be refused when the echoed command is rerun, so it is refused here
+    echoed = {name: float(_fmt(getattr(args, name)))
+              for name in ("beta", "eps_min", "eps_max", *reads) if name != "mode"}
+    echo_parser = types.SimpleNamespace(error=lambda message: parser.error(
+        f"as the CSV would echo it (12 digits): {message}"))
+    _check_rate_study(echo_parser, argparse.Namespace(**{**vars(args), **echoed}))
     if args.out != "-":
         _check_out_path(parser, "--out", args.out)
     # the qualitative study's third column is the condition-3 statistic, not a bound
     header = ("eps,error,condition_3_deviation,ratio" if args.study == "qualitative"
               else "eps,error,bound,ratio")
-    reads = STUDY_FLAGS[args.study]
 
     def flag(name, text):
         return f" --{name} {text}" if name in reads else ""
@@ -291,8 +303,8 @@ def _cmd_solve(parser, args):
     _check_out_path(parser, "--out-prefix", args.out_prefix, (".mesh", ".sol"))
     r_inner = 0.0
     if args.domain == "annulus":
-        if not ANNULUS_EPS_MIN <= args.eps < 1.0:
-            parser.error(f"--eps must lie in [{ANNULUS_EPS_MIN:g}, 1) for an annulus")
+        if not meshing.R_INNER_MIN <= args.eps < 1.0:
+            parser.error(f"--eps must lie in [{meshing.R_INNER_MIN:g}, 1) for an annulus")
         r_inner = args.eps
     if args.coeff == "jump":
         _check_alpha(parser, args.alpha)

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import quadrature
 from .geometry import polar_angle
-from .meshing import _format_rows
+from .meshing import EDGE_ENDS, _format_rows
 from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 
 # (point, candidate triangle) pairs tested at once by the bucket locator,
@@ -71,10 +71,6 @@ from .quadrature import TRI6_BARY, TRI6_WEIGHTS, tri6_points
 # evaluate_gradient_many peaked at 5.0, 6.1, 8.3 and 12.2 MB at 2^13 to
 # 2^16
 LOCATE_PAIRS = 1 << 14
-
-# local vertices joined by each element's local edge e, the one opposite
-# local vertex e
-_EDGE_ENDS = np.array([[1, 2, 0], [2, 0, 1]])
 
 # smallest barycentric coordinate of a grouped point kept without a bucket
 # search in its group's guessed triangle: it then lies GROUP_MARGIN of that
@@ -233,7 +229,7 @@ def assemble(mesh, field, source=None):
     b = np.bincount(tri, weights=be.ravel(), minlength=n)
     del be
     diag = np.bincount(tri, weights=np.diagonal(ke, axis1=1, axis2=2).ravel(), minlength=n)
-    i, j = _EDGE_ENDS
+    i, j = EDGE_ENDS
     off = 0.5 * (ke[:, i, j] + ke[:, j, i])
     del ke
     coupled = np.bincount(edge_of, weights=off.ravel(), minlength=lo.size)
@@ -249,14 +245,13 @@ def assemble(mesh, field, source=None):
 
 def _edge_numbering(triangles, n):
     """The mesh's edges, ascending in (lo, hi) (arrays lo, hi), and the edge
-    index of each element's local edges (M * 3, element-major); local edge e
-    joins local vertices ``_EDGE_ENDS[:, e]``.
+    index of each element's local edges (M * 3, element-major), keyed and
+    ordered by ``meshing.EDGE_ENDS`` as ``TriMesh._edges`` numbers them.
 
-    Numbered here rather than by ``TriMesh._edges``, whose counts and
-    triangle map assembly does not need: one np.unique of a key per
-    (lo, hi) pair, which sorts as the pairs do.
+    Numbered here, without the counts and (M, 3) map that ``TriMesh._edges``
+    caches and assembly does not need.
     """
-    a, b = triangles[:, _EDGE_ENDS[0]], triangles[:, _EDGE_ENDS[1]]
+    a, b = triangles[:, EDGE_ENDS[0]], triangles[:, EDGE_ENDS[1]]
     keys, edge_of = np.unique((np.minimum(a, b) * n + np.maximum(a, b)).ravel(),
                               return_inverse=True)
     lo, hi = np.divmod(keys, n)

@@ -19,6 +19,16 @@ from .geometry import GraphDomain, SectorDomain
 # rows per chunk of the text exports; 512 to 8 192 took the same time
 EXPORT_ROWS = 4096
 
+# local vertices joined by local edge e of a triangle, the edge opposite local
+# vertex e; the edge of vertices i and j has the key min(i, j) * n + max(i, j)
+# for n vertices, which sorts as the (min, max) pairs do
+EDGE_ENDS = np.array([[1, 2, 0], [2, 0, 1]])
+
+# smallest positive inner radius that mesh_sector_from_radii meshes: from about
+# 1e-293 down, the P1 gradients or element matrices of two angular intervals at
+# beta near 2 pi overflow
+R_INNER_MIN = 1e-280
+
 
 class TriMesh:
     """Triangulation with per-vertex Dirichlet flags.
@@ -92,23 +102,17 @@ class TriMesh:
     def _edges(self):
         """Unique edges, their triangle counts and the triangle->edge map.
 
-        Local edge e of a triangle is opposite its local vertex e; row t of
-        the map holds the edge indices of triangle t in that order.
+        Edges are keyed and their ends taken by ``EDGE_ENDS``; row t of the
+        (M, 3) map holds the edge indices of triangle t's local edges.
         """
         if self._edge_cache is None:
-            tri = self.triangles
-            raw = np.concatenate(
-                [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=0
-            )
-            # one integer per (lo, hi) pair sorts as the pairs do, and
-            # far faster than np.unique's row mode
-            lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
+            tri, n = self.triangles, self.num_vertices
+            a, b = tri[:, EDGE_ENDS[0]], tri[:, EDGE_ENDS[1]]
             keys, inverse, counts = np.unique(
-                lo * self.num_vertices + hi, return_inverse=True, return_counts=True
-            )
-            uniq = np.column_stack(np.divmod(keys, self.num_vertices))
-            tri_edges = inverse.reshape(3, self.num_triangles).T
-            self._edge_cache = (uniq, counts, tri_edges)
+                (np.minimum(a, b) * n + np.maximum(a, b)).ravel(),
+                return_inverse=True, return_counts=True)
+            self._edge_cache = (np.column_stack(np.divmod(keys, n)), counts,
+                                inverse.reshape(self.num_triangles, 3))
         return self._edge_cache
 
     def edges(self):
@@ -120,16 +124,15 @@ class TriMesh:
     def neighbors(self):
         """Neighbor triangle across each local edge, -1 on the boundary."""
         _, counts, tri_edges = self._edges()
-        m = self.num_triangles
-        # slots k = local_edge * m + triangle, grouped by edge; an interior
+        # slots k = 3 * triangle + local_edge, grouped by edge; an interior
         # edge's two owners are adjacent in that order
-        slots = np.argsort(tri_edges.T.ravel(), kind="stable")
+        slots = np.argsort(tri_edges.ravel(), kind="stable")
         first = (np.cumsum(counts) - counts)[counts == 2]
         a, b = slots[first], slots[first + 1]
-        nb = -np.ones(3 * m, dtype=np.int64)
-        nb[a] = b % m
-        nb[b] = a % m
-        return nb.reshape(3, m).T
+        nb = -np.ones(tri_edges.size, dtype=np.int64)
+        nb[a] = b // 3
+        nb[b] = a // 3
+        return nb.reshape(tri_edges.shape)
 
     def boundary_edges(self):
         uniq, counts, _ = self._edges()
@@ -198,6 +201,8 @@ def _grid(n_rows, n_cols, offset=0):
 
 def mesh_sector_from_radii(domain, radii, n_angular):
     """Structured sector mesh with an explicit radial node list."""
+    if 0.0 < domain.r_inner < R_INNER_MIN:
+        raise ValueError(f"inner radius {domain.r_inner:g} is below {R_INNER_MIN:g}")
     radii = np.asarray(sorted(radii), dtype=float)
     if abs(radii[0] - domain.r_inner) > 1e-14 or abs(radii[-1] - 1.0) > 1e-14:
         raise ValueError("radii must span [r_inner, 1]")

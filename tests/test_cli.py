@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellipstab import cli, experiments, fem, meshing
@@ -142,6 +142,23 @@ class TestRateStudy:
         assert run("rate-study", "--study", study, "--eps-min", "1e-15",
                    "--out", str(out)) == 2
         assert "--eps-min must be at least 1e-14" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,limit", [
+        (["--study", "qualitative", "--beta", "4", "--alpha", "10", "--eps-min", "0.1",
+          "--eps-max", "0.9999999999999994"], "need 0 < --eps-min < --eps-max < 1"),
+        (["--study", "coeff", "--beta", "6.283185307179585"], "(pi, 2*pi)"),
+        (["--study", "coeff", "--q", "2.0000000000001"], "--q must be a finite number above 2"),
+        (["--study", "domain", "--eps-max", "0.49999999999999994"],
+         "--eps-max must be below 0.5"),
+    ])
+    def test_value_echoed_across_a_limit_is_usage_error(self, flags, limit, tmp_path,
+                                                         capsys):
+        # each value lies inside its limit, and its 12-digit echo on it or beyond
+        out = tmp_path / "x.csv"
+        assert run("rate-study", *flags, "--points", "4", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "as the CSV would echo it (12 digits): " in err and limit in err
         assert not out.exists()
 
     def test_eps_min_at_floor_runs(self, tmp_path):
@@ -453,8 +470,23 @@ def assert_rows_match_jump_closed_form(csv, beta, alpha):
         assert abs(err - exact) <= 0.10 * exact, (eps, err, exact)
 
 
+def echo_breaks_a_limit(case):
+    """Whether the 12-digit echo in the CSV of a case's values breaks a limit:
+    beta in (pi, 2 pi), eps_min < eps_max below the study's limit, q above 2
+    where the study reads it, and a grid of distinct values."""
+    echo = {k: float(f"{v:.12g}") for k, v in case.items() if isinstance(v, float)}
+    limit = 0.5 if case["study"] in ("domain", "wwww") else 1.0
+    grid = np.geomspace(echo["eps_max"], echo["eps_min"], case["points"])
+    return not (np.pi < echo["beta"] < 2.0 * np.pi
+                and echo["eps_min"] < echo["eps_max"] < limit
+                and (case["study"] == "qualitative" or echo["q"] > 2.0)
+                and np.unique(grid).size == case["points"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(documented_rate_studies())
+@example({"study": "qualitative", "beta": 4.0, "alpha": 10.0, "q": 4.0, "eps_min": 0.1,
+          "eps_max": 0.9999999999999994, "points": 4})
 def test_documented_rate_study_box(case):
     # every run in the box writes a finite CSV, or refuses as README states
     argv = ["rate-study", "--mode", "semi", "--study", case["study"],
@@ -465,18 +497,24 @@ def test_documented_rate_study_box(case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     err = err.getvalue()
-    # limits a few ulps apart round the grid to repeated values, and a
-    # qualitative grid below the FEM mesh's floor is unresolved: usage
-    # errors, refused before any work
+    # limits a few ulps apart round the grid to repeated values, a value
+    # whose echo breaks a limit would be refused on rerun, and a qualitative
+    # grid below the FEM mesh's floor is unresolved: usage errors, refused
+    # before any work
     grid = np.geomspace(case["eps_max"], case["eps_min"], case["points"])
     repeats = np.unique(grid).size < case["points"]
+    echo = echo_breaks_a_limit(case)
     unresolved = (case["study"] == "qualitative"
                   and case["eps_min"] < experiments.fem_eps_floor(96))
-    assert (code == 2) == (repeats or unresolved)
+    assert (code == 2) == (repeats or echo or unresolved)
     if code == 2:
         assert out.getvalue() == ""
-        assert err.endswith("eps grid repeats a value\n") if repeats else (
-            "--eps-min is too small for the FEM mesh: " in err)
+        if repeats:
+            assert err.endswith("eps grid repeats a value\n")
+        elif echo:
+            assert "as the CSV would echo it (12 digits): " in err
+        else:
+            assert "--eps-min is too small for the FEM mesh: " in err
     elif code == 0:
         rows = out.getvalue().splitlines()[2:-1]
         assert len(rows) == case["points"]
@@ -530,7 +568,7 @@ def documented_solves(draw):
     else:
         beta = draw(st.floats(np.pi, 2.0 * np.pi, exclude_min=True, exclude_max=True))
         if domain == "annulus":
-            r_inner = draw(st.floats(cli.ANNULUS_EPS_MIN, 1.0, exclude_max=True))
+            r_inner = draw(st.floats(meshing.R_INNER_MIN, 1.0, exclude_max=True))
             argv += ["--eps", repr(r_inner)]
         argv += ["--beta", repr(beta), "--n-radial", str(draw(st.integers(2, 24))),
                  "--n-angular", str(draw(st.integers(2, 24))),

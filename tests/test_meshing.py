@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import export_values, min_angle_deg, total_area
+from ellipstab import fem
 from ellipstab.geometry import GraphDomain, SectorDomain
 from ellipstab.meshing import (
+    EDGE_ENDS,
+    R_INNER_MIN,
     TriMesh,
     graded_radii,
     mesh_graph_domain,
@@ -93,6 +97,18 @@ class TestMeshSector:
             mesh_sector(SectorDomain(BETA), 1, 4)
         with pytest.raises(ValueError):
             mesh_sector(SectorDomain(BETA), 4, 1)
+
+    @pytest.mark.parametrize("r_inner", [1e-295, float(np.nextafter(R_INNER_MIN, 0.0))])
+    def test_hole_below_the_floor_is_refused(self, r_inner):
+        # at two angular intervals and beta near 2 pi, where the P1 gradients
+        # of a 1e-295 hole overflow; the floor itself meshes cleanly
+        beta = float(np.nextafter(2.0 * np.pi, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inner radius .* is below 1e-280"):
+                mesh_sector(SectorDomain(beta, r_inner=r_inner), 4, 2)
+            mesh = mesh_sector(SectorDomain(beta, r_inner=R_INNER_MIN), 4, 2)
+            assert np.all(np.isfinite(mesh.p1_gradients()))
 
 
 def geometry_meshes():
@@ -247,6 +263,27 @@ class TestNeighbors:
         assert np.all(np.count_nonzero(common, axis=1) == 2)
         assert not np.any(common[np.arange(t.size), loc])
         assert np.count_nonzero(nb < 0) == mesh.boundary_edges().shape[0]
+
+
+class TestEdges:
+    @pytest.mark.parametrize("mesh", [
+        mesh_sector(SectorDomain(BETA), 5, 7, grading=3.0),
+        mesh_sector(SectorDomain(BETA, r_inner=0.1), 4, 6, aligned_radii=[0.5]),
+        mesh_graph_domain(flat_domain(lambda x: 0.8 + 0.1 * x), 4, 3),
+        refine_uniform(refine_uniform(
+            mesh_sector(SectorDomain(BETA), 6, 8, grading=3.0, aligned_radii=[0.3]))),
+    ], ids=["sector", "annulus", "graph", "refined_jump"])
+    def test_assembly_numbers_edges_as_the_mesh(self, mesh):
+        uniq, _, tri_edges = mesh._edges()
+        lo, hi, edge_of = fem._edge_numbering(mesh.triangles, mesh.num_vertices)
+        assert np.array_equal(uniq, np.column_stack([lo, hi]))
+        assert np.array_equal(tri_edges.ravel(), edge_of)
+        assert tri_edges.flags.c_contiguous
+        # local edge e joins the two local vertices other than e
+        tri = mesh.triangles
+        ends = np.sort(np.stack([tri[:, EDGE_ENDS[0]], tri[:, EDGE_ENDS[1]]], axis=-1), axis=-1)
+        assert np.array_equal(uniq[tri_edges], ends)
+        assert not np.any(ends == tri[:, :, None])
 
 
 @st.composite

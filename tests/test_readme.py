@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import FEM_ORDER_BOUNDS, FEM_ORDER_CLEAN, FEM_ORDER_MESHES, FEM_ORDER_UNCLEAN
-from ellipstab import analytic, cli, experiments, fem, geometry
+from ellipstab import analytic, cli, experiments, fem, geometry, meshing
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -298,15 +298,36 @@ def test_unrefined_mesh_refusals(capsys, tmp_path):
 
 def test_annulus_eps_floor_is_its_owner(capsys, tmp_path):
     limit, refused = stated(r"`solve --domain annulus` in \[(\S+), 1\) "
-                            r"\(`cli\.ANNULUS_EPS_MIN`\)[^\n]*`solve (--[^`]+)` is refused\.",
+                            r"\(`meshing\.R_INNER_MIN`, the smallest positive inner radius "
+                            r"that `mesh_sector` meshes\)[^\n]*`solve (--[^`]+)` is refused\.",
                             LIMITS)
-    assert float(limit) == cli.ANNULUS_EPS_MIN
-    prefix = str(tmp_path / "x")
-    code, out, err = run(capsys, "solve", *shlex.split(refused), "--out-prefix", prefix)
+    assert float(limit) == meshing.R_INNER_MIN
+    prefix, argv = str(tmp_path / "x"), shlex.split(refused)
+    code, out, err = run(capsys, "solve", *argv, "--out-prefix", prefix)
     assert (code, out) == (2, "") and f"[{limit}, 1)" in err
+    # the library refuses that hole too
+    eps = float(argv[argv.index("--eps") + 1])
+    with pytest.raises(ValueError, match=f"below {limit}"):
+        meshing.mesh_sector(geometry.SectorDomain(4.0, r_inner=eps), 2, 2)
     # the floor itself runs on the coarsest mesh at the widest angle
     assert run(capsys, "solve", "--domain", "annulus", "--eps", limit, "--n-angular", "2",
                "--beta", repr(float(np.nextafter(2 * np.pi, 0.0))), "--out-prefix", prefix)[0] == 0
+
+
+def test_echoed_value_limit(capsys, tmp_path):
+    argv, echoed = stated(r"so that every echoed command reruns\.  `(--[^`]+)` would echo "
+                          r"`(--[^`]+)` and is refused\.", LIMITS)
+    flags, (name, value) = shlex.split(argv), shlex.split(echoed)
+    raw = float(flags[flags.index(name) + 1])
+    assert raw < 1.0 and float(cli._fmt(raw)) == float(value) == 1.0
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "rate-study", *flags, "--out", str(out))
+    assert code == 2 and "(12 digits): need 0 < --eps-min < --eps-max < 1" in err
+    # the echoed command is refused too, and without the rounding it runs
+    flags[flags.index(name) + 1] = value
+    assert run(capsys, "rate-study", *flags, "--out", str(out))[0] == 2
+    flags[flags.index(name) + 1] = "0.999"
+    assert run(capsys, "rate-study", *flags, "--out", str(out))[0] == 0
 
 
 def test_first_invalid_level_is_named(capsys, tmp_path):
@@ -384,7 +405,8 @@ def test_grading_convention():
 CONTRACT_NUMBERS = {
     "1e-14": "test_eps_min_limit_is_its_owner",
     "1.1302806713e-06": "test_fem_eps_floor_is_its_owner",
-    "0.1": "test_graph_margin_is_its_owner (and eps=0.1 of the example outputs)",
+    "0.1": "test_graph_margin_is_its_owner and test_echoed_value_limit (and eps=0.1 of the "
+           "example outputs)",
     "0.5": "test_shift_map_eps_limit and test_condition_3_disc_radius",
     "0.6": "test_study_example_output",
     "0.9": "test_study_example_output",
@@ -400,6 +422,7 @@ CONTRACT_NUMBERS = {
     "1e6": "test_unrefined_mesh_refusals",
     "1e-280": "test_annulus_eps_floor_is_its_owner",
     "1e-281": "test_annulus_eps_floor_is_its_owner",
+    "0.9999999999999994": "test_echoed_value_limit",
     "5e-324": "test_first_invalid_level_is_named",
     "1e-5": "test_negative_exponent_slope",
     "0.999999999": "test_unrefined_mesh_refusals",
